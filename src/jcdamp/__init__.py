@@ -17,9 +17,7 @@ from .model import (
     ComponentSet,
     combine_components,
     component_rhs,
-    derived_components,
     hamiltonian_full,
-    lindblad_rhs,
     split_components,
     to_rotational_picture,
     from_rotational_picture,
@@ -34,8 +32,6 @@ from .oracle import (
 )
 from .doubled import (
     DoubledSpace,
-    anticommutator_generator,
-    commutator_generator,
     devectorize,
     evolve_vectorized,
     pairing_vector,

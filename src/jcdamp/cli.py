@@ -76,129 +76,125 @@ def _require(cond: bool, msg: str) -> None:
         raise ConfigError(msg)
 
 
-def _check_keys(section: dict, path: str, allowed: set, required: set) -> None:
-    _require(isinstance(section, dict), f"{path} must be an object")
-    for key in section:
-        _require(key in allowed, f"unknown key {path}.{key}")
-    for key in required:
-        _require(key in section, f"missing key {path}.{key}")
+_TYPES = {float: ((int, float), "a number"), int: (int, "an integer"), str: (str, "a string")}
 
 
-def _as_float(val, path: str) -> float:
-    _require(isinstance(val, (int, float)) and not isinstance(val, bool),
-             f"{path} must be a number")
-    _require(math.isfinite(val), f"{path} must be finite")
-    return float(val)
+def _parse(val, kind, path: str):
+    """Check ``val`` against ``kind`` and convert it.  ``kind`` is float,
+    int, str, complex (a [re, im] pair), a tuple of allowed strings, or a
+    one-element list [item kind] for a list."""
+    if isinstance(kind, list):
+        _require(isinstance(val, list), f"{path} must be a list")
+        return [_parse(x, kind[0], f"{path}[{i}]") for i, x in enumerate(val)]
+    if isinstance(kind, tuple):
+        _require(isinstance(val, str) and val in kind,
+                 f"{path} must be one of {', '.join(kind)}, got {val!r}")
+        return val
+    if kind is complex:
+        _require(isinstance(val, list) and len(val) == 2, f"{path} must be a [re, im] pair")
+        return complex(_parse(val[0], float, path + "[0]"), _parse(val[1], float, path + "[1]"))
+    accepted, name = _TYPES[kind]
+    _require(isinstance(val, accepted) and not isinstance(val, bool), f"{path} must be {name}")
+    _require(kind is not float or math.isfinite(val), f"{path} must be finite")
+    return kind(val)
 
 
-def _as_int(val, path: str) -> int:
-    _require(isinstance(val, int) and not isinstance(val, bool),
-             f"{path} must be an integer")
-    return val
+def _is_stored_time(t: float, cfg) -> bool:
+    # the times ``integrate_joint`` stores: every store_every-th step and the last
+    k = round((t - cfg.grid.t_start) / cfg.grid.step)
+    return (0 <= k <= cfg.grid.n_steps and abs(cfg.grid.t_start + k * cfg.grid.step - t) <= 1e-9
+            and (k % cfg.store_every == 0 or k == cfg.grid.n_steps))
 
 
-def _as_complex(val, path: str) -> complex:
-    _require(isinstance(val, list) and len(val) == 2,
-             f"{path} must be a [re, im] pair")
-    return complex(_as_float(val[0], path + "[0]"), _as_float(val[1], path + "[1]"))
+def _default_sample_times(cfg) -> list:
+    span = cfg.grid.t_end - cfg.grid.t_start
+    return [cfg.grid.t_start + f * span for f in (0.2, 0.4, 0.6, 0.8, 1.0)]
+
+
+_AT_LEAST_2 = (lambda v, cfg: v >= 2, "must be at least 2")
+
+# (section, key, type, required, default, check), read by ``RunConfig``.
+# Section "" is the top level; sections are read in this order, so a
+# default(cfg) or a check (predicate(value, cfg), message) may use the
+# fields of earlier sections.  "required" applies when the section is
+# present; params, initial and grid must be.
+FIELDS = [
+    ("params", "omega", float, True, None, None),
+    ("params", "coupling", float, True, None, None),
+    ("params", "gamma", float, True, None, None),
+    ("params", "n_trunc", int, True, None, None),
+    ("initial", "coherent_alpha0", complex, False, None, None),
+    ("initial", "atom", ("up", "down"), False, None, None),
+    ("initial", "matrix_file", str, False, None, None),
+    ("grid", "t_start", float, True, None, None),
+    ("grid", "t_end", float, True, None, None),
+    ("grid", "n_steps", int, True, None, None),
+    ("", "outputs", [("trajectory", "components", "wigner", "compare")], True, None, None),
+    ("", "store_every", int, False, lambda cfg: max(1, cfg.grid.n_steps // 100),
+     (lambda v, cfg: v >= 1, "must be a positive integer")),
+    ("", "snapshot_times", [float], False, lambda cfg: [],
+     (lambda v, cfg: all(_is_stored_time(t, cfg) for t in v),
+      "must be stored trajectory times (every store_every-th step, or t_end)")),
+    ("", "picture", ("schrodinger", "rotational"), False, lambda cfg: "schrodinger", None),
+    ("wigner", "re_min", float, True, None, None),
+    ("wigner", "re_max", float, True, None, None),
+    ("wigner", "n_re", int, True, None, _AT_LEAST_2),
+    ("wigner", "im_min", float, True, None, None),
+    ("wigner", "im_max", float, True, None, None),
+    ("wigner", "n_im", int, True, None, _AT_LEAST_2),
+    ("wigner", "times", [float], True, None,
+     (lambda v, cfg: all(t >= cfg.grid.t_start for t in v), "must not precede grid.t_start")),
+    ("compare", "doubled_n_trunc", int, False, lambda cfg: min(30, cfg.params.n_trunc),
+     (lambda v, cfg: 6 <= v <= min(40, cfg.params.n_trunc),
+      "must be an integer in [6, 40], at most params.n_trunc")),
+    ("compare", "sample_times", [float], False, _default_sample_times,
+     (lambda v, cfg: all(cfg.grid.t_start < t <= cfg.grid.t_end + 1e-12 for t in v),
+      "must lie in (grid.t_start, grid.t_end]")),
+]
+# sections read into one object each; the keys of the others become attributes
+_SECTION_TYPES = {"params": ModelParams, "grid": TimeGrid, "wigner": dict}
+_REQUIRED_SECTIONS = ("params", "initial", "grid")
 
 
 class RunConfig:
-    """Validated run configuration; rejects unknown keys at every level."""
-
-    TOP_KEYS = {"params", "initial", "grid", "outputs", "wigner", "compare",
-                "snapshot_times", "store_every", "picture"}
+    """Validated run configuration (see ``FIELDS``); rejects unknown keys
+    at every level and names the offending field."""
 
     def __init__(self, doc: dict, base_dir: str = "."):
-        _check_keys(doc, "config", self.TOP_KEYS, {"params", "initial", "grid", "outputs"})
-
-        sec = doc["params"]
-        _check_keys(sec, "config.params", {"omega", "coupling", "gamma", "n_trunc"},
-                    {"omega", "coupling", "gamma", "n_trunc"})
-        try:
-            self.params = ModelParams(
-                omega=_as_float(sec["omega"], "config.params.omega"),
-                coupling=_as_float(sec["coupling"], "config.params.coupling"),
-                gamma=_as_float(sec["gamma"], "config.params.gamma"),
-                n_trunc=_as_int(sec["n_trunc"], "config.params.n_trunc"),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"config.params: {exc}") from None
-
-        sec = doc["initial"]
-        if "matrix_file" in sec:
-            _check_keys(sec, "config.initial", {"matrix_file"}, {"matrix_file"})
-            self.initial_alpha0 = None
-            self.initial_atom = None
-            self.matrix_file = os.path.join(base_dir, sec["matrix_file"])
-        else:
-            _check_keys(sec, "config.initial", {"coherent_alpha0", "atom"},
-                        {"coherent_alpha0", "atom"})
-            self.initial_alpha0 = _as_complex(sec["coherent_alpha0"],
-                                              "config.initial.coherent_alpha0")
-            _require(sec["atom"] in ("up", "down"),
-                     "config.initial.atom must be 'up' or 'down'")
-            self.initial_atom = sec["atom"]
-            self.matrix_file = None
-
-        sec = doc["grid"]
-        _check_keys(sec, "config.grid", {"t_start", "t_end", "n_steps"},
-                    {"t_start", "t_end", "n_steps"})
-        try:
-            self.grid = TimeGrid(
-                t_start=_as_float(sec["t_start"], "config.grid.t_start"),
-                t_end=_as_float(sec["t_end"], "config.grid.t_end"),
-                n_steps=_as_int(sec["n_steps"], "config.grid.n_steps"),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"config.grid: {exc}") from None
-
-        outs = doc["outputs"]
-        _require(isinstance(outs, list), "config.outputs must be a list")
-        for item in outs:
-            _require(item in ("trajectory", "components", "wigner", "compare"),
-                     f"unknown output kind {item!r}")
-        self.outputs = list(outs)
-
-        self.wigner = None
-        if "wigner" in doc:
-            sec = doc["wigner"]
-            keys = {"re_min", "re_max", "n_re", "im_min", "im_max", "n_im", "times"}
-            _check_keys(sec, "config.wigner", keys, keys)
-            self.wigner = {
-                "re_min": _as_float(sec["re_min"], "config.wigner.re_min"),
-                "re_max": _as_float(sec["re_max"], "config.wigner.re_max"),
-                "n_re": _as_int(sec["n_re"], "config.wigner.n_re"),
-                "im_min": _as_float(sec["im_min"], "config.wigner.im_min"),
-                "im_max": _as_float(sec["im_max"], "config.wigner.im_max"),
-                "n_im": _as_int(sec["n_im"], "config.wigner.n_im"),
-                "times": [_as_float(t, "config.wigner.times[]") for t in sec["times"]],
-            }
-
-        sec = doc.get("compare", {})
-        _check_keys(sec, "config.compare", {"doubled_n_trunc", "sample_times"}, set())
-        self.doubled_n_trunc = sec.get("doubled_n_trunc", min(30, self.params.n_trunc))
-        _require(isinstance(self.doubled_n_trunc, int) and 6 <= self.doubled_n_trunc <= 40,
-                 "config.compare.doubled_n_trunc must be an integer in [6, 40]")
-        if "sample_times" in sec:
-            self.sample_times = [_as_float(t, "config.compare.sample_times[]")
-                                 for t in sec["sample_times"]]
-        else:
-            span = self.grid.t_end - self.grid.t_start
-            self.sample_times = [self.grid.t_start + f * span
-                                 for f in (0.2, 0.4, 0.6, 0.8, 1.0)]
-        for t in self.sample_times:
-            _require(self.grid.t_start < t <= self.grid.t_end + 1e-12,
-                     f"sample time {t} outside the grid span")
-
-        self.snapshot_times = [_as_float(t, "config.snapshot_times[]")
-                               for t in doc.get("snapshot_times", [])]
-        self.store_every = doc.get("store_every", max(1, self.grid.n_steps // 100))
-        _require(isinstance(self.store_every, int) and self.store_every >= 1,
-                 "config.store_every must be a positive integer")
-        self.picture = doc.get("picture", "schrodinger")
-        _require(self.picture in ("schrodinger", "rotational"),
-                 "config.picture must be 'schrodinger' or 'rotational'")
+        _require(isinstance(doc, dict), "config must be an object")
+        sections = list(dict.fromkeys(section for section, *_ in FIELDS))
+        for section in sections:
+            path = f"config.{section}" if section else "config"
+            present = not section or section in doc
+            _require(present or section not in _REQUIRED_SECTIONS, f"missing key {path}")
+            sec = doc.get(section, {}) if section else doc
+            _require(isinstance(sec, dict), f"{path} must be an object")
+            fields = [field for field in FIELDS if field[0] == section]
+            allowed = {key for _, key, *_ in fields} | (set() if section else set(sections) - {""})
+            for key in sec:
+                _require(key in allowed, f"unknown key {path}.{key}")
+            values = {}
+            for _, key, kind, required, default, check in fields:
+                if key in sec:
+                    val = _parse(sec[key], kind, f"{path}.{key}")
+                else:
+                    _require(not (required and present), f"missing key {path}.{key}")
+                    val = default(self) if default else None
+                values[key] = val
+                if section not in _SECTION_TYPES:
+                    setattr(self, key, val)
+                if check is not None and val is not None:
+                    _require(check[0](val, self), f"{path}.{key} {check[1]}")
+            if section in _SECTION_TYPES:
+                try:
+                    setattr(self, section, _SECTION_TYPES[section](**values) if present else None)
+                except ValueError as exc:
+                    raise ConfigError(f"{path}: {exc}") from None
+        n_coherent = (self.coherent_alpha0 is not None) + (self.atom is not None)
+        _require(n_coherent == (0 if self.matrix_file is not None else 2),
+                 "config.initial must hold either matrix_file or coherent_alpha0 and atom")
+        if self.matrix_file is not None:
+            self.matrix_file = os.path.join(base_dir, self.matrix_file)
 
     def initial_joint(self) -> np.ndarray:
         n = self.params.n_trunc
@@ -208,23 +204,19 @@ class RunConfig:
                     doc = json.load(fh)
             except (OSError, json.JSONDecodeError) as exc:
                 raise ConfigError(f"cannot read matrix file: {exc}") from None
-            _check_keys(doc, "matrix_file", {"entries"}, {"entries"})
-            entries = doc["entries"]
-            _require(isinstance(entries, list) and len(entries) == 2 * n,
+            _require(isinstance(doc, dict) and set(doc) == {"entries"},
+                     "matrix_file must hold exactly one key, entries")
+            rows = _parse(doc["entries"], [[complex]], "matrix_file.entries")
+            _require(len(rows) == 2 * n and all(len(row) == 2 * n for row in rows),
                      f"matrix file must hold a {2 * n} x {2 * n} matrix")
-            rho = np.empty((2 * n, 2 * n), dtype=complex)
-            for i, row in enumerate(entries):
-                _require(isinstance(row, list) and len(row) == 2 * n,
-                         f"matrix_file.entries[{i}] has wrong length")
-                for j, pair in enumerate(row):
-                    rho[i, j] = _as_complex(pair, f"matrix_file.entries[{i}][{j}]")
+            rho = np.array(rows, dtype=complex)
             try:
                 check_joint_density(rho, herm_tol=1e-8, trace_tol=1e-8, psd_tol=1e-6)
             except ValueError as exc:
                 raise ConfigError(f"matrix file is not a valid state: {exc}") from None
             return rho
-        field = coherent_state(self.initial_alpha0, n).vec
-        atom = ATOM_UP if self.initial_atom == "up" else ATOM_DOWN
+        field = coherent_state(self.coherent_alpha0, n).vec
+        atom = ATOM_UP if self.atom == "up" else ATOM_DOWN
         return np.kron(np.outer(atom, atom.conj()), np.outer(field, field.conj()))
 
 
@@ -437,9 +429,9 @@ def build_comparison_report(cfg: RunConfig) -> dict:
     doubled_params = ModelParams(omega=params.omega, coupling=params.coupling,
                                  gamma=params.gamma, n_trunc=n_doubled)
     factories = {
-        "plus": commutator_generator_factory(doubled_params, sign=1, sparse=True),
-        "minus": commutator_generator_factory(doubled_params, sign=-1, sparse=True),
-        "cross": anticommutator_generator_factory(doubled_params, sparse=True),
+        "plus": commutator_generator_factory(doubled_params, sign=1),
+        "minus": commutator_generator_factory(doubled_params, sign=-1),
+        "cross": anticommutator_generator_factory(doubled_params),
     }
     signs = {"plus": 1, "minus": -1}
 

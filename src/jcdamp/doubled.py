@@ -7,9 +7,10 @@ fictitious partner mode.  Left and right multiplication then become
 ordinary matrices on the doubled space, and the damped equations of
 motion become linear vector ODEs.
 
-Superoperator matrices are materialized densely (brute-force clarity;
-the doubled dimension is capped in practice around N = 40).  The
-evolution helpers also accept scipy.sparse generators as a fast path.
+The superoperator matrices are built once per truncation, as sparse
+matrices; the generators are sums of them.  ``DoubledSpace`` offers
+dense views of the same matrices for algebra checks, each built only
+when asked for, since one is N^2 x N^2.
 
 Truncation caveat: identities that hold for the untruncated mode (for
 example that commutator and anticommutator superoperators commute with
@@ -21,7 +22,7 @@ at least ``fock.TAIL_LEVELS`` levels below the boundary; see
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Union
 
 import numpy as np
@@ -57,8 +58,41 @@ def interior_indices(n_trunc: int, margin: int = TAIL_LEVELS) -> np.ndarray:
     return (keep[:, None] * n_trunc + keep[None, :]).reshape(-1)
 
 
+@lru_cache(maxsize=8)
+def _superoperators(n_trunc: int) -> dict:
+    """Sparse superoperators at truncation ``n_trunc``, keyed by their
+    ``DoubledSpace`` names (cached: treat them as read-only)."""
+    a = sp.csr_matrix(annihilation(n_trunc))
+    eye = sp.identity(n_trunc, dtype=complex, format="csr")
+    left_a = sp.kron(a, eye, format="csr")
+    left_ad = sp.kron(a.conj().T, eye, format="csr")
+    right_a = sp.kron(eye, a.T, format="csr")
+    right_ad = sp.kron(eye, a.conj(), format="csr")
+    ops = {"left_a": left_a, "left_ad": left_ad, "right_a": right_a, "right_ad": right_ad,
+           "comm_a": left_a - right_a, "comm_ad": left_ad - right_ad,
+           "acomm_a": left_a + right_a, "acomm_ad": left_ad + right_ad,
+           "dissipator": 2.0 * left_a @ right_ad - left_ad @ left_a - right_a @ right_ad}
+    return {name: mat.tocsr() for name, mat in ops.items()}
+
+
+class _DenseView:
+    """Dense copy of one of the sparse superoperators, made on first access."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, ds, owner=None):
+        if ds is None:
+            return self
+        mat = _superoperators(ds.n_trunc)[self.name].toarray()
+        ds.__dict__[self.name] = mat
+        return mat
+
+
 class DoubledSpace:
-    """Canonical superoperator matrices on the doubled space.
+    """Canonical superoperator matrices on the doubled space, as dense
+    views of the sparse matrices the generators use, each built on first
+    access.
 
     left_*  / right_*   multiply a vectorized operator by a or a+ on
                         the corresponding side
@@ -68,53 +102,21 @@ class DoubledSpace:
     acomm_ad_partner    commutator of ``dissipator`` with ``acomm_ad``
     """
 
+    left_a = _DenseView()
+    left_ad = _DenseView()
+    right_a = _DenseView()
+    right_ad = _DenseView()
+    comm_a = _DenseView()
+    comm_ad = _DenseView()
+    acomm_a = _DenseView()
+    acomm_ad = _DenseView()
+    dissipator = _DenseView()
+
     def __init__(self, n_trunc: int):
         if n_trunc < 2:
             raise ValueError(f"n_trunc must be at least 2, got {n_trunc}")
         self.n_trunc = n_trunc
         self.dim = n_trunc * n_trunc
-
-    @cached_property
-    def left_a(self) -> np.ndarray:
-        a = annihilation(self.n_trunc)
-        return np.kron(a, np.eye(self.n_trunc, dtype=complex))
-
-    @cached_property
-    def left_ad(self) -> np.ndarray:
-        a = annihilation(self.n_trunc)
-        return np.kron(a.conj().T, np.eye(self.n_trunc, dtype=complex))
-
-    @cached_property
-    def right_a(self) -> np.ndarray:
-        a = annihilation(self.n_trunc)
-        return np.kron(np.eye(self.n_trunc, dtype=complex), a.T)
-
-    @cached_property
-    def right_ad(self) -> np.ndarray:
-        a = annihilation(self.n_trunc)
-        return np.kron(np.eye(self.n_trunc, dtype=complex), a.conj())
-
-    @cached_property
-    def comm_a(self) -> np.ndarray:
-        return self.left_a - self.right_a
-
-    @cached_property
-    def comm_ad(self) -> np.ndarray:
-        return self.left_ad - self.right_ad
-
-    @cached_property
-    def acomm_a(self) -> np.ndarray:
-        return self.left_a + self.right_a
-
-    @cached_property
-    def acomm_ad(self) -> np.ndarray:
-        return self.left_ad + self.right_ad
-
-    @cached_property
-    def dissipator(self) -> np.ndarray:
-        return (2.0 * self.left_a @ self.right_ad
-                - self.left_ad @ self.left_a
-                - self.right_a @ self.right_ad)
 
     @cached_property
     def acomm_a_partner(self) -> np.ndarray:
@@ -125,23 +127,22 @@ class DoubledSpace:
         return 2.0 * self.right_ad - self.comm_ad
 
 
-def _sparse_pieces(params: ModelParams):
-    a = sp.csr_matrix(annihilation(params.n_trunc))
-    eye = sp.identity(params.n_trunc, dtype=complex, format="csr")
-    left_a = sp.kron(a, eye, format="csr")
-    left_ad = sp.kron(a.conj().T, eye, format="csr")
-    right_a = sp.kron(eye, a.T, format="csr")
-    right_ad = sp.kron(eye, a.conj(), format="csr")
-    comm_a = (left_a - right_a).tocsr()
-    comm_ad = (left_ad - right_ad).tocsr()
-    acomm_a = (left_a + right_a).tocsr()
-    acomm_ad = (left_ad + right_ad).tocsr()
-    diss = (2.0 * left_a @ right_ad - left_ad @ left_a - right_a @ right_ad).tocsr()
-    return comm_a, comm_ad, acomm_a, acomm_ad, diss
+def _generator(params: ModelParams, kind: str, pref: complex) -> Callable[[float], sp.csr_matrix]:
+    # G(t) = pref (<kind>_a e^{-i w t} + <kind>_ad e^{i w t}) + (g/2) dissipator
+    ops = _superoperators(params.n_trunc)
+    drive_a, drive_ad = ops[kind + "_a"], ops[kind + "_ad"]
+    damping = 0.5 * params.gamma * ops["dissipator"]
+
+    def generator(t: float) -> sp.csr_matrix:
+        return (pref * np.exp(-1j * params.omega * t)) * drive_a \
+            + (pref * np.exp(1j * params.omega * t)) * drive_ad \
+            + damping
+
+    return generator
 
 
-def commutator_generator_factory(params: ModelParams, sign: int,
-                                 sparse: bool = False) -> Callable[[float], Matrix]:
+def commutator_generator_factory(params: ModelParams,
+                                 sign: int) -> Callable[[float], sp.csr_matrix]:
     """Generator of the vectorized commutator-branch equation.
 
         G(t) = -/+ i c (comm_a e^{-i w t} + comm_ad e^{i w t}) + (g/2) dissipator
@@ -150,50 +151,15 @@ def commutator_generator_factory(params: ModelParams, sign: int,
     """
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
-    if sparse:
-        comm_a, comm_ad, _, _, diss = _sparse_pieces(params)
-    else:
-        ds = DoubledSpace(params.n_trunc)
-        comm_a, comm_ad, diss = ds.comm_a, ds.comm_ad, ds.dissipator
-    pref = -1j * sign * params.coupling
-    damp = 0.5 * params.gamma
-
-    def generator(t: float) -> Matrix:
-        return (pref * np.exp(-1j * params.omega * t)) * comm_a \
-            + (pref * np.exp(1j * params.omega * t)) * comm_ad \
-            + damp * diss
-
-    return generator
+    return _generator(params, "comm", -1j * sign * params.coupling)
 
 
-def anticommutator_generator_factory(params: ModelParams,
-                                     sparse: bool = False) -> Callable[[float], Matrix]:
+def anticommutator_generator_factory(params: ModelParams) -> Callable[[float], sp.csr_matrix]:
     """Generator of the vectorized anticommutator-branch equation.
 
         G(t) = -i c (acomm_a e^{-i w t} + acomm_ad e^{i w t}) + (g/2) dissipator
     """
-    if sparse:
-        _, _, acomm_a, acomm_ad, diss = _sparse_pieces(params)
-    else:
-        ds = DoubledSpace(params.n_trunc)
-        acomm_a, acomm_ad, diss = ds.acomm_a, ds.acomm_ad, ds.dissipator
-    pref = -1j * params.coupling
-    damp = 0.5 * params.gamma
-
-    def generator(t: float) -> Matrix:
-        return (pref * np.exp(-1j * params.omega * t)) * acomm_a \
-            + (pref * np.exp(1j * params.omega * t)) * acomm_ad \
-            + damp * diss
-
-    return generator
-
-
-def commutator_generator(t: float, params: ModelParams, sign: int) -> np.ndarray:
-    return commutator_generator_factory(params, sign)(t)
-
-
-def anticommutator_generator(t: float, params: ModelParams) -> np.ndarray:
-    return anticommutator_generator_factory(params)(t)
+    return _generator(params, "acomm", -1j * params.coupling)
 
 
 def damped_frame_drive(t: float, params: ModelParams, sign: int) -> np.ndarray:

@@ -132,7 +132,3 @@ def tail_weight(rho: np.ndarray, n_levels: int = TAIL_LEVELS) -> float:
     """Population of a field density matrix in its top ``n_levels`` levels."""
     diag = np.diagonal(rho).real
     return float(np.sum(diag[-n_levels:]))
-
-
-def state_tail_weight(psi: np.ndarray, n_levels: int = TAIL_LEVELS) -> float:
-    return float(np.sum(np.abs(psi[-n_levels:]) ** 2))

@@ -22,6 +22,7 @@ and is used with this normalization everywhere in the package.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -33,10 +34,7 @@ SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 ATOM_UP = np.array([1.0, 0.0], dtype=complex)
 ATOM_DOWN = np.array([0.0, 1.0], dtype=complex)
 
-
-def joint_operator(atom_op: np.ndarray, field_op: np.ndarray) -> np.ndarray:
-    """Embed atom_op (x) field_op in the joint space (atom-major blocks)."""
-    return np.kron(atom_op, field_op)
+RHS = Callable[[float, np.ndarray], np.ndarray]
 
 
 def joint_annihilation(n_trunc: int) -> np.ndarray:
@@ -55,45 +53,54 @@ def hamiltonian_full(params: ModelParams) -> np.ndarray:
     return h
 
 
-def dissipator(mat: np.ndarray, gamma: float, a: np.ndarray) -> np.ndarray:
-    """(gamma/2)(2 a mat a+ - a+a mat - mat a+a) for the given jump op."""
+def damping(gamma: float, a: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """D[mat] = (gamma/2)(2 a mat a+ - a+a mat - mat a+a) as a function of
+    mat, with a+ and a+a computed once (four matrix products per call)."""
     ad = a.conj().T
     n_op = ad @ a
-    return 0.5 * gamma * (2.0 * a @ mat @ ad - n_op @ mat - mat @ n_op)
+
+    def damp(mat: np.ndarray) -> np.ndarray:
+        return 0.5 * gamma * (2.0 * a @ mat @ ad - n_op @ mat - mat @ n_op)
+
+    return damp
 
 
-def lindblad_rhs(rho: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Full equation of motion -i[H, rho] + D[rho] in the lab frame."""
-    n = params.n_trunc
-    if rho.shape != (2 * n, 2 * n):
-        raise ValueError(
-            f"joint state has shape {rho.shape}, expected {(2 * n, 2 * n)}"
-        )
+def _coupled_rhs(coupling_at: Callable[[float], np.ndarray], front: complex, anti: bool,
+                 damp: Callable[[np.ndarray], np.ndarray]) -> RHS:
+    """f(t, y) = front [K, y] + D[y], or front {K, y} + D[y] if ``anti``,
+    with K = coupling_at(t): the form of every equation of motion here."""
+
+    def rhs(t: float, y: np.ndarray) -> np.ndarray:
+        k = coupling_at(t)
+        ky, yk = k @ y, y @ k
+        return front * (ky + yk if anti else ky - yk) + damp(y)
+
+    return rhs
+
+
+def _rotating(raising: np.ndarray, lowering: np.ndarray,
+              omega: float) -> Callable[[float], np.ndarray]:
+    """t -> raising e^{i w t} + lowering e^{-i w t}; with (a+, a) this is the
+    rotating-frame field coupling X(t)."""
+    return lambda t: raising * np.exp(1j * omega * t) + lowering * np.exp(-1j * omega * t)
+
+
+def lab_frame_rhs(params: ModelParams) -> RHS:
+    """Right-hand side f(t, rho) of the lab-frame joint equation
+    -i[H, rho] + D[rho]."""
     h = hamiltonian_full(params)
-    a_joint = joint_annihilation(n)
-    return -1j * (h @ rho - rho @ h) + dissipator(rho, params.gamma, a_joint)
+    damp = damping(params.gamma, joint_annihilation(params.n_trunc))
+    return _coupled_rhs(lambda t: h, -1j, False, damp)
 
 
-def drive_operator(t: float, params: ModelParams) -> np.ndarray:
-    """Rotating-frame field coupling a+ e^{i w t} + a e^{-i w t}."""
+def rotating_frame_rhs(params: ModelParams) -> RHS:
+    """Right-hand side f(t, rho) of the joint equation in the rotating
+    (free-field) frame, -i coupling [X(t) (x) sigma_x, rho] + D[rho]."""
     a = annihilation(params.n_trunc)
-    return a.conj().T * np.exp(1j * params.omega * t) + a * np.exp(-1j * params.omega * t)
-
-
-def rotational_rhs(rho: np.ndarray, t: float, params: ModelParams) -> np.ndarray:
-    """Equation of motion in the rotating (free-field) frame.
-
-    -i coupling [X(t) (x) sigma_x, rho] + D[rho], with X(t) the
-    rotating-frame coupling from ``drive_operator``.
-    """
-    n = params.n_trunc
-    if rho.shape != (2 * n, 2 * n):
-        raise ValueError(
-            f"joint state has shape {rho.shape}, expected {(2 * n, 2 * n)}"
-        )
-    h = params.coupling * np.kron(SIGMA_X, drive_operator(t, params))
-    a_joint = joint_annihilation(n)
-    return -1j * (h @ rho - rho @ h) + dissipator(rho, params.gamma, a_joint)
+    coupling_at = _rotating(params.coupling * np.kron(SIGMA_X, a.conj().T),
+                            params.coupling * np.kron(SIGMA_X, a), params.omega)
+    damp = damping(params.gamma, joint_annihilation(params.n_trunc))
+    return _coupled_rhs(coupling_at, -1j, False, damp)
 
 
 def _joint_phases(t: float, params: ModelParams) -> np.ndarray:
@@ -118,11 +125,6 @@ def field_from_rotational(mat: np.ndarray, t: float, params: ModelParams) -> np.
     """Rotating frame -> lab frame for a single-mode field operator."""
     d = np.exp(-1j * params.omega * t * np.arange(params.n_trunc))
     return mat * np.outer(d, d.conj())
-
-
-def field_to_rotational(mat: np.ndarray, t: float, params: ModelParams) -> np.ndarray:
-    d = np.exp(-1j * params.omega * t * np.arange(params.n_trunc))
-    return mat * np.outer(d.conj(), d)
 
 
 @dataclass(frozen=True)
@@ -178,11 +180,6 @@ def combine_components(cs: ComponentSet) -> np.ndarray:
     return np.block([[r11, r12], [r21, r22]])
 
 
-def derived_components(cs: ComponentSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(plus, minus, cross) combinations; plus + minus == 2 rho0 exactly."""
-    return cs.plus, cs.minus, cs.cross
-
-
 def component_rhs(cs: ComponentSet, t: float, params: ModelParams) -> ComponentSet:
     """Coupled equations of motion for the four components (rotating frame).
 
@@ -191,35 +188,30 @@ def component_rhs(cs: ComponentSet, t: float, params: ModelParams) -> ComponentS
         d rho2 = -  c {X, rho3} + D[rho2]
         d rho3 = +  c {X, rho2} + D[rho3]
     """
-    x = drive_operator(t, params)
     a = annihilation(params.n_trunc)
+    x = _rotating(a.conj().T, a, params.omega)(t)
+    damp = damping(params.gamma, a)
     c = params.coupling
-    g = params.gamma
     return ComponentSet(
-        rho0=-1j * c * (x @ cs.rho1 - cs.rho1 @ x) + dissipator(cs.rho0, g, a),
-        rho1=-1j * c * (x @ cs.rho0 - cs.rho0 @ x) + dissipator(cs.rho1, g, a),
-        rho2=-c * (x @ cs.rho3 + cs.rho3 @ x) + dissipator(cs.rho2, g, a),
-        rho3=c * (x @ cs.rho2 + cs.rho2 @ x) + dissipator(cs.rho3, g, a),
+        rho0=-1j * c * (x @ cs.rho1 - cs.rho1 @ x) + damp(cs.rho0),
+        rho1=-1j * c * (x @ cs.rho0 - cs.rho0 @ x) + damp(cs.rho1),
+        rho2=-c * (x @ cs.rho3 + cs.rho3 @ x) + damp(cs.rho2),
+        rho3=c * (x @ cs.rho2 + cs.rho2 @ x) + damp(cs.rho3),
     )
 
 
-def component_rhs_single(kind: str, op: np.ndarray, t: float, params: ModelParams) -> np.ndarray:
-    """Equation of motion of a single decoupled component (rotating frame).
+def single_component_rhs(kind: str, params: ModelParams) -> RHS:
+    """Right-hand side f(t, op) of one decoupled component (rotating frame).
 
     kind "plus"/"minus": -/+ i c [X(t), op] + D[op]
     kind "cross":           -i c {X(t), op} + D[op]
     """
-    x = drive_operator(t, params)
+    if kind not in ("plus", "minus", "cross"):
+        raise ValueError(f"unknown component kind {kind!r}")
     a = annihilation(params.n_trunc)
-    c = params.coupling
-    g = params.gamma
-    if kind == "plus":
-        return -1j * c * (x @ op - op @ x) + dissipator(op, g, a)
-    if kind == "minus":
-        return 1j * c * (x @ op - op @ x) + dissipator(op, g, a)
-    if kind == "cross":
-        return -1j * c * (x @ op + op @ x) + dissipator(op, g, a)
-    raise ValueError(f"unknown component kind {kind!r}")
+    front = {"plus": -1j, "minus": 1j, "cross": -1j}[kind] * params.coupling
+    return _coupled_rhs(_rotating(a.conj().T, a, params.omega), front, kind == "cross",
+                        damping(params.gamma, a))
 
 
 def joint_tail_weight(rho: np.ndarray, n_levels: int = 4) -> float:

@@ -3,9 +3,13 @@ full joint equation of motion and of the decoupled component equations
 on the truncated Fock space.
 
 Fixed-step RK4 is used (rather than an adaptive solver) so runs are
-deterministic and reproducible as regression baselines.  The step bound
-is derived from the spectral-radius estimate gamma * n_trunc of the
-damping term.
+deterministic and reproducible as regression baselines.  A step must
+pass the heuristic bound of ``require_step`` and the stability bound of
+``require_stable``: h times a norm bound of the real generator,
+2||H||_2 + 2 gamma (N-1), at most ``STABILITY_LIMIT``, inside RK4's
+imaginary-axis limit 2 sqrt(2).  Every stored state must be finite, and
+a joint state must keep its purity at most 1 + ``PURITY_SLACK``.  Each
+failure raises ``StepTooLarge`` naming its cause.
 """
 
 from __future__ import annotations
@@ -17,19 +21,22 @@ import numpy as np
 
 from .fock import ModelParams, annihilation
 from .model import (
-    SIGMA_X,
     hamiltonian_full,
-    joint_annihilation,
     joint_tail_weight,
+    lab_frame_rhs,
+    rotating_frame_rhs,
+    single_component_rhs,
 )
 from .fock import tail_weight as field_tail_weight
 
 STEP_SAFETY = 0.1
+STABILITY_LIMIT = 2.5
+PURITY_SLACK = 1e-9
 TAIL_LIMIT = 1e-6
 
 
 class StepTooLarge(RuntimeError):
-    """The RK4 step violates the stability bound."""
+    """The RK4 step violates a stability bound, or the state blew up."""
 
 
 class TailOverflow(RuntimeError):
@@ -87,9 +94,38 @@ def require_step(params: ModelParams, h: float) -> None:
         )
 
 
+def require_stable(params: ModelParams, h: float, picture: str) -> None:
+    """Enforce h * (2||H||_2 + 2 gamma (N-1)) <= STABILITY_LIMIT.
+
+    H is the lab-frame Hamiltonian for picture "schrodinger" and
+    coupling (a + a+) for "rotational" (also used for the components).
+    """
+    if picture == "schrodinger":
+        h_norm = np.linalg.norm(hamiltonian_full(params), 2)
+    else:
+        a = annihilation(params.n_trunc)
+        h_norm = abs(params.coupling) * np.linalg.norm(a + a.conj().T, 2)
+    bound = 2.0 * h_norm + 2.0 * params.gamma * (params.n_trunc - 1)
+    if h * bound > STABILITY_LIMIT:
+        raise StepTooLarge(
+            f"unstable: step {h:.3e} times generator norm bound {bound:.3e}"
+            f" is {h * bound:.3g} > {STABILITY_LIMIT}"
+        )
+
+
+def _check_stored(y: np.ndarray, t: float, joint: bool) -> None:
+    if not np.all(np.isfinite(y)):
+        raise StepTooLarge(f"unstable: state is not finite at t={t:.6g}")
+    if joint:
+        # Tr(rho^2) of a Hermitian matrix is its squared Frobenius norm
+        purity = np.vdot(y, y).real
+        if purity > 1.0 + PURITY_SLACK:
+            raise StepTooLarge(f"unstable: purity {purity:.3e} > 1 at t={t:.6g}")
+
+
 def _rk4(rhs: Callable, y0: np.ndarray, grid: TimeGrid,
          tail_of: Callable[[np.ndarray], float],
-         store_every: int = 1) -> Trajectory:
+         store_every: int, joint: bool) -> Trajectory:
     h = grid.step
     y = y0.astype(complex).copy()
     stored_t = [grid.t_start]
@@ -109,21 +145,12 @@ def _rk4(rhs: Callable, y0: np.ndarray, grid: TimeGrid,
         if w > TAIL_LIMIT:
             raise TailOverflow(f"tail weight {w:.3e} > {TAIL_LIMIT} at t={t:.6g}")
         if k % store_every == 0 or k == grid.n_steps:
+            _check_stored(y, t, joint)
             stored_t.append(t)
             states.append(y.copy())
             tails.append(w)
     return Trajectory(times=np.array(stored_t), states=states,
                       tail_weights=np.array(tails))
-
-
-def _damping_closure(gamma: float, a: np.ndarray):
-    ad = a.conj().T
-    n_op = ad @ a
-
-    def damp(y: np.ndarray) -> np.ndarray:
-        return 0.5 * gamma * (2.0 * a @ y @ ad - n_op @ y - y @ n_op)
-
-    return damp
 
 
 def integrate_joint(rho0: np.ndarray, params: ModelParams, grid: TimeGrid,
@@ -136,28 +163,13 @@ def integrate_joint(rho0: np.ndarray, params: ModelParams, grid: TimeGrid,
     n = params.n_trunc
     if rho0.shape != (2 * n, 2 * n):
         raise ValueError(f"initial state has shape {rho0.shape}, expected {(2 * n, 2 * n)}")
-    require_step(params, grid.step)
-    a_joint = joint_annihilation(n)
-    damp = _damping_closure(params.gamma, a_joint)
-    if picture == "schrodinger":
-        h = hamiltonian_full(params)
-
-        def rhs(t: float, y: np.ndarray) -> np.ndarray:
-            return -1j * (h @ y - y @ h) + damp(y)
-
-    elif picture == "rotational":
-        a = annihilation(n)
-        raise_half = params.coupling * np.kron(SIGMA_X, a.conj().T)
-        lower_half = params.coupling * np.kron(SIGMA_X, a)
-
-        def rhs(t: float, y: np.ndarray) -> np.ndarray:
-            h_t = raise_half * np.exp(1j * params.omega * t) \
-                + lower_half * np.exp(-1j * params.omega * t)
-            return -1j * (h_t @ y - y @ h_t) + damp(y)
-
-    else:
+    builders = {"schrodinger": lab_frame_rhs, "rotational": rotating_frame_rhs}
+    if picture not in builders:
         raise ValueError(f"unknown picture {picture!r}")
-    return _rk4(rhs, rho0, grid, joint_tail_weight, store_every)
+    require_step(params, grid.step)
+    require_stable(params, grid.step, picture)
+    return _rk4(builders[picture](params), rho0, grid, joint_tail_weight,
+                store_every, joint=True)
 
 
 def integrate_component(kind: str, op0: np.ndarray, params: ModelParams,
@@ -169,20 +181,11 @@ def integrate_component(kind: str, op0: np.ndarray, params: ModelParams,
     n = params.n_trunc
     if op0.shape != (n, n):
         raise ValueError(f"initial operator has shape {op0.shape}, expected {(n, n)}")
-    if kind not in ("plus", "minus", "cross"):
-        raise ValueError(f"unknown component kind {kind!r}")
+    rhs = single_component_rhs(kind, params)
     require_step(params, grid.step)
-    a = annihilation(n)
-    ad = a.conj().T
-    damp = _damping_closure(params.gamma, a)
-    front = {"plus": -1j, "minus": 1j, "cross": -1j}[kind] * params.coupling
-    comm_sign = -1.0 if kind != "cross" else 1.0
-
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        x = ad * np.exp(1j * params.omega * t) + a * np.exp(-1j * params.omega * t)
-        return front * (x @ y + comm_sign * y @ x) + damp(y)
+    require_stable(params, grid.step, "rotational")
 
     def tail_of(mat: np.ndarray) -> float:
         return abs(field_tail_weight(mat))
 
-    return _rk4(rhs, op0, grid, tail_of, store_every)
+    return _rk4(rhs, op0, grid, tail_of, store_every, joint=False)

@@ -32,28 +32,36 @@ def simpson_fixed(f: Callable, a: float, b: float, n_panels: int):
     return total * (h / 3.0)
 
 
-def _within(delta: float, scale: float, tol: float, rtol: float) -> bool:
-    return delta <= tol or (rtol > 0.0 and delta <= rtol * scale)
-
-
-def simpson_adaptive(f: Callable, a: float, b: float, tol: float = 1e-10,
-                     rtol: float = 0.0, n_start: int = 8):
-    """Refine ``simpson_fixed`` by doubling panels until successive
+def _refine(estimate: Callable, tol: float, rtol: float, n_start: int):
+    """Double the panel count of ``estimate(n_panels)`` until successive
     estimates differ by at most ``tol`` in max-abs norm (or by ``rtol``
     relative to the estimate's magnitude, when given)."""
-    if b == a:
-        return np.asarray(f(a), dtype=complex) * 0.0
     n = n_start
-    prev = simpson_fixed(f, a, b, n)
+    prev = estimate(n)
     while n <= MAX_PANELS:
         n *= 2
-        cur = simpson_fixed(f, a, b, n)
-        delta = float(np.max(np.abs(cur - prev)))
-        if _within(delta, float(np.max(np.abs(cur))), tol, rtol):
+        cur = estimate(n)
+        delta = _max_abs(cur - prev)
+        if delta <= tol or (rtol > 0.0 and delta <= rtol * _max_abs(cur)):
             return cur
         prev = cur
     raise RuntimeError(f"Simpson refinement did not reach tol={tol} "
                        f"within {MAX_PANELS} panels")
+
+
+def _max_abs(x):
+    # no np.max on scalars: it costs microseconds, and scalar estimates are
+    # refined thousands of times per kernel integral
+    x = abs(x)
+    return x.max() if isinstance(x, np.ndarray) else x
+
+
+def simpson_adaptive(f: Callable, a: float, b: float, tol: float = 1e-10,
+                     rtol: float = 0.0, n_start: int = 8):
+    """Refine ``simpson_fixed`` to ``tol`` / ``rtol`` (see ``_refine``)."""
+    if b == a:
+        return np.asarray(f(a), dtype=complex) * 0.0
+    return _refine(lambda n: simpson_fixed(f, a, b, n), tol, rtol, n_start)
 
 
 def _simpson_nodes(a: float, b: float, n_panels: int):
@@ -71,18 +79,12 @@ def simpson_adaptive_vec(fv: Callable, a: float, b: float, tol: float = 1e-10,
     a value array (scalar integrand, vectorized evaluation)."""
     if b == a:
         return 0.0
-    n = n_start
-    nodes, wts = _simpson_nodes(a, b, n)
-    prev = np.dot(fv(nodes), wts)
-    while n <= MAX_PANELS:
-        n *= 2
+
+    def estimate(n: int):
         nodes, wts = _simpson_nodes(a, b, n)
-        cur = np.dot(fv(nodes), wts)
-        if _within(abs(cur - prev), abs(cur), tol, rtol):
-            return cur
-        prev = cur
-    raise RuntimeError(f"Simpson refinement did not reach tol={tol} "
-                       f"within {MAX_PANELS} panels")
+        return np.dot(fv(nodes), wts)
+
+    return _refine(estimate, tol, rtol, n_start)
 
 
 def triangle_double_integral(f2: Callable[[float, float], complex], t: float,
@@ -99,17 +101,9 @@ def triangle_double_integral(f2: Callable[[float, float], complex], t: float,
     if t == 0.0:
         return 0.0 + 0.0j
 
-    if vectorized:
-        def inner(s: float):
-            if s == 0.0:
-                return 0.0
-            return simpson_adaptive_vec(lambda sp: f2(s, sp), 0.0, s,
-                                        tol=0.1 * tol, rtol=0.1 * rtol)
-    else:
-        def inner(s: float):
-            if s == 0.0:
-                return 0.0 + 0.0j
-            return simpson_adaptive(lambda sp: f2(s, sp), 0.0, s,
-                                    tol=0.1 * tol, rtol=0.1 * rtol)
+    rule = simpson_adaptive_vec if vectorized else simpson_adaptive
+
+    def inner(s: float):
+        return rule(lambda sp: f2(s, sp), 0.0, s, tol=0.1 * tol, rtol=0.1 * rtol)
 
     return simpson_adaptive(inner, 0.0, t, tol=tol, rtol=rtol)

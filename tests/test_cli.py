@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import jcdamp.cli as cli
+import jcdamp.oracle as oracle
 from jcdamp.cli import ConfigError, load_config, main
 
 
@@ -27,7 +28,7 @@ def test_config_round_trip(tmp_path):
     path = write_config(tmp_path, doc)
     cfg = load_config(path)
     assert cfg.params.n_trunc == 24
-    assert cfg.initial_alpha0 == 1.0
+    assert cfg.coherent_alpha0 == 1.0
     assert cfg.grid.n_steps == 500
     assert cfg.outputs == ["trajectory"]
     # defaults are materialized deterministically
@@ -57,6 +58,28 @@ def test_out_of_range_value_rejected(tmp_path):
         load_config(write_config(tmp_path, doc))
 
 
+WIGNER = {"re_min": -1.0, "re_max": 1.0, "n_re": 5, "im_min": -1.0, "im_max": 1.0,
+          "n_im": 5, "times": [1.0]}
+
+
+@pytest.mark.parametrize("field, change", [
+    ("config.wigner.times", {"wigner": dict(WIGNER, times=1.0)}),
+    ("config.compare.sample_times", {"compare": {"sample_times": 1.0}}),
+    ("config.snapshot_times", {"snapshot_times": 1.0}),
+    ("config.initial.matrix_file", {"initial": {"matrix_file": 3}}),
+    ("config.wigner.n_re", {"wigner": dict(WIGNER, n_re=1)}),
+    ("config.wigner.times", {"wigner": dict(WIGNER, times=[-0.5])}),
+    ("config.snapshot_times", {"snapshot_times": [0.003]}),
+    ("config.store_every", {"store_every": True}),
+    ("config.compare.doubled_n_trunc", {"compare": {"doubled_n_trunc": 30}}),
+])
+def test_malformed_config_exits_2_naming_field(tmp_path, capsys, field, change):
+    path = write_config(tmp_path, dict(BASE_DOC, **change))
+    code = main(["simulate", "--config", path, "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert field in capsys.readouterr().err
+
+
 def test_main_exit_code_on_parse_failure(tmp_path, capsys):
     doc = dict(BASE_DOC)
     doc["unknown_top"] = 1
@@ -74,6 +97,26 @@ def test_main_exit_code_on_numerical_failure(tmp_path, capsys):
     code = main(["simulate", "--config", path, "--out", str(tmp_path)])
     assert code == 3
     assert "TailOverflow" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("limit, cause", [
+    (None, "generator norm bound"),  # caught before integrating
+    (math.inf, "purity"),  # with the bound lifted, caught at a stored step
+])
+def test_main_exit_code_on_rk4_blow_up(tmp_path, capsys, monkeypatch, limit, cause):
+    # free rotation at h = 0.1 over N = 40 levels lies outside RK4's
+    # stability region although h * omega passes the step heuristic
+    if limit is not None:
+        monkeypatch.setattr(oracle, "STABILITY_LIMIT", limit)
+    doc = dict(BASE_DOC)
+    doc["params"] = {"omega": 1.0, "coupling": 0.0, "gamma": 0.0, "n_trunc": 40}
+    doc["initial"] = {"coherent_alpha0": [2.0, 0.0], "atom": "up"}
+    doc["grid"] = {"t_start": 0.0, "t_end": 20.0, "n_steps": 200}
+    path = write_config(tmp_path, doc)
+    code = main(["simulate", "--config", path, "--out", str(tmp_path / "out")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "unstable" in err and cause in err
 
 
 def test_empty_outputs_produce_nothing(tmp_path):

@@ -3,9 +3,7 @@ import pytest
 
 from jcdamp.doubled import (
     DoubledSpace,
-    anticommutator_generator,
     anticommutator_generator_factory,
-    commutator_generator,
     commutator_generator_factory,
     damped_frame_drive,
     devectorize,
@@ -15,7 +13,7 @@ from jcdamp.doubled import (
     vectorize,
 )
 from jcdamp.fock import ModelParams, annihilation, coherent_state
-from jcdamp.model import component_rhs_single, dissipator
+from jcdamp.model import damping, single_component_rhs
 from jcdamp.oracle import StepTooLarge, TimeGrid, integrate_component
 
 
@@ -84,7 +82,7 @@ def test_dissipator_superoperator_matches_matrix_form():
     a = annihilation(n)
     m = random_matrix(n, 5)
     got = devectorize(ds.dissipator @ vectorize(m))
-    want = 2.0 * dissipator(m, 1.0, a)  # dissipator() includes the 1/2
+    want = 2.0 * damping(1.0, a)(m)  # damping() includes the 1/2
     assert np.max(np.abs(got - want)) < 1e-12
 
 
@@ -93,9 +91,9 @@ def test_commutator_generator_matches_equation_of_motion():
     p = ModelParams(omega=1.1, coupling=0.17, gamma=0.23, n_trunc=n)
     m = random_matrix(n, 7)
     for sign, kind in ((1, "plus"), (-1, "minus")):
-        gen = commutator_generator(0.83, p, sign)
+        gen = commutator_generator_factory(p, sign)(0.83)
         got = devectorize(gen @ vectorize(m))
-        want = component_rhs_single(kind, m, 0.83, p)
+        want = single_component_rhs(kind, p)(0.83, m)
         assert np.max(np.abs(got - want)) < 1e-12
 
 
@@ -103,20 +101,25 @@ def test_anticommutator_generator_matches_equation_of_motion():
     n = 12
     p = ModelParams(omega=0.9, coupling=0.21, gamma=0.31, n_trunc=n)
     m = random_matrix(n, 9)
-    gen = anticommutator_generator(1.21, p)
+    gen = anticommutator_generator_factory(p)(1.21)
     got = devectorize(gen @ vectorize(m))
-    want = component_rhs_single("cross", m, 1.21, p)
+    want = single_component_rhs("cross", p)(1.21, m)
     assert np.max(np.abs(got - want)) < 1e-12
 
 
-def test_sparse_factory_matches_dense():
+def test_generators_match_dense_views():
+    # the sparse generators are the documented sums of the DoubledSpace views
     p = ModelParams(omega=1.0, coupling=0.1, gamma=0.2, n_trunc=8)
     t = 0.37
-    dense = commutator_generator_factory(p, 1)(t)
-    sparse = commutator_generator_factory(p, 1, sparse=True)(t)
-    assert np.max(np.abs(sparse.toarray() - dense)) < 1e-14
-    dense = anticommutator_generator_factory(p)(t)
-    sparse = anticommutator_generator_factory(p, sparse=True)(t)
+    ds = DoubledSpace(8)
+    pref = -1j * p.coupling
+    down, up = np.exp(-1j * p.omega * t), np.exp(1j * p.omega * t)
+    for sign in (1, -1):
+        dense = sign * pref * (ds.comm_a * down + ds.comm_ad * up) + 0.5 * p.gamma * ds.dissipator
+        sparse = commutator_generator_factory(p, sign)(t)
+        assert np.max(np.abs(sparse.toarray() - dense)) < 1e-14
+    dense = pref * (ds.acomm_a * down + ds.acomm_ad * up) + 0.5 * p.gamma * ds.dissipator
+    sparse = anticommutator_generator_factory(p)(t)
     assert np.max(np.abs(sparse.toarray() - dense)) < 1e-14
 
 
@@ -207,6 +210,6 @@ def test_evolve_matches_oracle_component():
     grid = TimeGrid(0.0, 5.0, 1250)
     oracle = integrate_component("plus", rho0, p, grid, store_every=1250).final
     got = devectorize(evolve_vectorized(
-        commutator_generator_factory(p, 1, sparse=True), vectorize(rho0), grid, p))
+        commutator_generator_factory(p, 1), vectorize(rho0), grid, p))
     k = n - 4
     assert np.max(np.abs(got[:k, :k] - oracle[:k, :k])) < 1e-6

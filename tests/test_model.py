@@ -9,13 +9,12 @@ from jcdamp.model import (
     check_joint_density,
     combine_components,
     component_rhs,
-    component_rhs_single,
-    derived_components,
     from_rotational_picture,
     hamiltonian_full,
     joint_annihilation,
-    lindblad_rhs,
-    rotational_rhs,
+    lab_frame_rhs,
+    rotating_frame_rhs,
+    single_component_rhs,
     split_components,
     to_rotational_picture,
 )
@@ -58,14 +57,14 @@ def test_lindblad_dark_state():
     p = ModelParams(omega=1.0, coupling=0.0, gamma=0.5, n_trunc=6)
     rho = np.kron(np.outer(ATOM_DOWN, ATOM_DOWN.conj()),
                   np.diag([1.0] + [0.0] * 5)).astype(complex)
-    assert np.max(np.abs(lindblad_rhs(rho, p))) < 1e-14
+    assert np.max(np.abs(lab_frame_rhs(p)(0.0, rho))) < 1e-14
 
 
 def test_lindblad_trace_free():
     p = ModelParams(omega=0.9, coupling=0.2, gamma=0.3, n_trunc=8)
     for seed in range(100):
         rho = random_joint_density(8, seed)
-        assert abs(np.trace(lindblad_rhs(rho, p))) < 1e-12
+        assert abs(np.trace(lab_frame_rhs(p)(0.0, rho))) < 1e-12
 
 
 def test_lindblad_photon_decay_rate():
@@ -74,7 +73,7 @@ def test_lindblad_photon_decay_rate():
     p = ModelParams(omega=1.0, coupling=0.0, gamma=0.37, n_trunc=n)
     rho = coherent_up_state(1.1, n)
     n_joint = np.kron(np.eye(2), number_operator(n))
-    got = np.trace(n_joint @ lindblad_rhs(rho, p)).real
+    got = np.trace(n_joint @ lab_frame_rhs(p)(0.0, rho)).real
     expected = -0.37 * np.trace(n_joint @ rho).real
     assert abs(got - expected) < 1e-9
 
@@ -82,7 +81,7 @@ def test_lindblad_photon_decay_rate():
 def test_lindblad_rejects_dimension_mismatch():
     p = ModelParams(omega=1.0, coupling=0.1, gamma=0.1, n_trunc=8)
     with pytest.raises(ValueError):
-        lindblad_rhs(np.eye(10, dtype=complex), p)
+        lab_frame_rhs(p)(0.0, np.eye(10, dtype=complex))
 
 
 def test_rotational_picture_identity_at_t0():
@@ -110,10 +109,10 @@ def test_rotational_rhs_consistent_with_lab_frame():
     rho_rot = random_joint_density(8, 8)
     t = 0.9
     rho_lab = from_rotational_picture(rho_rot, t, p)
-    lab_deriv = to_rotational_picture(lindblad_rhs(rho_lab, p), t, p)
+    lab_deriv = to_rotational_picture(lab_frame_rhs(p)(0.0, rho_lab), t, p)
     n_joint = np.kron(np.eye(2), number_operator(8))
     expected = 1j * p.omega * (n_joint @ rho_rot - rho_rot @ n_joint) + lab_deriv
-    got = rotational_rhs(rho_rot, t, p)
+    got = rotating_frame_rhs(p)(t, rho_rot)
     assert np.max(np.abs(got - expected)) < 1e-12
 
 
@@ -127,7 +126,7 @@ def test_split_coherent_up_initial_state():
     assert np.max(np.abs(cs.rho3 - proj)) < 1e-14
     assert np.max(np.abs(cs.rho1)) == 0.0
     assert np.max(np.abs(cs.rho2)) == 0.0
-    plus, minus, cross = derived_components(cs)
+    plus, minus, cross = cs.plus, cs.minus, cs.cross
     for comp in (plus, minus, cross):
         assert np.max(np.abs(comp - proj)) < 1e-14
 
@@ -171,7 +170,7 @@ def test_component_rhs_matches_joint_rotating_frame():
     t = 0.6
     cs = split_components(rho)
     drs = component_rhs(cs, t, p)
-    direct = split_components(rotational_rhs(rho, t, p))
+    direct = split_components(rotating_frame_rhs(p)(t, rho))
     for name in ("rho0", "rho1", "rho2", "rho3"):
         assert np.max(np.abs(getattr(drs, name) - getattr(direct, name))) < 1e-10
 
@@ -198,7 +197,7 @@ def test_cross_rhs_is_anticommutator_form():
     cs = split_components(rho)
     drs = component_rhs(cs, t, p)
     assembled = drs.rho3 + 1j * drs.rho2
-    direct = component_rhs_single("cross", cs.cross, t, p)
+    direct = single_component_rhs("cross", p)(t, cs.cross)
     assert np.max(np.abs(assembled - direct)) < 1e-12
 
 
@@ -209,7 +208,7 @@ def test_cross_adjoint_flow_is_conjugate_equation():
     cs = split_components(rho)
     drs = component_rhs(cs, 0.8, p)
     conj_flow = drs.rho3 - 1j * drs.rho2
-    direct = component_rhs_single("cross", cs.cross, 0.8, p)
+    direct = single_component_rhs("cross", p)(0.8, cs.cross)
     assert np.max(np.abs(conj_flow - direct.conj().T)) < 1e-10
 
 
@@ -219,9 +218,9 @@ def test_plus_minus_decoupling_matches_pair_flow():
     cs = split_components(rho)
     drs = component_rhs(cs, 0.5, p)
     assert np.max(np.abs((drs.rho0 + drs.rho1)
-                         - component_rhs_single("plus", cs.plus, 0.5, p))) < 1e-10
+                         - single_component_rhs("plus", p)(0.5, cs.plus))) < 1e-10
     assert np.max(np.abs((drs.rho0 - drs.rho1)
-                         - component_rhs_single("minus", cs.minus, 0.5, p))) < 1e-10
+                         - single_component_rhs("minus", p)(0.5, cs.minus))) < 1e-10
 
 
 def test_component_rhs_preserves_hermiticity_and_trace():
