@@ -5,7 +5,8 @@ oracle-vs-analytic comparison reports.
 Verbs
 -----
 simulate   brute-force joint integration -> observables.csv
-           (plus component trajectories and optional state snapshots)
+           (plus component trajectories and optional state snapshots,
+           written in the lab frame for either picture)
 solve      closed-form component solutions -> solve.csv
 wigner     phase-space grids for the commutator branches (closed form
            and grid evaluation) and the anticommutator branch (grid
@@ -45,6 +46,7 @@ from .model import (
     SIGMA_Z,
     check_joint_density,
     field_from_rotational,
+    from_rotational_picture,
     split_components,
 )
 from .oracle import StepTooLarge, TailOverflow, TimeGrid, integrate_component, integrate_joint
@@ -100,10 +102,10 @@ def _parse(val, kind, path: str):
 
 
 def _is_stored_time(t: float, cfg) -> bool:
-    # the times ``integrate_joint`` stores: every store_every-th step and the last
+    # the times ``integrate_joint`` stores
     k = round((t - cfg.grid.t_start) / cfg.grid.step)
-    return (0 <= k <= cfg.grid.n_steps and abs(cfg.grid.t_start + k * cfg.grid.step - t) <= 1e-9
-            and (k % cfg.store_every == 0 or k == cfg.grid.n_steps))
+    return (k in cfg.grid.stored_steps(cfg.store_every)
+            and abs(cfg.grid.t_start + k * cfg.grid.step - t) <= 1e-9)
 
 
 def _default_sample_times(cfg) -> list:
@@ -278,6 +280,9 @@ def cmd_simulate(cfg: RunConfig, out_dir: str, quiet: bool = False) -> int:
         for k, t_snap in enumerate(cfg.snapshot_times):
             state = traj.state_at(t_snap)
             idx = int(np.argmin(np.abs(traj.times - t_snap)))
+            if cfg.picture == "rotational":
+                state = from_rotational_picture(state, traj.times[idx] - cfg.grid.t_start,
+                                                cfg.params)
             payload = {
                 "t": traj.times[idx],
                 "dim": int(state.shape[0]),
@@ -314,10 +319,9 @@ def cmd_solve(cfg: RunConfig, out_dir: str, quiet: bool = False) -> int:
     # phase-space center reference: <a> of the plus component at t = 0
     alpha0 = complex(np.trace(a @ comps["plus"]))
 
-    times = [cfg.grid.t_start + k * cfg.grid.step * cfg.store_every
-             for k in range(cfg.grid.n_steps // cfg.store_every + 1)]
-    if times[-1] < cfg.grid.t_end - 1e-12:
-        times.append(cfg.grid.t_end)
+    # the times ``integrate_joint`` and ``integrate_component`` store
+    times = [cfg.grid.t_start + k * cfg.grid.step
+             for k in cfg.grid.stored_steps(cfg.store_every)]
     header = ["t"]
     for tag in ("disp_plus", "disp_minus", "alpha_plus", "alpha_minus",
                 "mu_cosh", "mu_sinh"):
@@ -414,7 +418,7 @@ def build_comparison_report(cfg: RunConfig) -> dict:
     Routes: brute-force component integration (ground truth), the
     closed-form solutions, and midpoint-exponential evolution in the
     doubled space at a (possibly reduced) truncation, compared on the
-    interior block.
+    interior block.  All three run on the frame clock t - grid.t_start.
     """
     params = cfg.params
     n = params.n_trunc
@@ -447,7 +451,8 @@ def build_comparison_report(cfg: RunConfig) -> dict:
         doubled_states = {}
         prev_k = 0
         for k in sample_ks:
-            seg = TimeGrid(t0 + prev_k * h, t0 + k * h, k - prev_k)
+            # on the frame clock, zero at t0, like the oracle's
+            seg = TimeGrid(prev_k * h, k * h, k - prev_k)
             doubled_v = evolve_vectorized(factories[kind], doubled_v, seg, doubled_params)
             doubled_states[k] = devectorize(doubled_v)
             prev_k = k

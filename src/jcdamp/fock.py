@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -84,17 +85,34 @@ def matrix_exponential(op: np.ndarray, scale: complex = 1.0) -> np.ndarray:
     return scipy.linalg.expm(scale * op)
 
 
+@lru_cache(maxsize=8)
+def _quadrature_eigh(n_trunc: int) -> tuple:
+    """Eigenvalues and eigenvectors of the Hermitian tridiagonal
+    quadrature P = i (a+ - a) at truncation ``n_trunc`` (cached: treat
+    them as read-only)."""
+    a = annihilation(n_trunc)
+    return np.linalg.eigh(1j * (a.conj().T - a))
+
+
 def displacement(alpha: complex, n_trunc: int) -> np.ndarray:
     """Displacement operator exp(alpha a+ - conj(alpha) a).
 
-    Exactly unitary (skew-Hermitian generator); faithful to the
-    untruncated operator only on states whose displaced support stays
-    below the truncation boundary.
+    With alpha = r e^{i theta} the generator is -i r U P U+, where
+    P = i (a+ - a) and U = diag(e^{i n theta}) rotates phase space, so
+    with P = V diag(lam) V+ (one cached ``eigh`` per truncation)
+
+        D(alpha) = U V diag(e^{-i r lam}) V+ U+.
+
+    Unitary to rounding; faithful to the untruncated operator only on
+    states whose displaced support stays below the truncation boundary.
     """
-    if not (math.isfinite(complex(alpha).real) and math.isfinite(complex(alpha).imag)):
+    alpha = complex(alpha)
+    if not (math.isfinite(alpha.real) and math.isfinite(alpha.imag)):
         raise ValueError("displacement requires finite alpha")
-    a = annihilation(n_trunc)
-    return matrix_exponential(alpha * a.conj().T - np.conj(alpha) * a)
+    lam, vecs = _quadrature_eigh(n_trunc)
+    r, theta = abs(alpha), math.atan2(alpha.imag, alpha.real)
+    uv = np.exp(1j * theta * np.arange(n_trunc))[:, None] * vecs
+    return (uv * np.exp(-1j * r * lam)) @ uv.conj().T
 
 
 class CoherentState(NamedTuple):

@@ -10,6 +10,13 @@ pass the heuristic bound of ``require_step`` and the stability bound of
 imaginary-axis limit 2 sqrt(2).  Every stored state must be finite, and
 a joint state must keep its purity at most 1 + ``PURITY_SLACK``.  Each
 failure raises ``StepTooLarge`` naming its cause.
+
+Frame clock: right-hand sides are called with the time since
+``grid.t_start``, so a rotating frame coincides with the lab frame at
+the first grid time.  The initial state is therefore the same in both
+frames, and a rotating-frame state stored at time t converts to the lab
+frame with ``model.from_rotational_picture(state, t - grid.t_start)``.
+The closed forms and the doubled route use the same clock.
 """
 
 from __future__ import annotations
@@ -63,6 +70,12 @@ class TimeGrid:
 
     def times(self) -> np.ndarray:
         return self.t_start + self.step * np.arange(self.n_steps + 1)
+
+    def stored_steps(self, store_every: int) -> list:
+        """Step indices k a trajectory stores, at time t_start + k * step:
+        every ``store_every``-th step and the last."""
+        return [k for k in range(self.n_steps + 1)
+                if k % store_every == 0 or k == self.n_steps]
 
 
 @dataclass
@@ -133,18 +146,20 @@ def _rk4(rhs: Callable, y0: np.ndarray, grid: TimeGrid,
     tails = [tail_of(y)]
     if tails[0] > TAIL_LIMIT:
         raise TailOverflow(f"initial tail weight {tails[0]:.3e} > {TAIL_LIMIT}")
-    t = grid.t_start
+    stored = set(grid.stored_steps(store_every))
+    tau = 0.0  # frame clock, time since grid.t_start
     for k in range(1, grid.n_steps + 1):
-        k1 = rhs(t, y)
-        k2 = rhs(t + 0.5 * h, y + (0.5 * h) * k1)
-        k3 = rhs(t + 0.5 * h, y + (0.5 * h) * k2)
-        k4 = rhs(t + h, y + h * k3)
+        k1 = rhs(tau, y)
+        k2 = rhs(tau + 0.5 * h, y + (0.5 * h) * k1)
+        k3 = rhs(tau + 0.5 * h, y + (0.5 * h) * k2)
+        k4 = rhs(tau + h, y + h * k3)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        tau = k * h
         t = grid.t_start + k * h
         w = tail_of(y)
         if w > TAIL_LIMIT:
             raise TailOverflow(f"tail weight {w:.3e} > {TAIL_LIMIT} at t={t:.6g}")
-        if k % store_every == 0 or k == grid.n_steps:
+        if k in stored:
             _check_stored(y, t, joint)
             stored_t.append(t)
             states.append(y.copy())

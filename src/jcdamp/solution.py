@@ -11,6 +11,11 @@ of ``drive_integrals``), at the price of a scalar weight accumulated
 from the c-number commutator between the two envelope families
 (``drive_commutator_kernel`` / ``kernel_double_integral``).
 
+Every scalar here is evaluated in closed form: the drive moments are
+integrals of exponentials, and the kernel double integral is a sum of
+two divided differences of exp (``_exp_divided_difference``), so no
+quadrature runs on this route.
+
 ``evolve_cross`` evaluates that anticommutator-branch formula exactly
 as derived here; the brute-force integrator remains the ground truth
 for it, and comparison reports are emitted as data rather than
@@ -25,10 +30,12 @@ import math
 import numpy as np
 
 from .fock import ModelParams, annihilation, displacement, matrix_exponential
-from .quadrature import triangle_double_integral
 
 KRAUS_TRACE_TOL = 1e-14
 SMALL_RATE = 1e-8
+# node spread below which a divided difference of exp is summed as a series
+SERIES_RADIUS = 0.5
+SERIES_TERMS = 24
 
 
 class NonConvergedKrausSum(RuntimeError):
@@ -103,24 +110,55 @@ def drive_commutator_kernel(s: float, s_prime: float, params: ModelParams) -> fl
             * math.cos(params.omega * (s - s_prime)))
 
 
-def kernel_double_integral(t: float, params: ModelParams, tol: float = 1e-10) -> float:
-    """int_0^t ds int_0^s ds' of ``drive_commutator_kernel`` (real).
+def _exp_divided_difference(nodes: list) -> complex:
+    """exp[z_0, ..., z_m], the divided difference of exp at ``nodes``
+    (repeats allowed).  By the Hermite-Genocchi formula it is the
+    integral of exp(sum_i u_i z_i) over the simplex u_i >= 0,
+    sum_i u_i = 1.
 
-    Refined to the absolute tolerance; a matching relative bound takes
-    over when the integral itself grows large (long times at finite
-    damping), where an absolute criterion could never terminate.
+    About the nodes' mean c it is e^c sum_k h_k(z - c) / (k + m)!, with
+    h_k the complete homogeneous symmetric polynomials; that series is
+    summed once the nodes lie within ``SERIES_RADIUS`` of c.  Otherwise
+    the recurrence divides by the widest node gap, which keeps the
+    cancellation in its numerator at a few ulps.
     """
-    if params.coupling == 0.0 or params.gamma == 0.0:
+    m = len(nodes) - 1
+    center = sum(nodes) / len(nodes)
+    shifted = [z - center for z in nodes]
+    if max(abs(z) for z in shifted) <= SERIES_RADIUS:
+        h = [1.0 + 0.0j] + [0.0j] * (SERIES_TERMS - 1)
+        for z in shifted:
+            for k in range(1, SERIES_TERMS):
+                h[k] += z * h[k - 1]
+        return cmath.exp(center) * sum(hk / math.factorial(k + m) for k, hk in enumerate(h))
+    i, j = max(((i, j) for i in range(m + 1) for j in range(i + 1, m + 1)),
+               key=lambda pair: abs(nodes[pair[1]] - nodes[pair[0]]))
+    return ((_exp_divided_difference(nodes[:i] + nodes[i + 1:])
+             - _exp_divided_difference(nodes[:j] + nodes[j + 1:])) / (nodes[j] - nodes[i]))
+
+
+def kernel_double_integral(t: float, params: ModelParams) -> float:
+    """int_0^t ds int_0^s ds' of ``drive_commutator_kernel``, exactly.
+
+    With cosh, sinh and cos split into exponentials the kernel is
+    -2 c^2 Re sum_{s1, s2 = +-1} s2 e^{a s + b s'}, a = s1 g/2 + i w,
+    b = s2 g/2 - i w, and the triangle integral of e^{a s + b s'} is
+    t^2 exp[0, a t, (a + b) t].  The two terms of each s2 pair differ
+    only in their last node, so they merge into one third divided
+    difference:
+
+        F = -2 c^2 g t^3 Re sum_{s1 = +-1} exp[0, a t, (s1 + 1) g t/2, (s1 - 1) g t/2]
+
+    which stays accurate to a few ulps as g t or w t -> 0, where the
+    plain difference quotient (G(a + b) - G(a)) / b loses every digit.
+    """
+    if t == 0.0 or params.coupling == 0.0 or params.gamma == 0.0:
         return 0.0
     c, g, w = params.coupling, params.gamma, params.omega
-
-    def kernel_vec(s, sp):
-        return (-8.0 * c * c * math.cosh(0.5 * g * s) * np.sinh(0.5 * g * sp)
-                * np.cos(w * (s - sp)))
-
-    val = triangle_double_integral(kernel_vec, t, tol=tol, rtol=tol,
-                                   vectorized=True)
-    return float(np.real(val))
+    total = sum(_exp_divided_difference([0.0j, (0.5 * s1 * g + 1j * w) * t,
+                                         0.5 * (s1 + 1) * g * t, 0.5 * (s1 - 1) * g * t])
+                for s1 in (1, -1))
+    return -2.0 * c * c * g * t ** 3 * total.real
 
 
 def _loss_kraus_sum(mat: np.ndarray, weight: float, a: np.ndarray) -> np.ndarray:

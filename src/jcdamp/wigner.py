@@ -7,7 +7,10 @@ approximates Tr rho, i.e. int W d^2alpha / pi = Tr rho.  Downstream
 plotting should normalize accordingly.
 
 The computational definition is the displaced-parity form
-2 D(alpha) P D+(alpha), which is exact per matrix entry.  The normally
+2 D(alpha) P D+(alpha), which is exact per matrix entry.  Each D(alpha)
+reuses one cached eigendecomposition per truncation
+(``fock.displacement``), so a grid point costs a few N x N products and
+no matrix exponential.  The normally
 ordered series definition is numerically delicate (its partial sums
 cancel catastrophically in floating point), so it is provided only as
 a certification path, summed in exact rational arithmetic

@@ -339,3 +339,75 @@ def test_matrix_file_rejects_bad_state(tmp_path):
     }
     path = write_config(tmp_path, doc)
     assert main(["simulate", "--config", path, "--out", str(tmp_path)]) == 2
+
+
+def test_solve_and_simulate_write_the_same_times(tmp_path):
+    # the last stored step (310) is not a multiple of store_every
+    doc = dict(BASE_DOC)
+    doc["params"] = dict(doc["params"], n_trunc=16)
+    doc["grid"] = {"t_start": 0.0, "t_end": 1.2, "n_steps": 310}
+    doc["store_every"] = 25
+    doc["outputs"] = ["trajectory", "components"]
+    path = write_config(tmp_path, doc)
+    out = tmp_path / "run"
+    for verb in ("simulate", "solve"):
+        assert main([verb, "--config", path, "--out", str(out), "--quiet"]) == 0
+
+    def time_strings(name):
+        return [row.split(",")[0] for row in (out / name).read_text().splitlines()[1:]]
+
+    solve_times = time_strings("solve.csv")
+    assert len(solve_times) == 14
+    for name in ("observables.csv", "component_plus.csv", "component_minus.csv"):
+        assert time_strings(name) == solve_times
+
+
+def _shifted_doc(t_start, **extra):
+    # the benchmark's smoke physics on a grid that starts at t_start
+    doc = {
+        "params": {"omega": 1.0, "coupling": 0.1, "gamma": 0.2, "n_trunc": 14},
+        "initial": {"coherent_alpha0": [0.5, 0.0], "atom": "up"},
+        "grid": {"t_start": t_start, "t_end": t_start + 1.0, "n_steps": 100},
+    }
+    doc.update(extra)
+    return doc
+
+
+def test_compare_at_nonzero_t_start_matches_t_start_zero(tmp_path):
+    reports = {}
+    for t_start in (0.0, 0.7):
+        doc = _shifted_doc(t_start, outputs=["compare"], compare={"doubled_n_trunc": 12})
+        path = write_config(tmp_path, doc, f"compare_{t_start}.json")
+        out = tmp_path / f"compare_{t_start}"
+        assert main(["compare", "--config", path, "--out", str(out), "--quiet"]) == 0
+        reports[t_start] = json.loads((out / "compare_report.json").read_text())
+    for kind in ("plus", "minus", "cross"):
+        entry, ref = reports[0.7]["components"][kind], reports[0.0]["components"][kind]
+        for key in ("analytic_max_dev", "analytic_mean_dev", "doubled_max_dev",
+                    "oracle_trace_drift"):
+            assert abs(entry[key] - ref[key]) <= 1e-9, (kind, key)
+
+
+@pytest.mark.parametrize("t_start", [0.0, 0.7])
+def test_pictures_agree_in_observables_and_snapshots(tmp_path, t_start):
+    # the rotating frame coincides with the lab frame at t_start, and
+    # snapshots are written in the lab frame whatever the picture
+    outs = {}
+    for picture in ("schrodinger", "rotational"):
+        doc = _shifted_doc(t_start, outputs=["trajectory"], picture=picture,
+                           store_every=25, snapshot_times=[t_start + 0.5, t_start + 1.0])
+        path = write_config(tmp_path, doc, f"{picture}.json")
+        outs[picture] = tmp_path / picture
+        assert main(["simulate", "--config", path, "--out", str(outs[picture]), "--quiet"]) == 0
+
+    def table(name):
+        rows = (outs[name] / "observables.csv").read_text().splitlines()[1:]
+        return np.array([[float(x) for x in row.split(",")] for row in rows])
+
+    assert np.max(np.abs(table("schrodinger") - table("rotational"))) < 1e-9
+    for k in range(2):
+        lab, rot = (json.loads((outs[name] / f"snapshot_{k:03d}.json").read_text())
+                    for name in ("schrodinger", "rotational"))
+        assert lab["t"] == rot["t"]
+        lab_m, rot_m = (np.array(s["entries"]) for s in (lab, rot))
+        assert np.max(np.abs(lab_m - rot_m)) < 1e-6

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from jcdamp.fock import (
     ModelParams,
@@ -55,6 +56,16 @@ def test_number_operator_diagonal():
 
 def test_displacement_zero_is_identity():
     assert np.max(np.abs(displacement(0.0, 20) - identity(20))) < 1e-14
+
+
+@pytest.mark.parametrize("n", [2, 10, 40, 64])
+def test_displacement_matches_dense_expm(n):
+    a = annihilation(n)
+    for r in (0.4, 1.3, 3.0):
+        for theta in np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False):
+            alpha = r * np.exp(1j * theta)
+            ref = scipy.linalg.expm(alpha * a.conj().T - np.conj(alpha) * a)
+            assert np.max(np.abs(displacement(alpha, n) - ref)) < 1e-12
 
 
 def test_displacement_vacuum_gives_coherent_state():

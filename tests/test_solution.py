@@ -8,7 +8,7 @@ from jcdamp.doubled import DoubledSpace, interior_indices, vectorize, devectoriz
 from jcdamp.fock import ModelParams, annihilation, coherent_state, displacement
 from jcdamp.model import field_from_rotational
 from jcdamp.oracle import TimeGrid, integrate_component
-from jcdamp.quadrature import simpson_adaptive, simpson_fixed
+from jcdamp.quadrature import simpson_adaptive, simpson_fixed, triangle_double_integral
 from jcdamp.solution import (
     NonConvergedKrausSum,
     _loss_kraus_sum,
@@ -291,6 +291,33 @@ def test_kernel_double_integral_quadrature_stability():
                          if s > 0 else 0.0, 0.0, t, 128)
     assert abs(coarse - fine) < 1e-9
     assert abs(kernel_double_integral(t, p) - complex(fine).real) < 1e-9
+
+
+# 30-digit reference values (t, omega, coupling, gamma, F) from an
+# arbitrary-precision nested quadrature; the last is the degenerate
+# omega = 0, g t -> 0 corner, where F ~ -4 c^2 g t^3 / 6
+KERNEL_REFERENCE = [
+    (0.3, 1.0, 0.1, 0.2, -3.5849632364013356e-5, 1e-12),
+    (10.0, 1.0, 0.1, 0.2, -0.11877971773128209, 1e-12),
+    (50.0, 1.0, 0.1, 0.2, -218.37838231759549, 1e-12),
+    (0.3, 2.0, 0.1, 0.05, -8.839555399643929e-6, 1e-12),
+    (2.0, 0.0, 0.1, 1e-6, -5.3333333333352010e-8, 1e-9),
+]
+
+
+@pytest.mark.parametrize("t, omega, coupling, gamma, expected, rtol", KERNEL_REFERENCE)
+def test_kernel_double_integral_reference_values(t, omega, coupling, gamma, expected, rtol):
+    p = ModelParams(omega=omega, coupling=coupling, gamma=gamma, n_trunc=8)
+    assert kernel_double_integral(t, p) == pytest.approx(expected, rel=rtol, abs=0.0)
+
+
+@pytest.mark.parametrize("omega, gamma", [(1.0, 0.2), (0.0, 0.4), (2.5, 0.05)])
+def test_kernel_double_integral_matches_triangle_quadrature(omega, gamma):
+    p = ModelParams(omega=omega, coupling=0.1, gamma=gamma, n_trunc=8)
+    for t in (0.5, 2.0):
+        quad = triangle_double_integral(lambda s, sp: drive_commutator_kernel(s, sp, p), t,
+                                        tol=1e-11)
+        assert abs(kernel_double_integral(t, p) - complex(quad).real) < 1e-10
 
 
 def test_cross_reduces_to_loss_channel_when_uncoupled():
