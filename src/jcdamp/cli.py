@@ -10,11 +10,15 @@ simulate   brute-force joint integration -> observables.csv
 solve      closed-form component solutions -> solve.csv
 wigner     phase-space grids for the commutator branches (closed form
            and grid evaluation) and the anticommutator branch (grid
-           only, split into Hermitian/anti-Hermitian parts)
+           only, split into Hermitian/anti-Hermitian parts, from one
+           brute-force run over the grid)
 compare    brute-force vs closed-form vs doubled-space evolution, with
            a machine-readable report; commutator branches are held to a
            tight tolerance, the anticommutator closed form is reported
            as data
+
+Brute-force runs keep only the steps a verb reads.  Snapshot and Wigner
+times must be grid times (``TimeGrid.step_index``).
 
 Exit codes: 0 success, 2 config parse failure, 3 numerical failure,
 4 tight comparison failure.  Outputs are byte-deterministic for a given
@@ -38,7 +42,7 @@ from .doubled import (
     evolve_vectorized,
     vectorize,
 )
-from .fock import ModelParams, annihilation, coherent_state, number_operator
+from .fock import TAIL_LEVELS, ModelParams, annihilation, coherent_state, number_operator
 from .fock import tail_weight as field_tail_weight
 from .model import (
     ATOM_DOWN,
@@ -101,11 +105,13 @@ def _parse(val, kind, path: str):
     return kind(val)
 
 
-def _is_stored_time(t: float, cfg) -> bool:
-    # the times ``integrate_joint`` stores
-    k = round((t - cfg.grid.t_start) / cfg.grid.step)
-    return (k in cfg.grid.stored_steps(cfg.store_every)
-            and abs(cfg.grid.t_start + k * cfg.grid.step - t) <= 1e-9)
+def _on_grid(times: list, cfg, stored: bool = False) -> bool:
+    # all grid times; with ``stored``, all times ``simulate`` stores
+    try:
+        steps = {cfg.grid.step_index(t) for t in times}
+    except ValueError:
+        return False
+    return not stored or steps <= set(cfg.grid.stored_steps(cfg.store_every))
 
 
 def _default_sample_times(cfg) -> list:
@@ -135,7 +141,7 @@ FIELDS = [
     ("", "store_every", int, False, lambda cfg: max(1, cfg.grid.n_steps // 100),
      (lambda v, cfg: v >= 1, "must be a positive integer")),
     ("", "snapshot_times", [float], False, lambda cfg: [],
-     (lambda v, cfg: all(_is_stored_time(t, cfg) for t in v),
+     (lambda v, cfg: _on_grid(v, cfg, stored=True),
       "must be stored trajectory times (every store_every-th step, or t_end)")),
     ("", "picture", ("schrodinger", "rotational"), False, lambda cfg: "schrodinger", None),
     ("wigner", "re_min", float, True, None, None),
@@ -145,7 +151,7 @@ FIELDS = [
     ("wigner", "im_max", float, True, None, None),
     ("wigner", "n_im", int, True, None, _AT_LEAST_2),
     ("wigner", "times", [float], True, None,
-     (lambda v, cfg: all(t >= cfg.grid.t_start for t in v), "must not precede grid.t_start")),
+     (_on_grid, "must be grid times in [grid.t_start, grid.t_end]")),
     ("compare", "doubled_n_trunc", int, False, lambda cfg: min(30, cfg.params.n_trunc),
      (lambda v, cfg: 6 <= v <= min(40, cfg.params.n_trunc),
       "must be an integer in [6, 40], at most params.n_trunc")),
@@ -261,7 +267,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: str, quiet: bool = False) -> int:
 
     if "trajectory" in cfg.outputs:
         traj = integrate_joint(rho0, cfg.params, cfg.grid, picture=cfg.picture,
-                               store_every=cfg.store_every)
+                               store_steps=cfg.grid.stored_steps(cfg.store_every))
         n_joint = np.kron(np.eye(2, dtype=complex), number_operator(n))
         sz = np.kron(SIGMA_Z, np.eye(n, dtype=complex))
         rows = []
@@ -278,13 +284,12 @@ def cmd_simulate(cfg: RunConfig, out_dir: str, quiet: bool = False) -> int:
                    ["t", "tr_rho11", "n_expect", "sigma3", "purity", "tail_weight"],
                    rows)
         for k, t_snap in enumerate(cfg.snapshot_times):
-            state = traj.state_at(t_snap)
-            idx = int(np.argmin(np.abs(traj.times - t_snap)))
+            t = cfg.grid.t_start + cfg.grid.step_index(t_snap) * cfg.grid.step
+            state = traj.state_at(t)
             if cfg.picture == "rotational":
-                state = from_rotational_picture(state, traj.times[idx] - cfg.grid.t_start,
-                                                cfg.params)
+                state = from_rotational_picture(state, t - cfg.grid.t_start, cfg.params)
             payload = {
-                "t": traj.times[idx],
+                "t": t,
                 "dim": int(state.shape[0]),
                 "entries": [[[z.real, z.imag] for z in row] for row in state],
             }
@@ -298,7 +303,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: str, quiet: bool = False) -> int:
         n_op = number_operator(n)
         for kind, op0 in _component_initials(rho0).items():
             traj = integrate_component(kind, op0, cfg.params, cfg.grid,
-                                       store_every=cfg.store_every)
+                                       store_steps=cfg.grid.stored_steps(cfg.store_every))
             _write_csv(os.path.join(out_dir, f"component_{kind}.csv"),
                        ["t", "trace_re", "trace_im", "number_re", "number_im", "tail"],
                        _component_rows(traj, n_op))
@@ -319,9 +324,8 @@ def cmd_solve(cfg: RunConfig, out_dir: str, quiet: bool = False) -> int:
     # phase-space center reference: <a> of the plus component at t = 0
     alpha0 = complex(np.trace(a @ comps["plus"]))
 
-    # the times ``integrate_joint`` and ``integrate_component`` store
-    times = [cfg.grid.t_start + k * cfg.grid.step
-             for k in cfg.grid.stored_steps(cfg.store_every)]
+    # the times ``simulate`` stores
+    times = cfg.grid.times()[cfg.grid.stored_steps(cfg.store_every)].tolist()
     header = ["t"]
     for tag in ("disp_plus", "disp_minus", "alpha_plus", "alpha_minus",
                 "mu_cosh", "mu_sinh"):
@@ -369,20 +373,12 @@ def cmd_wigner(cfg: RunConfig, out_dir: str, quiet: bool = False) -> int:
     alpha0 = complex(np.trace(a @ comps["plus"]))
     box = (w["re_min"], w["re_max"], w["n_re"], w["im_min"], w["im_max"], w["n_im"])
 
-    grid_times = sorted(set(w["times"]))
-    cross_states = {}
-    for t in grid_times:
-        if t <= cfg.grid.t_start + 1e-15:
-            cross_states[t] = comps["cross"]
-            continue
-        n_steps = max(1, int(math.ceil((t - cfg.grid.t_start) / cfg.grid.step)))
-        seg = TimeGrid(cfg.grid.t_start, t, n_steps)
-        traj = integrate_component("cross", comps["cross"], cfg.params, seg,
-                                   store_every=n_steps)
-        cross_states[t] = field_from_rotational(traj.final, t - cfg.grid.t_start,
-                                                cfg.params)
+    steps = {t: cfg.grid.step_index(t) for t in sorted(set(w["times"]))}
+    if any(steps.values()):
+        traj = integrate_component("cross", comps["cross"], cfg.params, cfg.grid,
+                                   store_steps=steps.values())
 
-    for i, t in enumerate(grid_times):
+    for i, (t, k) in enumerate(steps.items()):
         dt = t - cfg.grid.t_start
         for sign, tag in ((1, "plus"), (-1, "minus")):
             closed = gaussian_grid(dt, cfg.params, sign, alpha0, *box)
@@ -392,24 +388,15 @@ def cmd_wigner(cfg: RunConfig, out_dir: str, quiet: bool = False) -> int:
             sampled = wigner_grid(state, *box)
             sampled.to_csv(os.path.join(out_dir, f"wigner_{tag}_grid_{i:02d}.csv"))
             sampled.to_json(os.path.join(out_dir, f"wigner_{tag}_grid_{i:02d}.json"))
-        cross = cross_states[t]
-        herm = 0.5 * (cross + cross.conj().T)
-        anti = (cross - cross.conj().T) / 2j
-        wigner_grid(herm, *box).to_csv(
-            os.path.join(out_dir, f"wigner_cross_herm_{i:02d}.csv"))
-        wigner_grid(anti, *box).to_csv(
-            os.path.join(out_dir, f"wigner_cross_anti_{i:02d}.csv"))
+        cross = (field_from_rotational(traj.state_at(t), dt, cfg.params) if k
+                 else comps["cross"])
+        for part, mat in (("herm", 0.5 * (cross + cross.conj().T)),
+                          ("anti", (cross - cross.conj().T) / 2j)):
+            wigner_grid(mat, *box).to_csv(
+                os.path.join(out_dir, f"wigner_cross_{part}_{i:02d}.csv"))
         if not quiet:
             print(f"wrote wigner grids for t={t:g}")
     return 0
-
-
-def _max_dev(x: np.ndarray, y: np.ndarray) -> float:
-    return float(np.max(np.abs(x - y)))
-
-
-def _mean_dev(x: np.ndarray, y: np.ndarray) -> float:
-    return float(np.mean(np.abs(x - y)))
 
 
 def build_comparison_report(cfg: RunConfig) -> dict:
@@ -429,7 +416,7 @@ def build_comparison_report(cfg: RunConfig) -> dict:
     sample_ks = sorted({max(1, int(round((t - t0) / h))) for t in cfg.sample_times})
 
     n_doubled = cfg.doubled_n_trunc
-    interior = n_doubled - 4
+    interior = n_doubled - TAIL_LEVELS
     doubled_params = ModelParams(omega=params.omega, coupling=params.coupling,
                                  gamma=params.gamma, n_trunc=n_doubled)
     factories = {
@@ -446,32 +433,25 @@ def build_comparison_report(cfg: RunConfig) -> dict:
     overall = True
     for kind in ("plus", "minus", "cross"):
         op0 = comps[kind]
-        traj = integrate_component(kind, op0, params, cfg.grid, store_every=1)
+        traj = integrate_component(kind, op0, params, cfg.grid, store_steps=sample_ks)
         doubled_v = vectorize(op0[:n_doubled, :n_doubled])
-        doubled_states = {}
+        ana_max = ana_mean = doubled_max = trace_drift = 0.0
         prev_k = 0
         for k in sample_ks:
             # on the frame clock, zero at t0, like the oracle's
             seg = TimeGrid(prev_k * h, k * h, k - prev_k)
             doubled_v = evolve_vectorized(factories[kind], doubled_v, seg, doubled_params)
-            doubled_states[k] = devectorize(doubled_v)
             prev_k = k
-
-        ana_max = ana_mean = doubled_max = 0.0
-        trace_drift = 0.0
-        for k in sample_ks:
             t = t0 + k * h
-            oracle_rot = traj.states[k]
+            oracle_rot = traj.state_at(t)
             oracle_lab = field_from_rotational(oracle_rot, t - t0, params)
-            if kind == "cross":
-                ana = evolve_cross(op0, t - t0, params)
-            else:
-                ana = evolve_plus_minus(op0, t - t0, params, signs[kind])
-            ana_max = max(ana_max, _max_dev(ana, oracle_lab))
-            ana_mean = max(ana_mean, _mean_dev(ana, oracle_lab))
-            doubled_max = max(doubled_max,
-                              _max_dev(doubled_states[k][:interior, :interior],
-                                       oracle_rot[:interior, :interior]))
+            ana = (evolve_cross(op0, t - t0, params) if kind == "cross"
+                   else evolve_plus_minus(op0, t - t0, params, signs[kind]))
+            dev = np.abs(ana - oracle_lab)
+            ana_max = max(ana_max, dev.max())
+            ana_mean = max(ana_mean, dev.mean())
+            inner = devectorize(doubled_v)[:interior, :interior] - oracle_rot[:interior, :interior]
+            doubled_max = max(doubled_max, np.abs(inner).max())
             if kind != "cross":
                 trace_drift = max(trace_drift,
                                   abs(np.trace(oracle_rot) - np.trace(op0)))
@@ -479,12 +459,12 @@ def build_comparison_report(cfg: RunConfig) -> dict:
         passed = doubled_max <= DOUBLED_TOLERANCE and (not tight or ana_max <= PM_TOLERANCE)
         overall = overall and passed
         report["components"][kind] = {
-            "analytic_max_dev": ana_max,
-            "analytic_mean_dev": ana_mean,
+            "analytic_max_dev": float(ana_max),
+            "analytic_mean_dev": float(ana_mean),
             "analytic_tight": tight,
-            "doubled_max_dev": doubled_max,
+            "doubled_max_dev": float(doubled_max),
             "oracle_trace_drift": float(trace_drift),
-            "oracle_tail_max": float(np.max(traj.tail_weights)),
+            "oracle_tail_max": float(traj.tail_max),
             "passed": bool(passed),
         }
     report["overall_pass"] = bool(overall)

@@ -3,13 +3,16 @@ full joint equation of motion and of the decoupled component equations
 on the truncated Fock space.
 
 Fixed-step RK4 is used (rather than an adaptive solver) so runs are
-deterministic and reproducible as regression baselines.  A step must
-pass the heuristic bound of ``require_step`` and the stability bound of
+deterministic and reproducible as regression baselines.  A run keeps
+the states at ``store_steps``, at step 0 and at the last step;
+``TimeGrid.step_index`` maps a time to its step.  A step must pass the
+heuristic bound of ``require_step`` and the stability bound of
 ``require_stable``: h times a norm bound of the real generator,
 2||H||_2 + 2 gamma (N-1), at most ``STABILITY_LIMIT``, inside RK4's
-imaginary-axis limit 2 sqrt(2).  Every stored state must be finite, and
-a joint state must keep its purity at most 1 + ``PURITY_SLACK``.  Each
-failure raises ``StepTooLarge`` naming its cause.
+imaginary-axis limit 2 sqrt(2).  Every kept state must be finite, and a
+joint one must keep its purity at most 1 + ``PURITY_SLACK``; every step
+must keep its tail weight at most ``TAIL_LIMIT``.  Each failure raises
+``StepTooLarge`` or ``TailOverflow`` naming its cause.
 
 Frame clock: right-hand sides are called with the time since
 ``grid.t_start``, so a rotating frame coincides with the lab frame at
@@ -21,8 +24,8 @@ The closed forms and the doubled route use the same clock.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -72,29 +75,40 @@ class TimeGrid:
         return self.t_start + self.step * np.arange(self.n_steps + 1)
 
     def stored_steps(self, store_every: int) -> list:
-        """Step indices k a trajectory stores, at time t_start + k * step:
-        every ``store_every``-th step and the last."""
-        return [k for k in range(self.n_steps + 1)
-                if k % store_every == 0 or k == self.n_steps]
+        """Every ``store_every``-th step index and the last."""
+        return sorted({*range(0, self.n_steps + 1, store_every), self.n_steps})
+
+    def step_index(self, t: float) -> int:
+        """The step k with |t_start + k * step - t| <= 1e-9, else ValueError."""
+        k = round((t - self.t_start) / self.step)
+        if not 0 <= k <= self.n_steps or abs(self.t_start + k * self.step - t) > 1e-9:
+            raise ValueError(f"time {t} is not a grid time")
+        return k
 
 
 @dataclass
 class Trajectory:
-    """Stored integration output: states at a subset of grid times."""
+    """Stored integration output: the states at the stored grid steps."""
 
-    times: np.ndarray
-    states: list = field(default_factory=list)
-    tail_weights: np.ndarray = None
+    grid: TimeGrid
+    steps: list  # stored step indices, increasing
+    states: list
+    tail_weights: np.ndarray  # at the stored steps
+    tail_max: float  # largest tail weight over every step
+
+    @property
+    def times(self) -> np.ndarray:
+        return self.grid.times()[self.steps]
 
     @property
     def final(self) -> np.ndarray:
         return self.states[-1]
 
     def state_at(self, t: float) -> np.ndarray:
-        idx = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[idx] - t) > 1e-9:
-            raise KeyError(f"time {t} not on the stored grid")
-        return self.states[idx]
+        try:
+            return self.states[self.steps.index(self.grid.step_index(t))]
+        except ValueError:
+            raise KeyError(f"time {t} not on the stored grid") from None
 
 
 def require_step(params: ModelParams, h: float) -> None:
@@ -138,38 +152,38 @@ def _check_stored(y: np.ndarray, t: float, joint: bool) -> None:
 
 def _rk4(rhs: Callable, y0: np.ndarray, grid: TimeGrid,
          tail_of: Callable[[np.ndarray], float],
-         store_every: int, joint: bool) -> Trajectory:
+         store_steps: Iterable[int], joint: bool) -> Trajectory:
+    keep = {0, grid.n_steps, *store_steps}
+    if min(keep) < 0 or max(keep) > grid.n_steps:
+        raise ValueError(f"store_steps must lie in [0, {grid.n_steps}]")
     h = grid.step
-    y = y0.astype(complex).copy()
-    stored_t = [grid.t_start]
-    states = [y.copy()]
-    tails = [tail_of(y)]
-    if tails[0] > TAIL_LIMIT:
-        raise TailOverflow(f"initial tail weight {tails[0]:.3e} > {TAIL_LIMIT}")
-    stored = set(grid.stored_steps(store_every))
-    tau = 0.0  # frame clock, time since grid.t_start
-    for k in range(1, grid.n_steps + 1):
-        k1 = rhs(tau, y)
-        k2 = rhs(tau + 0.5 * h, y + (0.5 * h) * k1)
-        k3 = rhs(tau + 0.5 * h, y + (0.5 * h) * k2)
-        k4 = rhs(tau + h, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        tau = k * h
+    # a copy; each step rebinds y and never writes in place, so kept states need no copy
+    y = y0.astype(complex)
+    steps, states, tails, tail_max = [], [], [], -np.inf
+    for k in range(grid.n_steps + 1):
+        if k:
+            tau = (k - 1) * h  # frame clock, time since grid.t_start
+            k1 = rhs(tau, y)
+            k2 = rhs(tau + 0.5 * h, y + (0.5 * h) * k1)
+            k3 = rhs(tau + 0.5 * h, y + (0.5 * h) * k2)
+            k4 = rhs(tau + h, y + h * k3)
+            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         t = grid.t_start + k * h
         w = tail_of(y)
         if w > TAIL_LIMIT:
             raise TailOverflow(f"tail weight {w:.3e} > {TAIL_LIMIT} at t={t:.6g}")
-        if k in stored:
+        tail_max = max(tail_max, w)
+        if k in keep:
             _check_stored(y, t, joint)
-            stored_t.append(t)
-            states.append(y.copy())
+            steps.append(k)
+            states.append(y)
             tails.append(w)
-    return Trajectory(times=np.array(stored_t), states=states,
-                      tail_weights=np.array(tails))
+    return Trajectory(grid=grid, steps=steps, states=states,
+                      tail_weights=np.array(tails), tail_max=tail_max)
 
 
 def integrate_joint(rho0: np.ndarray, params: ModelParams, grid: TimeGrid,
-                    picture: str = "schrodinger", store_every: int = 1) -> Trajectory:
+                    picture: str = "schrodinger", store_steps: Iterable[int] = ()) -> Trajectory:
     """RK4 integration of the joint 2N x 2N equation of motion.
 
     picture "schrodinger" uses the lab-frame generator; "rotational"
@@ -184,11 +198,11 @@ def integrate_joint(rho0: np.ndarray, params: ModelParams, grid: TimeGrid,
     require_step(params, grid.step)
     require_stable(params, grid.step, picture)
     return _rk4(builders[picture](params), rho0, grid, joint_tail_weight,
-                store_every, joint=True)
+                store_steps, joint=True)
 
 
 def integrate_component(kind: str, op0: np.ndarray, params: ModelParams,
-                        grid: TimeGrid, store_every: int = 1) -> Trajectory:
+                        grid: TimeGrid, store_steps: Iterable[int] = ()) -> Trajectory:
     """RK4 integration of one decoupled component (rotating frame).
 
     kind is "plus", "minus" or "cross".
@@ -203,4 +217,4 @@ def integrate_component(kind: str, op0: np.ndarray, params: ModelParams,
     def tail_of(mat: np.ndarray) -> float:
         return abs(field_tail_weight(mat))
 
-    return _rk4(rhs, op0, grid, tail_of, store_every, joint=False)
+    return _rk4(rhs, op0, grid, tail_of, store_steps, joint=False)

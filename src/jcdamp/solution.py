@@ -32,7 +32,6 @@ import numpy as np
 from .fock import ModelParams, annihilation, displacement, matrix_exponential
 
 KRAUS_TRACE_TOL = 1e-14
-SMALL_RATE = 1e-8
 # node spread below which a divided difference of exp is summed as a series
 SERIES_RADIUS = 0.5
 SERIES_TERMS = 24
@@ -43,11 +42,17 @@ class NonConvergedKrausSum(RuntimeError):
 
 
 def _growth_integral(z: complex, t: float) -> complex:
-    """int_0^t e^{z s} ds = (e^{z t} - 1) / z, stable as z -> 0."""
-    if abs(z) < SMALL_RATE:
-        zt = z * t
-        return t * (1.0 + zt / 2.0 + zt * zt / 6.0)
-    return (cmath.exp(z * t) - 1.0) / z
+    """int_0^t e^{z s} ds = (e^{z t} - 1) / z.
+
+    e^{x + iy} - 1 = expm1(x) cos y - 2 sin^2(y / 2) + i e^x sin y keeps
+    every digit as z t -> 0, where the plain difference cancels.
+    """
+    if z == 0:
+        return complex(t)
+    x, y = (z * t).real, (z * t).imag
+    half = math.sin(0.5 * y)
+    return complex(math.expm1(x) * math.cos(y) - 2.0 * half * half,
+                   math.exp(x) * math.sin(y)) / z
 
 
 def displacement_amplitude(t: float, params: ModelParams, sign: int) -> complex:

@@ -180,14 +180,17 @@ class PhaseGrid:
             fh.write("\n")
 
 
+def _axes(re_min, re_max, n_re, im_min, im_max, n_im) -> tuple:
+    if n_re < 2 or n_im < 2:
+        raise ValueError("grid needs at least 2 points per axis")
+    return np.linspace(re_min, re_max, n_re), np.linspace(im_min, im_max, n_im)
+
+
 def wigner_grid(rho: np.ndarray, re_min: float, re_max: float, n_re: int,
                 im_min: float, im_max: float, n_im: int) -> PhaseGrid:
     """Evaluate ``wigner_at`` over a rectangular grid (deterministic
     row-major order, re outer / im inner)."""
-    if n_re < 2 or n_im < 2:
-        raise ValueError("grid needs at least 2 points per axis")
-    re = np.linspace(re_min, re_max, n_re)
-    im = np.linspace(im_min, im_max, n_im)
+    re, im = _axes(re_min, re_max, n_re, im_min, im_max, n_im)
     values = np.empty((n_re, n_im))
     for i, x in enumerate(re):
         for j, p in enumerate(im):
@@ -199,10 +202,7 @@ def gaussian_grid(t: float, params: ModelParams, sign: int, alpha0: complex,
                   re_min: float, re_max: float, n_re: int,
                   im_min: float, im_max: float, n_im: int) -> PhaseGrid:
     """Closed-form commutator-branch Wigner function on a grid."""
-    if n_re < 2 or n_im < 2:
-        raise ValueError("grid needs at least 2 points per axis")
-    re = np.linspace(re_min, re_max, n_re)
-    im = np.linspace(im_min, im_max, n_im)
+    re, im = _axes(re_min, re_max, n_re, im_min, im_max, n_im)
     center = coherent_center(t, params, sign, alpha0)
     xg, pg = np.meshgrid(re, im, indexing="ij")
     values = 2.0 * np.exp(-2.0 * np.abs(xg + 1j * pg - center) ** 2)

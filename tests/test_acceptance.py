@@ -60,7 +60,8 @@ def test_criterion_1_oracle_lossy_cavity():
     rho0 = np.kron(np.outer(ATOM_DOWN, ATOM_DOWN.conj()),
                    coherent_projector(1.0, n))
     started = time.time()
-    traj = integrate_joint(rho0, p, TimeGrid(0.0, 10.0, 2000), store_every=100)
+    grid = TimeGrid(0.0, 10.0, 2000)
+    traj = integrate_joint(rho0, p, grid, store_steps=grid.stored_steps(100))
     elapsed = time.time() - started
     worst_fid = 1.0
     worst_drift = 0.0
@@ -86,7 +87,8 @@ def test_criterion_2_closed_form_matches_oracle_sweep():
                 rho0 = coherent_projector(alpha0, n)
                 grid = TimeGrid(0.0, 5.0, 1000)
                 for sign, kind in ((1, "plus"), (-1, "minus")):
-                    traj = integrate_component(kind, rho0, p, grid, store_every=250)
+                    traj = integrate_component(kind, rho0, p, grid,
+                                               store_steps=grid.stored_steps(250))
                     for t in (1.25, 2.5, 3.75, 5.0):
                         lab = field_from_rotational(traj.state_at(t), t, p)
                         got = evolve_plus_minus(rho0, t, p, sign)
@@ -137,7 +139,7 @@ def test_criterion_4_doubled_space_equivalence():
     k = n - 4
     worst = 0.0
     for sign, kind in ((1, "plus"), (-1, "minus")):
-        oracle = integrate_component(kind, rho0, p, grid, store_every=1250).final
+        oracle = integrate_component(kind, rho0, p, grid).final
         v = evolve_vectorized_sparse(p, sign, rho0, grid)
         worst = max(worst, float(np.max(np.abs(v[:k, :k] - oracle[:k, :k]))))
     ok = worst <= 1e-6
@@ -310,8 +312,7 @@ def test_criterion_9_convergence_orders():
                    coherent_projector(0.8, n))
 
     def final(steps):
-        return integrate_joint(rho0, p, TimeGrid(0.0, 1.0, steps),
-                               store_every=steps).final
+        return integrate_joint(rho0, p, TimeGrid(0.0, 1.0, steps)).final
 
     ref = final(160)
     rk4_ratio = float(np.max(np.abs(final(40) - ref))

@@ -72,6 +72,8 @@ WIGNER = {"re_min": -1.0, "re_max": 1.0, "n_re": 5, "im_min": -1.0, "im_max": 1.
     ("config.snapshot_times", {"snapshot_times": [0.003]}),
     ("config.store_every", {"store_every": True}),
     ("config.compare.doubled_n_trunc", {"compare": {"doubled_n_trunc": 30}}),
+    ("config.wigner.times", {"wigner": dict(WIGNER, times=[0.003])}),  # off the grid
+    ("config.wigner.times", {"wigner": dict(WIGNER, times=[2.5])}),  # after t_end
 ])
 def test_malformed_config_exits_2_naming_field(tmp_path, capsys, field, change):
     path = write_config(tmp_path, dict(BASE_DOC, **change))
@@ -411,3 +413,71 @@ def test_pictures_agree_in_observables_and_snapshots(tmp_path, t_start):
         assert lab["t"] == rot["t"]
         lab_m, rot_m = (np.array(s["entries"]) for s in (lab, rot))
         assert np.max(np.abs(lab_m - rot_m)) < 1e-6
+
+
+def _load_csv(path):
+    rows = path.read_text().splitlines()[1:]
+    return np.array([[float(x) for x in row.split(",")] for row in rows])
+
+
+def test_wigner_integrates_the_cross_component_once(tmp_path, monkeypatch):
+    from jcdamp.model import field_from_rotational
+    from jcdamp.wigner import wigner_grid
+
+    calls = []
+    real = cli.integrate_component
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "integrate_component", counted)
+    box = {"re_min": -1.0, "re_max": 1.0, "n_re": 3, "im_min": -1.0, "im_max": 1.0, "n_im": 3}
+    doc = _shifted_doc(0.0, outputs=["wigner"], wigner=dict(box, times=[0.0, 0.6, 1.2]))
+    doc["grid"] = {"t_start": 0.0, "t_end": 1.2, "n_steps": 120}
+    path = write_config(tmp_path, doc)
+    out = tmp_path / "wig"
+    assert main(["wigner", "--config", path, "--out", str(out), "--quiet"]) == 0
+    assert calls == ["cross"]
+
+    # the same grids from one integration per time, each ending at that time
+    cfg = load_config(path)
+    cross0 = cli._component_initials(cfg.initial_joint())["cross"]
+    for i, (t, k) in enumerate(((0.6, 60), (1.2, 120)), start=1):
+        final = real("cross", cross0, cfg.params, oracle.TimeGrid(0.0, t, k)).final
+        cross = field_from_rotational(final, t, cfg.params)
+        for part, mat in (("herm", 0.5 * (cross + cross.conj().T)),
+                          ("anti", (cross - cross.conj().T) / 2j)):
+            ref = wigner_grid(mat, *box.values()).values.reshape(-1)
+            got = _load_csv(out / f"wigner_cross_{part}_{i:02d}.csv")[:, 2]
+            assert np.max(np.abs(got - ref)) <= 1e-12
+
+
+def test_wigner_at_t_start_only_runs_no_integration(tmp_path, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("integrate_component called")
+
+    monkeypatch.setattr(cli, "integrate_component", forbidden)
+    doc = _shifted_doc(0.7, outputs=["wigner"], wigner=dict(WIGNER, times=[0.7]))
+    path = write_config(tmp_path, doc)
+    out = tmp_path / "wig0"
+    assert main(["wigner", "--config", path, "--out", str(out), "--quiet"]) == 0
+    assert (out / "wigner_cross_herm_00.csv").exists()
+
+
+def test_compare_keeps_only_its_sample_steps(tmp_path, monkeypatch):
+    kept = []
+    real = cli.integrate_component
+
+    def recorded(*args, **kwargs):
+        traj = real(*args, **kwargs)
+        kept.append(len(traj.states))
+        return traj
+
+    monkeypatch.setattr(cli, "integrate_component", recorded)
+    compare = {"doubled_n_trunc": 12, "sample_times": [0.3, 0.5]}
+    doc = _shifted_doc(0.0, outputs=["compare"], compare=compare)
+    path = write_config(tmp_path, doc)
+    out = tmp_path / "cmp"
+    assert main(["compare", "--config", path, "--out", str(out), "--quiet"]) == 0
+    assert kept == [2 + 2] * 3  # the samples, step 0 and the last step

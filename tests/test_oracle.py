@@ -34,6 +34,17 @@ def test_time_grid_validation():
     assert np.allclose(g.times(), np.linspace(0.0, 2.0, 9))
 
 
+
+def test_step_index_maps_grid_times_only():
+    g = TimeGrid(0.5, 1.5, 100)
+    assert g.step_index(0.5) == 0
+    assert g.step_index(0.75) == 25
+    assert g.step_index(0.75 + 5e-10) == 25
+    assert g.step_index(1.5) == 100
+    for t in (0.7505, 0.49, 1.51):
+        with pytest.raises(ValueError):
+            g.step_index(t)
+
 def test_step_bound_enforced():
     p = ModelParams(omega=1.0, coupling=0.1, gamma=0.5, n_trunc=20)
     rho0 = coherent_joint(0.5, 20, ATOM_DOWN)
@@ -52,7 +63,8 @@ def test_uncoupled_lossy_cavity_stays_coherent():
     n = 24
     p = ModelParams(omega=1.0, coupling=0.0, gamma=0.25, n_trunc=n)
     rho0 = coherent_joint(1.0, n, ATOM_DOWN)
-    traj = integrate_joint(rho0, p, TimeGrid(0.0, 4.0, 800), store_every=100)
+    grid = TimeGrid(0.0, 4.0, 800)
+    traj = integrate_joint(rho0, p, grid, store_steps=grid.stored_steps(100))
     for t in traj.times:
         state = traj.state_at(t)
         alpha_t = np.exp(-(1j * p.omega + 0.5 * p.gamma) * t)
@@ -66,7 +78,8 @@ def test_unitary_evolution_preserves_purity():
     n = 14
     p = ModelParams(omega=1.0, coupling=0.0, gamma=0.0, n_trunc=n)
     rho0 = coherent_joint(0.9, n, ATOM_UP)
-    traj = integrate_joint(rho0, p, TimeGrid(0.0, 3.0, 600), store_every=200)
+    grid = TimeGrid(0.0, 3.0, 600)
+    traj = integrate_joint(rho0, p, grid, store_steps=grid.stored_steps(200))
     for state in traj.states:
         assert abs(np.trace(state @ state).real - 1.0) < 1e-10
 
@@ -104,7 +117,8 @@ def test_positivity_along_standard_run():
     n = 20
     p = ModelParams(omega=1.0, coupling=0.1, gamma=0.2, n_trunc=n)
     rho0 = coherent_joint(1.0, n, ATOM_UP)
-    traj = integrate_joint(rho0, p, TimeGrid(0.0, 5.0, 1250), store_every=250)
+    grid = TimeGrid(0.0, 5.0, 1250)
+    traj = integrate_joint(rho0, p, grid, store_steps=grid.stored_steps(250))
     for state in traj.states:
         eigs = np.linalg.eigvalsh(0.5 * (state + state.conj().T))
         assert eigs.min() > -1e-7
@@ -116,8 +130,7 @@ def test_rk4_convergence_order():
     rho0 = coherent_joint(0.8, n, ATOM_UP)
 
     def final(steps):
-        return integrate_joint(rho0, p, TimeGrid(0.0, 1.0, steps),
-                               store_every=steps).final
+        return integrate_joint(rho0, p, TimeGrid(0.0, 1.0, steps)).final
 
     ref = final(160)  # quarter-step reference
     e_h = np.max(np.abs(final(40) - ref))
@@ -134,12 +147,11 @@ def test_component_consistency_with_joint():
     rho_j0 = coherent_joint(1.0, n, ATOM_UP)
     t_end = 10.0
     steps = 2500
-    joint = integrate_joint(rho_j0, p, TimeGrid(0.0, t_end, steps), store_every=steps)
+    joint = integrate_joint(rho_j0, p, TimeGrid(0.0, t_end, steps))
     cs = split_components(to_rotational_picture(joint.final, t_end, p))
     rho_f0 = np.outer(v, v.conj())
     for kind, target in (("plus", cs.plus), ("minus", cs.minus), ("cross", cs.cross)):
-        comp = integrate_component(kind, rho_f0, p, TimeGrid(0.0, t_end, steps),
-                                   store_every=steps)
+        comp = integrate_component(kind, rho_f0, p, TimeGrid(0.0, t_end, steps))
         assert np.max(np.abs(comp.final - target)) < 1e-7
 
 
@@ -149,8 +161,8 @@ def test_component_trace_conserved_when_uncoupled():
     v = coherent_state(0.8, n).vec
     rho0 = np.outer(v, v.conj())
     for kind in ("plus", "minus"):
-        traj = integrate_component(kind, rho0, p, TimeGrid(0.0, 3.0, 600),
-                                   store_every=150)
+        grid = TimeGrid(0.0, 3.0, 600)
+        traj = integrate_component(kind, rho0, p, grid, store_steps=grid.stored_steps(150))
         for state in traj.states:
             assert abs(np.trace(state) - 1.0) < 1e-10
 
@@ -162,8 +174,7 @@ def test_plus_minus_trace_conserved_with_coupling():
     v = coherent_state(0.9, n).vec
     rho0 = np.outer(v, v.conj())
     for kind in ("plus", "minus"):
-        traj = integrate_component(kind, rho0, p, TimeGrid(0.0, 4.0, 1000),
-                                   store_every=1000)
+        traj = integrate_component(kind, rho0, p, TimeGrid(0.0, 4.0, 1000))
         assert abs(np.trace(traj.final) - 1.0) < 1e-8
 
 
@@ -171,7 +182,7 @@ def test_cross_zero_stays_zero():
     n = 10
     p = ModelParams(omega=1.0, coupling=0.2, gamma=0.3, n_trunc=n)
     traj = integrate_component("cross", np.zeros((n, n), dtype=complex), p,
-                               TimeGrid(0.0, 2.0, 400), store_every=400)
+                               TimeGrid(0.0, 2.0, 400))
     assert np.max(np.abs(traj.final)) == 0.0
 
 
@@ -191,7 +202,42 @@ def test_trajectory_state_lookup():
     n = 12
     p = ModelParams(omega=1.0, coupling=0.0, gamma=0.1, n_trunc=n)
     rho0 = coherent_joint(0.3, n, ATOM_DOWN)
-    traj = integrate_joint(rho0, p, TimeGrid(0.0, 1.0, 100), store_every=25)
+    grid = TimeGrid(0.0, 1.0, 100)
+    traj = integrate_joint(rho0, p, grid, store_steps=grid.stored_steps(25))
     assert traj.state_at(0.25) is traj.states[1]
     with pytest.raises(KeyError):
         traj.state_at(0.3)
+
+
+def test_store_steps_keep_exactly_the_given_steps():
+    n = 12
+    p = ModelParams(omega=1.0, coupling=0.1, gamma=0.2, n_trunc=n)
+    rho0 = coherent_joint(0.5, n, ATOM_UP)
+    grid = TimeGrid(0.0, 1.0, 40)
+    full = integrate_joint(rho0, p, grid, store_steps=range(41))
+    assert full.steps == list(range(41))
+    part = integrate_joint(rho0, p, grid, store_steps=[30, 7, 7])
+    assert part.steps == [0, 7, 30, 40]
+    assert len(part.states) == len(part.tail_weights) == 4
+    for k, state in zip(part.steps, part.states):
+        assert np.array_equal(state, full.states[k])
+    assert np.array_equal(part.times, full.times[part.steps])
+    assert part.tail_max == np.max(full.tail_weights)
+    assert integrate_joint(rho0, p, grid).steps == [0, 40]
+
+    comp_full = integrate_component("cross", rho0[:n, :n], p, grid, store_steps=range(41))
+    comp = integrate_component("cross", rho0[:n, :n], p, grid, store_steps=[13])
+    assert comp.steps == [0, 13, 40]
+    for k, state in zip(comp.steps, comp.states):
+        assert np.array_equal(state, comp_full.states[k])
+
+
+@pytest.mark.parametrize("bad", [[-1], [41], [3, 41]])
+def test_store_steps_out_of_range_rejected(bad):
+    n = 8
+    p = ModelParams(omega=1.0, coupling=0.1, gamma=0.2, n_trunc=n)
+    grid = TimeGrid(0.0, 1.0, 40)
+    with pytest.raises(ValueError, match="store_steps"):
+        integrate_joint(coherent_joint(0.3, n, ATOM_UP), p, grid, store_steps=bad)
+    with pytest.raises(ValueError, match="store_steps"):
+        integrate_component("plus", np.eye(n, dtype=complex) / n, p, grid, store_steps=bad)

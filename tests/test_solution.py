@@ -11,6 +11,7 @@ from jcdamp.oracle import TimeGrid, integrate_component
 from jcdamp.quadrature import simpson_adaptive, simpson_fixed, triangle_double_integral
 from jcdamp.solution import (
     NonConvergedKrausSum,
+    _growth_integral,
     _loss_kraus_sum,
     coherent_center,
     damping_weight,
@@ -144,7 +145,7 @@ def test_plus_minus_matches_oracle():
     rho0 = coherent_projector(1.0, 40)
     grid = TimeGrid(0.0, 5.0, 1250)
     for sign, kind in ((1, "plus"), (-1, "minus")):
-        traj = integrate_component(kind, rho0, p, grid, store_every=250)
+        traj = integrate_component(kind, rho0, p, grid, store_steps=grid.stored_steps(250))
         for t in (1.0, 3.0, 5.0):
             lab = field_from_rotational(traj.state_at(t), t, p)
             got = evolve_plus_minus(rho0, t, p, sign)
@@ -311,6 +312,27 @@ def test_kernel_double_integral_reference_values(t, omega, coupling, gamma, expe
     assert kernel_double_integral(t, p) == pytest.approx(expected, rel=rtol, abs=0.0)
 
 
+# 30-digit reference values (z, t, (e^{z t} - 1) / z) from 40-digit
+# arithmetic; the first rows have |z t| -> 0, where the plain difference
+# e^{z t} - 1 cancels
+GROWTH_REFERENCE = [
+    (2e-8, 1.0, 1.00000001000000006666666720923),
+    (1e-6, 1.0, 1.00000050000016666670831071571),
+    (1e-9 + 1e-9j, 3.0, 3.00000000450000000000000027352 + 4.50000000900000028701716137763e-9j),
+    (0.1 + 1e-7j, 1.0, 1.05170918075647445427621623931 + 5.34617373191713293319253138999e-8j),
+    (-0.1 + 1j, 2.0, 0.869842562697611531188686385869 + 1.25372795660750054856816617805j),
+    (0.1 + 1j, 5.0, -1.61805035716946318338681282086 + 0.370515085416547834410410568088j),
+    (-2.0, 10.0, 0.499999998969423188780721086017),
+    (0.0, 2.5, 2.5),
+]
+
+
+@pytest.mark.parametrize("z, t, expected", GROWTH_REFERENCE)
+def test_growth_integral_reference_values(z, t, expected):
+    got = _growth_integral(complex(z), t)
+    assert abs(got - expected) <= 1e-13 * abs(expected)
+
+
 @pytest.mark.parametrize("omega, gamma", [(1.0, 0.2), (0.0, 0.4), (2.5, 0.05)])
 def test_kernel_double_integral_matches_triangle_quadrature(omega, gamma):
     p = ModelParams(omega=omega, coupling=0.1, gamma=gamma, n_trunc=8)
@@ -325,7 +347,7 @@ def test_cross_reduces_to_loss_channel_when_uncoupled():
     p = ModelParams(omega=1.0, coupling=0.0, gamma=0.3, n_trunc=n)
     rho0 = coherent_projector(0.9, n)
     grid = TimeGrid(0.0, 2.0, 500)
-    oracle = integrate_component("cross", rho0, p, grid, store_every=500).final
+    oracle = integrate_component("cross", rho0, p, grid).final
     lab = field_from_rotational(oracle, 2.0, p)
     got = evolve_cross(rho0, 2.0, p)
     assert np.max(np.abs(got - lab)) < 1e-8
@@ -345,7 +367,7 @@ def test_cross_deviation_vs_oracle_is_reported_scale():
     p = ModelParams(omega=1.0, coupling=0.05, gamma=0.2, n_trunc=n)
     rho0 = coherent_projector(1.0, n)
     grid = TimeGrid(0.0, 3.0, 750)
-    traj = integrate_component("cross", rho0, p, grid, store_every=250)
+    traj = integrate_component("cross", rho0, p, grid, store_steps=grid.stored_steps(250))
     devs = []
     for t in (1.0, 2.0, 3.0):
         lab = field_from_rotational(traj.state_at(t), t, p)
