@@ -12,6 +12,14 @@ matrices; the generators are sums of them.  ``DoubledSpace`` offers
 dense views of the same matrices for algebra checks, each built only
 when asked for, since one is N^2 x N^2.
 
+Frame identity: in the rotating frame every generator obeys
+G(t) = S(t) G(0) S(t)^+, where S(t) is the diagonal phase
+e^{i w t (m - n)} at flat index m*N + n (conjugation by e^{i w t a+a}).
+The dissipator commutes with S, so the identity is exact at any
+truncation.  Each ``evolve_vectorized`` call therefore chooses one
+truncated-Taylor plan for h G(0) and applies
+exp(h G(t)) v = S(t) exp(h G(0)) S(t)^+ v at every step.
+
 Truncation caveat: identities that hold for the untruncated mode (for
 example that commutator and anticommutator superoperators commute with
 each other) acquire defects at the truncation boundary.  They are exact
@@ -22,17 +30,15 @@ at least ``fock.TAIL_LEVELS`` levels below the boundary; see
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Union
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import expm_multiply
 
 from .fock import TAIL_LEVELS, ModelParams, annihilation, identity
 from .oracle import TimeGrid, require_step
-
-Matrix = Union[np.ndarray, sp.spmatrix]
 
 
 def vectorize(op: np.ndarray) -> np.ndarray:
@@ -127,22 +133,41 @@ class DoubledSpace:
         return 2.0 * self.right_ad - self.comm_ad
 
 
-def _generator(params: ModelParams, kind: str, pref: complex) -> Callable[[float], sp.csr_matrix]:
-    # G(t) = pref (<kind>_a e^{-i w t} + <kind>_ad e^{i w t}) + (g/2) dissipator
+class FrameGenerator:
+    """Doubled-space generator in the rotating frame,
+
+        G(t) = S(t) G(0) S(t)^+,   S(t) = diag(exp(i t rotation)),
+
+    held as the sparse G(0) and the real vector ``rotation``.  Calling it
+    at t returns the sparse G(t).  A constant generator has a zero
+    rotation.
+    """
+
+    def __init__(self, g0: sp.spmatrix, rotation: np.ndarray):
+        self.g0 = sp.csr_matrix(g0, dtype=complex)
+        self.rotation = np.asarray(rotation, dtype=float)
+
+    def phase(self, t: float) -> np.ndarray:
+        """The diagonal of S(t)."""
+        return np.exp(1j * t * self.rotation)
+
+    def __call__(self, t: float) -> sp.csr_matrix:
+        s = sp.diags(self.phase(t))
+        return (s @ self.g0 @ s.conj()).tocsr()
+
+
+def _generator(params: ModelParams, kind: str, pref: complex) -> FrameGenerator:
+    # G(0) = pref (<kind>_a + <kind>_ad) + (g/2) dissipator.  Conjugation by
+    # e^{i w t a+a} multiplies entry (m, n), (m', n') by e^{i w t (m - n - m' + n')}:
+    # e^{-i w t} on the lowering terms, e^{i w t} on the raising ones, 1 on the
+    # dissipator, so G(t) = S(t) G(0) S(t)^+ holds exactly at any truncation.
     ops = _superoperators(params.n_trunc)
-    drive_a, drive_ad = ops[kind + "_a"], ops[kind + "_ad"]
-    damping = 0.5 * params.gamma * ops["dissipator"]
-
-    def generator(t: float) -> sp.csr_matrix:
-        return (pref * np.exp(-1j * params.omega * t)) * drive_a \
-            + (pref * np.exp(1j * params.omega * t)) * drive_ad \
-            + damping
-
-    return generator
+    g0 = pref * (ops[kind + "_a"] + ops[kind + "_ad"]) + 0.5 * params.gamma * ops["dissipator"]
+    levels = np.arange(params.n_trunc)
+    return FrameGenerator(g0, params.omega * (levels[:, None] - levels[None, :]).reshape(-1))
 
 
-def commutator_generator_factory(params: ModelParams,
-                                 sign: int) -> Callable[[float], sp.csr_matrix]:
+def commutator_generator_factory(params: ModelParams, sign: int) -> FrameGenerator:
     """Generator of the vectorized commutator-branch equation.
 
         G(t) = -/+ i c (comm_a e^{-i w t} + comm_ad e^{i w t}) + (g/2) dissipator
@@ -154,7 +179,7 @@ def commutator_generator_factory(params: ModelParams,
     return _generator(params, "comm", -1j * sign * params.coupling)
 
 
-def anticommutator_generator_factory(params: ModelParams) -> Callable[[float], sp.csr_matrix]:
+def anticommutator_generator_factory(params: ModelParams) -> FrameGenerator:
     """Generator of the vectorized anticommutator-branch equation.
 
         G(t) = -i c (acomm_a e^{-i w t} + acomm_ad e^{i w t}) + (g/2) dissipator
@@ -177,19 +202,94 @@ def damped_frame_drive(t: float, params: ModelParams, sign: int) -> np.ndarray:
                    + ds.comm_ad * np.exp(1j * params.omega * t))
 
 
-def evolve_vectorized(generator: Callable[[float], Matrix], v0: np.ndarray,
+# theta_m of Al-Mohy & Higham (2011): the largest 1-norm of A for which m
+# Taylor terms of exp(A) meet double-precision unit roundoff.  Values as in
+# scipy.sparse.linalg._expm_multiply (m <= 30 from Higham & Al-Mohy 2010,
+# table A.3; the rest from table 3.1 of the 2011 paper).
+_THETA = {
+    1: 2.29e-16, 2: 2.58e-8, 3: 1.39e-5, 4: 3.40e-4, 5: 2.40e-3,
+    6: 9.07e-3, 7: 2.38e-2, 8: 5.00e-2, 9: 8.96e-2, 10: 1.44e-1,
+    11: 2.14e-1, 12: 3.00e-1, 13: 4.00e-1, 14: 5.14e-1, 15: 6.41e-1,
+    16: 7.81e-1, 17: 9.31e-1, 18: 1.09, 19: 1.26, 20: 1.44,
+    21: 1.62, 22: 1.82, 23: 2.01, 24: 2.22, 25: 2.43,
+    26: 2.64, 27: 2.86, 28: 3.08, 29: 3.31, 30: 3.54,
+    35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9,
+}
+_UNIT_ROUNDOFF = 2.0 ** -53
+
+
+@dataclass(frozen=True)
+class TaylorPlan:
+    """exp(A) v ~ (e^{mu/s} T_m(B / s))^s v, with B = A - mu I and T_m the
+    Taylor polynomial of degree ``m_star``."""
+
+    shifted: sp.csr_matrix  # B
+    mu: complex
+    m_star: int
+    s: int
+
+
+def taylor_plan(a: sp.spmatrix) -> TaylorPlan:
+    """Choose the Taylor degree and scaling for exp(a), once.
+
+    Al-Mohy & Higham (2011), code fragment 3.1 for one vector: shift by
+    mu = tr(a)/n, then take the (m, s = ceil(||B||_1 / theta_m)) with the
+    fewest products m*s.  The exact 1-norm is used for every size of B.
+    Beyond condition (3.13), at 1-norms above about 63, scipy refines s
+    with estimated norms of powers of B instead; the 1-norm bounds those
+    estimates, so this choice is never less accurate, at most slower.
+    """
+    n = a.shape[0]
+    mu = complex(a.trace()) / n
+    shifted = sp.csr_matrix(a - mu * sp.identity(n, dtype=complex, format="csr"))
+    norm = float(abs(shifted).sum(axis=0).max())
+    if norm == 0.0:
+        return TaylorPlan(shifted, mu, 0, 1)
+    m_star, s = min(((m, math.ceil(norm / theta)) for m, theta in _THETA.items()),
+                    key=lambda ms: ms[0] * ms[1])
+    return TaylorPlan(shifted, mu, m_star, s)
+
+
+def expm_multiply(plan: TaylorPlan, v: np.ndarray) -> np.ndarray:
+    """exp(A) v for the matrix A of ``plan``.
+
+    This is jcdamp's own truncated-Taylor loop, not scipy's function of
+    the same name: it is Al-Mohy & Higham (2011), algorithm 3.2, with
+    scipy's early-termination test (stop a Taylor sweep once the last
+    two terms fall below unit roundoff relative to the sum), but the
+    degree and scaling come from a plan chosen once, not on every call.
+    """
+    f = v
+    eta = np.exp(plan.mu / plan.s)
+    for _ in range(plan.s):
+        c1 = np.abs(v).max()
+        for j in range(plan.m_star):
+            v = (1.0 / (plan.s * (j + 1))) * (plan.shifted @ v)
+            c2 = np.abs(v).max()
+            f = f + v
+            if c1 + c2 <= _UNIT_ROUNDOFF * np.abs(f).max():
+                break
+            c1 = c2
+        f = eta * f
+        v = f
+    return f
+
+
+def evolve_vectorized(generator: FrameGenerator, v0: np.ndarray,
                       grid: TimeGrid, params: ModelParams = None) -> np.ndarray:
     """Midpoint-exponential product integration of dv/dt = G(t) v.
 
-    Per step: v <- exp(h G(t + h/2)) v, second-order accurate.  The
-    exponential action is evaluated with scipy's expm_multiply, so the
-    generator may be dense or sparse.
+    Per step: v <- exp(h G(t + h/2)) v, second-order accurate.  By the
+    frame identity, exp(h G(t)) = S(t) exp(h G(0)) S(t)^+, so one
+    ``taylor_plan`` of h G(0) serves every step, and a step is two
+    diagonal phase multiplies around one ``expm_multiply`` call.
     """
     if params is not None:
         require_step(params, grid.step)
     h = grid.step
-    v = v0.astype(complex).copy()
+    plan = taylor_plan(h * generator.g0)
+    v = v0.astype(complex)
     for k in range(grid.n_steps):
-        t_mid = grid.t_start + (k + 0.5) * h
-        v = expm_multiply(h * generator(t_mid), v)
+        phase = generator.phase(grid.t_start + (k + 0.5) * h)
+        v = phase * expm_multiply(plan, phase.conj() * v)
     return v

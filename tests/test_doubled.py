@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import expm_multiply as scipy_expm_multiply
 
+from jcdamp import doubled
 from jcdamp.doubled import (
     DoubledSpace,
+    FrameGenerator,
     anticommutator_generator_factory,
     commutator_generator_factory,
     damped_frame_drive,
@@ -10,8 +14,10 @@ from jcdamp.doubled import (
     evolve_vectorized,
     interior_indices,
     pairing_vector,
+    taylor_plan,
     vectorize,
 )
+from jcdamp.factorize import time_ordered_propagator
 from jcdamp.fock import ModelParams, annihilation, coherent_state
 from jcdamp.model import damping, single_component_rhs
 from jcdamp.oracle import StepTooLarge, TimeGrid, integrate_component
@@ -182,14 +188,14 @@ def test_damped_frame_drive_commutes_at_different_times():
 
 def test_evolve_constant_diagonal_generator_exact():
     rates = np.array([-0.5, -0.1, 0.0, -2.0])
-    gen = lambda t: np.diag(rates).astype(complex)
+    gen = FrameGenerator(sp.diags(rates), np.zeros(4))
     v0 = np.array([1.0, 2.0, 3.0, 4.0], dtype=complex)
     got = evolve_vectorized(gen, v0, TimeGrid(0.0, 2.0, 50))
     assert np.max(np.abs(got - v0 * np.exp(2.0 * rates))) < 1e-10
 
 
 def test_evolve_zero_generator_is_identity():
-    gen = lambda t: np.zeros((9, 9), dtype=complex)
+    gen = FrameGenerator(sp.csr_matrix((9, 9)), np.zeros(9))
     v0 = np.arange(9.0).astype(complex)
     got = evolve_vectorized(gen, v0, TimeGrid(0.0, 1.0, 10))
     assert np.array_equal(got, v0)
@@ -213,3 +219,79 @@ def test_evolve_matches_oracle_component():
         commutator_generator_factory(p, 1), vectorize(rho0), grid, p))
     k = n - 4
     assert np.max(np.abs(got[:k, :k] - oracle[:k, :k])) < 1e-6
+
+
+def _generators(p):
+    return {"plus": commutator_generator_factory(p, 1),
+            "minus": commutator_generator_factory(p, -1),
+            "cross": anticommutator_generator_factory(p)}
+
+
+def test_generator_frame_identity():
+    # G(t) = S(t) G(0) S(t)^+ with S(t) = diag(e^{i w t (m - n)}), exactly,
+    # against G(t) summed from the dense views
+    n = 8
+    p = ModelParams(omega=1.3, coupling=0.1, gamma=0.2, n_trunc=n)
+    ds = DoubledSpace(n)
+    levels = np.arange(n)
+    diff = (levels[:, None] - levels[None, :]).reshape(-1)
+    prefs = {"plus": -1j * p.coupling, "minus": 1j * p.coupling, "cross": -1j * p.coupling}
+    for kind, gen in _generators(p).items():
+        pieces = "comm" if kind != "cross" else "acomm"
+        low, high = getattr(ds, pieces + "_a"), getattr(ds, pieces + "_ad")
+        g0 = gen(0.0).toarray()
+        for t in (0.37, 1.9, -2.4, 11.0):
+            dense = (prefs[kind] * (low * np.exp(-1j * p.omega * t) + high * np.exp(1j * p.omega * t))
+                     + 0.5 * p.gamma * ds.dissipator)
+            s = np.exp(1j * p.omega * t * diff)
+            rotated = s[:, None] * g0 * s.conj()[None, :]
+            assert np.max(np.abs(rotated - dense)) < 1e-14
+            assert np.max(np.abs(gen(t).toarray() - dense)) < 1e-14
+
+
+@pytest.mark.parametrize("t_start", [0.0, 0.7])
+def test_evolve_matches_time_ordered_propagator(t_start):
+    n = 8
+    grid = TimeGrid(t_start, t_start + 0.5, 20)
+    rho0 = random_matrix(n, 11)
+    for omega in (0.0, 1.3):
+        for gamma in (0.0, 0.2):
+            for coupling in (0.0, 0.1):
+                p = ModelParams(omega=omega, coupling=coupling, gamma=gamma, n_trunc=n)
+                for kind, gen in _generators(p).items():
+                    want = time_ordered_propagator(gen, grid, vectorize(rho0))
+                    got = evolve_vectorized(gen, vectorize(rho0), grid, p)
+                    rel = np.max(np.abs(got - want)) / np.max(np.abs(want))
+                    assert rel < 1e-13, (kind, omega, gamma, coupling)
+
+
+def test_scaled_taylor_plan_matches_scipy():
+    # a step far beyond the step bound (no params): the plan needs s > 1
+    n = 10
+    p = ModelParams(omega=1.3, coupling=0.7, gamma=1.5, n_trunc=n)
+    gen = anticommutator_generator_factory(p)
+    h = 1.0
+    plan = taylor_plan(h * gen.g0)
+    assert plan.s > 1
+    v0 = vectorize(random_matrix(n, 4))
+    want = scipy_expm_multiply(h * gen.g0, v0)
+    got = doubled.expm_multiply(plan, v0)
+    assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
+    want = scipy_expm_multiply(h * gen(0.5 * h), v0)
+    got = evolve_vectorized(gen, v0, TimeGrid(0.0, h, 1))
+    assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
+
+
+def test_evolve_calls_expm_multiply_once_per_step(monkeypatch):
+    calls = []
+    original = doubled.expm_multiply
+
+    def counted(plan, v):
+        calls.append(1)
+        return original(plan, v)
+
+    monkeypatch.setattr(doubled, "expm_multiply", counted)
+    p = ModelParams(omega=1.0, coupling=0.1, gamma=0.2, n_trunc=6)
+    evolve_vectorized(commutator_generator_factory(p, 1), pairing_vector(6),
+                      TimeGrid(0.0, 1.0, 37), p)
+    assert len(calls) == 37
