@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .fock import ModelParams, annihilation, number_operator
+from .fock import TAIL_LEVELS, ModelParams, annihilation, number_operator
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -214,11 +214,12 @@ def single_component_rhs(kind: str, params: ModelParams) -> RHS:
                         damping(params.gamma, a))
 
 
-def joint_tail_weight(rho: np.ndarray, n_levels: int = 4) -> float:
-    """Population of a joint state in the top field levels (both atom blocks)."""
+def joint_tail_weight(rho: np.ndarray) -> float:
+    """Population of a joint state in the top ``TAIL_LEVELS`` field levels
+    (both atom blocks), the levels ``fock.tail_weight`` counts."""
     dim = rho.shape[0] // 2
     diag = np.diagonal(rho).real
-    return float(np.sum(diag[dim - n_levels:dim]) + np.sum(diag[2 * dim - n_levels:]))
+    return float(np.sum(diag[dim - TAIL_LEVELS:dim]) + np.sum(diag[2 * dim - TAIL_LEVELS:]))
 
 
 def check_joint_density(rho: np.ndarray, herm_tol: float = 1e-10,

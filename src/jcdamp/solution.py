@@ -231,11 +231,10 @@ def evolve_cross(rho0: np.ndarray, t: float, params: ModelParams) -> np.ndarray:
     prefactor = cmath.exp(big_f + mu1 * mu2.conjugate() + mu1.conjugate() * mu2
                           - 4.0 * abs(mu2) ** 2)
     a = annihilation(n)
-    d = displacement(mu1 + mu2, n)
-    d_right = displacement(-(mu1 + mu2), n).conj().T
+    d = displacement(mu1 + mu2, n)  # also D+(-m1-m2), since D(-b)+ = D(b)
     left = matrix_exponential(a, 4.0 * mu2.conjugate())
     right = matrix_exponential(a.conj().T, -4.0 * mu2)
-    seed = left @ d @ rho0 @ d_right @ right
+    seed = left @ d @ rho0 @ d @ right
     total = _loss_kraus_sum(seed, damping_weight(t, params.gamma), a)
     e = _damping_phase(t, params)
     return prefactor * (total * np.outer(e, e.conj()))

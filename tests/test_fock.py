@@ -68,6 +68,17 @@ def test_displacement_matches_dense_expm(n):
             assert np.max(np.abs(displacement(alpha, n) - ref)) < 1e-12
 
 
+@pytest.mark.parametrize("n", [14, 16, 28, 30, 40, 64])
+def test_displacement_adjoint_of_negated_amplitude(n):
+    # D(-b)+ = D(b) holds in the truncated eigh form too, because parity
+    # anticommutes with the truncated a; evolve_cross relies on it
+    for r in (0.05, 0.4, 1.3, 3.0):
+        for theta in np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False):
+            beta = r * np.exp(1j * theta)
+            dev = displacement(-beta, n).conj().T - displacement(beta, n)
+            assert np.max(np.abs(dev)) < 1e-13
+
+
 def test_displacement_vacuum_gives_coherent_state():
     d = displacement(0.5, 40)
     target = coherent_state(0.5, 40).vec
