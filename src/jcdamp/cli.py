@@ -298,12 +298,13 @@ def cmd_simulate(cfg: RunConfig, out_dir: str, quiet: bool = False) -> int:
                 fh.write("\n")
         if not quiet:
             print(f"wrote observables.csv ({len(rows)} rows)")
+        del traj  # frees the joint states before the component run keeps its own
 
     if "components" in cfg.outputs:
         n_op = number_operator(n)
-        for kind, op0 in _component_initials(rho0).items():
-            traj = integrate_component(kind, op0, cfg.params, cfg.grid,
-                                       store_steps=cfg.grid.stored_steps(cfg.store_every))
+        trajs = integrate_component(_component_initials(rho0), cfg.params, cfg.grid,
+                                    store_steps=cfg.grid.stored_steps(cfg.store_every))
+        for kind, traj in trajs.items():
             _write_csv(os.path.join(out_dir, f"component_{kind}.csv"),
                        ["t", "trace_re", "trace_im", "number_re", "number_im", "tail"],
                        _component_rows(traj, n_op))
@@ -375,8 +376,8 @@ def cmd_wigner(cfg: RunConfig, out_dir: str, quiet: bool = False) -> int:
 
     steps = {t: cfg.grid.step_index(t) for t in sorted(set(w["times"]))}
     if any(steps.values()):
-        traj = integrate_component("cross", comps["cross"], cfg.params, cfg.grid,
-                                   store_steps=steps.values())
+        traj = integrate_component({"cross": comps["cross"]}, cfg.params, cfg.grid,
+                                   store_steps=steps.values())["cross"]
 
     for i, (t, k) in enumerate(steps.items()):
         dt = t - cfg.grid.t_start
@@ -431,9 +432,9 @@ def build_comparison_report(cfg: RunConfig) -> dict:
               "sample_times": [t0 + k * h for k in sample_ks],
               "components": {}}
     overall = True
-    for kind in ("plus", "minus", "cross"):
+    trajs = integrate_component(comps, params, cfg.grid, store_steps=sample_ks)
+    for kind, traj in trajs.items():
         op0 = comps[kind]
-        traj = integrate_component(kind, op0, params, cfg.grid, store_steps=sample_ks)
         doubled_v = vectorize(op0[:n_doubled, :n_doubled])
         ana_max = ana_mean = doubled_max = trace_drift = 0.0
         prev_k = 0

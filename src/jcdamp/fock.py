@@ -147,6 +147,8 @@ def coherent_state(alpha: complex, n_trunc: int) -> CoherentState:
 
 
 def tail_weight(rho: np.ndarray, n_levels: int = TAIL_LEVELS) -> float:
-    """Population of a field density matrix in its top ``n_levels`` levels."""
-    diag = np.diagonal(rho).real
-    return float(np.sum(diag[-n_levels:]))
+    """Population of a field density matrix in its top ``n_levels`` levels;
+    for a stack of matrices, an array with one value per matrix."""
+    diag = np.diagonal(rho, axis1=-2, axis2=-1).real
+    weight = np.sum(diag[..., -n_levels:], axis=-1)
+    return float(weight) if weight.ndim == 0 else weight

@@ -22,7 +22,7 @@ and is used with this normalization everywhere in the package.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -55,25 +55,50 @@ def hamiltonian_full(params: ModelParams) -> np.ndarray:
 
 def damping(gamma: float, a: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """D[mat] = (gamma/2)(2 a mat a+ - a+a mat - mat a+a) as a function of
-    mat, with a+ and a+a computed once (four matrix products per call)."""
-    ad = a.conj().T
-    n_op = ad @ a
+    mat, or of a stack of matrices on the last two axes.
+
+    ``a`` may have non-zero entries only on its superdiagonal s = diag(a, 1)
+    (``annihilation`` and ``joint_annihilation`` do); any other ``a`` raises
+    ValueError.  No matrix product is formed: (a mat a+)[i, j] is the shifted
+    entry s_i mat[i+1, j+1] conj(s_j), and a+a = diag(d) with
+    d = [0, |s_0|^2, |s_1|^2, ...] scales rows and columns.  d is taken from s,
+    not from the integers (fl(sqrt(3)^2) != 3), so every entry is the value
+    the dense products give, bit for bit.
+    """
+    a = np.asarray(a)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"damping needs a square a, got shape {a.shape}")
+    s = np.diagonal(a, 1)
+    if np.count_nonzero(a) != np.count_nonzero(s):
+        raise ValueError("damping needs an a with non-zero entries only on its superdiagonal")
+    # 2a is scaled first, as in (2a) mat a+; the doubling is exact anyway
+    s2_col, s_row = 2.0 * s[:, None], s.conj()
+    d = np.concatenate([[0.0], (s.conj() * s).real])
+    d_col = d[:, None]
 
     def damp(mat: np.ndarray) -> np.ndarray:
-        return 0.5 * gamma * (2.0 * a @ mat @ ad - n_op @ mat - mat @ n_op)
+        out = np.zeros(mat.shape, dtype=complex)
+        jump = out[..., :-1, :-1]  # 2 a mat a+ is non-zero only here
+        np.multiply(s2_col, mat[..., 1:, 1:], out=jump)
+        jump *= s_row
+        out -= d_col * mat
+        out -= mat * d
+        out *= 0.5 * gamma
+        return out
 
     return damp
 
 
-def _coupled_rhs(coupling_at: Callable[[float], np.ndarray], front: complex, anti: bool,
+def _coupled_rhs(coupling_at: Callable[[float], np.ndarray], front, sign,
                  damp: Callable[[np.ndarray], np.ndarray]) -> RHS:
-    """f(t, y) = front [K, y] + D[y], or front {K, y} + D[y] if ``anti``,
-    with K = coupling_at(t): the form of every equation of motion here."""
+    """f(t, y) = front (K y + sign y K) + D[y] with K = coupling_at(t): sign
+    -1 gives the commutator, +1 the anticommutator.  The form of every
+    equation of motion here; front and sign may be arrays that broadcast
+    over a stack y of matrices."""
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
         k = coupling_at(t)
-        ky, yk = k @ y, y @ k
-        return front * (ky + yk if anti else ky - yk) + damp(y)
+        return front * (k @ y + sign * (y @ k)) + damp(y)
 
     return rhs
 
@@ -90,7 +115,7 @@ def lab_frame_rhs(params: ModelParams) -> RHS:
     -i[H, rho] + D[rho]."""
     h = hamiltonian_full(params)
     damp = damping(params.gamma, joint_annihilation(params.n_trunc))
-    return _coupled_rhs(lambda t: h, -1j, False, damp)
+    return _coupled_rhs(lambda t: h, -1j, -1.0, damp)
 
 
 def rotating_frame_rhs(params: ModelParams) -> RHS:
@@ -100,7 +125,7 @@ def rotating_frame_rhs(params: ModelParams) -> RHS:
     coupling_at = _rotating(params.coupling * np.kron(SIGMA_X, a.conj().T),
                             params.coupling * np.kron(SIGMA_X, a), params.omega)
     damp = damping(params.gamma, joint_annihilation(params.n_trunc))
-    return _coupled_rhs(coupling_at, -1j, False, damp)
+    return _coupled_rhs(coupling_at, -1j, -1.0, damp)
 
 
 def _joint_phases(t: float, params: ModelParams) -> np.ndarray:
@@ -200,17 +225,26 @@ def component_rhs(cs: ComponentSet, t: float, params: ModelParams) -> ComponentS
     )
 
 
-def single_component_rhs(kind: str, params: ModelParams) -> RHS:
-    """Right-hand side f(t, op) of one decoupled component (rotating frame).
+# kind -> (front factor over the coupling, sign of the y K term)
+_KINDS = {"plus": (-1j, -1.0), "minus": (1j, -1.0), "cross": (-1j, 1.0)}
+
+
+def decoupled_rhs(kinds: Sequence[str], params: ModelParams) -> RHS:
+    """Right-hand side f(t, ops) of a stack of decoupled components
+    (rotating frame), ops[i] of kind kinds[i]:
 
     kind "plus"/"minus": -/+ i c [X(t), op] + D[op]
     kind "cross":           -i c {X(t), op} + D[op]
+
+    Each slice of the stack evolves on its own.
     """
-    if kind not in ("plus", "minus", "cross"):
-        raise ValueError(f"unknown component kind {kind!r}")
+    for kind in kinds:
+        if kind not in _KINDS:
+            raise ValueError(f"unknown component kind {kind!r}")
     a = annihilation(params.n_trunc)
-    front = {"plus": -1j, "minus": 1j, "cross": -1j}[kind] * params.coupling
-    return _coupled_rhs(_rotating(a.conj().T, a, params.omega), front, kind == "cross",
+    front = np.array([_KINDS[kind][0] * params.coupling for kind in kinds])[:, None, None]
+    sign = np.array([_KINDS[kind][1] for kind in kinds])[:, None, None]
+    return _coupled_rhs(_rotating(a.conj().T, a, params.omega), front, sign,
                         damping(params.gamma, a))
 
 

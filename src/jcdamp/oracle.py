@@ -3,16 +3,22 @@ full joint equation of motion and of the decoupled component equations
 on the truncated Fock space.
 
 Fixed-step RK4 is used (rather than an adaptive solver) so runs are
-deterministic and reproducible as regression baselines.  A run keeps
-the states at ``store_steps``, at step 0 and at the last step;
-``TimeGrid.step_index`` maps a time to its step.  A step must pass the
-heuristic bound of ``require_step`` and the stability bound of
-``require_stable``: h times a norm bound of the real generator,
+deterministic and reproducible as regression baselines.  One loop,
+``_rk4``, integrates a stack of states: the joint run is a stack of one,
+and the decoupled components (plus, minus, cross) asked for together run
+as one (k, N, N) stack, each slice under its own front factor and
+commutator or anticommutator sign.  The damping term is applied as an
+exact shift and diagonal scaling (``model.damping``), not as dense
+products.  A run keeps the states at ``store_steps``, at step 0 and at
+the last step; ``TimeGrid.step_index`` maps a time to its step.  A step
+must pass the heuristic bound of ``require_step`` and the stability
+bound of ``require_stable``: h times a norm bound of the real generator,
 2||H||_2 + 2 gamma (N-1), at most ``STABILITY_LIMIT``, inside RK4's
 imaginary-axis limit 2 sqrt(2).  Every kept state must be finite, and a
 joint one must keep its purity at most 1 + ``PURITY_SLACK``; every step
-must keep its tail weight at most ``TAIL_LIMIT``.  Each failure raises
-``StepTooLarge`` or ``TailOverflow`` naming its cause.
+must keep the tail weight of each state at most ``TAIL_LIMIT``.  Each
+failure raises ``StepTooLarge`` or ``TailOverflow`` naming its cause and
+its state ("joint", or the component kind).
 
 Frame clock: right-hand sides are called with the time since
 ``grid.t_start``, so a rotating frame coincides with the lab frame at
@@ -25,17 +31,17 @@ The closed forms and the doubled route use the same clock.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
 from .fock import ModelParams, annihilation
 from .model import (
+    decoupled_rhs,
     hamiltonian_full,
     joint_tail_weight,
     lab_frame_rhs,
     rotating_frame_rhs,
-    single_component_rhs,
 )
 from .fock import tail_weight as field_tail_weight
 
@@ -140,9 +146,9 @@ def require_stable(params: ModelParams, h: float, picture: str) -> None:
         )
 
 
-def _check_stored(y: np.ndarray, t: float, joint: bool) -> None:
+def _check_stored(y: np.ndarray, t: float, name: str, joint: bool) -> None:
     if not np.all(np.isfinite(y)):
-        raise StepTooLarge(f"unstable: state is not finite at t={t:.6g}")
+        raise StepTooLarge(f"unstable: {name} state is not finite at t={t:.6g}")
     if joint:
         # Tr(rho^2) of a Hermitian matrix is its squared Frobenius norm
         purity = np.vdot(y, y).real
@@ -151,15 +157,18 @@ def _check_stored(y: np.ndarray, t: float, joint: bool) -> None:
 
 
 def _rk4(rhs: Callable, y0: np.ndarray, grid: TimeGrid,
-         tail_of: Callable[[np.ndarray], float],
-         store_steps: Iterable[int], joint: bool) -> Trajectory:
+         tails_of: Callable[[np.ndarray], np.ndarray],
+         store_steps: Iterable[int], names: list[str], joint: bool) -> dict[str, Trajectory]:
+    """Integrate the stack ``y0``, one state per name on axis 0, and return
+    name -> Trajectory.  ``tails_of(y)`` gives one tail weight per state."""
     keep = {0, grid.n_steps, *store_steps}
     if min(keep) < 0 or max(keep) > grid.n_steps:
         raise ValueError(f"store_steps must lie in [0, {grid.n_steps}]")
     h = grid.step
     # a copy; each step rebinds y and never writes in place, so kept states need no copy
-    y = y0.astype(complex)
-    steps, states, tails, tail_max = [], [], [], -np.inf
+    y = np.array(y0, dtype=complex)
+    steps, stacks, tails = [], [], []
+    tail_max = np.full(len(names), -np.inf)
     for k in range(grid.n_steps + 1):
         if k:
             tau = (k - 1) * h  # frame clock, time since grid.t_start
@@ -169,17 +178,22 @@ def _rk4(rhs: Callable, y0: np.ndarray, grid: TimeGrid,
             k4 = rhs(tau + h, y + h * k3)
             y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         t = grid.t_start + k * h
-        w = tail_of(y)
-        if w > TAIL_LIMIT:
-            raise TailOverflow(f"tail weight {w:.3e} > {TAIL_LIMIT} at t={t:.6g}")
-        tail_max = max(tail_max, w)
+        w = tails_of(y)
+        over = np.flatnonzero(w > TAIL_LIMIT)
+        if over.size:
+            i = over[0]
+            raise TailOverflow(f"{names[i]} tail weight {w[i]:.3e} > {TAIL_LIMIT} at t={t:.6g}")
+        tail_max = np.maximum(tail_max, w)
         if k in keep:
-            _check_stored(y, t, joint)
+            for name, state in zip(names, y):
+                _check_stored(state, t, name, joint)
             steps.append(k)
-            states.append(y)
+            stacks.append(y)
             tails.append(w)
-    return Trajectory(grid=grid, steps=steps, states=states,
-                      tail_weights=np.array(tails), tail_max=tail_max)
+    tails = np.array(tails)
+    return {name: Trajectory(grid=grid, steps=list(steps), states=[kept[i] for kept in stacks],
+                             tail_weights=tails[:, i].copy(), tail_max=float(tail_max[i]))
+            for i, name in enumerate(names)}
 
 
 def integrate_joint(rho0: np.ndarray, params: ModelParams, grid: TimeGrid,
@@ -197,24 +211,36 @@ def integrate_joint(rho0: np.ndarray, params: ModelParams, grid: TimeGrid,
         raise ValueError(f"unknown picture {picture!r}")
     require_step(params, grid.step)
     require_stable(params, grid.step, picture)
-    return _rk4(builders[picture](params), rho0, grid, joint_tail_weight,
-                store_steps, joint=True)
+
+    def tails_of(y: np.ndarray) -> np.ndarray:
+        return np.array([joint_tail_weight(y[0])])
+
+    return _rk4(builders[picture](params), rho0[None], grid, tails_of,
+                store_steps, ["joint"], joint=True)["joint"]
 
 
-def integrate_component(kind: str, op0: np.ndarray, params: ModelParams,
-                        grid: TimeGrid, store_steps: Iterable[int] = ()) -> Trajectory:
-    """RK4 integration of one decoupled component (rotating frame).
+def integrate_component(initial: Mapping[str, np.ndarray], params: ModelParams,
+                        grid: TimeGrid, store_steps: Iterable[int] = ()) -> dict[str, Trajectory]:
+    """RK4 integration of decoupled components (rotating frame), all in one
+    (k, N, N) stack.
 
-    kind is "plus", "minus" or "cross".
+    ``initial`` maps each kind ("plus", "minus" or "cross") to its N x N
+    initial operator; the result maps each kind to its Trajectory.
     """
     n = params.n_trunc
-    if op0.shape != (n, n):
-        raise ValueError(f"initial operator has shape {op0.shape}, expected {(n, n)}")
-    rhs = single_component_rhs(kind, params)
+    kinds = list(initial)
+    if not kinds:
+        raise ValueError("no component to integrate")
+    for kind, op0 in initial.items():
+        if np.shape(op0) != (n, n):
+            raise ValueError(f"initial {kind} operator has shape {np.shape(op0)},"
+                             f" expected {(n, n)}")
+    rhs = decoupled_rhs(kinds, params)
     require_step(params, grid.step)
     require_stable(params, grid.step, "rotational")
 
-    def tail_of(mat: np.ndarray) -> float:
-        return abs(field_tail_weight(mat))
+    def tails_of(y: np.ndarray) -> np.ndarray:
+        return np.abs(field_tail_weight(y))
 
-    return _rk4(rhs, op0, grid, tail_of, store_steps, joint=False)
+    return _rk4(rhs, np.stack([initial[kind] for kind in kinds]), grid, tails_of,
+                store_steps, kinds, joint=False)

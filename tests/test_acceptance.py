@@ -86,9 +86,10 @@ def test_criterion_2_closed_form_matches_oracle_sweep():
             for alpha0 in (0.5, 1.0 + 0.5j):
                 rho0 = coherent_projector(alpha0, n)
                 grid = TimeGrid(0.0, 5.0, 1000)
+                trajs = integrate_component({"plus": rho0, "minus": rho0}, p, grid,
+                                            store_steps=grid.stored_steps(250))
                 for sign, kind in ((1, "plus"), (-1, "minus")):
-                    traj = integrate_component(kind, rho0, p, grid,
-                                               store_steps=grid.stored_steps(250))
+                    traj = trajs[kind]
                     for t in (1.25, 2.5, 3.75, 5.0):
                         lab = field_from_rotational(traj.state_at(t), t, p)
                         got = evolve_plus_minus(rho0, t, p, sign)
@@ -138,8 +139,9 @@ def test_criterion_4_doubled_space_equivalence():
     grid = TimeGrid(0.0, 5.0, 1250)
     k = n - 4
     worst = 0.0
+    oracles = integrate_component({"plus": rho0, "minus": rho0}, p, grid)
     for sign, kind in ((1, "plus"), (-1, "minus")):
-        oracle = integrate_component(kind, rho0, p, grid).final
+        oracle = oracles[kind].final
         v = evolve_vectorized_sparse(p, sign, rho0, grid)
         worst = max(worst, float(np.max(np.abs(v[:k, :k] - oracle[:k, :k]))))
     ok = worst <= 1e-6

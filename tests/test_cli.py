@@ -428,7 +428,7 @@ def test_wigner_integrates_the_cross_component_once(tmp_path, monkeypatch):
     real = cli.integrate_component
 
     def counted(*args, **kwargs):
-        calls.append(args[0])
+        calls.append(list(args[0]))
         return real(*args, **kwargs)
 
     monkeypatch.setattr(cli, "integrate_component", counted)
@@ -438,13 +438,13 @@ def test_wigner_integrates_the_cross_component_once(tmp_path, monkeypatch):
     path = write_config(tmp_path, doc)
     out = tmp_path / "wig"
     assert main(["wigner", "--config", path, "--out", str(out), "--quiet"]) == 0
-    assert calls == ["cross"]
+    assert calls == [["cross"]]
 
     # the same grids from one integration per time, each ending at that time
     cfg = load_config(path)
     cross0 = cli._component_initials(cfg.initial_joint())["cross"]
     for i, (t, k) in enumerate(((0.6, 60), (1.2, 120)), start=1):
-        final = real("cross", cross0, cfg.params, oracle.TimeGrid(0.0, t, k)).final
+        final = real({"cross": cross0}, cfg.params, oracle.TimeGrid(0.0, t, k))["cross"].final
         cross = field_from_rotational(final, t, cfg.params)
         for part, mat in (("herm", 0.5 * (cross + cross.conj().T)),
                           ("anti", (cross - cross.conj().T) / 2j)):
@@ -470,9 +470,9 @@ def test_compare_keeps_only_its_sample_steps(tmp_path, monkeypatch):
     real = cli.integrate_component
 
     def recorded(*args, **kwargs):
-        traj = real(*args, **kwargs)
-        kept.append(len(traj.states))
-        return traj
+        trajs = real(*args, **kwargs)
+        kept.append({kind: len(traj.states) for kind, traj in trajs.items()})
+        return trajs
 
     monkeypatch.setattr(cli, "integrate_component", recorded)
     compare = {"doubled_n_trunc": 12, "sample_times": [0.3, 0.5]}
@@ -480,4 +480,5 @@ def test_compare_keeps_only_its_sample_steps(tmp_path, monkeypatch):
     path = write_config(tmp_path, doc)
     out = tmp_path / "cmp"
     assert main(["compare", "--config", path, "--out", str(out), "--quiet"]) == 0
-    assert kept == [2 + 2] * 3  # the samples, step 0 and the last step
+    # one call for all three components, each keeping the samples, step 0 and the last step
+    assert kept == [{"plus": 2 + 2, "minus": 2 + 2, "cross": 2 + 2}]

@@ -19,7 +19,7 @@ from jcdamp.doubled import (
 )
 from jcdamp.factorize import time_ordered_propagator
 from jcdamp.fock import ModelParams, annihilation, coherent_state
-from jcdamp.model import damping, single_component_rhs
+from jcdamp.model import damping, decoupled_rhs
 from jcdamp.oracle import StepTooLarge, TimeGrid, integrate_component
 
 
@@ -99,7 +99,7 @@ def test_commutator_generator_matches_equation_of_motion():
     for sign, kind in ((1, "plus"), (-1, "minus")):
         gen = commutator_generator_factory(p, sign)(0.83)
         got = devectorize(gen @ vectorize(m))
-        want = single_component_rhs(kind, p)(0.83, m)
+        want = decoupled_rhs([kind], p)(0.83, m[None])[0]
         assert np.max(np.abs(got - want)) < 1e-12
 
 
@@ -109,7 +109,7 @@ def test_anticommutator_generator_matches_equation_of_motion():
     m = random_matrix(n, 9)
     gen = anticommutator_generator_factory(p)(1.21)
     got = devectorize(gen @ vectorize(m))
-    want = single_component_rhs("cross", p)(1.21, m)
+    want = decoupled_rhs(["cross"], p)(1.21, m[None])[0]
     assert np.max(np.abs(got - want)) < 1e-12
 
 
@@ -214,7 +214,7 @@ def test_evolve_matches_oracle_component():
     v = coherent_state(1.0, n).vec
     rho0 = np.outer(v, v.conj())
     grid = TimeGrid(0.0, 5.0, 1250)
-    oracle = integrate_component("plus", rho0, p, grid).final
+    oracle = integrate_component({"plus": rho0}, p, grid)["plus"].final
     got = devectorize(evolve_vectorized(
         commutator_generator_factory(p, 1), vectorize(rho0), grid, p))
     k = n - 4

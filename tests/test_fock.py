@@ -13,6 +13,7 @@ from jcdamp.fock import (
     identity,
     matrix_exponential,
     number_operator,
+    tail_weight,
 )
 
 
@@ -170,3 +171,12 @@ def test_model_params_validation():
         ModelParams(omega=1.0, coupling=0.1, gamma=0.1, n_trunc=1)
     with pytest.raises(ValueError):
         ModelParams(omega=float("nan"), coupling=0.1, gamma=0.1, n_trunc=10)
+
+
+def test_tail_weight_of_a_stack_is_per_matrix():
+    rng = np.random.default_rng(7)
+    stack = rng.normal(size=(3, 9, 9)) + 1j * rng.normal(size=(3, 9, 9))
+    per_matrix = [tail_weight(m) for m in stack]
+    assert all(isinstance(w, float) for w in per_matrix)
+    assert np.array_equal(tail_weight(stack), per_matrix)
+    assert tail_weight(stack[0]) == float(np.sum(np.diagonal(stack[0]).real[-4:]))

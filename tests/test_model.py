@@ -9,12 +9,13 @@ from jcdamp.model import (
     check_joint_density,
     combine_components,
     component_rhs,
+    damping,
+    decoupled_rhs,
     from_rotational_picture,
     hamiltonian_full,
     joint_annihilation,
     lab_frame_rhs,
     rotating_frame_rhs,
-    single_component_rhs,
     split_components,
     to_rotational_picture,
 )
@@ -197,7 +198,7 @@ def test_cross_rhs_is_anticommutator_form():
     cs = split_components(rho)
     drs = component_rhs(cs, t, p)
     assembled = drs.rho3 + 1j * drs.rho2
-    direct = single_component_rhs("cross", p)(t, cs.cross)
+    direct = decoupled_rhs(["cross"], p)(t, cs.cross[None])[0]
     assert np.max(np.abs(assembled - direct)) < 1e-12
 
 
@@ -208,7 +209,7 @@ def test_cross_adjoint_flow_is_conjugate_equation():
     cs = split_components(rho)
     drs = component_rhs(cs, 0.8, p)
     conj_flow = drs.rho3 - 1j * drs.rho2
-    direct = single_component_rhs("cross", p)(0.8, cs.cross)
+    direct = decoupled_rhs(["cross"], p)(0.8, cs.cross[None])[0]
     assert np.max(np.abs(conj_flow - direct.conj().T)) < 1e-10
 
 
@@ -217,10 +218,9 @@ def test_plus_minus_decoupling_matches_pair_flow():
     rho = random_joint_density(9, 31)
     cs = split_components(rho)
     drs = component_rhs(cs, 0.5, p)
-    assert np.max(np.abs((drs.rho0 + drs.rho1)
-                         - single_component_rhs("plus", p)(0.5, cs.plus))) < 1e-10
-    assert np.max(np.abs((drs.rho0 - drs.rho1)
-                         - single_component_rhs("minus", p)(0.5, cs.minus))) < 1e-10
+    direct = decoupled_rhs(["plus", "minus"], p)(0.5, np.stack([cs.plus, cs.minus]))
+    assert np.max(np.abs((drs.rho0 + drs.rho1) - direct[0])) < 1e-10
+    assert np.max(np.abs((drs.rho0 - drs.rho1) - direct[1])) < 1e-10
 
 
 def test_component_rhs_preserves_hermiticity_and_trace():
@@ -250,3 +250,38 @@ def test_joint_annihilation_acts_on_field_only():
     assert np.array_equal(aj[:n, :n], a)
     assert np.array_equal(aj[n:, n:], a)
     assert np.max(np.abs(aj[:n, n:])) == 0.0
+
+
+def _dense_damping(gamma, a, mat):
+    ad = a.conj().T
+    n_op = ad @ a
+    return 0.5 * gamma * (2.0 * a @ mat @ ad - n_op @ mat - mat @ n_op)
+
+
+@pytest.mark.parametrize("ops", [annihilation, joint_annihilation])
+def test_damping_matches_dense_products(ops):
+    # the shift-and-scale form against the dense formula, on random
+    # non-Hermitian matrices, one at a time and as a stack
+    a = ops(9)
+    dim = a.shape[0]
+    rng = np.random.default_rng(41)
+    stack = rng.normal(size=(3, dim, dim)) + 1j * rng.normal(size=(3, dim, dim))
+    damp = damping(0.37, a)
+    stacked = damp(stack)
+    assert stacked.shape == stack.shape
+    for mat, got in zip(stack, stacked):
+        want = _dense_damping(0.37, a, mat)
+        scale = np.max(np.abs(want))
+        assert np.max(np.abs(damp(mat) - want)) <= 1e-15 * scale
+        assert np.max(np.abs(got - want)) <= 1e-15 * scale
+
+
+def test_damping_rejects_entries_off_the_superdiagonal():
+    a = annihilation(6)
+    for i, j in ((0, 0), (2, 1), (0, 2), (5, 0)):
+        bad = a.copy()
+        bad[i, j] = 0.5
+        with pytest.raises(ValueError, match="superdiagonal"):
+            damping(0.2, bad)
+    with pytest.raises(ValueError):
+        damping(0.2, np.zeros((3, 4), dtype=complex))

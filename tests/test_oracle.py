@@ -150,9 +150,10 @@ def test_component_consistency_with_joint():
     joint = integrate_joint(rho_j0, p, TimeGrid(0.0, t_end, steps))
     cs = split_components(to_rotational_picture(joint.final, t_end, p))
     rho_f0 = np.outer(v, v.conj())
+    comps = integrate_component({"plus": rho_f0, "minus": rho_f0, "cross": rho_f0}, p,
+                                TimeGrid(0.0, t_end, steps))
     for kind, target in (("plus", cs.plus), ("minus", cs.minus), ("cross", cs.cross)):
-        comp = integrate_component(kind, rho_f0, p, TimeGrid(0.0, t_end, steps))
-        assert np.max(np.abs(comp.final - target)) < 1e-7
+        assert np.max(np.abs(comps[kind].final - target)) < 1e-7
 
 
 def test_component_trace_conserved_when_uncoupled():
@@ -160,9 +161,10 @@ def test_component_trace_conserved_when_uncoupled():
     p = ModelParams(omega=1.0, coupling=0.0, gamma=0.3, n_trunc=n)
     v = coherent_state(0.8, n).vec
     rho0 = np.outer(v, v.conj())
-    for kind in ("plus", "minus"):
-        grid = TimeGrid(0.0, 3.0, 600)
-        traj = integrate_component(kind, rho0, p, grid, store_steps=grid.stored_steps(150))
+    grid = TimeGrid(0.0, 3.0, 600)
+    trajs = integrate_component({"plus": rho0, "minus": rho0}, p, grid,
+                                store_steps=grid.stored_steps(150))
+    for traj in trajs.values():
         for state in traj.states:
             assert abs(np.trace(state) - 1.0) < 1e-10
 
@@ -173,26 +175,26 @@ def test_plus_minus_trace_conserved_with_coupling():
     p = ModelParams(omega=1.0, coupling=0.12, gamma=0.2, n_trunc=n)
     v = coherent_state(0.9, n).vec
     rho0 = np.outer(v, v.conj())
-    for kind in ("plus", "minus"):
-        traj = integrate_component(kind, rho0, p, TimeGrid(0.0, 4.0, 1000))
+    trajs = integrate_component({"plus": rho0, "minus": rho0}, p, TimeGrid(0.0, 4.0, 1000))
+    for traj in trajs.values():
         assert abs(np.trace(traj.final) - 1.0) < 1e-8
 
 
 def test_cross_zero_stays_zero():
     n = 10
     p = ModelParams(omega=1.0, coupling=0.2, gamma=0.3, n_trunc=n)
-    traj = integrate_component("cross", np.zeros((n, n), dtype=complex), p,
-                               TimeGrid(0.0, 2.0, 400))
+    traj = integrate_component({"cross": np.zeros((n, n), dtype=complex)}, p,
+                               TimeGrid(0.0, 2.0, 400))["cross"]
     assert np.max(np.abs(traj.final)) == 0.0
 
 
 def test_rejects_unknown_kind_and_bad_shapes():
     p = ModelParams(omega=1.0, coupling=0.1, gamma=0.1, n_trunc=8)
     with pytest.raises(ValueError):
-        integrate_component("sideways", np.eye(8, dtype=complex), p,
+        integrate_component({"sideways": np.eye(8, dtype=complex)}, p,
                             TimeGrid(0.0, 1.0, 100))
     with pytest.raises(ValueError):
-        integrate_component("plus", np.eye(7, dtype=complex), p,
+        integrate_component({"plus": np.eye(7, dtype=complex)}, p,
                             TimeGrid(0.0, 1.0, 100))
     with pytest.raises(ValueError):
         integrate_joint(np.eye(8, dtype=complex), p, TimeGrid(0.0, 1.0, 100))
@@ -225,8 +227,9 @@ def test_store_steps_keep_exactly_the_given_steps():
     assert part.tail_max == np.max(full.tail_weights)
     assert integrate_joint(rho0, p, grid).steps == [0, 40]
 
-    comp_full = integrate_component("cross", rho0[:n, :n], p, grid, store_steps=range(41))
-    comp = integrate_component("cross", rho0[:n, :n], p, grid, store_steps=[13])
+    comp_full = integrate_component({"cross": rho0[:n, :n]}, p, grid,
+                                    store_steps=range(41))["cross"]
+    comp = integrate_component({"cross": rho0[:n, :n]}, p, grid, store_steps=[13])["cross"]
     assert comp.steps == [0, 13, 40]
     for k, state in zip(comp.steps, comp.states):
         assert np.array_equal(state, comp_full.states[k])
@@ -240,4 +243,49 @@ def test_store_steps_out_of_range_rejected(bad):
     with pytest.raises(ValueError, match="store_steps"):
         integrate_joint(coherent_joint(0.3, n, ATOM_UP), p, grid, store_steps=bad)
     with pytest.raises(ValueError, match="store_steps"):
-        integrate_component("plus", np.eye(n, dtype=complex) / n, p, grid, store_steps=bad)
+        integrate_component({"plus": np.eye(n, dtype=complex) / n}, p, grid, store_steps=bad)
+
+
+def _component_initials(n):
+    # the plus, minus and (non-Hermitian) cross components of an entangled
+    # atom-field state
+    psi = (np.kron(ATOM_UP, coherent_state(0.5, n).vec)
+           + (0.6 + 0.3j) * np.kron(ATOM_DOWN, coherent_state(-0.4j, n).vec))
+    cs = split_components(np.outer(psi, psi.conj()) / np.vdot(psi, psi))
+    return {"plus": cs.plus, "minus": cs.minus, "cross": cs.cross}
+
+
+def test_component_stack_matches_one_kind_runs():
+    # each slice of the batched run evolves on its own: a run of all three
+    # kinds gives each kind's one-kind run, states and tail records alike
+    n = 12
+    p = ModelParams(omega=1.0, coupling=0.15, gamma=0.2, n_trunc=n)
+    initial = _component_initials(n)
+    grid = TimeGrid(0.0, 1.0, 200)
+    batch = integrate_component(initial, p, grid, store_steps=[50, 120])
+    assert list(batch) == ["plus", "minus", "cross"]
+    for kind, op0 in initial.items():
+        alone = integrate_component({kind: op0}, p, grid, store_steps=[50, 120])[kind]
+        traj = batch[kind]
+        assert traj.steps == alone.steps == [0, 50, 120, 200]
+        for got, want in zip(traj.states, alone.states):
+            assert np.max(np.abs(got - want)) <= 1e-14
+        assert np.array_equal(traj.tail_weights, alone.tail_weights)
+        assert traj.tail_max == alone.tail_max
+
+
+def test_component_stack_overflow_names_its_kind():
+    # only the minus slice holds population; the drive pushes it into the
+    # top levels mid-run while plus and cross stay zero
+    n = 8
+    p = ModelParams(omega=1.0, coupling=0.5, gamma=0.0, n_trunc=n)
+    vacuum = np.zeros((n, n), dtype=complex)
+    vacuum[0, 0] = 1.0
+    zero = np.zeros((n, n), dtype=complex)
+    with pytest.raises(TailOverflow) as info:
+        integrate_component({"plus": zero, "minus": vacuum, "cross": zero}, p,
+                            TimeGrid(0.0, 4.0, 400))
+    message = str(info.value)
+    assert message.startswith("minus tail weight")
+    assert "plus" not in message and "cross" not in message
+    assert "t=0 " not in message + " "

@@ -144,8 +144,10 @@ def test_plus_minus_matches_oracle():
     p = ModelParams(omega=1.0, coupling=0.1, gamma=0.2, n_trunc=40)
     rho0 = coherent_projector(1.0, 40)
     grid = TimeGrid(0.0, 5.0, 1250)
+    trajs = integrate_component({"plus": rho0, "minus": rho0}, p, grid,
+                                store_steps=grid.stored_steps(250))
     for sign, kind in ((1, "plus"), (-1, "minus")):
-        traj = integrate_component(kind, rho0, p, grid, store_steps=grid.stored_steps(250))
+        traj = trajs[kind]
         for t in (1.0, 3.0, 5.0):
             lab = field_from_rotational(traj.state_at(t), t, p)
             got = evolve_plus_minus(rho0, t, p, sign)
@@ -347,7 +349,7 @@ def test_cross_reduces_to_loss_channel_when_uncoupled():
     p = ModelParams(omega=1.0, coupling=0.0, gamma=0.3, n_trunc=n)
     rho0 = coherent_projector(0.9, n)
     grid = TimeGrid(0.0, 2.0, 500)
-    oracle = integrate_component("cross", rho0, p, grid).final
+    oracle = integrate_component({"cross": rho0}, p, grid)["cross"].final
     lab = field_from_rotational(oracle, 2.0, p)
     got = evolve_cross(rho0, 2.0, p)
     assert np.max(np.abs(got - lab)) < 1e-8
@@ -367,7 +369,8 @@ def test_cross_deviation_vs_oracle_is_reported_scale():
     p = ModelParams(omega=1.0, coupling=0.05, gamma=0.2, n_trunc=n)
     rho0 = coherent_projector(1.0, n)
     grid = TimeGrid(0.0, 3.0, 750)
-    traj = integrate_component("cross", rho0, p, grid, store_steps=grid.stored_steps(250))
+    traj = integrate_component({"cross": rho0}, p, grid,
+                               store_steps=grid.stored_steps(250))["cross"]
     devs = []
     for t in (1.0, 2.0, 3.0):
         lab = field_from_rotational(traj.state_at(t), t, p)
