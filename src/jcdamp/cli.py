@@ -18,7 +18,10 @@ compare    brute-force vs closed-form vs doubled-space evolution, with
            as data
 
 Brute-force runs keep only the steps a verb reads.  Snapshot and Wigner
-times must be grid times (``TimeGrid.step_index``).
+times must be grid times (``TimeGrid.step_index``).  ``compare`` runs
+each route once per component over the run's grid and reads the
+doubled-space, brute-force and closed-form states at the same sample
+steps; the doubled-space run stops at the last of them.
 
 Exit codes: 0 success, 2 config parse failure, 3 numerical failure,
 4 tight comparison failure.  Outputs are byte-deterministic for a given
@@ -101,8 +104,12 @@ def _parse(val, kind, path: str):
         return complex(_parse(val[0], float, path + "[0]"), _parse(val[1], float, path + "[1]"))
     accepted, name = _TYPES[kind]
     _require(isinstance(val, accepted) and not isinstance(val, bool), f"{path} must be {name}")
+    try:
+        val = kind(val)
+    except OverflowError:  # an integer literal beyond the float range
+        raise ConfigError(f"{path} must be finite") from None
     _require(kind is not float or math.isfinite(val), f"{path} must be finite")
-    return kind(val)
+    return val
 
 
 def _on_grid(times: list, cfg, stored: bool = False) -> bool:
@@ -120,12 +127,15 @@ def _default_sample_times(cfg) -> list:
 
 
 _AT_LEAST_2 = (lambda v, cfg: v >= 2, "must be at least 2")
+_DOUBLED_N_TRUNC = (lambda v, cfg: 6 <= v <= min(40, cfg.params.n_trunc),
+                    "must be an integer in [6, 40], at most params.n_trunc")
 
 # (section, key, type, required, default, check), read by ``RunConfig``.
 # Section "" is the top level; sections are read in this order, so a
 # default(cfg) or a check (predicate(value, cfg), message) may use the
-# fields of earlier sections.  "required" applies when the section is
-# present; params, initial and grid must be.
+# fields of earlier sections.  A check applies to values the config sets;
+# a verb checks a default it cannot use.  "required" applies when the
+# section is present; params, initial and grid must be.
 FIELDS = [
     ("params", "omega", float, True, None, None),
     ("params", "coupling", float, True, None, None),
@@ -153,8 +163,7 @@ FIELDS = [
     ("wigner", "times", [float], True, None,
      (_on_grid, "must be grid times in [grid.t_start, grid.t_end]")),
     ("compare", "doubled_n_trunc", int, False, lambda cfg: min(30, cfg.params.n_trunc),
-     (lambda v, cfg: 6 <= v <= min(40, cfg.params.n_trunc),
-      "must be an integer in [6, 40], at most params.n_trunc")),
+     _DOUBLED_N_TRUNC),
     ("compare", "sample_times", [float], False, _default_sample_times,
      (lambda v, cfg: all(cfg.grid.t_start < t <= cfg.grid.t_end + 1e-12 for t in v),
       "must lie in (grid.t_start, grid.t_end]")),
@@ -191,7 +200,7 @@ class RunConfig:
                 values[key] = val
                 if section not in _SECTION_TYPES:
                     setattr(self, key, val)
-                if check is not None and val is not None:
+                if check is not None and key in sec:
                     _require(check[0](val, self), f"{path}.{key} {check[1]}")
             if section in _SECTION_TYPES:
                 try:
@@ -406,10 +415,11 @@ def build_comparison_report(cfg: RunConfig) -> dict:
     Routes: brute-force component integration (ground truth), the
     closed-form solutions, and midpoint-exponential evolution in the
     doubled space at a (possibly reduced) truncation, compared on the
-    interior block.  All three run on the frame clock t - grid.t_start.
+    interior block.  All three run on the frame clock t - grid.t_start;
+    the oracle and the doubled route make one run per component over the
+    run's grid and keep the sample steps.
     """
     params = cfg.params
-    n = params.n_trunc
     rho0 = cfg.initial_joint()
     comps = _component_initials(rho0)
     t0 = cfg.grid.t_start
@@ -433,16 +443,14 @@ def build_comparison_report(cfg: RunConfig) -> dict:
               "components": {}}
     overall = True
     trajs = integrate_component(comps, params, cfg.grid, store_steps=sample_ks)
+    # the run's grid on the frame clock, zero at t0 like the oracle's
+    frame_grid = TimeGrid(0.0, cfg.grid.t_end - t0, cfg.grid.n_steps)
     for kind, traj in trajs.items():
         op0 = comps[kind]
-        doubled_v = vectorize(op0[:n_doubled, :n_doubled])
+        doubled = evolve_vectorized(factories[kind], vectorize(op0[:n_doubled, :n_doubled]),
+                                    frame_grid, doubled_params, store_steps=sample_ks)
         ana_max = ana_mean = doubled_max = trace_drift = 0.0
-        prev_k = 0
         for k in sample_ks:
-            # on the frame clock, zero at t0, like the oracle's
-            seg = TimeGrid(prev_k * h, k * h, k - prev_k)
-            doubled_v = evolve_vectorized(factories[kind], doubled_v, seg, doubled_params)
-            prev_k = k
             t = t0 + k * h
             oracle_rot = traj.state_at(t)
             oracle_lab = field_from_rotational(oracle_rot, t - t0, params)
@@ -451,7 +459,7 @@ def build_comparison_report(cfg: RunConfig) -> dict:
             dev = np.abs(ana - oracle_lab)
             ana_max = max(ana_max, dev.max())
             ana_mean = max(ana_mean, dev.mean())
-            inner = devectorize(doubled_v)[:interior, :interior] - oracle_rot[:interior, :interior]
+            inner = devectorize(doubled[k])[:interior, :interior] - oracle_rot[:interior, :interior]
             doubled_max = max(doubled_max, np.abs(inner).max())
             if kind != "cross":
                 trace_drift = max(trace_drift,
@@ -475,6 +483,9 @@ def build_comparison_report(cfg: RunConfig) -> dict:
 def cmd_compare(cfg: RunConfig, out_dir: str, quiet: bool = False) -> int:
     if not cfg.outputs:
         return 0
+    valid, message = _DOUBLED_N_TRUNC
+    _require(valid(cfg.doubled_n_trunc, cfg), f"config.compare.doubled_n_trunc {message}"
+             f" (default min(30, params.n_trunc) = {cfg.doubled_n_trunc})")
     os.makedirs(out_dir, exist_ok=True)
     report = build_comparison_report(cfg)
     with open(os.path.join(out_dir, "compare_report.json"), "w") as fh:

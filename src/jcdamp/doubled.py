@@ -18,7 +18,10 @@ e^{i w t (m - n)} at flat index m*N + n (conjugation by e^{i w t a+a}).
 The dissipator commutes with S, so the identity is exact at any
 truncation.  Each ``evolve_vectorized`` call therefore chooses one
 truncated-Taylor plan for h G(0) and applies
-exp(h G(t)) v = S(t) exp(h G(0)) S(t)^+ v at every step.
+exp(h G(t)) v = S(t) exp(h G(0)) S(t)^+ v at every step.  Like the RK4
+oracle, a call runs over one grid and keeps only the steps it is asked
+for (``store_steps``, checked by ``TimeGrid.check_steps``); it stops at
+the last of them.
 
 Truncation caveat: identities that hold for the untruncated mode (for
 example that commutator and anticommutator superoperators commute with
@@ -33,6 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import Iterable
 
 import numpy as np
 import scipy.sparse as sp
@@ -58,9 +62,9 @@ def pairing_vector(n_trunc: int) -> np.ndarray:
     return vectorize(identity(n_trunc))
 
 
-def interior_indices(n_trunc: int, margin: int = TAIL_LEVELS) -> np.ndarray:
-    """Flat doubled-space indices (m, n) with both m, n < n_trunc - margin."""
-    keep = np.arange(n_trunc - margin)
+def interior_indices(n_trunc: int) -> np.ndarray:
+    """Flat doubled-space indices (m, n) with both m, n < n_trunc - TAIL_LEVELS."""
+    keep = np.arange(n_trunc - TAIL_LEVELS)
     return (keep[:, None] * n_trunc + keep[None, :]).reshape(-1)
 
 
@@ -275,21 +279,31 @@ def expm_multiply(plan: TaylorPlan, v: np.ndarray) -> np.ndarray:
     return f
 
 
-def evolve_vectorized(generator: FrameGenerator, v0: np.ndarray,
-                      grid: TimeGrid, params: ModelParams = None) -> np.ndarray:
+def evolve_vectorized(generator: FrameGenerator, v0: np.ndarray, grid: TimeGrid,
+                      params: ModelParams = None,
+                      store_steps: Iterable[int] = None) -> dict[int, np.ndarray]:
     """Midpoint-exponential product integration of dv/dt = G(t) v.
 
     Per step: v <- exp(h G(t + h/2)) v, second-order accurate.  By the
     frame identity, exp(h G(t)) = S(t) exp(h G(0)) S(t)^+, so one
     ``taylor_plan`` of h G(0) serves every step, and a step is two
     diagonal phase multiplies around one ``expm_multiply`` call.
+
+    Returns step -> vector for each step in ``store_steps`` (by default
+    only the last step), in [0, n_steps] as for the oracle, and takes no
+    step after the last one kept.  With ``params`` the step must pass
+    ``require_step``.
     """
+    keep = grid.check_steps([grid.n_steps] if store_steps is None else store_steps)
     if params is not None:
         require_step(params, grid.step)
     h = grid.step
     plan = taylor_plan(h * generator.g0)
     v = v0.astype(complex)
-    for k in range(grid.n_steps):
-        phase = generator.phase(grid.t_start + (k + 0.5) * h)
+    kept = {0: v} if 0 in keep else {}
+    for k in range(1, max(keep, default=0) + 1):
+        phase = generator.phase(grid.t_start + (k - 0.5) * h)
         v = phase * expm_multiply(plan, phase.conj() * v)
-    return v
+        if k in keep:
+            kept[k] = v
+    return kept

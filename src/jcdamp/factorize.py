@@ -30,6 +30,11 @@ Kernel = Callable[[float, float], Union[complex, np.ndarray]]
 
 # product-integral steps with larger exponent norms lose their accuracy order
 MAX_STEP_NORM = 2.0
+# ``check_preconditions`` samples this many times and allows this much defect
+PRECONDITION_SAMPLES = 4
+PRECONDITION_TOL = 1e-9
+# absolute tolerance of the quadratures in ``factorized_propagator``
+QUAD_TOL = 1e-10
 
 
 class PreconditionViolated(ValueError):
@@ -59,53 +64,53 @@ def _masked_max(mat: np.ndarray, restrict: Optional[np.ndarray]) -> float:
     return float(np.max(np.abs(sub)))
 
 
-def check_preconditions(problem: FactorizationProblem, n_samples: int = 4,
-                        tol: float = 1e-9) -> None:
-    """Sample time pairs and verify the same-family commutators vanish
-    and the cross-commutator matches the declared kernel."""
+def check_preconditions(problem: FactorizationProblem) -> None:
+    """Sample ``PRECONDITION_SAMPLES`` times and verify, to
+    ``PRECONDITION_TOL``, that the same-family commutators vanish and the
+    cross-commutator matches the declared kernel."""
     grid = problem.grid
-    times = np.linspace(grid.t_start, grid.t_end, n_samples)
+    times = np.linspace(grid.t_start, grid.t_end, PRECONDITION_SAMPLES)
     mats_a = [problem.a_of_t(t) for t in times]
     mats_b = [problem.b_of_t(t) for t in times]
     eye = np.eye(mats_a[0].shape[0], dtype=complex)
-    for i in range(n_samples):
-        for j in range(i + 1, n_samples):
+    for i in range(PRECONDITION_SAMPLES):
+        for j in range(i + 1, PRECONDITION_SAMPLES):
             caa = mats_a[i] @ mats_a[j] - mats_a[j] @ mats_a[i]
-            if _masked_max(caa, problem.restrict) > tol:
+            if _masked_max(caa, problem.restrict) > PRECONDITION_TOL:
                 raise PreconditionViolated(
                     f"[A({times[i]:.4g}), A({times[j]:.4g})] != 0")
             cbb = mats_b[i] @ mats_b[j] - mats_b[j] @ mats_b[i]
-            if _masked_max(cbb, problem.restrict) > tol:
+            if _masked_max(cbb, problem.restrict) > PRECONDITION_TOL:
                 raise PreconditionViolated(
                     f"[B({times[i]:.4g}), B({times[j]:.4g})] != 0")
-    for i in range(n_samples):
-        for j in range(n_samples):
+    for i in range(PRECONDITION_SAMPLES):
+        for j in range(PRECONDITION_SAMPLES):
             cab = mats_a[i] @ mats_b[j] - mats_b[j] @ mats_a[i]
             f_val = problem.kernel(times[i], times[j])
             f_mat = f_val * eye if np.isscalar(f_val) else np.asarray(f_val)
-            if _masked_max(cab - f_mat, problem.restrict) > tol:
+            if _masked_max(cab - f_mat, problem.restrict) > PRECONDITION_TOL:
                 raise PreconditionViolated(
                     f"[A({times[i]:.4g}), B({times[j]:.4g})] != kernel")
 
 
 def factorized_propagator(problem: FactorizationProblem, t: float,
-                          quad_tol: float = 1e-10, check: bool = True) -> np.ndarray:
+                          check: bool = True) -> np.ndarray:
     """Three-factor propagator exp(int B) exp(int A) exp(double int f).
 
     The single integrals use matrix-valued Simpson quadrature and the
     kernel uses nested Simpson over the lower triangle, each refined to
-    ``quad_tol``.
+    ``QUAD_TOL``.
     """
     if check:
         check_preconditions(problem)
     t0 = problem.grid.t_start
-    int_b = simpson_adaptive(problem.b_of_t, t0, t, tol=quad_tol)
-    int_a = simpson_adaptive(problem.a_of_t, t0, t, tol=quad_tol)
+    int_b = simpson_adaptive(problem.b_of_t, t0, t, tol=QUAD_TOL)
+    int_a = simpson_adaptive(problem.a_of_t, t0, t, tol=QUAD_TOL)
     if t0 != 0.0:
         kernel_shifted = lambda s, sp: problem.kernel(t0 + s, t0 + sp)
     else:
         kernel_shifted = problem.kernel
-    int_f = triangle_double_integral(kernel_shifted, t - t0, tol=quad_tol)
+    int_f = triangle_double_integral(kernel_shifted, t - t0, tol=QUAD_TOL)
     prop = scipy.linalg.expm(int_b) @ scipy.linalg.expm(int_a)
     if np.isscalar(int_f) or np.asarray(int_f).ndim == 0:
         return complex(np.exp(int_f)) * prop

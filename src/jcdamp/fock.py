@@ -146,9 +146,9 @@ def coherent_state(alpha: complex, n_trunc: int) -> CoherentState:
     return CoherentState(amps, tail, tail > COHERENT_TAIL_FLAG)
 
 
-def tail_weight(rho: np.ndarray, n_levels: int = TAIL_LEVELS) -> float:
-    """Population of a field density matrix in its top ``n_levels`` levels;
-    for a stack of matrices, an array with one value per matrix."""
+def tail_weight(rho: np.ndarray) -> float:
+    """Population of a field density matrix in its top ``TAIL_LEVELS``
+    levels; for a stack of matrices, an array with one value per matrix."""
     diag = np.diagonal(rho, axis1=-2, axis2=-1).real
-    weight = np.sum(diag[..., -n_levels:], axis=-1)
+    weight = np.sum(diag[..., -TAIL_LEVELS:], axis=-1)
     return float(weight) if weight.ndim == 0 else weight

@@ -10,11 +10,12 @@ as one (k, N, N) stack, each slice under its own front factor and
 commutator or anticommutator sign.  The damping term is applied as an
 exact shift and diagonal scaling (``model.damping``), not as dense
 products.  A run keeps the states at ``store_steps``, at step 0 and at
-the last step; ``TimeGrid.step_index`` maps a time to its step.  A step
-must pass the heuristic bound of ``require_step`` and the stability
-bound of ``require_stable``: h times a norm bound of the real generator,
-2||H||_2 + 2 gamma (N-1), at most ``STABILITY_LIMIT``, inside RK4's
-imaginary-axis limit 2 sqrt(2).  Every kept state must be finite, and a
+the last step; ``TimeGrid.step_index`` maps a time to its step, and
+``TimeGrid.check_steps`` holds kept steps to [0, n_steps] here and in
+the doubled route.  A step must pass the heuristic bound of
+``require_step`` and the stability bound of ``require_stable``: h
+times a norm bound of the real generator, 2||H||_2 + 2 gamma (N-1), at
+most ``STABILITY_LIMIT``, inside RK4's imaginary-axis limit 2 sqrt(2).  Every kept state must be finite, and a
 joint one must keep its purity at most 1 + ``PURITY_SLACK``; every step
 must keep the tail weight of each state at most ``TAIL_LIMIT``.  Each
 failure raises ``StepTooLarge`` or ``TailOverflow`` naming its cause and
@@ -83,6 +84,13 @@ class TimeGrid:
     def stored_steps(self, store_every: int) -> list:
         """Every ``store_every``-th step index and the last."""
         return sorted({*range(0, self.n_steps + 1, store_every), self.n_steps})
+
+    def check_steps(self, steps: Iterable[int]) -> set:
+        """``steps`` as a set, or ValueError unless each lies in [0, n_steps]."""
+        steps = set(steps)
+        if steps and (min(steps) < 0 or max(steps) > self.n_steps):
+            raise ValueError(f"store_steps must lie in [0, {self.n_steps}]")
+        return steps
 
     def step_index(self, t: float) -> int:
         """The step k with |t_start + k * step - t| <= 1e-9, else ValueError."""
@@ -161,9 +169,7 @@ def _rk4(rhs: Callable, y0: np.ndarray, grid: TimeGrid,
          store_steps: Iterable[int], names: list[str], joint: bool) -> dict[str, Trajectory]:
     """Integrate the stack ``y0``, one state per name on axis 0, and return
     name -> Trajectory.  ``tails_of(y)`` gives one tail weight per state."""
-    keep = {0, grid.n_steps, *store_steps}
-    if min(keep) < 0 or max(keep) > grid.n_steps:
-        raise ValueError(f"store_steps must lie in [0, {grid.n_steps}]")
+    keep = grid.check_steps({0, grid.n_steps, *store_steps})
     h = grid.step
     # a copy; each step rebinds y and never writes in place, so kept states need no copy
     y = np.array(y0, dtype=complex)

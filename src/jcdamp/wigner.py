@@ -7,10 +7,12 @@ approximates Tr rho, i.e. int W d^2alpha / pi = Tr rho.  Downstream
 plotting should normalize accordingly.
 
 The computational definition is the displaced-parity form
-2 D(alpha) P D+(alpha), which is exact per matrix entry.  Each D(alpha)
-reuses one cached eigendecomposition per truncation
-(``fock.displacement``), so a grid point costs a few N x N products and
-no matrix exponential.  The normally
+2 D(alpha) P D+(alpha).  It inherits the truncated ``fock.displacement``:
+it is faithful to the untruncated operator only on states whose
+displaced support stays below the truncation boundary, so at large
+|alpha| a value carries a truncation error.  Each D(alpha) reuses one
+cached eigendecomposition per truncation, so a grid point costs two
+N x N products and no matrix exponential.  The normally
 ordered series definition is numerically delicate (its partial sums
 cancel catastrophically in floating point), so it is provided only as
 a certification path, summed in exact rational arithmetic
@@ -38,9 +40,10 @@ def parity_operator(n_trunc: int) -> np.ndarray:
 
 
 def wigner_operator(alpha: complex, n_trunc: int) -> np.ndarray:
-    """Displaced parity 2 D(alpha) P D+(alpha)."""
+    """Displaced parity 2 D(alpha) P D+(alpha), with the diagonal P applied
+    as a sign flip of the odd columns of D(alpha)."""
     d = displacement(alpha, n_trunc)
-    return 2.0 * d @ parity_operator(n_trunc) @ d.conj().T
+    return 2.0 * (d * (-1.0) ** np.arange(n_trunc)) @ d.conj().T
 
 
 def wigner_operator_series(alpha: complex, n_trunc: int,

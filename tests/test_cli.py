@@ -74,12 +74,26 @@ WIGNER = {"re_min": -1.0, "re_max": 1.0, "n_re": 5, "im_min": -1.0, "im_max": 1.
     ("config.compare.doubled_n_trunc", {"compare": {"doubled_n_trunc": 30}}),
     ("config.wigner.times", {"wigner": dict(WIGNER, times=[0.003])}),  # off the grid
     ("config.wigner.times", {"wigner": dict(WIGNER, times=[2.5])}),  # after t_end
+    ("config.params.omega", {"params": dict(BASE_DOC["params"], omega=10 ** 400)}),
 ])
 def test_malformed_config_exits_2_naming_field(tmp_path, capsys, field, change):
     path = write_config(tmp_path, dict(BASE_DOC, **change))
     code = main(["simulate", "--config", path, "--out", str(tmp_path / "out")])
     assert code == 2
     assert field in capsys.readouterr().err
+
+
+def test_default_doubled_truncation_is_checked_by_compare_only(tmp_path, capsys):
+    # n_trunc 5 makes the default doubled_n_trunc 5, below the doubled route's 6
+    doc = dict(BASE_DOC, outputs=["trajectory", "compare"])
+    doc["params"] = dict(BASE_DOC["params"], coupling=0.0, n_trunc=5)
+    doc["initial"] = {"coherent_alpha0": [0.0, 0.0], "atom": "up"}
+    path = write_config(tmp_path, doc)
+    assert main(["simulate", "--config", path, "--out", str(tmp_path / "sim"), "--quiet"]) == 0
+    capsys.readouterr()
+    assert main(["compare", "--config", path, "--out", str(tmp_path / "cmp"), "--quiet"]) == 2
+    assert "config.compare.doubled_n_trunc" in capsys.readouterr().err
+    assert not (tmp_path / "cmp").exists()
 
 
 def test_main_exit_code_on_parse_failure(tmp_path, capsys):
@@ -466,15 +480,34 @@ def test_wigner_at_t_start_only_runs_no_integration(tmp_path, monkeypatch):
 
 
 def test_compare_keeps_only_its_sample_steps(tmp_path, monkeypatch):
-    kept = []
+    from jcdamp import doubled
+
+    kept, evolved, counts = [], [], {"taylor_plan": 0, "expm_multiply": 0}
     real = cli.integrate_component
+    real_evolve = cli.evolve_vectorized
 
     def recorded(*args, **kwargs):
         trajs = real(*args, **kwargs)
         kept.append({kind: len(traj.states) for kind, traj in trajs.items()})
         return trajs
 
+    def recorded_evolve(*args, **kwargs):
+        vectors = real_evolve(*args, **kwargs)
+        evolved.append(list(vectors))
+        return vectors
+
+    def counted(name):
+        original = getattr(doubled, name)
+
+        def call(*args):
+            counts[name] += 1
+            return original(*args)
+        return call
+
     monkeypatch.setattr(cli, "integrate_component", recorded)
+    monkeypatch.setattr(cli, "evolve_vectorized", recorded_evolve)
+    for name in counts:
+        monkeypatch.setattr(doubled, name, counted(name))
     compare = {"doubled_n_trunc": 12, "sample_times": [0.3, 0.5]}
     doc = _shifted_doc(0.0, outputs=["compare"], compare=compare)
     path = write_config(tmp_path, doc)
@@ -482,3 +515,7 @@ def test_compare_keeps_only_its_sample_steps(tmp_path, monkeypatch):
     assert main(["compare", "--config", path, "--out", str(out), "--quiet"]) == 0
     # one call for all three components, each keeping the samples, step 0 and the last step
     assert kept == [{"plus": 2 + 2, "minus": 2 + 2, "cross": 2 + 2}]
+    # one doubled run and one Taylor plan per component, keeping the samples
+    # (steps 30 and 50 of 100) and stepping no further than the last
+    assert evolved == [[30, 50]] * 3
+    assert counts == {"taylor_plan": 3, "expm_multiply": 3 * 50}

@@ -190,14 +190,16 @@ def test_evolve_constant_diagonal_generator_exact():
     rates = np.array([-0.5, -0.1, 0.0, -2.0])
     gen = FrameGenerator(sp.diags(rates), np.zeros(4))
     v0 = np.array([1.0, 2.0, 3.0, 4.0], dtype=complex)
-    got = evolve_vectorized(gen, v0, TimeGrid(0.0, 2.0, 50))
+    grid = TimeGrid(0.0, 2.0, 50)
+    got = evolve_vectorized(gen, v0, grid)[grid.n_steps]
     assert np.max(np.abs(got - v0 * np.exp(2.0 * rates))) < 1e-10
 
 
 def test_evolve_zero_generator_is_identity():
     gen = FrameGenerator(sp.csr_matrix((9, 9)), np.zeros(9))
     v0 = np.arange(9.0).astype(complex)
-    got = evolve_vectorized(gen, v0, TimeGrid(0.0, 1.0, 10))
+    grid = TimeGrid(0.0, 1.0, 10)
+    got = evolve_vectorized(gen, v0, grid)[grid.n_steps]
     assert np.array_equal(got, v0)
 
 
@@ -216,7 +218,7 @@ def test_evolve_matches_oracle_component():
     grid = TimeGrid(0.0, 5.0, 1250)
     oracle = integrate_component({"plus": rho0}, p, grid)["plus"].final
     got = devectorize(evolve_vectorized(
-        commutator_generator_factory(p, 1), vectorize(rho0), grid, p))
+        commutator_generator_factory(p, 1), vectorize(rho0), grid, p)[grid.n_steps])
     k = n - 4
     assert np.max(np.abs(got[:k, :k] - oracle[:k, :k])) < 1e-6
 
@@ -260,7 +262,7 @@ def test_evolve_matches_time_ordered_propagator(t_start):
                 p = ModelParams(omega=omega, coupling=coupling, gamma=gamma, n_trunc=n)
                 for kind, gen in _generators(p).items():
                     want = time_ordered_propagator(gen, grid, vectorize(rho0))
-                    got = evolve_vectorized(gen, vectorize(rho0), grid, p)
+                    got = evolve_vectorized(gen, vectorize(rho0), grid, p)[grid.n_steps]
                     rel = np.max(np.abs(got - want)) / np.max(np.abs(want))
                     assert rel < 1e-13, (kind, omega, gamma, coupling)
 
@@ -278,7 +280,8 @@ def test_scaled_taylor_plan_matches_scipy():
     got = doubled.expm_multiply(plan, v0)
     assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
     want = scipy_expm_multiply(h * gen(0.5 * h), v0)
-    got = evolve_vectorized(gen, v0, TimeGrid(0.0, h, 1))
+    grid = TimeGrid(0.0, h, 1)
+    got = evolve_vectorized(gen, v0, grid)[grid.n_steps]
     assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
 
 
@@ -295,3 +298,24 @@ def test_evolve_calls_expm_multiply_once_per_step(monkeypatch):
     evolve_vectorized(commutator_generator_factory(p, 1), pairing_vector(6),
                       TimeGrid(0.0, 1.0, 37), p)
     assert len(calls) == 37
+    # no step after the last kept one
+    calls.clear()
+    kept = evolve_vectorized(commutator_generator_factory(p, 1), pairing_vector(6),
+                             TimeGrid(0.0, 1.0, 37), p, store_steps=[20, 9])
+    assert len(calls) == 20
+    assert list(kept) == [9, 20]
+
+
+def test_evolve_store_steps_match_runs_ending_there():
+    # a kept step holds the vector of a run on the same step that ends there
+    n = 8
+    p = ModelParams(omega=1.3, coupling=0.1, gamma=0.2, n_trunc=n)
+    v0 = vectorize(random_matrix(n, 5))
+    grid = TimeGrid(0.7, 1.7, 40)
+    for gen in _generators(p).values():
+        kept = evolve_vectorized(gen, v0, grid, p, store_steps=[0, 13, 40, 13])
+        assert list(kept) == [0, 13, 40]
+        assert np.array_equal(kept[0], v0)
+        for k in (13, 40):
+            alone = evolve_vectorized(gen, v0, TimeGrid(0.7, 0.7 + k * grid.step, k), p)[k]
+            assert np.max(np.abs(kept[k] - alone)) <= 1e-14 * np.max(np.abs(alone))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from jcdamp.doubled import commutator_generator_factory, evolve_vectorized, pairing_vector
 from jcdamp.fock import ModelParams, coherent_state
 from jcdamp.model import (
     ATOM_DOWN,
@@ -244,6 +245,10 @@ def test_store_steps_out_of_range_rejected(bad):
         integrate_joint(coherent_joint(0.3, n, ATOM_UP), p, grid, store_steps=bad)
     with pytest.raises(ValueError, match="store_steps"):
         integrate_component({"plus": np.eye(n, dtype=complex) / n}, p, grid, store_steps=bad)
+    # the doubled route keeps steps by the same rule
+    with pytest.raises(ValueError, match="store_steps"):
+        evolve_vectorized(commutator_generator_factory(p, 1), pairing_vector(n), grid, p,
+                          store_steps=bad)
 
 
 def _component_initials(n):

@@ -30,6 +30,16 @@ def test_wigner_operator_at_origin_is_parity():
     assert u0[1, 1].real == pytest.approx(-2.0)
 
 
+def test_wigner_operator_equals_dense_parity_product():
+    # the parity applied as a column sign flip gives the dense product's bits
+    rng = np.random.default_rng(3)
+    for n in (14, 40):
+        for alpha in rng.uniform(-3.0, 3.0, (20, 2)) @ np.array([1.0, 1j]):
+            d = displacement(alpha, n)
+            want = 2.0 * d @ parity_operator(n) @ d.conj().T
+            assert np.array_equal(wigner_operator(alpha, n), want)
+
+
 def test_wigner_vacuum_peak():
     rho = coherent_projector(0.0, 20)
     assert wigner_at(rho, 0.0) == pytest.approx(2.0, abs=1e-10)
