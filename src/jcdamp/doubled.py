@@ -78,25 +78,10 @@ def _superoperators(n_trunc: int) -> dict:
     left_ad = sp.kron(a.conj().T, eye, format="csr")
     right_a = sp.kron(eye, a.T, format="csr")
     right_ad = sp.kron(eye, a.conj(), format="csr")
-    ops = {"left_a": left_a, "left_ad": left_ad, "right_a": right_a, "right_ad": right_ad,
-           "comm_a": left_a - right_a, "comm_ad": left_ad - right_ad,
-           "acomm_a": left_a + right_a, "acomm_ad": left_ad + right_ad,
-           "dissipator": 2.0 * left_a @ right_ad - left_ad @ left_a - right_a @ right_ad}
-    return {name: mat.tocsr() for name, mat in ops.items()}
-
-
-class _DenseView:
-    """Dense copy of one of the sparse superoperators, made on first access."""
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, ds, owner=None):
-        if ds is None:
-            return self
-        mat = _superoperators(ds.n_trunc)[self.name].toarray()
-        ds.__dict__[self.name] = mat
-        return mat
+    return {"left_a": left_a, "left_ad": left_ad, "right_a": right_a, "right_ad": right_ad,
+            "comm_a": left_a - right_a, "comm_ad": left_ad - right_ad,
+            "acomm_a": left_a + right_a, "acomm_ad": left_ad + right_ad,
+            "dissipator": 2.0 * left_a @ right_ad - left_ad @ left_a - right_a @ right_ad}
 
 
 class DoubledSpace:
@@ -112,21 +97,19 @@ class DoubledSpace:
     acomm_ad_partner    commutator of ``dissipator`` with ``acomm_ad``
     """
 
-    left_a = _DenseView()
-    left_ad = _DenseView()
-    right_a = _DenseView()
-    right_ad = _DenseView()
-    comm_a = _DenseView()
-    comm_ad = _DenseView()
-    acomm_a = _DenseView()
-    acomm_ad = _DenseView()
-    dissipator = _DenseView()
-
     def __init__(self, n_trunc: int):
         if n_trunc < 2:
             raise ValueError(f"n_trunc must be at least 2, got {n_trunc}")
         self.n_trunc = n_trunc
-        self.dim = n_trunc * n_trunc
+
+    def __getattr__(self, name: str) -> np.ndarray:
+        # called only for names not yet in the instance dict: build the dense
+        # view once and keep it there
+        ops = _superoperators(self.n_trunc)
+        if name not in ops:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        mat = self.__dict__[name] = ops[name].toarray()
+        return mat
 
     @cached_property
     def acomm_a_partner(self) -> np.ndarray:

@@ -106,11 +106,8 @@ def factorized_propagator(problem: FactorizationProblem, t: float,
     t0 = problem.grid.t_start
     int_b = simpson_adaptive(problem.b_of_t, t0, t, tol=QUAD_TOL)
     int_a = simpson_adaptive(problem.a_of_t, t0, t, tol=QUAD_TOL)
-    if t0 != 0.0:
-        kernel_shifted = lambda s, sp: problem.kernel(t0 + s, t0 + sp)
-    else:
-        kernel_shifted = problem.kernel
-    int_f = triangle_double_integral(kernel_shifted, t - t0, tol=QUAD_TOL)
+    int_f = triangle_double_integral(lambda s, sp: problem.kernel(t0 + s, t0 + sp), t - t0,
+                                     tol=QUAD_TOL)
     prop = scipy.linalg.expm(int_b) @ scipy.linalg.expm(int_a)
     if np.isscalar(int_f) or np.asarray(int_f).ndim == 0:
         return complex(np.exp(int_f)) * prop

@@ -29,12 +29,16 @@ import numpy as np
 from .fock import TAIL_LEVELS, ModelParams, annihilation, number_operator
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 ATOM_UP = np.array([1.0, 0.0], dtype=complex)
 ATOM_DOWN = np.array([0.0, 1.0], dtype=complex)
 
 RHS = Callable[[float, np.ndarray], np.ndarray]
+
+# ``check_joint_density`` tolerances, loose enough for a matrix read from JSON text
+HERM_TOL = 1e-8
+TRACE_TOL = 1e-8
+PSD_TOL = 1e-6
 
 
 def joint_annihilation(n_trunc: int) -> np.ndarray:
@@ -256,22 +260,22 @@ def joint_tail_weight(rho: np.ndarray) -> float:
     return float(np.sum(diag[dim - TAIL_LEVELS:dim]) + np.sum(diag[2 * dim - TAIL_LEVELS:]))
 
 
-def check_joint_density(rho: np.ndarray, herm_tol: float = 1e-10,
-                        trace_tol: float = 1e-10, psd_tol: float = 1e-8) -> None:
-    """Validate the joint-state invariants; raises ValueError on failure."""
+def check_joint_density(rho: np.ndarray) -> None:
+    """Validate the joint-state invariants to ``HERM_TOL``, ``TRACE_TOL`` and
+    ``PSD_TOL``; raises ValueError on failure."""
     dim = rho.shape[0] // 2
     r11 = rho[:dim, :dim]
     r12 = rho[:dim, dim:]
     r21 = rho[dim:, :dim]
     r22 = rho[dim:, dim:]
     for name, blk in (("up-up", r11), ("down-down", r22)):
-        if np.max(np.abs(blk - blk.conj().T)) > herm_tol:
-            raise ValueError(f"{name} block is not Hermitian within {herm_tol}")
-    if np.max(np.abs(r21 - r12.conj().T)) > herm_tol:
-        raise ValueError(f"off-diagonal blocks are not adjoint within {herm_tol}")
+        if np.max(np.abs(blk - blk.conj().T)) > HERM_TOL:
+            raise ValueError(f"{name} block is not Hermitian within {HERM_TOL}")
+    if np.max(np.abs(r21 - r12.conj().T)) > HERM_TOL:
+        raise ValueError(f"off-diagonal blocks are not adjoint within {HERM_TOL}")
     tr = np.trace(r11).real + np.trace(r22).real
-    if abs(tr - 1.0) > trace_tol:
+    if abs(tr - 1.0) > TRACE_TOL:
         raise ValueError(f"trace deviates from 1 by {abs(tr - 1.0):.3e}")
     min_eig = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min())
-    if min_eig < -psd_tol:
+    if min_eig < -PSD_TOL:
         raise ValueError(f"state is not positive semidefinite: min eig {min_eig:.3e}")

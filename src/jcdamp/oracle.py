@@ -126,9 +126,11 @@ class Trajectory:
 
 
 def require_step(params: ModelParams, h: float) -> None:
-    """Enforce h * max(|omega|, |coupling|, gamma, gamma*N) <= 0.1."""
-    scale = max(abs(params.omega), abs(params.coupling), params.gamma,
-                params.gamma * params.n_trunc)
+    """Enforce h * max(|omega|, |coupling|, gamma*N) <= STEP_SAFETY.
+
+    gamma itself needs no term: ``ModelParams`` holds N >= 2 and gamma >= 0,
+    so gamma*N >= gamma."""
+    scale = max(abs(params.omega), abs(params.coupling), params.gamma * params.n_trunc)
     if h * scale > STEP_SAFETY * (1.0 + 1e-12):
         raise StepTooLarge(
             f"step {h:.3e} violates h * {scale:.3e} <= {STEP_SAFETY}"

@@ -182,10 +182,12 @@ def _loss_kraus_sum(mat: np.ndarray, weight: float, a: np.ndarray) -> np.ndarray
         f"photon-loss series not converged after {max_terms} terms")
 
 
-def _damping_phase(t: float, params: ModelParams) -> np.ndarray:
-    # diagonal of exp(-(i w + g/2) t a+a)
-    n = np.arange(params.n_trunc)
-    return np.exp(-(1j * params.omega + 0.5 * params.gamma) * t * n)
+def _loss_and_damping(seed: np.ndarray, t: float, params: ModelParams) -> np.ndarray:
+    """sum_n (T^n/n!) E a^n seed a+^n E+, the last step of both closed forms,
+    with T = ``damping_weight`` and E = e^{-(i w + g/2) t a+a} (diagonal)."""
+    total = _loss_kraus_sum(seed, damping_weight(t, params.gamma), annihilation(params.n_trunc))
+    e = np.exp(-(1j * params.omega + 0.5 * params.gamma) * t * np.arange(params.n_trunc))
+    return total * np.outer(e, e.conj())
 
 
 def evolve_plus_minus(rho0: np.ndarray, t: float, params: ModelParams,
@@ -203,11 +205,7 @@ def evolve_plus_minus(rho0: np.ndarray, t: float, params: ModelParams,
         raise ValueError(f"initial operator has shape {rho0.shape}, expected {(n, n)}")
     lam = displacement_amplitude(t, params, sign)
     d = displacement(lam, n)
-    seed = d @ rho0 @ d.conj().T
-    a = annihilation(n)
-    total = _loss_kraus_sum(seed, damping_weight(t, params.gamma), a)
-    e = _damping_phase(t, params)
-    return total * np.outer(e, e.conj())
+    return _loss_and_damping(d @ rho0 @ d.conj().T, t, params)
 
 
 def evolve_cross(rho0: np.ndarray, t: float, params: ModelParams) -> np.ndarray:
@@ -234,7 +232,4 @@ def evolve_cross(rho0: np.ndarray, t: float, params: ModelParams) -> np.ndarray:
     d = displacement(mu1 + mu2, n)  # also D+(-m1-m2), since D(-b)+ = D(b)
     left = matrix_exponential(a, 4.0 * mu2.conjugate())
     right = matrix_exponential(a.conj().T, -4.0 * mu2)
-    seed = left @ d @ rho0 @ d @ right
-    total = _loss_kraus_sum(seed, damping_weight(t, params.gamma), a)
-    e = _damping_phase(t, params)
-    return prefactor * (total * np.outer(e, e.conj()))
+    return prefactor * _loss_and_damping(left @ d @ rho0 @ d @ right, t, params)

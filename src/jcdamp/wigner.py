@@ -33,6 +33,7 @@ from .fock import ModelParams, displacement
 from .solution import coherent_center
 
 HERMITICITY_TOL = 1e-8
+SERIES_TARGET = 1e-14
 
 
 def parity_operator(n_trunc: int) -> np.ndarray:
@@ -46,8 +47,7 @@ def wigner_operator(alpha: complex, n_trunc: int) -> np.ndarray:
     return 2.0 * (d * (-1.0) ** np.arange(n_trunc)) @ d.conj().T
 
 
-def wigner_operator_series(alpha: complex, n_trunc: int,
-                           block: int = None, target: float = 1e-14) -> np.ndarray:
+def wigner_operator_series(alpha: complex, n_trunc: int, block: int = None) -> np.ndarray:
     """Normally ordered series for the Wigner operator,
 
         2 sum_k (-2)^k / k! (alpha* - a+)^k (alpha - a)^k,
@@ -66,7 +66,7 @@ def wigner_operator_series(alpha: complex, n_trunc: int,
     with every k- and l-sum evaluated in Fraction arithmetic.  Each
     k-series is truncated only once its ratio-test remainder, amplified
     by the worst assembly prefactor that can touch it, drops below
-    ``target`` (so the returned elements are accurate to ~``target``).
+    ``SERIES_TARGET`` (so the returned elements are accurate to about that).
     """
     if block is None:
         block = n_trunc
@@ -96,7 +96,7 @@ def wigner_operator_series(alpha: complex, n_trunc: int,
                 / Fraction(math.factorial(k0)))
         total = term
         k = k0
-        stop_below = max(target / amplification(p, q), 1e-320)
+        stop_below = max(SERIES_TARGET / amplification(p, q), 1e-320)
         while True:
             k += 1
             term *= neg2y * k
@@ -156,20 +156,16 @@ class PhaseGrid:
     def normalization(self) -> float:
         """Riemann-sum estimate of int W d^2alpha / pi (== Tr rho when
         the grid covers the state's support)."""
-        d_re = self.re[1] - self.re[0]
-        d_im = self.im[1] - self.im[0]
+        d_re = abs(self.re[1] - self.re[0])
+        d_im = abs(self.im[1] - self.im[0])
         return float(np.sum(self.values) * d_re * d_im / math.pi)
-
-    def rows(self):
-        for i, x in enumerate(self.re):
-            for j, p in enumerate(self.im):
-                yield x, p, self.values[i, j]
 
     def to_csv(self, path) -> None:
         with open(path, "w") as fh:
             fh.write("re,im,w\n")
-            for x, p, w in self.rows():
-                fh.write(f"{x:.17g},{p:.17g},{w:.17g}\n")
+            for i, x in enumerate(self.re):
+                for j, p in enumerate(self.im):
+                    fh.write(f"{x:.17g},{p:.17g},{self.values[i, j]:.17g}\n")
 
     def to_json(self, path) -> None:
         payload = {

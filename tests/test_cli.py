@@ -1,5 +1,7 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -75,6 +77,7 @@ WIGNER = {"re_min": -1.0, "re_max": 1.0, "n_re": 5, "im_min": -1.0, "im_max": 1.
     ("config.wigner.times", {"wigner": dict(WIGNER, times=[0.003])}),  # off the grid
     ("config.wigner.times", {"wigner": dict(WIGNER, times=[2.5])}),  # after t_end
     ("config.params.omega", {"params": dict(BASE_DOC["params"], omega=10 ** 400)}),
+    ("config.compare.sample_times", {"compare": {"sample_times": []}}),  # compares nothing
 ])
 def test_malformed_config_exits_2_naming_field(tmp_path, capsys, field, change):
     path = write_config(tmp_path, dict(BASE_DOC, **change))
@@ -142,6 +145,22 @@ def test_empty_outputs_produce_nothing(tmp_path):
     code = main(["simulate", "--config", path, "--out", str(out), "--quiet"])
     assert code == 0
     assert not out.exists() or not list(out.iterdir())
+
+
+@pytest.mark.parametrize("verb", ["simulate", "solve", "wigner", "compare"])
+def test_empty_outputs_exit_0_without_creating_out(tmp_path, verb):
+    # no wigner section either: an empty list stops every verb before it reads one
+    path = write_config(tmp_path, dict(BASE_DOC, outputs=[]))
+    out = tmp_path / "out"
+    assert main([verb, "--config", path, "--out", str(out), "--quiet"]) == 0
+    assert not out.exists()
+
+
+def test_readme_example_config_is_valid():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```json\n(.*?)```", readme, re.DOTALL)
+    assert len(blocks) == 1
+    cli.RunConfig(json.loads(blocks[0]))  # raises ConfigError on a drifted field
 
 
 def test_simulate_photon_decay_column(tmp_path):

@@ -145,6 +145,16 @@ def test_grid_vacuum_peak_and_normalization():
     assert grid.normalization() == pytest.approx(1.0, abs=0.01)
 
 
+@pytest.mark.parametrize("reversed_axis", ["re", "im"])
+def test_reversed_box_keeps_normalization_positive(reversed_axis):
+    p = ModelParams(omega=1.0, coupling=0.1, gamma=0.2, n_trunc=8)
+    forward = {"re_min": -2.0, "re_max": 2.0, "n_re": 21, "im_min": -2.0, "im_max": 2.0, "n_im": 21}
+    backward = dict(forward, **{f"{reversed_axis}_min": 2.0, f"{reversed_axis}_max": -2.0})
+    norm = gaussian_grid(1.2, p, 1, 0.7, **forward).normalization()
+    assert norm > 0.9
+    assert gaussian_grid(1.2, p, 1, 0.7, **backward).normalization() == pytest.approx(norm, rel=1e-12)
+
+
 def test_grid_coherent_argmax_near_center():
     beta = 0.6 - 0.4j
     rho = coherent_projector(beta, 30)
