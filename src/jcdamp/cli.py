@@ -8,29 +8,33 @@ simulate   brute-force joint integration -> observables.csv
            (plus component trajectories and optional state snapshots,
            written in the lab frame for either picture)
 solve      closed-form component solutions -> solve.csv
-wigner     phase-space grids for the commutator branches (closed form
-           and grid evaluation) and the anticommutator branch (grid
-           only, split into Hermitian/anti-Hermitian parts, from one
-           brute-force run over the grid)
+wigner     phase-space grids for the commutator branches (closed-form
+           Gaussian for coherent input only, and grid evaluation) and the
+           anticommutator branch (grid only, split into Hermitian/
+           anti-Hermitian parts, from one brute-force run over the grid)
 compare    brute-force vs closed-form vs doubled-space evolution, with
            a machine-readable report; commutator branches are held to a
            tight tolerance, the anticommutator closed form is reported
            as data
 
-Brute-force runs keep only the steps a verb reads.  Snapshot and Wigner
-times must be grid times (``TimeGrid.step_index``).  ``compare`` runs
-each route once per component over the run's grid and reads the
-doubled-space, brute-force and closed-form states at the same sample
-steps; the doubled-space run stops at the last of them.
+A verb that ``outputs`` gives nothing to write (``_WRITES``) exits 0
+without creating ``--out``.  Brute-force runs keep only the steps a verb
+reads.  Snapshot and Wigner times must be grid times
+(``TimeGrid.step_index``).  ``compare`` runs each route once per
+component over the run's grid and reads the doubled-space, brute-force
+and closed-form states at the same sample steps; the doubled-space run
+stops at the last of them.
 
-Exit codes: 0 success, 2 config parse failure, 3 numerical failure,
-4 tight comparison failure.  Outputs are byte-deterministic for a given
-config (17-significant-digit formatting, sorted JSON keys).
+Exit codes: 0 success, 2 config parse failure, 3 numerical failure (a
+closed-form state over the oracle's tail limit too), 4 tight comparison
+failure.  Outputs are byte-deterministic for a given config
+(17-significant-digit formatting, sorted JSON keys).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -56,7 +60,8 @@ from .model import (
     from_rotational_picture,
     split_components,
 )
-from .oracle import StepTooLarge, TailOverflow, TimeGrid, integrate_component, integrate_joint
+from .oracle import TAIL_LIMIT, StepTooLarge, TailOverflow, TimeGrid
+from .oracle import integrate_component, integrate_joint
 from .solution import (
     NonConvergedKrausSum,
     coherent_center,
@@ -70,6 +75,11 @@ from .wigner import gaussian_grid, wigner_grid
 
 PM_TOLERANCE = 1e-6
 DOUBLED_TOLERANCE = 1e-6
+
+# verb -> the ``outputs`` entries that give it something to write; any entry if unlisted
+_WRITES = {"simulate": ("trajectory", "components")}
+# the commutator branches and their coupling signs; "cross" is the anticommutator branch
+_SIGNS = {"plus": 1, "minus": -1}
 
 
 class ConfigError(ValueError):
@@ -161,7 +171,8 @@ FIELDS = [
     ("wigner", "im_max", float, True, None, None),
     ("wigner", "n_im", int, True, None, _AT_LEAST_2),
     ("wigner", "times", [float], True, None,
-     (_on_grid, "must be grid times in [grid.t_start, grid.t_end]")),
+     (lambda v, cfg: v and _on_grid(v, cfg),
+      "must be a non-empty list of grid times in [grid.t_start, grid.t_end]")),
     ("compare", "doubled_n_trunc", int, False, lambda cfg: min(30, cfg.params.n_trunc),
      _DOUBLED_N_TRUNC),
     ("compare", "sample_times", [float], False, _default_sample_times,
@@ -258,6 +269,21 @@ def _component_initials(rho_joint: np.ndarray):
     return {"plus": cs.plus, "minus": cs.minus, "cross": cs.cross}
 
 
+def _phase_center(comps) -> complex:
+    # phase-space center reference: <a> of the plus component at t = 0
+    return complex(np.trace(annihilation(len(comps["plus"])) @ comps["plus"]))
+
+
+def _closed_form(kind: str, op0: np.ndarray, dt: float, params: ModelParams) -> np.ndarray:
+    """Closed-form state of ``kind`` at ``dt`` after t_start, its tail held to ``TAIL_LIMIT``."""
+    state = (evolve_cross(op0, dt, params) if kind == "cross"
+             else evolve_plus_minus(op0, dt, params, _SIGNS[kind]))
+    w = abs(field_tail_weight(state))
+    if w > TAIL_LIMIT:
+        raise TailOverflow(f"{kind} closed-form tail weight {w:.3e} > {TAIL_LIMIT} at dt={dt:.6g}")
+    return state
+
+
 def _component_rows(traj, n_op):
     rows = []
     for t, state, tail in zip(traj.times, traj.states, traj.tail_weights):
@@ -268,8 +294,6 @@ def _component_rows(traj, n_op):
 
 
 def cmd_simulate(cfg: RunConfig, out_dir: str, quiet: bool = False) -> int:
-    if not cfg.outputs:
-        return 0
     os.makedirs(out_dir, exist_ok=True)
     n = cfg.params.n_trunc
     rho0 = cfg.initial_joint()
@@ -323,16 +347,11 @@ def cmd_simulate(cfg: RunConfig, out_dir: str, quiet: bool = False) -> int:
 
 
 def cmd_solve(cfg: RunConfig, out_dir: str, quiet: bool = False) -> int:
-    if not cfg.outputs:
-        return 0
     os.makedirs(out_dir, exist_ok=True)
     n = cfg.params.n_trunc
-    rho0 = cfg.initial_joint()
-    comps = _component_initials(rho0)
-    a = annihilation(n)
+    comps = _component_initials(cfg.initial_joint())
     n_op = number_operator(n)
-    # phase-space center reference: <a> of the plus component at t = 0
-    alpha0 = complex(np.trace(a @ comps["plus"]))
+    alpha0 = _phase_center(comps)
 
     # the times ``simulate`` stores
     times = cfg.grid.times()[cfg.grid.stored_steps(cfg.store_every)].tolist()
@@ -347,17 +366,14 @@ def cmd_solve(cfg: RunConfig, out_dir: str, quiet: bool = False) -> int:
     for t in times:
         dt = t - cfg.grid.t_start
         row = [t]
-        for sign in (1, -1):
-            lam = displacement_amplitude(dt, cfg.params, sign)
-            row += [lam.real, lam.imag]
-        for sign in (1, -1):
-            ac = coherent_center(dt, cfg.params, sign, alpha0)
-            row += [ac.real, ac.imag]
-        mu1, mu2 = drive_integrals(dt, cfg.params)
-        row += [mu1.real, mu1.imag, mu2.real, mu2.imag]
+        amplitudes = ([displacement_amplitude(dt, cfg.params, s) for s in _SIGNS.values()]
+                      + [coherent_center(dt, cfg.params, s, alpha0) for s in _SIGNS.values()]
+                      + list(drive_integrals(dt, cfg.params)))
+        for z in amplitudes:
+            row += [z.real, z.imag]
         row.append(kernel_double_integral(dt, cfg.params))
-        for sign, tag in ((1, "plus"), (-1, "minus")):
-            state = evolve_plus_minus(comps[tag], dt, cfg.params, sign)
+        for tag in _SIGNS:
+            state = _closed_form(tag, comps[tag], dt, cfg.params)
             row += [
                 np.trace(state).real,
                 np.trace(n_op @ state).real,
@@ -372,15 +388,11 @@ def cmd_solve(cfg: RunConfig, out_dir: str, quiet: bool = False) -> int:
 
 
 def cmd_wigner(cfg: RunConfig, out_dir: str, quiet: bool = False) -> int:
-    if not cfg.outputs:
-        return 0
     _require(cfg.wigner is not None, "config.wigner section is required for wigner runs")
     os.makedirs(out_dir, exist_ok=True)
     w = cfg.wigner
-    rho0 = cfg.initial_joint()
-    comps = _component_initials(rho0)
-    a = annihilation(cfg.params.n_trunc)
-    alpha0 = complex(np.trace(a @ comps["plus"]))
+    comps = _component_initials(cfg.initial_joint())
+    alpha0 = _phase_center(comps)
     box = (w["re_min"], w["re_max"], w["n_re"], w["im_min"], w["im_max"], w["n_im"])
 
     steps = {t: cfg.grid.step_index(t) for t in sorted(set(w["times"]))}
@@ -390,11 +402,12 @@ def cmd_wigner(cfg: RunConfig, out_dir: str, quiet: bool = False) -> int:
 
     for i, (t, k) in enumerate(steps.items()):
         dt = t - cfg.grid.t_start
-        for sign, tag in ((1, "plus"), (-1, "minus")):
-            closed = gaussian_grid(dt, cfg.params, sign, alpha0, *box)
-            closed.to_csv(os.path.join(out_dir, f"wigner_{tag}_closed_{i:02d}.csv"))
-            closed.to_json(os.path.join(out_dir, f"wigner_{tag}_closed_{i:02d}.json"))
-            state = evolve_plus_minus(comps[tag], dt, cfg.params, sign)
+        for tag, sign in _SIGNS.items():
+            if cfg.coherent_alpha0 is not None:  # the Gaussian holds for coherent input only
+                closed = gaussian_grid(dt, cfg.params, sign, alpha0, *box)
+                closed.to_csv(os.path.join(out_dir, f"wigner_{tag}_closed_{i:02d}.csv"))
+                closed.to_json(os.path.join(out_dir, f"wigner_{tag}_closed_{i:02d}.json"))
+            state = _closed_form(tag, comps[tag], dt, cfg.params)
             sampled = wigner_grid(state, *box)
             sampled.to_csv(os.path.join(out_dir, f"wigner_{tag}_grid_{i:02d}.csv"))
             sampled.to_json(os.path.join(out_dir, f"wigner_{tag}_grid_{i:02d}.json"))
@@ -420,22 +433,17 @@ def build_comparison_report(cfg: RunConfig) -> dict:
     run's grid and keep the sample steps.
     """
     params = cfg.params
-    rho0 = cfg.initial_joint()
-    comps = _component_initials(rho0)
+    comps = _component_initials(cfg.initial_joint())
     t0 = cfg.grid.t_start
     h = cfg.grid.step
     sample_ks = sorted({max(1, int(round((t - t0) / h))) for t in cfg.sample_times})
 
     n_doubled = cfg.doubled_n_trunc
     interior = n_doubled - TAIL_LEVELS
-    doubled_params = ModelParams(omega=params.omega, coupling=params.coupling,
-                                 gamma=params.gamma, n_trunc=n_doubled)
-    factories = {
-        "plus": commutator_generator_factory(doubled_params, sign=1),
-        "minus": commutator_generator_factory(doubled_params, sign=-1),
-        "cross": anticommutator_generator_factory(doubled_params),
-    }
-    signs = {"plus": 1, "minus": -1}
+    doubled_params = dataclasses.replace(params, n_trunc=n_doubled)
+    factories = {kind: commutator_generator_factory(doubled_params, sign=sign)
+                 for kind, sign in _SIGNS.items()}
+    factories["cross"] = anticommutator_generator_factory(doubled_params)
 
     report = {"tolerances": {"analytic_pm": PM_TOLERANCE, "doubled": DOUBLED_TOLERANCE},
               "doubled_n_trunc": n_doubled, "interior_levels": interior,
@@ -453,17 +461,16 @@ def build_comparison_report(cfg: RunConfig) -> dict:
             t = t0 + k * h
             oracle_rot = traj.state_at(t)
             oracle_lab = field_from_rotational(oracle_rot, t - t0, params)
-            ana = (evolve_cross(op0, t - t0, params) if kind == "cross"
-                   else evolve_plus_minus(op0, t - t0, params, signs[kind]))
+            ana = _closed_form(kind, op0, t - t0, params)
             dev = np.abs(ana - oracle_lab)
             ana_max = max(ana_max, dev.max())
             ana_mean = max(ana_mean, dev.mean())
             inner = devectorize(doubled[k])[:interior, :interior] - oracle_rot[:interior, :interior]
             doubled_max = max(doubled_max, np.abs(inner).max())
-            if kind != "cross":
+            if kind in _SIGNS:
                 trace_drift = max(trace_drift,
                                   abs(np.trace(oracle_rot) - np.trace(op0)))
-        tight = kind != "cross"
+        tight = kind in _SIGNS
         passed = doubled_max <= DOUBLED_TOLERANCE and (not tight or ana_max <= PM_TOLERANCE)
         report["components"][kind] = {
             "analytic_max_dev": float(ana_max),
@@ -479,8 +486,6 @@ def build_comparison_report(cfg: RunConfig) -> dict:
 
 
 def cmd_compare(cfg: RunConfig, out_dir: str, quiet: bool = False) -> int:
-    if not cfg.outputs:
-        return 0
     valid, message = _DOUBLED_N_TRUNC
     _require(valid(cfg.doubled_n_trunc, cfg), f"config.compare.doubled_n_trunc {message}"
              f" (default min(30, params.n_trunc) = {cfg.doubled_n_trunc})")
@@ -523,15 +528,12 @@ def main(argv=None) -> int:
     parser.add_argument("--quiet", action="store_true", help="suppress progress output")
     args = parser.parse_args(argv)
 
-    try:
-        cfg = load_config(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
     handler = {"simulate": cmd_simulate, "solve": cmd_solve,
                "wigner": cmd_wigner, "compare": cmd_compare}[args.verb]
     try:
+        cfg = load_config(args.config)
+        if not set(_WRITES.get(args.verb, cfg.outputs)).intersection(cfg.outputs):
+            return 0  # nothing to write: no --out either
         return handler(cfg, args.out, quiet=args.quiet)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

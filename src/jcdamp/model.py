@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .fock import TAIL_LEVELS, ModelParams, annihilation, number_operator
+from .fock import ModelParams, annihilation, number_operator, tail_weight
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -132,28 +132,25 @@ def rotating_frame_rhs(params: ModelParams) -> RHS:
     return _coupled_rhs(coupling_at, -1j, -1.0, damp)
 
 
-def _joint_phases(t: float, params: ModelParams) -> np.ndarray:
-    # diagonal of exp(-i w t a+a) (x) 1, atom-major layout
-    phase = np.exp(-1j * params.omega * t * np.arange(params.n_trunc))
-    return np.concatenate([phase, phase])
+def _lab_phases(t: float, params: ModelParams, blocks: int) -> np.ndarray:
+    """outer(d, d*) for d = diag(exp(-i w t a+a)), tiled over ``blocks`` atom blocks."""
+    d = np.tile(np.exp(-1j * params.omega * t * np.arange(params.n_trunc)), blocks)
+    return np.outer(d, d.conj())
 
 
 def to_rotational_picture(rho: np.ndarray, t: float, params: ModelParams) -> np.ndarray:
     """Lab frame -> rotating frame: U+ rho U with U = exp(-i w t a+a)."""
-    d = _joint_phases(t, params)
-    return rho * np.outer(d.conj(), d)
+    return rho * _lab_phases(t, params, 2).conj()
 
 
 def from_rotational_picture(rho: np.ndarray, t: float, params: ModelParams) -> np.ndarray:
-    """Rotating frame -> lab frame, exact inverse of ``to_rotational_picture``."""
-    d = _joint_phases(t, params)
-    return rho * np.outer(d, d.conj())
+    """Rotating frame -> lab frame, the inverse of ``to_rotational_picture``."""
+    return rho * _lab_phases(t, params, 2)
 
 
 def field_from_rotational(mat: np.ndarray, t: float, params: ModelParams) -> np.ndarray:
     """Rotating frame -> lab frame for a single-mode field operator."""
-    d = np.exp(-1j * params.omega * t * np.arange(params.n_trunc))
-    return mat * np.outer(d, d.conj())
+    return mat * _lab_phases(t, params, 1)
 
 
 @dataclass(frozen=True)
@@ -253,27 +250,18 @@ def decoupled_rhs(kinds: Sequence[str], params: ModelParams) -> RHS:
 
 
 def joint_tail_weight(rho: np.ndarray) -> float:
-    """Population of a joint state in the top ``TAIL_LEVELS`` field levels
-    (both atom blocks), the levels ``fock.tail_weight`` counts."""
+    """``fock.tail_weight`` of a joint state: the sum over its two atom blocks."""
     dim = rho.shape[0] // 2
-    diag = np.diagonal(rho).real
-    return float(np.sum(diag[dim - TAIL_LEVELS:dim]) + np.sum(diag[2 * dim - TAIL_LEVELS:]))
+    return tail_weight(rho[:dim, :dim]) + tail_weight(rho[dim:, dim:])
 
 
 def check_joint_density(rho: np.ndarray) -> None:
-    """Validate the joint-state invariants to ``HERM_TOL``, ``TRACE_TOL`` and
-    ``PSD_TOL``; raises ValueError on failure."""
-    dim = rho.shape[0] // 2
-    r11 = rho[:dim, :dim]
-    r12 = rho[:dim, dim:]
-    r21 = rho[dim:, :dim]
-    r22 = rho[dim:, dim:]
-    for name, blk in (("up-up", r11), ("down-down", r22)):
-        if np.max(np.abs(blk - blk.conj().T)) > HERM_TOL:
-            raise ValueError(f"{name} block is not Hermitian within {HERM_TOL}")
-    if np.max(np.abs(r21 - r12.conj().T)) > HERM_TOL:
-        raise ValueError(f"off-diagonal blocks are not adjoint within {HERM_TOL}")
-    tr = np.trace(r11).real + np.trace(r22).real
+    """Raise ValueError unless max |rho - rho+| <= ``HERM_TOL`` (both atom blocks and the
+    adjoint off-diagonal pair in one check), |tr rho - 1| <= ``TRACE_TOL`` and no
+    eigenvalue lies below ``-PSD_TOL``."""
+    if np.max(np.abs(rho - rho.conj().T)) > HERM_TOL:
+        raise ValueError(f"state is not Hermitian within {HERM_TOL}")
+    tr = np.trace(rho).real
     if abs(tr - 1.0) > TRACE_TOL:
         raise ValueError(f"trace deviates from 1 by {abs(tr - 1.0):.3e}")
     min_eig = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min())

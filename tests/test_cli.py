@@ -78,6 +78,7 @@ WIGNER = {"re_min": -1.0, "re_max": 1.0, "n_re": 5, "im_min": -1.0, "im_max": 1.
     ("config.wigner.times", {"wigner": dict(WIGNER, times=[2.5])}),  # after t_end
     ("config.params.omega", {"params": dict(BASE_DOC["params"], omega=10 ** 400)}),
     ("config.compare.sample_times", {"compare": {"sample_times": []}}),  # compares nothing
+    ("config.wigner.times", {"wigner": dict(WIGNER, times=[])}),  # writes nothing
 ])
 def test_malformed_config_exits_2_naming_field(tmp_path, capsys, field, change):
     path = write_config(tmp_path, dict(BASE_DOC, **change))
@@ -147,13 +148,33 @@ def test_empty_outputs_produce_nothing(tmp_path):
     assert not out.exists() or not list(out.iterdir())
 
 
-@pytest.mark.parametrize("verb", ["simulate", "solve", "wigner", "compare"])
-def test_empty_outputs_exit_0_without_creating_out(tmp_path, verb):
-    # no wigner section either: an empty list stops every verb before it reads one
-    path = write_config(tmp_path, dict(BASE_DOC, outputs=[]))
+@pytest.mark.parametrize("verb, outputs", [
+    pytest.param("simulate", [], id="simulate"),
+    pytest.param("solve", [], id="solve"),
+    pytest.param("wigner", [], id="wigner"),
+    pytest.param("compare", [], id="compare"),
+    # simulate writes only for trajectory or components
+    pytest.param("simulate", ["wigner"], id="simulate-wigner_only"),
+])
+def test_empty_outputs_exit_0_without_creating_out(tmp_path, verb, outputs):
+    # no wigner section either: nothing to write stops every verb before it reads one
+    path = write_config(tmp_path, dict(BASE_DOC, outputs=outputs))
     out = tmp_path / "out"
     assert main([verb, "--config", path, "--out", str(out), "--quiet"]) == 0
     assert not out.exists()
+
+
+@pytest.mark.parametrize("verb, times", [("solve", [0.0]), ("wigner", [0.0])],
+                         ids=["solve", "wigner_at_t_start"])
+def test_closed_forms_exit_3_on_an_over_tail_initial_state(tmp_path, capsys, verb, times):
+    # |alpha0|^2 = 16 photons in 12 levels; wigner at t_start runs no integration
+    doc = dict(BASE_DOC, outputs=["trajectory"], wigner=dict(WIGNER, times=times))
+    doc["params"] = dict(BASE_DOC["params"], n_trunc=12)
+    doc["initial"] = {"coherent_alpha0": [4.0, 0.0], "atom": "up"}
+    path = write_config(tmp_path, doc)
+    assert main([verb, "--config", path, "--out", str(tmp_path / "out"), "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert "TailOverflow" in err and "plus closed-form tail weight" in err
 
 
 def test_readme_example_config_is_valid():
@@ -451,6 +472,30 @@ def test_pictures_agree_in_observables_and_snapshots(tmp_path, t_start):
 def _load_csv(path):
     rows = path.read_text().splitlines()[1:]
     return np.array([[float(x) for x in row.split(",")] for row in rows])
+
+
+def test_wigner_writes_closed_form_grids_for_coherent_input_only(tmp_path):
+    # Fock |1> (x) |up>: its plus component is |1><1|, whose Wigner function is
+    # -2 at the origin, where the coherent Gaussian would read +2
+    n = 12
+    fock_one = np.zeros(n)
+    fock_one[1] = 1.0
+    rho = np.kron(np.diag([1.0, 0.0]), np.outer(fock_one, fock_one)).astype(complex)
+    (tmp_path / "fock.json").write_text(json.dumps(
+        {"entries": [[[z.real, z.imag] for z in row] for row in rho]}))
+    doc = _shifted_doc(0.0, initial={"matrix_file": "fock.json"}, outputs=["wigner"],
+                       wigner=dict(WIGNER, n_re=3, n_im=3, times=[0.0, 1.0]))
+    doc["params"] = dict(doc["params"], n_trunc=n)
+    out = tmp_path / "wig"
+    assert main(["wigner", "--config", write_config(tmp_path, doc), "--out", str(out),
+                 "--quiet"]) == 0
+    assert not list(out.glob("*_closed_*"))
+    for tag in ("plus", "minus"):
+        for idx in ("00", "01"):
+            assert (out / f"wigner_{tag}_grid_{idx}.json").exists()
+    origin = _load_csv(out / "wigner_plus_grid_00.csv")[4]
+    assert origin[:2].tolist() == [0.0, 0.0]
+    assert origin[2] == pytest.approx(-2.0, abs=1e-12)
 
 
 def test_wigner_integrates_the_cross_component_once(tmp_path, monkeypatch):
