@@ -18,12 +18,11 @@ compare    brute-force vs closed-form vs doubled-space evolution, with
            as data
 
 A verb that ``outputs`` gives nothing to write (``_WRITES``) exits 0
-without creating ``--out``.  Brute-force runs keep only the steps a verb
-reads.  Snapshot and Wigner times must be grid times
-(``TimeGrid.step_index``).  ``compare`` runs each route once per
-component over the run's grid and reads the doubled-space, brute-force
-and closed-form states at the same sample steps; the doubled-space run
-stops at the last of them.
+without creating ``--out``.  Brute-force and doubled-space runs keep
+exactly the steps a verb reads and stop at the last of them.  Snapshot
+and Wigner times must be grid times (``TimeGrid.step_index``).
+``compare`` runs each route once per component over the run's grid and
+reads the three routes' states at the same sample steps.
 
 Exit codes: 0 success, 2 config parse failure, 3 numerical failure (a
 closed-form state over the oracle's tail limit too), 4 tight comparison
@@ -58,6 +57,7 @@ from .model import (
     check_joint_density,
     field_from_rotational,
     from_rotational_picture,
+    joint_tail_weight,
     split_components,
 )
 from .oracle import TAIL_LIMIT, StepTooLarge, TailOverflow, TimeGrid
@@ -242,7 +242,9 @@ class RunConfig:
                 check_joint_density(rho)
             except ValueError as exc:
                 raise ConfigError(f"matrix file is not a valid state: {exc}") from None
-            return rho
+            # exactly Hermitian, of unit trace: the check bounds both changes
+            rho = 0.5 * (rho + rho.conj().T)
+            return rho / np.trace(rho).real
         field = coherent_state(self.coherent_alpha0, n).vec
         atom = ATOM_UP if self.atom == "up" else ATOM_DOWN
         return np.kron(np.outer(atom, atom.conj()), np.outer(field, field.conj()))
@@ -286,10 +288,10 @@ def _closed_form(kind: str, op0: np.ndarray, dt: float, params: ModelParams) -> 
 
 def _component_rows(traj, n_op):
     rows = []
-    for t, state, tail in zip(traj.times, traj.states, traj.tail_weights):
+    for t, state in zip(traj.times, traj.states.values()):
         tr = np.trace(state)
         num = np.trace(n_op @ state)
-        rows.append([t, tr.real, tr.imag, num.real, num.imag, tail])
+        rows.append([t, tr.real, tr.imag, num.real, num.imag, abs(field_tail_weight(state))])
     return rows
 
 
@@ -304,21 +306,22 @@ def cmd_simulate(cfg: RunConfig, out_dir: str, quiet: bool = False) -> int:
         n_joint = np.kron(np.eye(2, dtype=complex), number_operator(n))
         sz = np.kron(SIGMA_Z, np.eye(n, dtype=complex))
         rows = []
-        for t, state, tail in zip(traj.times, traj.states, traj.tail_weights):
+        for t, state in zip(traj.times, traj.states.values()):
             rows.append([
                 t,
                 np.trace(state[:n, :n]).real,
                 np.trace(n_joint @ state).real,
                 np.trace(sz @ state).real,
                 np.trace(state @ state).real,
-                tail,
+                joint_tail_weight(state),
             ])
         _write_csv(os.path.join(out_dir, "observables.csv"),
                    ["t", "tr_rho11", "n_expect", "sigma3", "purity", "tail_weight"],
                    rows)
         for k, t_snap in enumerate(cfg.snapshot_times):
-            t = cfg.grid.t_start + cfg.grid.step_index(t_snap) * cfg.grid.step
-            state = traj.state_at(t)
+            step = cfg.grid.step_index(t_snap)
+            t = cfg.grid.t_start + step * cfg.grid.step
+            state = traj.states[step]
             if cfg.picture == "rotational":
                 state = from_rotational_picture(state, t - cfg.grid.t_start, cfg.params)
             payload = {
@@ -411,7 +414,7 @@ def cmd_wigner(cfg: RunConfig, out_dir: str, quiet: bool = False) -> int:
             sampled = wigner_grid(state, *box)
             sampled.to_csv(os.path.join(out_dir, f"wigner_{tag}_grid_{i:02d}.csv"))
             sampled.to_json(os.path.join(out_dir, f"wigner_{tag}_grid_{i:02d}.json"))
-        cross = (field_from_rotational(traj.state_at(t), dt, cfg.params) if k
+        cross = (field_from_rotational(traj.states[k], dt, cfg.params) if k
                  else comps["cross"])
         for part, mat in (("herm", 0.5 * (cross + cross.conj().T)),
                           ("anti", (cross - cross.conj().T) / 2j)):
@@ -430,7 +433,7 @@ def build_comparison_report(cfg: RunConfig) -> dict:
     doubled space at a (possibly reduced) truncation, compared on the
     interior block.  All three run on the frame clock t - grid.t_start;
     the oracle and the doubled route make one run per component over the
-    run's grid and keep the sample steps.
+    run's grid, keep the sample steps and stop at the last.
     """
     params = cfg.params
     comps = _component_initials(cfg.initial_joint())
@@ -450,16 +453,14 @@ def build_comparison_report(cfg: RunConfig) -> dict:
               "sample_times": [t0 + k * h for k in sample_ks],
               "components": {}}
     trajs = integrate_component(comps, params, cfg.grid, store_steps=sample_ks)
-    # the run's grid on the frame clock, zero at t0 like the oracle's
-    frame_grid = TimeGrid(0.0, cfg.grid.t_end - t0, cfg.grid.n_steps)
     for kind, traj in trajs.items():
         op0 = comps[kind]
         doubled = evolve_vectorized(factories[kind], vectorize(op0[:n_doubled, :n_doubled]),
-                                    frame_grid, doubled_params, store_steps=sample_ks)
+                                    cfg.grid, doubled_params, store_steps=sample_ks)
         ana_max = ana_mean = doubled_max = trace_drift = 0.0
         for k in sample_ks:
             t = t0 + k * h
-            oracle_rot = traj.state_at(t)
+            oracle_rot = traj.states[k]
             oracle_lab = field_from_rotational(oracle_rot, t - t0, params)
             ana = _closed_form(kind, op0, t - t0, params)
             dev = np.abs(ana - oracle_lab)

@@ -18,10 +18,11 @@ e^{i w t (m - n)} at flat index m*N + n (conjugation by e^{i w t a+a}).
 The dissipator commutes with S, so the identity is exact at any
 truncation.  Each ``evolve_vectorized`` call therefore chooses one
 truncated-Taylor plan for h G(0) and applies
-exp(h G(t)) v = S(t) exp(h G(0)) S(t)^+ v at every step.  Like the RK4
-oracle, a call runs over one grid and keeps only the steps it is asked
-for (``store_steps``, checked by ``TimeGrid.check_steps``); it stops at
-the last of them.
+exp(h G(t)) v = S(t) exp(h G(0)) S(t)^+ v at every step.  A call runs
+under the RK4 oracle's run contract: G is evaluated on the frame clock
+(time since ``grid.t_start``), and the call keeps exactly the steps
+``store_steps`` (``TimeGrid.check_steps``, by default the last) and
+stops at the last of them.
 
 Truncation caveat: identities that hold for the untruncated mode (for
 example that commutator and anticommutator superoperators commute with
@@ -267,26 +268,27 @@ def evolve_vectorized(generator: FrameGenerator, v0: np.ndarray, grid: TimeGrid,
                       store_steps: Iterable[int] = None) -> dict[int, np.ndarray]:
     """Midpoint-exponential product integration of dv/dt = G(t) v.
 
-    Per step: v <- exp(h G(t + h/2)) v, second-order accurate.  By the
-    frame identity, exp(h G(t)) = S(t) exp(h G(0)) S(t)^+, so one
-    ``taylor_plan`` of h G(0) serves every step, and a step is two
-    diagonal phase multiplies around one ``expm_multiply`` call.
+    Per step k: v <- exp(h G((k - 1/2) h)) v on the frame clock,
+    second-order accurate.  By the frame identity,
+    exp(h G(t)) = S(t) exp(h G(0)) S(t)^+, so one ``taylor_plan`` of
+    h G(0) serves every step, and a step is two diagonal phase multiplies
+    around one ``expm_multiply`` call.
 
-    Returns step -> vector for each step in ``store_steps`` (by default
-    only the last step), in [0, n_steps] as for the oracle, and takes no
-    step after the last one kept.  With ``params`` the step must pass
-    ``require_step``.
+    Returns step -> vector for the steps ``grid.check_steps(store_steps)``
+    keeps, and takes no step after the last of them.  With ``params`` the
+    step must pass ``require_step``.
     """
-    keep = grid.check_steps([grid.n_steps] if store_steps is None else store_steps)
+    keep = grid.check_steps(store_steps)
     if params is not None:
         require_step(params, grid.step)
     h = grid.step
     plan = taylor_plan(h * generator.g0)
     v = v0.astype(complex)
-    kept = {0: v} if 0 in keep else {}
-    for k in range(1, max(keep, default=0) + 1):
-        phase = generator.phase(grid.t_start + (k - 0.5) * h)
-        v = phase * expm_multiply(plan, phase.conj() * v)
+    kept = {}
+    for k in range(max(keep) + 1):
+        if k:
+            phase = generator.phase((k - 0.5) * h)
+            v = phase * expm_multiply(plan, phase.conj() * v)
         if k in keep:
             kept[k] = v
     return kept

@@ -98,10 +98,14 @@ def _coupled_rhs(coupling_at: Callable[[float], np.ndarray], front, sign,
     """f(t, y) = front (K y + sign y K) + D[y] with K = coupling_at(t): sign
     -1 gives the commutator, +1 the anticommutator.  The form of every
     equation of motion here; front and sign may be arrays that broadcast
-    over a stack y of matrices."""
+    over a stack y of matrices.  K is rebuilt only when t changes (RK4
+    stages 2 and 3 share one time)."""
+    last_t = k = None
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        k = coupling_at(t)
+        nonlocal last_t, k
+        if t != last_t:
+            last_t, k = t, coupling_at(t)
         return front * (k @ y + sign * (y @ k)) + damp(y)
 
     return rhs

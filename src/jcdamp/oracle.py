@@ -9,15 +9,16 @@ and the decoupled components (plus, minus, cross) asked for together run
 as one (k, N, N) stack, each slice under its own front factor and
 commutator or anticommutator sign.  The damping term is applied as an
 exact shift and diagonal scaling (``model.damping``), not as dense
-products.  A run keeps the states at ``store_steps``, at step 0 and at
-the last step; ``TimeGrid.step_index`` maps a time to its step, and
-``TimeGrid.check_steps`` holds kept steps to [0, n_steps] here and in
-the doubled route.  A step must pass the heuristic bound of
+products.  A run keeps exactly the steps ``store_steps`` (by default the
+last) and takes no step after the last of them; ``TimeGrid.check_steps``
+holds this rule here and in the doubled route, and ``TimeGrid.step_index``
+maps a time to its step.  A step must pass the heuristic bound of
 ``require_step`` and the stability bound of ``require_stable``: h
 times a norm bound of the real generator, 2||H||_2 + 2 gamma (N-1), at
-most ``STABILITY_LIMIT``, inside RK4's imaginary-axis limit 2 sqrt(2).  Every kept state must be finite, and a
-joint one must keep its purity at most 1 + ``PURITY_SLACK``; every step
-must keep the tail weight of each state at most ``TAIL_LIMIT``.  Each
+most ``STABILITY_LIMIT``, inside RK4's imaginary-axis limit 2 sqrt(2).
+The initial state and every kept state must be finite, and a joint one
+must keep its purity at most 1 + ``PURITY_SLACK``; every step taken must
+keep the tail weight of each state at most ``TAIL_LIMIT``.  Each
 failure raises ``StepTooLarge`` or ``TailOverflow`` naming its cause and
 its state ("joint", or the component kind).
 
@@ -85,11 +86,12 @@ class TimeGrid:
         """Every ``store_every``-th step index and the last."""
         return sorted({*range(0, self.n_steps + 1, store_every), self.n_steps})
 
-    def check_steps(self, steps: Iterable[int]) -> set:
-        """``steps`` as a set, or ValueError unless each lies in [0, n_steps]."""
-        steps = set(steps)
-        if steps and (min(steps) < 0 or max(steps) > self.n_steps):
-            raise ValueError(f"store_steps must lie in [0, {self.n_steps}]")
+    def check_steps(self, steps: Iterable[int] = None) -> set:
+        """The steps a run keeps: ``steps`` as a set, by default {n_steps}.
+        ValueError if the set is empty or leaves [0, n_steps]."""
+        steps = {self.n_steps} if steps is None else set(steps)
+        if not steps or min(steps) < 0 or max(steps) > self.n_steps:
+            raise ValueError(f"store_steps must be a non-empty set in [0, {self.n_steps}]")
         return steps
 
     def step_index(self, t: float) -> int:
@@ -102,27 +104,19 @@ class TimeGrid:
 
 @dataclass
 class Trajectory:
-    """Stored integration output: the states at the stored grid steps."""
+    """Integration output: the states at the kept grid steps."""
 
     grid: TimeGrid
-    steps: list  # stored step indices, increasing
-    states: list
-    tail_weights: np.ndarray  # at the stored steps
-    tail_max: float  # largest tail weight over every step
+    states: dict  # step -> state, in increasing step order
+    tail_max: float  # largest tail weight over every step taken
 
     @property
     def times(self) -> np.ndarray:
-        return self.grid.times()[self.steps]
+        return self.grid.times()[list(self.states)]
 
     @property
     def final(self) -> np.ndarray:
-        return self.states[-1]
-
-    def state_at(self, t: float) -> np.ndarray:
-        try:
-            return self.states[self.steps.index(self.grid.step_index(t))]
-        except ValueError:
-            raise KeyError(f"time {t} not on the stored grid") from None
+        return self.states[max(self.states)]
 
 
 def require_step(params: ModelParams, h: float) -> None:
@@ -166,18 +160,19 @@ def _check_stored(y: np.ndarray, t: float, name: str, joint: bool) -> None:
             raise StepTooLarge(f"unstable: purity {purity:.3e} > 1 at t={t:.6g}")
 
 
-def _rk4(rhs: Callable, y0: np.ndarray, grid: TimeGrid,
-         tails_of: Callable[[np.ndarray], np.ndarray],
-         store_steps: Iterable[int], names: list[str], joint: bool) -> dict[str, Trajectory]:
+def _rk4(rhs: Callable, y0: np.ndarray, grid: TimeGrid, store_steps: Iterable[int],
+         names: list[str], joint: bool) -> dict[str, Trajectory]:
     """Integrate the stack ``y0``, one state per name on axis 0, and return
-    name -> Trajectory.  ``tails_of(y)`` gives one tail weight per state."""
-    keep = grid.check_steps({0, grid.n_steps, *store_steps})
+    name -> Trajectory.  With ``joint`` the stack holds one joint state (tail
+    ``joint_tail_weight``, purity checked), else field operators (tail
+    |``fock.tail_weight``|)."""
+    keep = grid.check_steps(store_steps)
     h = grid.step
     # a copy; each step rebinds y and never writes in place, so kept states need no copy
     y = np.array(y0, dtype=complex)
-    steps, stacks, tails = [], [], []
+    kept = {}
     tail_max = np.full(len(names), -np.inf)
-    for k in range(grid.n_steps + 1):
+    for k in range(max(keep) + 1):
         if k:
             tau = (k - 1) * h  # frame clock, time since grid.t_start
             k1 = rhs(tau, y)
@@ -186,26 +181,24 @@ def _rk4(rhs: Callable, y0: np.ndarray, grid: TimeGrid,
             k4 = rhs(tau + h, y + h * k3)
             y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         t = grid.t_start + k * h
-        w = tails_of(y)
+        w = np.array([joint_tail_weight(y[0])]) if joint else np.abs(field_tail_weight(y))
         over = np.flatnonzero(w > TAIL_LIMIT)
         if over.size:
             i = over[0]
             raise TailOverflow(f"{names[i]} tail weight {w[i]:.3e} > {TAIL_LIMIT} at t={t:.6g}")
         tail_max = np.maximum(tail_max, w)
-        if k in keep:
+        if not k or k in keep:
             for name, state in zip(names, y):
                 _check_stored(state, t, name, joint)
-            steps.append(k)
-            stacks.append(y)
-            tails.append(w)
-    tails = np.array(tails)
-    return {name: Trajectory(grid=grid, steps=list(steps), states=[kept[i] for kept in stacks],
-                             tail_weights=tails[:, i].copy(), tail_max=float(tail_max[i]))
+        if k in keep:
+            kept[k] = y
+    return {name: Trajectory(grid=grid, states={k: stack[i] for k, stack in kept.items()},
+                             tail_max=float(tail_max[i]))
             for i, name in enumerate(names)}
 
 
 def integrate_joint(rho0: np.ndarray, params: ModelParams, grid: TimeGrid,
-                    picture: str = "schrodinger", store_steps: Iterable[int] = ()) -> Trajectory:
+                    picture: str = "schrodinger", store_steps: Iterable[int] = None) -> Trajectory:
     """RK4 integration of the joint 2N x 2N equation of motion.
 
     picture "schrodinger" uses the lab-frame generator; "rotational"
@@ -219,16 +212,12 @@ def integrate_joint(rho0: np.ndarray, params: ModelParams, grid: TimeGrid,
         raise ValueError(f"unknown picture {picture!r}")
     require_step(params, grid.step)
     require_stable(params, grid.step, picture)
-
-    def tails_of(y: np.ndarray) -> np.ndarray:
-        return np.array([joint_tail_weight(y[0])])
-
-    return _rk4(builders[picture](params), rho0[None], grid, tails_of,
-                store_steps, ["joint"], joint=True)["joint"]
+    return _rk4(builders[picture](params), rho0[None], grid, store_steps, ["joint"],
+                joint=True)["joint"]
 
 
 def integrate_component(initial: Mapping[str, np.ndarray], params: ModelParams,
-                        grid: TimeGrid, store_steps: Iterable[int] = ()) -> dict[str, Trajectory]:
+                        grid: TimeGrid, store_steps: Iterable[int] = None) -> dict[str, Trajectory]:
     """RK4 integration of decoupled components (rotating frame), all in one
     (k, N, N) stack.
 
@@ -246,9 +235,5 @@ def integrate_component(initial: Mapping[str, np.ndarray], params: ModelParams,
     rhs = decoupled_rhs(kinds, params)
     require_step(params, grid.step)
     require_stable(params, grid.step, "rotational")
-
-    def tails_of(y: np.ndarray) -> np.ndarray:
-        return np.abs(field_tail_weight(y))
-
-    return _rk4(rhs, np.stack([initial[kind] for kind in kinds]), grid, tails_of,
-                store_steps, kinds, joint=False)
+    return _rk4(rhs, np.stack([initial[kind] for kind in kinds]), grid, store_steps, kinds,
+                joint=False)

@@ -65,8 +65,7 @@ def test_criterion_1_oracle_lossy_cavity():
     elapsed = time.time() - started
     worst_fid = 1.0
     worst_drift = 0.0
-    for t in traj.times:
-        state = traj.state_at(t)
+    for t, state in zip(traj.times, traj.states.values()):
         alpha_t = np.exp(-(1j * p.omega + 0.5 * p.gamma) * t)
         psi = np.kron(ATOM_DOWN, coherent_state(alpha_t, n).vec)
         worst_fid = min(worst_fid, float(np.real(psi.conj() @ state @ psi)))
@@ -91,7 +90,7 @@ def test_criterion_2_closed_form_matches_oracle_sweep():
                 for sign, kind in ((1, "plus"), (-1, "minus")):
                     traj = trajs[kind]
                     for t in (1.25, 2.5, 3.75, 5.0):
-                        lab = field_from_rotational(traj.state_at(t), t, p)
+                        lab = field_from_rotational(traj.states[grid.step_index(t)], t, p)
                         got = evolve_plus_minus(rho0, t, p, sign)
                         worst = max(worst, float(np.max(np.abs(got - lab))))
     elapsed = time.time() - started

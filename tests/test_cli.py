@@ -397,6 +397,38 @@ def test_matrix_file_rejects_bad_state(tmp_path):
     assert main(["simulate", "--config", path, "--out", str(tmp_path)]) == 2
 
 
+def _near_pure_state(n, case):
+    # a pure coherent state, off by what check_joint_density accepts
+    from jcdamp.fock import coherent_state
+    from jcdamp.model import ATOM_UP
+    v = coherent_state(0.5, n).vec
+    rho = np.kron(np.outer(ATOM_UP, ATOM_UP.conj()), np.outer(v, v.conj()))
+    if case == "hermiticity":
+        for i, j in ((0, 1), (n, n + 1), (0, n + 1), (n, 1)):
+            rho[i, j] += 0.9e-8
+        return rho
+    return rho * (1.0 + 5e-9)
+
+
+@pytest.mark.parametrize("case, verb", [("hermiticity", "wigner"), ("trace", "simulate")])
+def test_matrix_file_accepted_state_is_symmetrized_and_normalized(tmp_path, case, verb):
+    # both states pass the load check; the wigner route needs an exactly
+    # Hermitian state, the oracle a purity at most 1 + 1e-9
+    n = 12
+    rho = _near_pure_state(n, case)
+    (tmp_path / "state.json").write_text(json.dumps(
+        {"entries": [[[z.real, z.imag] for z in row] for row in rho]}))
+    doc = _shifted_doc(0.0, initial={"matrix_file": "state.json"},
+                       outputs=["trajectory", "wigner"],
+                       wigner=dict(WIGNER, n_re=3, n_im=3, times=[0.5]))
+    doc["params"] = dict(doc["params"], n_trunc=n)
+    path = write_config(tmp_path, doc)
+    loaded = load_config(path).initial_joint()
+    assert np.array_equal(loaded, loaded.conj().T)
+    assert abs(np.trace(loaded) - 1.0) <= 1e-15
+    assert main([verb, "--config", path, "--out", str(tmp_path / "out"), "--quiet"]) == 0
+
+
 def test_solve_and_simulate_write_the_same_times(tmp_path):
     # the last stored step (310) is not a multiple of store_every
     doc = dict(BASE_DOC)
@@ -531,6 +563,34 @@ def test_wigner_integrates_the_cross_component_once(tmp_path, monkeypatch):
             assert np.max(np.abs(got - ref)) <= 1e-12
 
 
+def _count_component_rhs_calls(monkeypatch) -> list:
+    # the times of every component right-hand side call, 4 per RK4 step
+    calls = []
+    real = oracle.decoupled_rhs
+
+    def counted(*args):
+        rhs = real(*args)
+
+        def call(t, y):
+            calls.append(t)
+            return rhs(t, y)
+        return call
+
+    monkeypatch.setattr(oracle, "decoupled_rhs", counted)
+    return calls
+
+
+def test_wigner_stops_the_cross_run_at_its_last_time(tmp_path, monkeypatch):
+    rhs_calls = _count_component_rhs_calls(monkeypatch)
+    box = {"re_min": -1.0, "re_max": 1.0, "n_re": 3, "im_min": -1.0, "im_max": 1.0, "n_im": 3}
+    doc = _shifted_doc(0.0, outputs=["wigner"], wigner=dict(box, times=[0.6]))
+    doc["grid"] = {"t_start": 0.0, "t_end": 1.2, "n_steps": 120}
+    out = tmp_path / "wig"
+    assert main(["wigner", "--config", write_config(tmp_path, doc), "--out", str(out),
+                 "--quiet"]) == 0
+    assert len(rhs_calls) == 4 * 60
+
+
 def test_wigner_at_t_start_only_runs_no_integration(tmp_path, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("integrate_component called")
@@ -572,13 +632,16 @@ def test_compare_keeps_only_its_sample_steps(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "evolve_vectorized", recorded_evolve)
     for name in counts:
         monkeypatch.setattr(doubled, name, counted(name))
+    rhs_calls = _count_component_rhs_calls(monkeypatch)
     compare = {"doubled_n_trunc": 12, "sample_times": [0.3, 0.5]}
     doc = _shifted_doc(0.0, outputs=["compare"], compare=compare)
     path = write_config(tmp_path, doc)
     out = tmp_path / "cmp"
     assert main(["compare", "--config", path, "--out", str(out), "--quiet"]) == 0
-    # one call for all three components, each keeping the samples, step 0 and the last step
-    assert kept == [{"plus": 2 + 2, "minus": 2 + 2, "cross": 2 + 2}]
+    # one call for all three components, each keeping exactly the samples and
+    # taking 50 RK4 steps of 100, 4 right-hand sides each
+    assert kept == [{"plus": 2, "minus": 2, "cross": 2}]
+    assert len(rhs_calls) == 4 * 50
     # one doubled run and one Taylor plan per component, keeping the samples
     # (steps 30 and 50 of 100) and stepping no further than the last
     assert evolved == [[30, 50]] * 3

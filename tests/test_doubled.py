@@ -261,10 +261,26 @@ def test_evolve_matches_time_ordered_propagator(t_start):
             for coupling in (0.0, 0.1):
                 p = ModelParams(omega=omega, coupling=coupling, gamma=gamma, n_trunc=n)
                 for kind, gen in _generators(p).items():
-                    want = time_ordered_propagator(gen, grid, vectorize(rho0))
+                    # evolve_vectorized runs on the frame clock, zero at t_start
+                    want = time_ordered_propagator(lambda t: gen(t - t_start), grid,
+                                                   vectorize(rho0))
                     got = evolve_vectorized(gen, vectorize(rho0), grid, p)[grid.n_steps]
                     rel = np.max(np.abs(got - want)) / np.max(np.abs(want))
                     assert rel < 1e-13, (kind, omega, gamma, coupling)
+
+
+def test_evolve_runs_on_the_frame_clock():
+    # a grid shifted in time gives the same run, bit for bit
+    n = 8
+    p = ModelParams(omega=1.3, coupling=0.1, gamma=0.2, n_trunc=n)
+    v0 = vectorize(random_matrix(n, 7))
+    shifted, origin = TimeGrid(0.7, 1.2, 20), TimeGrid(0.0, 0.5, 20)
+    for gen in _generators(p).values():
+        got = evolve_vectorized(gen, v0, shifted, p, store_steps=[7, 20])
+        want = evolve_vectorized(gen, v0, origin, p, store_steps=[7, 20])
+        assert list(got) == list(want) == [7, 20]
+        for k in want:
+            assert np.array_equal(got[k], want[k])
 
 
 def test_scaled_taylor_plan_matches_scipy():

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
+from jcdamp import model, oracle
 from jcdamp.doubled import commutator_generator_factory, evolve_vectorized, pairing_vector
-from jcdamp.fock import ModelParams, coherent_state
+from jcdamp.fock import ModelParams, coherent_state, tail_weight
 from jcdamp.model import (
     ATOM_DOWN,
     ATOM_UP,
     SIGMA_Z,
     hamiltonian_full,
+    joint_tail_weight,
     split_components,
     to_rotational_picture,
 )
@@ -66,8 +68,7 @@ def test_uncoupled_lossy_cavity_stays_coherent():
     rho0 = coherent_joint(1.0, n, ATOM_DOWN)
     grid = TimeGrid(0.0, 4.0, 800)
     traj = integrate_joint(rho0, p, grid, store_steps=grid.stored_steps(100))
-    for t in traj.times:
-        state = traj.state_at(t)
+    for t, state in zip(traj.times, traj.states.values()):
         alpha_t = np.exp(-(1j * p.omega + 0.5 * p.gamma) * t)
         psi = np.kron(ATOM_DOWN, coherent_state(alpha_t, n).vec)
         fidelity = np.real(psi.conj() @ state @ psi)
@@ -81,7 +82,7 @@ def test_unitary_evolution_preserves_purity():
     rho0 = coherent_joint(0.9, n, ATOM_UP)
     grid = TimeGrid(0.0, 3.0, 600)
     traj = integrate_joint(rho0, p, grid, store_steps=grid.stored_steps(200))
-    for state in traj.states:
+    for state in traj.states.values():
         assert abs(np.trace(state @ state).real - 1.0) < 1e-10
 
 
@@ -120,7 +121,7 @@ def test_positivity_along_standard_run():
     rho0 = coherent_joint(1.0, n, ATOM_UP)
     grid = TimeGrid(0.0, 5.0, 1250)
     traj = integrate_joint(rho0, p, grid, store_steps=grid.stored_steps(250))
-    for state in traj.states:
+    for state in traj.states.values():
         eigs = np.linalg.eigvalsh(0.5 * (state + state.conj().T))
         assert eigs.min() > -1e-7
 
@@ -166,7 +167,7 @@ def test_component_trace_conserved_when_uncoupled():
     trajs = integrate_component({"plus": rho0, "minus": rho0}, p, grid,
                                 store_steps=grid.stored_steps(150))
     for traj in trajs.values():
-        for state in traj.states:
+        for state in traj.states.values():
             assert abs(np.trace(state) - 1.0) < 1e-10
 
 
@@ -207,9 +208,9 @@ def test_trajectory_state_lookup():
     rho0 = coherent_joint(0.3, n, ATOM_DOWN)
     grid = TimeGrid(0.0, 1.0, 100)
     traj = integrate_joint(rho0, p, grid, store_steps=grid.stored_steps(25))
-    assert traj.state_at(0.25) is traj.states[1]
+    assert traj.states[grid.step_index(0.25)] is list(traj.states.values())[1]
     with pytest.raises(KeyError):
-        traj.state_at(0.3)
+        traj.states[grid.step_index(0.3)]
 
 
 def test_store_steps_keep_exactly_the_given_steps():
@@ -218,22 +219,82 @@ def test_store_steps_keep_exactly_the_given_steps():
     rho0 = coherent_joint(0.5, n, ATOM_UP)
     grid = TimeGrid(0.0, 1.0, 40)
     full = integrate_joint(rho0, p, grid, store_steps=range(41))
-    assert full.steps == list(range(41))
+    assert list(full.states) == list(range(41))
     part = integrate_joint(rho0, p, grid, store_steps=[30, 7, 7])
-    assert part.steps == [0, 7, 30, 40]
-    assert len(part.states) == len(part.tail_weights) == 4
-    for k, state in zip(part.steps, part.states):
+    assert list(part.states) == [7, 30]
+    for k, state in part.states.items():
         assert np.array_equal(state, full.states[k])
-    assert np.array_equal(part.times, full.times[part.steps])
-    assert part.tail_max == np.max(full.tail_weights)
-    assert integrate_joint(rho0, p, grid).steps == [0, 40]
+    assert np.array_equal(part.times, full.times[list(part.states)])
+    # the run ends at step 30, so its tail record covers steps 0..30
+    assert part.tail_max == max(joint_tail_weight(full.states[k]) for k in range(31))
+    assert list(integrate_joint(rho0, p, grid).states) == [40]
 
     comp_full = integrate_component({"cross": rho0[:n, :n]}, p, grid,
                                     store_steps=range(41))["cross"]
     comp = integrate_component({"cross": rho0[:n, :n]}, p, grid, store_steps=[13])["cross"]
-    assert comp.steps == [0, 13, 40]
-    for k, state in zip(comp.steps, comp.states):
+    assert list(comp.states) == [13]
+    for k, state in comp.states.items():
         assert np.array_equal(state, comp_full.states[k])
+
+
+def test_component_run_takes_four_evaluations_per_step_to_its_last_kept_step(monkeypatch):
+    calls = []
+    real = oracle.decoupled_rhs
+
+    def counted(*args):
+        rhs = real(*args)
+
+        def call(t, y):
+            calls.append(t)
+            return rhs(t, y)
+        return call
+
+    monkeypatch.setattr(oracle, "decoupled_rhs", counted)
+    n = 8
+    p = ModelParams(omega=1.0, coupling=0.1, gamma=0.2, n_trunc=n)
+    vacuum = np.zeros((n, n), dtype=complex)
+    vacuum[0, 0] = 1.0
+    for k in (1, 17, 40):
+        calls.clear()
+        trajs = integrate_component({"plus": vacuum}, p,
+                                    TimeGrid(0.0, 1.0, 40), store_steps=[k])
+        assert len(calls) == 4 * k
+        assert list(trajs["plus"].states) == [k]
+
+
+def test_initial_state_is_checked_when_not_kept():
+    n = 12
+    p = ModelParams(omega=1.0, coupling=0.1, gamma=0.2, n_trunc=n)
+    rho0 = coherent_joint(0.3, n, ATOM_UP) * (1.0 + 1e-8)
+    with pytest.raises(StepTooLarge, match="purity .* at t=0$"):
+        integrate_joint(rho0, p, TimeGrid(0.0, 1.0, 40), store_steps=[20])
+
+
+def test_coupling_built_at_most_three_times_per_step(monkeypatch):
+    # RK4 stages 2 and 3 share one time, so the rotating-frame coupling K(t)
+    # needs at most three builds per step
+    builds = []
+    real = model._rotating
+
+    def counted(*args):
+        coupling_at = real(*args)
+
+        def build(t):
+            builds.append(t)
+            return coupling_at(t)
+        return build
+
+    monkeypatch.setattr(model, "_rotating", counted)
+    n = 10
+    p = ModelParams(omega=1.3, coupling=0.1, gamma=0.2, n_trunc=n)
+    rho0 = coherent_joint(0.5, n, ATOM_UP)
+    grid = TimeGrid(0.4, 1.4, 50)
+    integrate_joint(rho0, p, grid, "rotational")
+    assert 0 < len(builds) <= 3 * grid.n_steps
+    builds.clear()
+    cs = split_components(rho0)
+    integrate_component({"plus": cs.plus, "minus": cs.minus, "cross": cs.cross}, p, grid)
+    assert 0 < len(builds) <= 3 * grid.n_steps
 
 
 @pytest.mark.parametrize("bad", [[-1], [41], [3, 41]])
@@ -272,10 +333,11 @@ def test_component_stack_matches_one_kind_runs():
     for kind, op0 in initial.items():
         alone = integrate_component({kind: op0}, p, grid, store_steps=[50, 120])[kind]
         traj = batch[kind]
-        assert traj.steps == alone.steps == [0, 50, 120, 200]
-        for got, want in zip(traj.states, alone.states):
+        assert list(traj.states) == list(alone.states) == [50, 120]
+        for got, want in zip(traj.states.values(), alone.states.values()):
             assert np.max(np.abs(got - want)) <= 1e-14
-        assert np.array_equal(traj.tail_weights, alone.tail_weights)
+        assert np.array_equal([tail_weight(s) for s in traj.states.values()],
+                              [tail_weight(s) for s in alone.states.values()])
         assert traj.tail_max == alone.tail_max
 
 

@@ -149,7 +149,7 @@ def test_plus_minus_matches_oracle():
     for sign, kind in ((1, "plus"), (-1, "minus")):
         traj = trajs[kind]
         for t in (1.0, 3.0, 5.0):
-            lab = field_from_rotational(traj.state_at(t), t, p)
+            lab = field_from_rotational(traj.states[grid.step_index(t)], t, p)
             got = evolve_plus_minus(rho0, t, p, sign)
             assert np.max(np.abs(got - lab)) < 1e-6
 
@@ -373,13 +373,13 @@ def test_cross_deviation_vs_oracle_is_reported_scale():
                                store_steps=grid.stored_steps(250))["cross"]
     devs = []
     for t in (1.0, 2.0, 3.0):
-        lab = field_from_rotational(traj.state_at(t), t, p)
+        lab = field_from_rotational(traj.states[grid.step_index(t)], t, p)
         devs.append(np.max(np.abs(evolve_cross(rho0, t, p) - lab)))
     assert all(d < 0.05 for d in devs)
     # the doubled-space factorization (ground-truth route) pins the blame
     # on the scalar prefactor: dividing it out must collapse the deviation
     mu1, mu2 = drive_integrals(3.0, p)
     factor = np.exp(mu1 * np.conj(mu2) + np.conj(mu1) * mu2)
-    lab = field_from_rotational(traj.state_at(3.0), 3.0, p)
+    lab = field_from_rotational(traj.states[grid.step_index(3.0)], 3.0, p)
     rescaled = evolve_cross(rho0, 3.0, p) / factor
     assert np.max(np.abs(rescaled - lab)) < 1e-9
