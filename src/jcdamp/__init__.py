@@ -6,9 +6,7 @@ from .fock import (
     ModelParams,
     annihilation,
     coherent_state,
-    creation,
     displacement,
-    identity,
     matrix_exponential,
     number_operator,
     tail_weight,
@@ -31,14 +29,13 @@ from .oracle import (
     integrate_joint,
 )
 from .doubled import (
-    DoubledSpace,
     devectorize,
     evolve_vectorized,
-    pairing_vector,
+    superoperators,
     vectorize,
 )
 from .solution import (
-    NonConvergedKrausSum,
+    ClosedFormOverflow,
     coherent_center,
     damping_weight,
     displacement_amplitude,
@@ -57,7 +54,6 @@ from .factorize import (
 from .wigner import (
     PhaseGrid,
     wigner_at,
-    wigner_gaussian,
     wigner_grid,
     wigner_operator,
 )

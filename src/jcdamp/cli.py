@@ -25,9 +25,9 @@ and Wigner times must be grid times (``TimeGrid.step_index``).
 reads the three routes' states at the same sample steps.
 
 Exit codes: 0 success, 2 config parse failure, 3 numerical failure (a
-closed-form state over the oracle's tail limit too), 4 tight comparison
-failure.  Outputs are byte-deterministic for a given config
-(17-significant-digit formatting, sorted JSON keys).
+closed-form state over the oracle's tail limit or the float range too), 4
+tight comparison failure.  Outputs are byte-deterministic for a given
+config (17-significant-digit formatting, sorted JSON keys).
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ from .model import (
 from .oracle import TAIL_LIMIT, StepTooLarge, TailOverflow, TimeGrid
 from .oracle import integrate_component, integrate_joint
 from .solution import (
-    NonConvergedKrausSum,
+    ClosedFormOverflow,
     coherent_center,
     displacement_amplitude,
     drive_integrals,
@@ -539,7 +539,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (StepTooLarge, TailOverflow, NonConvergedKrausSum) as exc:
+    except (StepTooLarge, TailOverflow, ClosedFormOverflow) as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 

@@ -8,9 +8,7 @@ ordinary matrices on the doubled space, and the damped equations of
 motion become linear vector ODEs.
 
 The superoperator matrices are built once per truncation, as sparse
-matrices; the generators are sums of them.  ``DoubledSpace`` offers
-dense views of the same matrices for algebra checks, each built only
-when asked for, since one is N^2 x N^2.
+matrices (``superoperators``), and the generators are sums of them.
 
 Frame identity: in the rotating frame every generator obeys
 G(t) = S(t) G(0) S(t)^+, where S(t) is the diagonal phase
@@ -29,20 +27,21 @@ example that commutator and anticommutator superoperators commute with
 each other) acquire defects at the truncation boundary.  They are exact
 on the "interior" entries whose row and column pair indices all stay
 at least ``fock.TAIL_LEVELS`` levels below the boundary; see
-``interior_indices``.
+``interior_indices``.  Two, [dissipator, comm_a(d)] = -comm_a(d), turn a displacement by
+lambda before exp(s dissipator) into one by e^{-s} lambda after it (``solution``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
 import scipy.sparse as sp
 
-from .fock import TAIL_LEVELS, ModelParams, annihilation, identity
+from .fock import TAIL_LEVELS, ModelParams, annihilation
 from .oracle import TimeGrid, require_step
 
 
@@ -58,11 +57,6 @@ def devectorize(vec: np.ndarray) -> np.ndarray:
     return np.asarray(vec, dtype=complex).reshape(dim, dim).copy()
 
 
-def pairing_vector(n_trunc: int) -> np.ndarray:
-    """Unnormalized sum_n |n, n~>, i.e. vectorize(identity)."""
-    return vectorize(identity(n_trunc))
-
-
 def interior_indices(n_trunc: int) -> np.ndarray:
     """Flat doubled-space indices (m, n) with both m, n < n_trunc - TAIL_LEVELS."""
     keep = np.arange(n_trunc - TAIL_LEVELS)
@@ -70,55 +64,28 @@ def interior_indices(n_trunc: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _superoperators(n_trunc: int) -> dict:
-    """Sparse superoperators at truncation ``n_trunc``, keyed by their
-    ``DoubledSpace`` names (cached: treat them as read-only)."""
+def superoperators(n_trunc: int) -> dict:
+    """The doubled-space superoperators at truncation ``n_trunc``, as
+    sparse matrices (cached: treat them as read-only), keyed:
+
+    left_*  / right_*   a or a+ times a vectorized operator, from the left / right
+    comm_*  / acomm_*   commutator / anticommutator superoperators
+    dissipator          2 a . a+ - a+a . - . a+a   (rate not included)
+    acomm_a_partner     2 left_a + comm_a, = [dissipator, acomm_a] on the interior
+    acomm_ad_partner    2 right_ad - comm_ad, = [dissipator, acomm_ad] on the interior
+    """
     a = sp.csr_matrix(annihilation(n_trunc))
     eye = sp.identity(n_trunc, dtype=complex, format="csr")
     left_a = sp.kron(a, eye, format="csr")
     left_ad = sp.kron(a.conj().T, eye, format="csr")
     right_a = sp.kron(eye, a.T, format="csr")
     right_ad = sp.kron(eye, a.conj(), format="csr")
+    comm_a, comm_ad = left_a - right_a, left_ad - right_ad
     return {"left_a": left_a, "left_ad": left_ad, "right_a": right_a, "right_ad": right_ad,
-            "comm_a": left_a - right_a, "comm_ad": left_ad - right_ad,
-            "acomm_a": left_a + right_a, "acomm_ad": left_ad + right_ad,
+            "comm_a": comm_a, "comm_ad": comm_ad, "acomm_a": left_a + right_a,
+            "acomm_ad": left_ad + right_ad, "acomm_a_partner": 2.0 * left_a + comm_a,
+            "acomm_ad_partner": 2.0 * right_ad - comm_ad,
             "dissipator": 2.0 * left_a @ right_ad - left_ad @ left_a - right_a @ right_ad}
-
-
-class DoubledSpace:
-    """Canonical superoperator matrices on the doubled space, as dense
-    views of the sparse matrices the generators use, each built on first
-    access.
-
-    left_*  / right_*   multiply a vectorized operator by a or a+ on
-                        the corresponding side
-    comm_*  / acomm_*   commutator / anticommutator superoperators
-    dissipator          2 a . a+ - a+a . - . a+a   (rate not included)
-    acomm_a_partner     commutator of ``dissipator`` with ``acomm_a``
-    acomm_ad_partner    commutator of ``dissipator`` with ``acomm_ad``
-    """
-
-    def __init__(self, n_trunc: int):
-        if n_trunc < 2:
-            raise ValueError(f"n_trunc must be at least 2, got {n_trunc}")
-        self.n_trunc = n_trunc
-
-    def __getattr__(self, name: str) -> np.ndarray:
-        # called only for names not yet in the instance dict: build the dense
-        # view once and keep it there
-        ops = _superoperators(self.n_trunc)
-        if name not in ops:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        mat = self.__dict__[name] = ops[name].toarray()
-        return mat
-
-    @cached_property
-    def acomm_a_partner(self) -> np.ndarray:
-        return 2.0 * self.left_a + self.comm_a
-
-    @cached_property
-    def acomm_ad_partner(self) -> np.ndarray:
-        return 2.0 * self.right_ad - self.comm_ad
 
 
 class FrameGenerator:
@@ -149,7 +116,7 @@ def _generator(params: ModelParams, kind: str, pref: complex) -> FrameGenerator:
     # e^{i w t a+a} multiplies entry (m, n), (m', n') by e^{i w t (m - n - m' + n')}:
     # e^{-i w t} on the lowering terms, e^{i w t} on the raising ones, 1 on the
     # dissipator, so G(t) = S(t) G(0) S(t)^+ holds exactly at any truncation.
-    ops = _superoperators(params.n_trunc)
+    ops = superoperators(params.n_trunc)
     g0 = pref * (ops[kind + "_a"] + ops[kind + "_ad"]) + 0.5 * params.gamma * ops["dissipator"]
     levels = np.arange(params.n_trunc)
     return FrameGenerator(g0, params.omega * (levels[:, None] - levels[None, :]).reshape(-1))
@@ -184,10 +151,10 @@ def damped_frame_drive(t: float, params: ModelParams, sign: int) -> np.ndarray:
     """
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
-    ds = DoubledSpace(params.n_trunc)
+    ops = superoperators(params.n_trunc)
     pref = -1j * sign * params.coupling * np.exp(0.5 * params.gamma * t)
-    return pref * (ds.comm_a * np.exp(-1j * params.omega * t)
-                   + ds.comm_ad * np.exp(1j * params.omega * t))
+    return pref * (ops["comm_a"] * np.exp(-1j * params.omega * t)
+                   + ops["comm_ad"] * np.exp(1j * params.omega * t)).toarray()
 
 
 # theta_m of Al-Mohy & Higham (2011): the largest 1-norm of A for which m

@@ -54,20 +54,11 @@ def annihilation(n_trunc: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1.0, n_trunc)), 1).astype(complex)
 
 
-def creation(n_trunc: int) -> np.ndarray:
-    """Creation operator, the exact adjoint of ``annihilation``."""
-    return annihilation(n_trunc).conj().T
-
-
 def number_operator(n_trunc: int) -> np.ndarray:
     """diag(0, 1, ..., n_trunc-1)."""
     if n_trunc < 2:
         raise ValueError(f"n_trunc must be at least 2, got {n_trunc}")
     return np.diag(np.arange(n_trunc, dtype=float)).astype(complex)
-
-
-def identity(n_trunc: int) -> np.ndarray:
-    return np.eye(n_trunc, dtype=complex)
 
 
 def matrix_exponential(op: np.ndarray, scale: complex = 1.0) -> np.ndarray:

@@ -35,7 +35,7 @@ ATOM_DOWN = np.array([0.0, 1.0], dtype=complex)
 
 RHS = Callable[[float, np.ndarray], np.ndarray]
 
-# ``check_joint_density`` tolerances, loose enough for a matrix read from JSON text
+# ``check_joint_density`` (and ``wigner_at``) tolerances, loose enough for JSON text
 HERM_TOL = 1e-8
 TRACE_TOL = 1e-8
 PSD_TOL = 1e-6

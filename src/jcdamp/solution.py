@@ -5,10 +5,13 @@ absorbs the damping flow, the drive integrates to a pure displacement
 with amplitude ``displacement_amplitude``; undoing the frame change
 turns the damping into the standard zero-temperature photon-loss
 channel, whose Kraus series has weight ``damping_weight``.  The
-anticommutator branch factorizes the same way once the drive is split
-along growing / decaying damping envelopes (the cosh and sinh moments
-of ``drive_integrals``), at the price of a scalar weight accumulated
-from the c-number commutator between the two envelope families
+displacement acts after the channel, at the damped amplitude
+e^{-(i w + g/2) t} lambda: before it, lambda (growing like e^{g t / 2})
+would carry the state past the truncation edge.  The anticommutator
+branch factorizes the same way once the drive is split along growing /
+decaying damping envelopes (the cosh and sinh moments of
+``drive_integrals``), at the price of a scalar weight accumulated from
+the c-number commutator between the two envelope families
 (``drive_commutator_kernel`` / ``kernel_double_integral``).
 
 Every scalar here is evaluated in closed form: the drive moments are
@@ -37,8 +40,8 @@ SERIES_RADIUS = 0.5
 SERIES_TERMS = 24
 
 
-class NonConvergedKrausSum(RuntimeError):
-    """The photon-loss Kraus series failed to converge within 4N terms."""
+class ClosedFormOverflow(ArithmeticError):
+    """A closed-form state cannot be represented in floating point."""
 
 
 def _growth_integral(z: complex, t: float) -> complex:
@@ -166,26 +169,25 @@ def kernel_double_integral(t: float, params: ModelParams) -> float:
     return -2.0 * c * c * g * t ** 3 * total.real
 
 
-def _loss_kraus_sum(mat: np.ndarray, weight: float, a: np.ndarray) -> np.ndarray:
-    """sum_n (weight^n / n!) a^n mat a+^n, truncated when the next term's
-    trace contribution (and max entry) fall below KRAUS_TRACE_TOL."""
-    max_terms = 4 * mat.shape[0]
+def _loss_kraus_sum(mat: np.ndarray, weight: float) -> np.ndarray:
+    """sum_n (weight^n / n!) a^n mat a+^n, which ends by n = N - 1 (a is nilpotent),
+    or once a term's trace contribution and max entry fall below KRAUS_TRACE_TOL."""
+    a = annihilation(mat.shape[0])
     ad = a.conj().T
     term = mat
     total = term.copy()
-    for n in range(1, max_terms + 1):
+    for n in range(1, mat.shape[0]):
         term = (weight / n) * (a @ term @ ad)
         total += term
         if abs(np.trace(term)) < KRAUS_TRACE_TOL and np.max(np.abs(term)) < KRAUS_TRACE_TOL:
-            return total
-    raise NonConvergedKrausSum(
-        f"photon-loss series not converged after {max_terms} terms")
+            break
+    return total
 
 
 def _loss_and_damping(seed: np.ndarray, t: float, params: ModelParams) -> np.ndarray:
     """sum_n (T^n/n!) E a^n seed a+^n E+, the last step of both closed forms,
     with T = ``damping_weight`` and E = e^{-(i w + g/2) t a+a} (diagonal)."""
-    total = _loss_kraus_sum(seed, damping_weight(t, params.gamma), annihilation(params.n_trunc))
+    total = _loss_kraus_sum(seed, damping_weight(t, params.gamma))
     e = np.exp(-(1j * params.omega + 0.5 * params.gamma) * t * np.arange(params.n_trunc))
     return total * np.outer(e, e.conj())
 
@@ -194,18 +196,16 @@ def evolve_plus_minus(rho0: np.ndarray, t: float, params: ModelParams,
                       sign: int) -> np.ndarray:
     """Exact lab-frame state of a commutator branch at time t.
 
-    Displace the initial operator by ``displacement_amplitude``, apply
-    the photon-loss Kraus series with weight ``damping_weight``, and
-    damp/rotate with e^{-(i w + g/2) t a+a} on the left and its adjoint
-    on the right.  Hermitian input gives Hermitian output and the trace
-    is preserved up to truncation tails.
+    Apply the photon-loss Kraus series with weight ``damping_weight``, damp/rotate
+    with e^{-(i w + g/2) t a+a} (left) and its adjoint (right), then displace by
+    mu = e^{-(i w + g/2) t} ``displacement_amplitude`` (the channel's covariance).
+    Hermitian input gives Hermitian output; the trace holds up to truncation tails.
     """
     n = params.n_trunc
     if rho0.shape != (n, n):
         raise ValueError(f"initial operator has shape {rho0.shape}, expected {(n, n)}")
-    lam = displacement_amplitude(t, params, sign)
-    d = displacement(lam, n)
-    return _loss_and_damping(d @ rho0 @ d.conj().T, t, params)
+    d = displacement(coherent_center(t, params, sign, 0.0), n)  # mu, the vacuum's center
+    return d @ _loss_and_damping(rho0, t, params) @ d.conj().T
 
 
 def evolve_cross(rho0: np.ndarray, t: float, params: ModelParams) -> np.ndarray:
@@ -232,4 +232,7 @@ def evolve_cross(rho0: np.ndarray, t: float, params: ModelParams) -> np.ndarray:
     d = displacement(mu1 + mu2, n)  # also D+(-m1-m2), since D(-b)+ = D(b)
     left = matrix_exponential(a, 4.0 * mu2.conjugate())
     right = matrix_exponential(a.conj().T, -4.0 * mu2)
-    return prefactor * _loss_and_damping(left @ d @ rho0 @ d @ right, t, params)
+    seed = left @ d @ rho0 @ d @ right
+    if not np.all(np.isfinite(seed)):
+        raise ClosedFormOverflow(f"cross closed form overflows at t={t:.6g}: |m2| = {abs(mu2):.3e}")
+    return prefactor * _loss_and_damping(seed, t, params)

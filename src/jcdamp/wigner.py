@@ -30,9 +30,9 @@ from fractions import Fraction
 import numpy as np
 
 from .fock import ModelParams, displacement
+from .model import HERM_TOL
 from .solution import coherent_center
 
-HERMITICITY_TOL = 1e-8
 SERIES_TARGET = 1e-14
 
 
@@ -127,19 +127,11 @@ def wigner_operator_series(alpha: complex, n_trunc: int, block: int = None) -> n
 
 def wigner_at(rho: np.ndarray, alpha: complex) -> float:
     """W(alpha) = Tr(wigner_operator(alpha) rho) for Hermitian rho."""
-    if np.max(np.abs(rho - rho.conj().T)) > HERMITICITY_TOL:
+    if np.max(np.abs(rho - rho.conj().T)) > HERM_TOL:
         raise ValueError("wigner_at requires a Hermitian state")
     u0 = wigner_operator(alpha, rho.shape[0])
     val = np.sum(u0 * rho.T)
     return float(val.real)
-
-
-def wigner_gaussian(alpha: complex, t: float, params: ModelParams, sign: int,
-                    alpha0: complex) -> float:
-    """Closed-form 2 exp(-2 |alpha - center(t)|^2) for a commutator
-    branch that started in the coherent state alpha0."""
-    center = coherent_center(t, params, sign, alpha0)
-    return 2.0 * math.exp(-2.0 * abs(alpha - center) ** 2)
 
 
 @dataclass(frozen=True)
@@ -200,7 +192,8 @@ def wigner_grid(rho: np.ndarray, re_min: float, re_max: float, n_re: int,
 def gaussian_grid(t: float, params: ModelParams, sign: int, alpha0: complex,
                   re_min: float, re_max: float, n_re: int,
                   im_min: float, im_max: float, n_im: int) -> PhaseGrid:
-    """Closed-form commutator-branch Wigner function on a grid."""
+    """Closed-form Wigner function 2 exp(-2 |alpha - ``coherent_center``|^2) of a
+    commutator branch that started in the coherent state alpha0, on a grid."""
     re, im = _axes(re_min, re_max, n_re, im_min, im_max, n_im)
     center = coherent_center(t, params, sign, alpha0)
     xg, pg = np.meshgrid(re, im, indexing="ij")

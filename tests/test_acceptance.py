@@ -15,7 +15,6 @@ import scipy.sparse as sp
 
 from jcdamp.cli import RunConfig, cmd_compare
 from jcdamp.doubled import (
-    DoubledSpace,
     commutator_generator_factory,
     damped_frame_drive,
     devectorize,
@@ -36,8 +35,7 @@ from jcdamp.solution import (
     evolve_plus_minus,
 )
 from jcdamp.wigner import (
-    wigner_at,
-    wigner_gaussian,
+    gaussian_grid,
     wigner_grid,
     wigner_operator,
     wigner_operator_series,
@@ -147,10 +145,10 @@ def test_criterion_4_doubled_space_equivalence():
     report(4, f"doubled-space evolution vs oracle, interior dev {worst:.2e}", ok)
 
 
-def test_criterion_5_commutator_algebra():
+def test_criterion_5_commutator_algebra(dense_superoperators):
     n = 30
     p = ModelParams(omega=1.0, coupling=0.1, gamma=0.2, n_trunc=n)
-    ds = DoubledSpace(n)
+    ds = dense_superoperators(n)
     idx = interior_indices(n)
     eye = np.eye(n * n, dtype=complex)
 
@@ -180,7 +178,7 @@ def test_criterion_5_commutator_algebra():
     report(5, f"doubled-space commutator algebra, worst interior dev {worst:.2e}", ok)
 
 
-def test_criterion_6_factorization_theorem():
+def test_criterion_6_factorization_theorem(dense_superoperators):
     # (a) nilpotent constant pair with central commutator
     def block(i, j, dim=6):
         m = np.zeros((dim, dim), dtype=complex)
@@ -201,7 +199,7 @@ def test_criterion_6_factorization_theorem():
     # (b) the doubled-space drive-splitting problem
     n = 16
     p = ModelParams(omega=1.0, coupling=0.1, gamma=0.3, n_trunc=n)
-    ds = DoubledSpace(n)
+    ds = dense_superoperators(n)
 
     def a_of(t):
         return -1j * p.coupling * math.cosh(0.5 * p.gamma * t) * (
@@ -287,13 +285,12 @@ def test_criterion_8_wigner():
     rho0 = coherent_projector(alpha0, n)
     t = 1.5
     dev_grid = 0.0
+    box = (-2.0, 2.0, 21, -2.0, 2.0, 21)
     for sign in (1, -1):
         state = evolve_plus_minus(rho0, t, p, sign)
-        for x in np.linspace(-2.0, 2.0, 21):
-            for y in np.linspace(-2.0, 2.0, 21):
-                alpha = x + 1j * y
-                dev_grid = max(dev_grid, abs(
-                    wigner_at(state, alpha) - wigner_gaussian(alpha, t, p, sign, alpha0)))
+        sampled = wigner_grid(state, *box).values
+        closed = gaussian_grid(t, p, sign, alpha0, *box).values
+        dev_grid = max(dev_grid, float(np.max(np.abs(sampled - closed))))
 
     state = evolve_plus_minus(rho0, t, p, 1)
     center = coherent_center(t, p, 1, alpha0)

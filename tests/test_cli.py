@@ -450,6 +450,31 @@ def test_solve_and_simulate_write_the_same_times(tmp_path):
         assert time_strings(name) == solve_times
 
 
+# g t = 12: the drive's displacement amplitude grows like e^{g t / 2} to
+# about 20, far beyond N = 8 levels, while the states stay near the vacuum
+LONG_GAMMA_T = dict(BASE_DOC, params={"omega": 1.0, "coupling": 0.1, "gamma": 2.0, "n_trunc": 8},
+                    initial={"coherent_alpha0": [0.05, 0.0], "atom": "up"},
+                    grid={"t_start": 0.0, "t_end": 6.0, "n_steps": 960},
+                    outputs=["components", "compare"])
+
+
+def test_compare_passes_at_long_gamma_t(tmp_path):
+    path = write_config(tmp_path, LONG_GAMMA_T)
+    assert main(["compare", "--config", path, "--out", str(tmp_path / "cmp"), "--quiet"]) == 0
+
+
+def test_solve_matches_simulate_at_long_gamma_t(tmp_path):
+    path = write_config(tmp_path, LONG_GAMMA_T)
+    out = tmp_path / "run"
+    for verb in ("simulate", "solve"):
+        assert main([verb, "--config", path, "--out", str(out), "--quiet"]) == 0
+    header = (out / "solve.csv").read_text().splitlines()[0].split(",")
+    solved = _load_csv(out / "solve.csv")
+    for kind in ("plus", "minus"):
+        number = _load_csv(out / f"component_{kind}.csv")[:, 3]  # number_re
+        assert np.max(np.abs(solved[:, header.index(f"number_{kind}")] - number)) < 1e-9
+
+
 def _shifted_doc(t_start, **extra):
     # the benchmark's smoke physics on a grid that starts at t_start
     doc = {

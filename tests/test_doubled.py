@@ -5,7 +5,6 @@ from scipy.sparse.linalg import expm_multiply as scipy_expm_multiply
 
 from jcdamp import doubled
 from jcdamp.doubled import (
-    DoubledSpace,
     FrameGenerator,
     anticommutator_generator_factory,
     commutator_generator_factory,
@@ -13,7 +12,6 @@ from jcdamp.doubled import (
     devectorize,
     evolve_vectorized,
     interior_indices,
-    pairing_vector,
     taylor_plan,
     vectorize,
 )
@@ -33,20 +31,17 @@ def interior_block(mat, idx):
 
 
 def test_pairing_vector_entries():
-    v = pairing_vector(2)
+    # the unnormalized pair state sum_n |n, n~> is the vectorized identity
+    v = vectorize(np.eye(2))
     assert np.array_equal(v, np.array([1, 0, 0, 1], dtype=complex))
 
 
-def test_pairing_vector_is_vectorized_identity():
-    assert np.array_equal(pairing_vector(7), vectorize(np.eye(7)))
-
-
-def test_lowering_transfer_identity():
+def test_lowering_transfer_identity(dense_superoperators):
     # a acting on the physical mode of the pair state equals raising the
     # fictitious mode: (a x 1) |pair> == (1 x b+) |pair>
     n = 10
-    ds = DoubledSpace(n)
-    v = pairing_vector(n)
+    ds = dense_superoperators(n)
+    v = vectorize(np.eye(n))
     assert np.max(np.abs(ds.left_a @ v - ds.right_a @ v)) < 1e-14
     assert np.max(np.abs(ds.left_ad @ v - ds.right_ad @ v)) < 1e-14
 
@@ -71,9 +66,9 @@ def test_vectorize_is_hilbert_schmidt_isometry():
         assert abs(lhs - rhs) < 1e-12
 
 
-def test_left_right_multiplication_superoperators():
+def test_left_right_multiplication_superoperators(dense_superoperators):
     n = 7
-    ds = DoubledSpace(n)
+    ds = dense_superoperators(n)
     a = annihilation(n)
     m = random_matrix(n, 3)
     assert np.max(np.abs(devectorize(ds.left_a @ vectorize(m)) - a @ m)) < 1e-14
@@ -82,9 +77,9 @@ def test_left_right_multiplication_superoperators():
     assert np.max(np.abs(devectorize(ds.right_ad @ vectorize(m)) - m @ a.conj().T)) < 1e-14
 
 
-def test_dissipator_superoperator_matches_matrix_form():
+def test_dissipator_superoperator_matches_matrix_form(dense_superoperators):
     n = 9
-    ds = DoubledSpace(n)
+    ds = dense_superoperators(n)
     a = annihilation(n)
     m = random_matrix(n, 5)
     got = devectorize(ds.dissipator @ vectorize(m))
@@ -113,11 +108,11 @@ def test_anticommutator_generator_matches_equation_of_motion():
     assert np.max(np.abs(got - want)) < 1e-12
 
 
-def test_generators_match_dense_views():
-    # the sparse generators are the documented sums of the DoubledSpace views
+def test_generators_match_dense_views(dense_superoperators):
+    # the sparse generators are the documented sums of the superoperators
     p = ModelParams(omega=1.0, coupling=0.1, gamma=0.2, n_trunc=8)
     t = 0.37
-    ds = DoubledSpace(8)
+    ds = dense_superoperators(8)
     pref = -1j * p.coupling
     down, up = np.exp(-1j * p.omega * t), np.exp(1j * p.omega * t)
     for sign in (1, -1):
@@ -129,27 +124,27 @@ def test_generators_match_dense_views():
     assert np.max(np.abs(sparse.toarray() - dense)) < 1e-14
 
 
-def test_dissipator_ladder_commutators_interior():
+def test_dissipator_ladder_commutators_interior(dense_superoperators):
     # [dissipator, comm_a] = -comm_a and [dissipator, comm_ad] = -comm_ad
     n = 12
-    ds = DoubledSpace(n)
+    ds = dense_superoperators(n)
     idx = interior_indices(n)
     for op in (ds.comm_a, ds.comm_ad):
         comm = ds.dissipator @ op - op @ ds.dissipator
         assert np.max(np.abs(interior_block(comm + op, idx))) < 1e-12
 
 
-def test_commutator_ladders_mutually_commute_interior():
+def test_commutator_ladders_mutually_commute_interior(dense_superoperators):
     n = 12
-    ds = DoubledSpace(n)
+    ds = dense_superoperators(n)
     idx = interior_indices(n)
     comm = ds.comm_a @ ds.comm_ad - ds.comm_ad @ ds.comm_a
     assert np.max(np.abs(interior_block(comm, idx))) < 1e-12
 
 
-def test_anticommutator_partner_relations_interior():
+def test_anticommutator_partner_relations_interior(dense_superoperators):
     n = 12
-    ds = DoubledSpace(n)
+    ds = dense_superoperators(n)
     idx = interior_indices(n)
     d = ds.dissipator
     # [D, acomm_a] = partner, [D, partner] = acomm_a; same for the adjoint pair
@@ -163,10 +158,10 @@ def test_anticommutator_partner_relations_interior():
     assert np.max(np.abs(interior_block(c4 - ds.acomm_ad, idx))) < 1e-12
 
 
-def test_scalar_cross_commutators_interior():
+def test_scalar_cross_commutators_interior(dense_superoperators):
     # [acomm_a, partner_ad] = -4 and [acomm_ad, partner_a] = -4
     n = 12
-    ds = DoubledSpace(n)
+    ds = dense_superoperators(n)
     idx = interior_indices(n)
     eye = np.eye(n * n, dtype=complex)
     c1 = ds.acomm_a @ ds.acomm_ad_partner - ds.acomm_ad_partner @ ds.acomm_a
@@ -207,7 +202,7 @@ def test_evolve_step_bound():
     p = ModelParams(omega=1.0, coupling=0.1, gamma=1.0, n_trunc=10)
     gen = commutator_generator_factory(p, 1)
     with pytest.raises(StepTooLarge):
-        evolve_vectorized(gen, pairing_vector(10), TimeGrid(0.0, 10.0, 5), p)
+        evolve_vectorized(gen, vectorize(np.eye(10)), TimeGrid(0.0, 10.0, 5), p)
 
 
 def test_evolve_matches_oracle_component():
@@ -229,12 +224,12 @@ def _generators(p):
             "cross": anticommutator_generator_factory(p)}
 
 
-def test_generator_frame_identity():
+def test_generator_frame_identity(dense_superoperators):
     # G(t) = S(t) G(0) S(t)^+ with S(t) = diag(e^{i w t (m - n)}), exactly,
     # against G(t) summed from the dense views
     n = 8
     p = ModelParams(omega=1.3, coupling=0.1, gamma=0.2, n_trunc=n)
-    ds = DoubledSpace(n)
+    ds = dense_superoperators(n)
     levels = np.arange(n)
     diff = (levels[:, None] - levels[None, :]).reshape(-1)
     prefs = {"plus": -1j * p.coupling, "minus": 1j * p.coupling, "cross": -1j * p.coupling}
@@ -311,12 +306,12 @@ def test_evolve_calls_expm_multiply_once_per_step(monkeypatch):
 
     monkeypatch.setattr(doubled, "expm_multiply", counted)
     p = ModelParams(omega=1.0, coupling=0.1, gamma=0.2, n_trunc=6)
-    evolve_vectorized(commutator_generator_factory(p, 1), pairing_vector(6),
+    evolve_vectorized(commutator_generator_factory(p, 1), vectorize(np.eye(6)),
                       TimeGrid(0.0, 1.0, 37), p)
     assert len(calls) == 37
     # no step after the last kept one
     calls.clear()
-    kept = evolve_vectorized(commutator_generator_factory(p, 1), pairing_vector(6),
+    kept = evolve_vectorized(commutator_generator_factory(p, 1), vectorize(np.eye(6)),
                              TimeGrid(0.0, 1.0, 37), p, store_steps=[20, 9])
     assert len(calls) == 20
     assert list(kept) == [9, 20]

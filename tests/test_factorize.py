@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from jcdamp.doubled import DoubledSpace, interior_indices, vectorize
+from jcdamp.doubled import interior_indices, vectorize
 from jcdamp.factorize import (
     FactorizationProblem,
     PreconditionViolated,
@@ -126,8 +126,7 @@ def test_precondition_violation_detected():
         check_preconditions(prob)
 
 
-def _doubled_problem(n, params):
-    ds = DoubledSpace(n)
+def _doubled_problem(ds, params):
     c, g, w = params.coupling, params.gamma, params.omega
 
     def a_of(t):
@@ -146,10 +145,10 @@ def _doubled_problem(n, params):
     return a_of, b_of, kernel
 
 
-def test_doubled_space_problem_passes_preconditions_on_interior():
+def test_doubled_space_problem_passes_preconditions_on_interior(dense_superoperators):
     n = 14
     p = ModelParams(omega=1.0, coupling=0.1, gamma=0.3, n_trunc=n)
-    a_of, b_of, kernel = _doubled_problem(n, p)
+    a_of, b_of, kernel = _doubled_problem(dense_superoperators(n), p)
     grid = TimeGrid(0.0, 1.5, 100)
     prob = FactorizationProblem(a_of, b_of, kernel, grid,
                                 restrict=interior_indices(n))
@@ -159,10 +158,10 @@ def test_doubled_space_problem_passes_preconditions_on_interior():
         check_preconditions(FactorizationProblem(a_of, b_of, kernel, grid))
 
 
-def test_factorized_matches_time_ordered_on_doubled_problem():
+def test_factorized_matches_time_ordered_on_doubled_problem(dense_superoperators):
     n = 16
     p = ModelParams(omega=1.0, coupling=0.1, gamma=0.3, n_trunc=n)
-    a_of, b_of, kernel = _doubled_problem(n, p)
+    a_of, b_of, kernel = _doubled_problem(dense_superoperators(n), p)
     t_end = 1.2
     grid = TimeGrid(0.0, t_end, 1200)
     prob = FactorizationProblem(a_of, b_of, kernel, grid,
@@ -174,19 +173,19 @@ def test_factorized_matches_time_ordered_on_doubled_problem():
     assert np.max(np.abs(fact @ v0 - ordered)) < 1e-7
 
 
-def test_factorized_matches_closed_moment_form():
+def test_factorized_matches_closed_moment_form(dense_superoperators):
     # the quadrature route reproduces the closed-moment product
     # e^F exp(int B) exp(int A) with the moment integrals in closed form
     from jcdamp.solution import drive_integrals, kernel_double_integral
     n = 16
     p = ModelParams(omega=1.0, coupling=0.1, gamma=0.3, n_trunc=n)
-    a_of, b_of, kernel = _doubled_problem(n, p)
+    a_of, b_of, kernel = _doubled_problem(dense_superoperators(n), p)
     t_end = 1.5
     grid = TimeGrid(0.0, t_end, 100)
     prob = FactorizationProblem(a_of, b_of, kernel, grid,
                                 restrict=interior_indices(n))
     fact = factorized_propagator(prob, t_end, check=False)
-    ds = DoubledSpace(n)
+    ds = dense_superoperators(n)
     mu1, mu2 = drive_integrals(t_end, p)
     big_f = kernel_double_integral(t_end, p)
     int_b = np.conj(mu2) * ds.acomm_a_partner - mu2 * ds.acomm_ad_partner
@@ -197,12 +196,12 @@ def test_factorized_matches_closed_moment_form():
     assert np.max(np.abs(fact @ v0 - closed @ v0)) < 1e-7
 
 
-def test_u_substitution_identity():
+def test_u_substitution_identity(dense_superoperators):
     # propagating with the transformed generator A(t) + int_0^t f(t, s) ds
     # and multiplying back exp(int B) reproduces the factorized result
     n = 12
     p = ModelParams(omega=1.0, coupling=0.1, gamma=0.3, n_trunc=n)
-    a_of, b_of, kernel = _doubled_problem(n, p)
+    a_of, b_of, kernel = _doubled_problem(dense_superoperators(n), p)
     t_end = 1.0
     grid = TimeGrid(0.0, t_end, 1000)
     eye = np.eye(n * n, dtype=complex)

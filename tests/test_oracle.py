@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from jcdamp import model, oracle
-from jcdamp.doubled import commutator_generator_factory, evolve_vectorized, pairing_vector
+from jcdamp.doubled import commutator_generator_factory, evolve_vectorized, vectorize
 from jcdamp.fock import ModelParams, coherent_state, tail_weight
 from jcdamp.model import (
     ATOM_DOWN,
@@ -308,7 +308,7 @@ def test_store_steps_out_of_range_rejected(bad):
         integrate_component({"plus": np.eye(n, dtype=complex) / n}, p, grid, store_steps=bad)
     # the doubled route keeps steps by the same rule
     with pytest.raises(ValueError, match="store_steps"):
-        evolve_vectorized(commutator_generator_factory(p, 1), pairing_vector(n), grid, p,
+        evolve_vectorized(commutator_generator_factory(p, 1), vectorize(np.eye(n)), grid, p,
                           store_steps=bad)
 
 

@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from jcdamp.doubled import DoubledSpace, interior_indices, vectorize, devectorize
-from jcdamp.fock import ModelParams, annihilation, coherent_state, displacement
+from jcdamp.doubled import interior_indices, vectorize, devectorize
+from jcdamp.fock import ModelParams, coherent_state, displacement
 from jcdamp.model import field_from_rotational
 from jcdamp.oracle import TimeGrid, integrate_component
 from jcdamp.quadrature import simpson_adaptive, simpson_fixed, triangle_double_integral
 from jcdamp.solution import (
-    NonConvergedKrausSum,
+    ClosedFormOverflow,
     _growth_integral,
+    _loss_and_damping,
     _loss_kraus_sum,
     coherent_center,
     damping_weight,
@@ -73,11 +74,10 @@ def test_damping_weight_forced_by_trace_preservation():
     n = 40
     gamma, t = 0.2, 3.5  # g t = 0.7
     rho = coherent_projector(1.0, n)
-    a = annihilation(n)
     decay = np.exp(-0.5 * gamma * t * np.arange(n))
 
     def channel_trace(weight):
-        total = _loss_kraus_sum(rho, weight, a)
+        total = _loss_kraus_sum(rho, weight)
         out = total * np.outer(decay, decay)
         return np.trace(out).real
 
@@ -154,6 +154,31 @@ def test_plus_minus_matches_oracle():
             assert np.max(np.abs(got - lab)) < 1e-6
 
 
+def test_plus_minus_displaces_after_the_channel():
+    # where the displaced initial state fits the truncation, displacing by
+    # lambda before the loss channel equals displacing by the damped
+    # amplitude after it
+    for n, p in ((40, STD), (60, ModelParams(omega=0.7, coupling=0.3, gamma=0.5, n_trunc=60))):
+        rho0 = coherent_projector(1.0 - 0.5j, n)
+        for sign in (1, -1):
+            for t in (0.5, 2.0, 4.0):
+                d = displacement(displacement_amplitude(t, p, sign), n)
+                before = _loss_and_damping(d @ rho0 @ d.conj().T, t, p)
+                assert np.max(np.abs(evolve_plus_minus(rho0, t, p, sign) - before)) < 1e-13
+
+
+def test_plus_minus_matches_oracle_at_long_gamma_t():
+    # lambda grows like e^{g t / 2} (|lambda| ~ 20 at g t = 12 here), far
+    # beyond N = 8 levels; the state itself stays near the vacuum
+    p = ModelParams(omega=1.0, coupling=0.1, gamma=2.0, n_trunc=8)
+    rho0 = coherent_projector(0.05, 8)
+    grid = TimeGrid(0.0, 6.0, 960)
+    trajs = integrate_component({"plus": rho0, "minus": rho0}, p, grid)
+    for sign, kind in ((1, "plus"), (-1, "minus")):
+        lab = field_from_rotational(trajs[kind].final, 6.0, p)
+        assert np.max(np.abs(evolve_plus_minus(rho0, 6.0, p, sign) - lab)) < 1e-9
+
+
 def test_plus_minus_hermiticity_and_trace():
     rng = np.random.default_rng(9)
     m = rng.normal(size=(30, 30)) + 1j * rng.normal(size=(30, 30))
@@ -177,21 +202,16 @@ def test_plus_minus_semigroup_when_uncoupled():
     assert np.max(np.abs(one_shot - two_step)) < 1e-9
 
 
-def test_kraus_sum_nonconvergence_guard():
-    # a non-nilpotent ladder makes the series outrun the term cap
-    big = np.diag(np.arange(12.0)).astype(complex)
-    with pytest.raises(NonConvergedKrausSum):
-        _loss_kraus_sum(np.eye(12, dtype=complex), 1.0, big)
 
 
 # ---------------------------------------------------------- damping-frame
 # factorization identities in the doubled space
 
-def test_drive_displacement_factorizes_in_doubled_space():
+def test_drive_displacement_factorizes_in_doubled_space(dense_superoperators):
     # exp(lam comm_ad - lam* comm_a) vec(r) == vec(D(lam) r D+(lam))
     n = 20
     p = ModelParams(omega=1.0, coupling=0.1, gamma=0.2, n_trunc=n)
-    ds = DoubledSpace(n)
+    ds = dense_superoperators(n)
     lam = displacement_amplitude(2.0, p, 1)
     rho = coherent_projector(0.7, n)
     gen = lam * ds.comm_ad - np.conj(lam) * ds.comm_a
@@ -202,7 +222,7 @@ def test_drive_displacement_factorizes_in_doubled_space():
     assert np.max(np.abs(got[:k, :k] - want[:k, :k])) < 1e-8
 
 
-def test_damped_frame_drive_integral_is_displacement_generator():
+def test_damped_frame_drive_integral_is_displacement_generator(dense_superoperators):
     # int_0^t of the damping-frame drive equals
     # lam(t) comm_ad - lam(t)* comm_a  (matrix-valued quadrature)
     from jcdamp.doubled import damped_frame_drive
@@ -210,7 +230,7 @@ def test_damped_frame_drive_integral_is_displacement_generator():
     p = ModelParams(omega=1.0, coupling=0.15, gamma=0.3, n_trunc=n)
     t = 1.7
     quad = simpson_adaptive(lambda s: damped_frame_drive(s, p, 1), 0.0, t, tol=1e-11)
-    ds = DoubledSpace(n)
+    ds = dense_superoperators(n)
     lam = displacement_amplitude(t, p, 1)
     want = lam * ds.comm_ad - np.conj(lam) * ds.comm_a
     assert np.max(np.abs(quad - want)) < 1e-9
@@ -251,12 +271,12 @@ def test_kernel_vanishes_at_degenerate_arguments():
     assert drive_commutator_kernel(1.3, 0.7, p0) == 0.0
 
 
-def test_kernel_matches_doubled_space_commutator():
+def test_kernel_matches_doubled_space_commutator(dense_superoperators):
     # [A(s), B(s')] evaluated as matrices is the kernel times identity
     # on the interior block
     n = 16
     p = ModelParams(omega=1.0, coupling=0.12, gamma=0.3, n_trunc=n)
-    ds = DoubledSpace(n)
+    ds = dense_superoperators(n)
 
     def a_of(s):
         return -1j * p.coupling * math.cosh(0.5 * p.gamma * s) * (
@@ -353,6 +373,15 @@ def test_cross_reduces_to_loss_channel_when_uncoupled():
     lab = field_from_rotational(oracle, 2.0, p)
     got = evolve_cross(rho0, 2.0, p)
     assert np.max(np.abs(got - lab)) < 1e-8
+
+
+@pytest.mark.parametrize("gamma, t", [(1.0, 60.0), (2.0, 30.0), (0.5, 80.0)])
+def test_cross_overflow_is_reported(gamma, t):
+    # e^{4 m2* a} overflows once |m2| ~ c e^{g t / 2} is large enough
+    p = ModelParams(omega=1.0, coupling=0.1, gamma=gamma, n_trunc=20)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ClosedFormOverflow, match=f"t={t:g}"):
+            evolve_cross(coherent_projector(0.5, 20), t, p)
 
 
 def test_cross_identity_at_t0():

@@ -5,13 +5,12 @@ import numpy as np
 import pytest
 
 from jcdamp.fock import ModelParams, coherent_state, displacement
-from jcdamp.solution import evolve_plus_minus
+from jcdamp.solution import coherent_center, evolve_plus_minus
 from jcdamp.wigner import (
     PhaseGrid,
     gaussian_grid,
     parity_operator,
     wigner_at,
-    wigner_gaussian,
     wigner_grid,
     wigner_operator,
     wigner_operator_series,
@@ -21,6 +20,12 @@ from jcdamp.wigner import (
 def coherent_projector(alpha, n):
     v = coherent_state(alpha, n).vec
     return np.outer(v, v.conj())
+
+
+def gaussian_at(alpha, t, p, sign, alpha0):
+    # ``gaussian_grid`` on a degenerate box whose every point is alpha
+    x, y = complex(alpha).real, complex(alpha).imag
+    return gaussian_grid(t, p, sign, alpha0, x, x, 2, y, y, 2).values[0, 0]
 
 
 def test_wigner_operator_at_origin_is_parity():
@@ -113,7 +118,7 @@ def test_gaussian_closed_form_matches_operator_route():
     for sign in (1, -1):
         state = evolve_plus_minus(rho0, t, p, sign)
         for alpha in (0.0, 0.5 - 0.5j, 1.0):
-            closed = wigner_gaussian(alpha, t, p, sign, 1.0)
+            closed = gaussian_at(alpha, t, p, sign, 1.0)
             sampled = wigner_at(state, alpha)
             assert abs(closed - sampled) < 1e-6
 
@@ -122,7 +127,7 @@ def test_gaussian_peak_at_initial_center():
     p = ModelParams(omega=1.0, coupling=0.1, gamma=0.2, n_trunc=8)
     for alpha0 in (0.7, -0.3 + 1.1j):
         for sign in (1, -1):
-            assert wigner_gaussian(alpha0, 0.0, p, sign, alpha0) == pytest.approx(2.0)
+            assert gaussian_at(alpha0, 0.0, p, sign, alpha0) == pytest.approx(2.0)
 
 
 def test_gaussian_long_time_center_forgets_initial_state():
@@ -132,7 +137,7 @@ def test_gaussian_long_time_center_forgets_initial_state():
         limit = -sign * 2j * p.coupling / (2j * p.omega + p.gamma)
         for alpha0 in (1.0, -0.5j):
             # peak value at the predicted limit is the global maximum 2
-            assert wigner_gaussian(limit, t, p, sign, alpha0) == pytest.approx(2.0, abs=1e-8)
+            assert gaussian_at(limit, t, p, sign, alpha0) == pytest.approx(2.0, abs=1e-8)
 
 
 def test_grid_vacuum_peak_and_normalization():
@@ -174,10 +179,11 @@ def test_grid_rejects_empty():
 def test_gaussian_grid_matches_pointwise_form():
     p = ModelParams(omega=1.0, coupling=0.1, gamma=0.2, n_trunc=8)
     g = gaussian_grid(1.2, p, 1, 0.7, -1.0, 1.0, 5, -1.0, 1.0, 5)
+    center = coherent_center(1.2, p, 1, 0.7)
     for i, x in enumerate(g.re):
         for j, y in enumerate(g.im):
             assert g.values[i, j] == pytest.approx(
-                wigner_gaussian(x + 1j * y, 1.2, p, 1, 0.7), abs=1e-12)
+                2.0 * math.exp(-2.0 * abs(x + 1j * y - center) ** 2), abs=1e-12)
 
 
 def test_phase_grid_serialization(tmp_path):
