@@ -57,27 +57,33 @@ def hamiltonian_full(params: ModelParams) -> np.ndarray:
     return h
 
 
-def damping(gamma: float, a: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """D[mat] = (gamma/2)(2 a mat a+ - a+a mat - mat a+a) as a function of
-    mat, or of a stack of matrices on the last two axes.
-
-    ``a`` may have non-zero entries only on its superdiagonal s = diag(a, 1)
-    (``annihilation`` and ``joint_annihilation`` do); any other ``a`` raises
-    ValueError.  No matrix product is formed: (a mat a+)[i, j] is the shifted
-    entry s_i mat[i+1, j+1] conj(s_j), and a+a = diag(d) with
-    d = [0, |s_0|^2, |s_1|^2, ...] scales rows and columns.  d is taken from s,
-    not from the integers (fl(sqrt(3)^2) != 3), so every entry is the value
-    the dense products give, bit for bit.
-    """
+def _ladder(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(s, d): the superdiagonal s = diag(a, 1) of ``a`` and the diagonal
+    d = [0, |s_0|^2, |s_1|^2, ...] of a+a.  ValueError unless ``a`` is square with
+    non-zero entries only on its superdiagonal (``annihilation`` and
+    ``joint_annihilation`` are).  d is taken from s, not from the integers
+    (fl(sqrt(3)^2) != 3), so it is the diagonal the dense product gives, bit for bit."""
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"damping needs a square a, got shape {a.shape}")
     s = np.diagonal(a, 1)
     if np.count_nonzero(a) != np.count_nonzero(s):
         raise ValueError("damping needs an a with non-zero entries only on its superdiagonal")
+    return s, np.concatenate([[0.0], (s.conj() * s).real])
+
+
+def damping(gamma: float, a: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """D[mat] = (gamma/2)(2 a mat a+ - a+a mat - mat a+a) as a function of
+    mat, or of a stack of matrices on the last two axes.
+
+    ``a`` is checked by ``_ladder``.  No matrix product is formed:
+    (a mat a+)[i, j] is the shifted entry s_i mat[i+1, j+1] conj(s_j), and
+    a+a = diag(d) scales rows and columns, so every entry is the value the
+    dense products give, bit for bit.
+    """
+    s, d = _ladder(a)
     # 2a is scaled first, as in (2a) mat a+; the doubling is exact anyway
     s2_col, s_row = 2.0 * s[:, None], s.conj()
-    d = np.concatenate([[0.0], (s.conj() * s).real])
     d_col = d[:, None]
 
     def damp(mat: np.ndarray) -> np.ndarray:
@@ -93,22 +99,74 @@ def damping(gamma: float, a: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     return damp
 
 
-def _coupled_rhs(coupling_at: Callable[[float], np.ndarray], front, sign,
-                 damp: Callable[[np.ndarray], np.ndarray]) -> RHS:
-    """f(t, y) = front (K y + sign y K) + D[y] with K = coupling_at(t): sign
-    -1 gives the commutator, +1 the anticommutator.  The form of every
-    equation of motion here; front and sign may be arrays that broadcast
-    over a stack y of matrices.  K is rebuilt only when t changes (RK4
-    stages 2 and 3 share one time)."""
-    last_t = k = None
+def _coupled_rhs(coupling, front, sign, gamma: float, a: np.ndarray, hermitian) -> RHS:
+    """f(t, y) = front (K y + sign y K) + D[y] with K = coupling, or coupling(t)
+    if it is callable, and D the ``damping`` of (gamma, a): sign -1 gives the
+    commutator, +1 the anticommutator.  The form of every equation of motion
+    here; front and sign may be arrays that broadcast over a stack y of matrices.
+
+    It is evaluated in effective-generator form, f(y) = G y + y G' + gamma a y a+,
+    with G = front K - (gamma/2) a+a and G' = sign front K - (gamma/2) a+a, built
+    once per distinct t (RK4 stages 2 and 3 share one time), or once for a fixed K.
+    The jump term gamma a y a+ is the shifted entry y[i+1, j+1] times the table
+    gamma s_i conj(s_j) (``_ladder``).
+
+    ``hermitian`` (a bool, or one per slice of the stack) marks slices that the
+    caller guarantees Hermitian, with front imaginary, sign -1 and K Hermitian.
+    There G' = G+, so y G' = (G y)+ and one product serves both sides; the result
+    is then exactly Hermitian.  For any other y that shortcut is wrong, so every
+    caller that sets ``hermitian`` checks its states (``oracle``).
+    """
+    s, d = _ladder(a)
+    jump = gamma * np.outer(s, s.conj())
+    if not jump.imag.any():
+        jump = jump.real  # a real table halves the multiplies
+    half_n = 0.5 * gamma * d
+    diag = np.diag_indices(len(d))
+    mask = np.asarray(hermitian, dtype=bool)
+    one, two = _slices(mask), _slices(~mask)  # slices taking one product, and two
+    # G' differs from G only where sign is -1; an anticommutator slice reuses G
+    own_g_two = two is not None and bool(np.any(np.asarray(sign)[two] != 1))
+    front_two = np.asarray(sign * front)[two] if own_g_two else None
+
+    def generators(k: np.ndarray) -> tuple:
+        g = front * k
+        g[..., diag[0], diag[1]] -= half_n
+        if not own_g_two:
+            return g, None if two is None else g[two]
+        g_two = front_two * k
+        g_two[..., diag[0], diag[1]] -= half_n
+        return g, g_two
+
+    timed = callable(coupling)
+    last_t = None
+    g, g_two = (None, None) if timed else generators(coupling)
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        nonlocal last_t, k
-        if t != last_t:
-            last_t, k = t, coupling_at(t)
-        return front * (k @ y + sign * (y @ k)) + damp(y)
+        nonlocal last_t, g, g_two
+        if timed and t != last_t:
+            last_t = t
+            g, g_two = generators(coupling(t))
+        out = g @ y
+        if one is not None:
+            out[one] += out[one].conj().swapaxes(-1, -2)
+        if two is not None:
+            out[two] += y[two] @ g_two
+        out[..., :-1, :-1] += jump * y[..., 1:, 1:]
+        return out
 
     return rhs
+
+
+def _slices(mask: np.ndarray):
+    """An index over axis 0 of a stack for the True entries of ``mask``: Ellipsis
+    if all are (or a 0-d mask is), None if none is, a slice for one run."""
+    if mask.all():
+        return Ellipsis
+    idx = np.flatnonzero(mask)
+    if not idx.size:
+        return None
+    return slice(idx[0], idx[-1] + 1) if idx[-1] - idx[0] + 1 == idx.size else idx
 
 
 def _rotating(raising: np.ndarray, lowering: np.ndarray,
@@ -118,22 +176,23 @@ def _rotating(raising: np.ndarray, lowering: np.ndarray,
     return lambda t: raising * np.exp(1j * omega * t) + lowering * np.exp(-1j * omega * t)
 
 
-def lab_frame_rhs(params: ModelParams) -> RHS:
+def lab_frame_rhs(params: ModelParams, hermitian: bool = False) -> RHS:
     """Right-hand side f(t, rho) of the lab-frame joint equation
-    -i[H, rho] + D[rho]."""
-    h = hamiltonian_full(params)
-    damp = damping(params.gamma, joint_annihilation(params.n_trunc))
-    return _coupled_rhs(lambda t: h, -1j, -1.0, damp)
+    -i[H, rho] + D[rho].  With ``hermitian`` every rho must be Hermitian, and
+    one product serves both sides (``_coupled_rhs``)."""
+    return _coupled_rhs(hamiltonian_full(params), -1j, -1.0, params.gamma,
+                        joint_annihilation(params.n_trunc), hermitian)
 
 
-def rotating_frame_rhs(params: ModelParams) -> RHS:
+def rotating_frame_rhs(params: ModelParams, hermitian: bool = False) -> RHS:
     """Right-hand side f(t, rho) of the joint equation in the rotating
-    (free-field) frame, -i coupling [X(t) (x) sigma_x, rho] + D[rho]."""
+    (free-field) frame, -i coupling [X(t) (x) sigma_x, rho] + D[rho].  With
+    ``hermitian`` every rho must be Hermitian, as in ``lab_frame_rhs``."""
     a = annihilation(params.n_trunc)
     coupling_at = _rotating(params.coupling * np.kron(SIGMA_X, a.conj().T),
                             params.coupling * np.kron(SIGMA_X, a), params.omega)
-    damp = damping(params.gamma, joint_annihilation(params.n_trunc))
-    return _coupled_rhs(coupling_at, -1j, -1.0, damp)
+    return _coupled_rhs(coupling_at, -1j, -1.0, params.gamma,
+                        joint_annihilation(params.n_trunc), hermitian)
 
 
 def _lab_phases(t: float, params: ModelParams, blocks: int) -> np.ndarray:
@@ -234,14 +293,16 @@ def component_rhs(cs: ComponentSet, t: float, params: ModelParams) -> ComponentS
 _KINDS = {"plus": (-1j, -1.0), "minus": (1j, -1.0), "cross": (-1j, 1.0)}
 
 
-def decoupled_rhs(kinds: Sequence[str], params: ModelParams) -> RHS:
+def decoupled_rhs(kinds: Sequence[str], params: ModelParams, hermitian: bool = False) -> RHS:
     """Right-hand side f(t, ops) of a stack of decoupled components
     (rotating frame), ops[i] of kind kinds[i]:
 
     kind "plus"/"minus": -/+ i c [X(t), op] + D[op]
     kind "cross":           -i c {X(t), op} + D[op]
 
-    Each slice of the stack evolves on its own.
+    Each slice of the stack evolves on its own.  With ``hermitian`` every
+    plus and minus slice must be Hermitian, and takes one product
+    (``_coupled_rhs``); a cross slice always takes two.
     """
     for kind in kinds:
         if kind not in _KINDS:
@@ -249,8 +310,8 @@ def decoupled_rhs(kinds: Sequence[str], params: ModelParams) -> RHS:
     a = annihilation(params.n_trunc)
     front = np.array([_KINDS[kind][0] * params.coupling for kind in kinds])[:, None, None]
     sign = np.array([_KINDS[kind][1] for kind in kinds])[:, None, None]
-    return _coupled_rhs(_rotating(a.conj().T, a, params.omega), front, sign,
-                        damping(params.gamma, a))
+    return _coupled_rhs(_rotating(a.conj().T, a, params.omega), front, sign, params.gamma, a,
+                        [hermitian and kind != "cross" for kind in kinds])
 
 
 def joint_tail_weight(rho: np.ndarray) -> float:
@@ -259,12 +320,17 @@ def joint_tail_weight(rho: np.ndarray) -> float:
     return tail_weight(rho[:dim, :dim]) + tail_weight(rho[dim:, dim:])
 
 
+def require_hermitian(mat: np.ndarray, name: str) -> None:
+    """Raise ValueError naming ``name`` unless max |mat - mat+| <= ``HERM_TOL``."""
+    if np.max(np.abs(mat - mat.conj().T)) > HERM_TOL:
+        raise ValueError(f"{name} is not Hermitian within {HERM_TOL}")
+
+
 def check_joint_density(rho: np.ndarray) -> None:
     """Raise ValueError unless max |rho - rho+| <= ``HERM_TOL`` (both atom blocks and the
     adjoint off-diagonal pair in one check), |tr rho - 1| <= ``TRACE_TOL`` and no
     eigenvalue lies below ``-PSD_TOL``."""
-    if np.max(np.abs(rho - rho.conj().T)) > HERM_TOL:
-        raise ValueError(f"state is not Hermitian within {HERM_TOL}")
+    require_hermitian(rho, "state")
     tr = np.trace(rho).real
     if abs(tr - 1.0) > TRACE_TOL:
         raise ValueError(f"trace deviates from 1 by {abs(tr - 1.0):.3e}")

@@ -7,8 +7,13 @@ deterministic and reproducible as regression baselines.  One loop,
 ``_rk4``, integrates a stack of states: the joint run is a stack of one,
 and the decoupled components (plus, minus, cross) asked for together run
 as one (k, N, N) stack, each slice under its own front factor and
-commutator or anticommutator sign.  The damping term is applied as an
-exact shift and diagonal scaling (``model.damping``), not as dense
+commutator or anticommutator sign.  Each right-hand side is evaluated in
+effective-generator form (``model._coupled_rhs``): the a+a damping rides
+in the coupling product, and the jump term a y a+ is an exact shift.  A
+joint, plus or minus initial state must be Hermitian within
+``model.HERM_TOL`` (ValueError naming it otherwise); its Hermitian part is
+integrated, with one dense product per right-hand side, and every state
+of the run stays exactly Hermitian.  The cross component takes two
 products.  A run keeps exactly the steps ``store_steps`` (by default the
 last) and takes no step after the last of them; ``TimeGrid.check_steps``
 holds this rule here and in the doubled route, and ``TimeGrid.step_index``
@@ -43,6 +48,7 @@ from .model import (
     hamiltonian_full,
     joint_tail_weight,
     lab_frame_rhs,
+    require_hermitian,
     rotating_frame_rhs,
 )
 from .fock import tail_weight as field_tail_weight
@@ -160,6 +166,14 @@ def _check_stored(y: np.ndarray, t: float, name: str, joint: bool) -> None:
             raise StepTooLarge(f"unstable: purity {purity:.3e} > 1 at t={t:.6g}")
 
 
+def _hermitian_part(y: np.ndarray, name: str) -> np.ndarray:
+    """(y + y+) / 2 for an initial ``name`` state within ``model.HERM_TOL`` of Hermitian
+    (ValueError otherwise); on exactly Hermitian input it is y, bit for bit."""
+    y = np.asarray(y)
+    require_hermitian(y, f"initial {name} state")
+    return 0.5 * (y + y.conj().T)
+
+
 def _rk4(rhs: Callable, y0: np.ndarray, grid: TimeGrid, store_steps: Iterable[int],
          names: list[str], joint: bool) -> dict[str, Trajectory]:
     """Integrate the stack ``y0``, one state per name on axis 0, and return
@@ -203,6 +217,8 @@ def integrate_joint(rho0: np.ndarray, params: ModelParams, grid: TimeGrid,
 
     picture "schrodinger" uses the lab-frame generator; "rotational"
     uses the rotating-frame generator with its explicit time dependence.
+    ``rho0`` must be Hermitian within ``model.HERM_TOL``; its Hermitian part is
+    integrated.
     """
     n = params.n_trunc
     if rho0.shape != (2 * n, 2 * n):
@@ -210,10 +226,11 @@ def integrate_joint(rho0: np.ndarray, params: ModelParams, grid: TimeGrid,
     builders = {"schrodinger": lab_frame_rhs, "rotational": rotating_frame_rhs}
     if picture not in builders:
         raise ValueError(f"unknown picture {picture!r}")
+    rho0 = _hermitian_part(rho0, "joint")
     require_step(params, grid.step)
     require_stable(params, grid.step, picture)
-    return _rk4(builders[picture](params), rho0[None], grid, store_steps, ["joint"],
-                joint=True)["joint"]
+    rhs = builders[picture](params, True)  # hermitian: rho0 is checked above
+    return _rk4(rhs, rho0[None], grid, store_steps, ["joint"], joint=True)["joint"]
 
 
 def integrate_component(initial: Mapping[str, np.ndarray], params: ModelParams,
@@ -222,7 +239,9 @@ def integrate_component(initial: Mapping[str, np.ndarray], params: ModelParams,
     (k, N, N) stack.
 
     ``initial`` maps each kind ("plus", "minus" or "cross") to its N x N
-    initial operator; the result maps each kind to its Trajectory.
+    initial operator; the result maps each kind to its Trajectory.  A plus or
+    minus operator must be Hermitian within ``model.HERM_TOL``; its Hermitian part is
+    integrated.
     """
     n = params.n_trunc
     kinds = list(initial)
@@ -232,8 +251,8 @@ def integrate_component(initial: Mapping[str, np.ndarray], params: ModelParams,
         if np.shape(op0) != (n, n):
             raise ValueError(f"initial {kind} operator has shape {np.shape(op0)},"
                              f" expected {(n, n)}")
-    rhs = decoupled_rhs(kinds, params)
+    rhs = decoupled_rhs(kinds, params, True)  # hermitian: plus and minus are checked next
+    y0 = [op0 if kind == "cross" else _hermitian_part(op0, kind) for kind, op0 in initial.items()]
     require_step(params, grid.step)
     require_stable(params, grid.step, "rotational")
-    return _rk4(rhs, np.stack([initial[kind] for kind in kinds]), grid, store_steps, kinds,
-                joint=False)
+    return _rk4(rhs, np.stack(y0), grid, store_steps, kinds, joint=False)

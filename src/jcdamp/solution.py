@@ -28,6 +28,7 @@ asserted (see the command-line ``compare`` verb).
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -41,7 +42,24 @@ SERIES_TERMS = 24
 
 
 class ClosedFormOverflow(ArithmeticError):
-    """A closed-form state cannot be represented in floating point."""
+    """A closed-form state or scalar cannot be represented in floating point."""
+
+
+def _overflow_reported(fn):
+    """fn(t, params, ...) raising ClosedFormOverflow, naming fn and t, where an
+    exponential leaves the float range (OverflowError) or the result is not finite."""
+    @functools.wraps(fn)
+    def wrapped(t, params, *args):
+        try:
+            value = fn(t, params, *args)
+        except OverflowError:
+            value = math.inf
+        if not np.all(np.isfinite(value)):
+            raise ClosedFormOverflow(f"{fn.__name__} overflows at t={t:.6g}"
+                                     f" (gamma t = {params.gamma * t:.6g})")
+        return value
+
+    return wrapped
 
 
 def _growth_integral(z: complex, t: float) -> complex:
@@ -58,6 +76,7 @@ def _growth_integral(z: complex, t: float) -> complex:
                    math.exp(x) * math.sin(y)) / z
 
 
+@_overflow_reported
 def displacement_amplitude(t: float, params: ModelParams, sign: int) -> complex:
     """Displacement accumulated by the drive in the damping-absorbing frame.
 
@@ -91,6 +110,7 @@ def coherent_center(t: float, params: ModelParams, sign: int, alpha0: complex) -
     return cmath.exp(-z * t) * (alpha0 + displacement_amplitude(t, params, sign))
 
 
+@_overflow_reported
 def drive_integrals(t: float, params: ModelParams) -> tuple[complex, complex]:
     """cosh- and sinh-weighted drive moments.
 
@@ -145,6 +165,7 @@ def _exp_divided_difference(nodes: list) -> complex:
              - _exp_divided_difference(nodes[:j] + nodes[j + 1:])) / (nodes[j] - nodes[i]))
 
 
+@_overflow_reported
 def kernel_double_integral(t: float, params: ModelParams) -> float:
     """int_0^t ds int_0^s ds' of ``drive_commutator_kernel``, exactly.
 
@@ -230,9 +251,10 @@ def evolve_cross(rho0: np.ndarray, t: float, params: ModelParams) -> np.ndarray:
                           - 4.0 * abs(mu2) ** 2)
     a = annihilation(n)
     d = displacement(mu1 + mu2, n)  # also D+(-m1-m2), since D(-b)+ = D(b)
-    left = matrix_exponential(a, 4.0 * mu2.conjugate())
-    right = matrix_exponential(a.conj().T, -4.0 * mu2)
-    seed = left @ d @ rho0 @ d @ right
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+        left = matrix_exponential(a, 4.0 * mu2.conjugate())
+        right = matrix_exponential(a.conj().T, -4.0 * mu2)
+        seed = left @ d @ rho0 @ d @ right
     if not np.all(np.isfinite(seed)):
         raise ClosedFormOverflow(f"cross closed form overflows at t={t:.6g}: |m2| = {abs(mu2):.3e}")
     return prefactor * _loss_and_damping(seed, t, params)

@@ -475,6 +475,16 @@ def test_solve_matches_simulate_at_long_gamma_t(tmp_path):
         assert np.max(np.abs(solved[:, header.index(f"number_{kind}")] - number)) < 1e-9
 
 
+def test_solve_exits_3_where_the_closed_form_scalars_overflow(tmp_path, capsys):
+    # at g t = 750 the kernel integral, and by g t = 1500 e^{g t / 2}, leave the float range
+    doc = dict(BASE_DOC, params={"omega": 1.0, "coupling": 0.1, "gamma": 1.0, "n_trunc": 8},
+               initial={"coherent_alpha0": [0.05, 0.0], "atom": "up"},
+               grid={"t_start": 0.0, "t_end": 1500.0, "n_steps": 10})
+    path = write_config(tmp_path, doc)
+    assert main(["solve", "--config", path, "--out", str(tmp_path / "out"), "--quiet"]) == 3
+    assert "ClosedFormOverflow: kernel_double_integral overflows at t=750" in capsys.readouterr().err
+
+
 def _shifted_doc(t_start, **extra):
     # the benchmark's smoke physics on a grid that starts at t_start
     doc = {

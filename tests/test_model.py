@@ -5,6 +5,7 @@ from jcdamp.fock import ModelParams, annihilation, coherent_state, number_operat
 from jcdamp.model import (
     ATOM_DOWN,
     ATOM_UP,
+    SIGMA_X,
     ComponentSet,
     check_joint_density,
     combine_components,
@@ -285,3 +286,55 @@ def test_damping_rejects_entries_off_the_superdiagonal():
             damping(0.2, bad)
     with pytest.raises(ValueError):
         damping(0.2, np.zeros((3, 4), dtype=complex))
+
+
+def exactly_hermitian_density(n, seed):
+    # random_joint_density is Hermitian only up to the rounding of its product
+    rho = random_joint_density(n, seed)
+    return 0.5 * (rho + rho.conj().T)
+
+
+def _field_coupling(t, p):
+    # X(t) = a+ e^{i w t} + a e^{-i w t}, written out
+    a = annihilation(p.n_trunc)
+    return a.conj().T * np.exp(1j * p.omega * t) + a * np.exp(-1j * p.omega * t)
+
+
+def test_joint_rhs_matches_dense_equation_of_motion():
+    # both pictures, with and without the one-product form for Hermitian
+    # input, against -i[K, rho] + D[rho] from dense products
+    n, t = 9, 0.7
+    p = ModelParams(omega=1.1, coupling=0.17, gamma=0.23, n_trunc=n)
+    rho = exactly_hermitian_density(n, 43)
+    damp = damping(p.gamma, joint_annihilation(n))
+    couplings = {lab_frame_rhs: hamiltonian_full(p),
+                 rotating_frame_rhs: p.coupling * np.kron(SIGMA_X, _field_coupling(t, p))}
+    for build, k in couplings.items():
+        want = -1j * (k @ rho - rho @ k) + damp(rho)
+        for hermitian in (False, True):
+            got = build(p, hermitian)(t, rho)
+            assert np.max(np.abs(got - want)) <= 1e-13
+        assert np.array_equal(got, got.conj().T)
+
+
+@pytest.mark.parametrize("kinds", [("plus", "minus", "cross"), ("cross", "plus", "minus"),
+                                   ("plus", "cross", "minus")])
+def test_component_stack_rhs_matches_dense_equation_of_motion(kinds):
+    # a mixed stack in every placement of the cross slice, with and without
+    # the one-product form for the Hermitian plus and minus slices
+    n, t = 9, 1.3
+    p = ModelParams(omega=0.9, coupling=0.21, gamma=0.31, n_trunc=n)
+    cs = split_components(exactly_hermitian_density(n, 47))
+    x = _field_coupling(t, p)
+    damp = damping(p.gamma, annihilation(n))
+    c = p.coupling
+    want = {"plus": -1j * c * (x @ cs.plus - cs.plus @ x) + damp(cs.plus),
+            "minus": 1j * c * (x @ cs.minus - cs.minus @ x) + damp(cs.minus),
+            "cross": -1j * c * (x @ cs.cross + cs.cross @ x) + damp(cs.cross)}
+    stack = np.stack([getattr(cs, kind) for kind in kinds])
+    for hermitian in (False, True):
+        got = decoupled_rhs(kinds, p, hermitian)(t, stack)
+        for kind, slice_ in zip(kinds, got):
+            assert np.max(np.abs(slice_ - want[kind])) <= 1e-13
+            if hermitian and kind != "cross":
+                assert np.array_equal(slice_, slice_.conj().T)

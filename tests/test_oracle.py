@@ -356,3 +356,55 @@ def test_component_stack_overflow_names_its_kind():
     assert message.startswith("minus tail weight")
     assert "plus" not in message and "cross" not in message
     assert "t=0 " not in message + " "
+
+
+def test_commutator_states_stay_exactly_hermitian():
+    # an exactly Hermitian initial state is kept bit for bit, and every kept
+    # joint, plus and minus state is exactly Hermitian
+    n = 10
+    p = ModelParams(omega=1.0, coupling=0.15, gamma=0.2, n_trunc=n)
+    grid = TimeGrid(0.0, 1.0, 100)
+    keep = [0, 37, 100]
+    initial = {kind: 0.5 * (op + op.conj().T) if kind != "cross" else op
+               for kind, op in _component_initials(n).items()}
+    rho0 = coherent_joint(0.5, n, ATOM_UP)
+    runs = [(integrate_joint(rho0, p, grid, picture, store_steps=keep), rho0)
+            for picture in ("schrodinger", "rotational")]
+    trajs = integrate_component(initial, p, grid, store_steps=keep)
+    runs += [(trajs[kind], initial[kind]) for kind in ("plus", "minus")]
+    for traj, y0 in runs:
+        assert np.array_equal(traj.states[0], y0)
+        for state in traj.states.values():
+            assert np.array_equal(state, state.conj().T)
+
+
+def test_nearly_hermitian_initial_state_runs_as_its_hermitian_part():
+    n = 10
+    p = ModelParams(omega=1.0, coupling=0.15, gamma=0.2, n_trunc=n)
+    grid = TimeGrid(0.0, 1.0, 100)
+    bump = np.zeros((n, n), dtype=complex)
+    bump[0, 1] = 5e-9  # within HERM_TOL
+    plus = _component_initials(n)["plus"] + bump
+    part = 0.5 * (plus + plus.conj().T)
+    got = integrate_component({"plus": plus}, p, grid, store_steps=[0, 100])["plus"]
+    want = integrate_component({"plus": part}, p, grid, store_steps=[0, 100])["plus"]
+    for k in (0, 100):
+        assert np.array_equal(got.states[k], want.states[k])
+
+
+@pytest.mark.parametrize("kind", ["joint", "plus", "minus"])
+def test_non_hermitian_commutator_state_rejected(kind):
+    n = 8
+    p = ModelParams(omega=1.0, coupling=0.1, gamma=0.2, n_trunc=n)
+    grid = TimeGrid(0.0, 1.0, 100)
+    match = f"initial {kind} state is not Hermitian within {model.HERM_TOL}"
+    if kind == "joint":
+        rho0 = coherent_joint(0.5, n, ATOM_UP)
+        rho0[0, 1] += 2e-8
+        with pytest.raises(ValueError, match=match):
+            integrate_joint(rho0, p, grid)
+    else:
+        initial = _component_initials(n)
+        initial[kind][0, 1] += 2e-8
+        with pytest.raises(ValueError, match=match):
+            integrate_component(initial, p, grid)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -382,6 +383,27 @@ def test_cross_overflow_is_reported(gamma, t):
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ClosedFormOverflow, match=f"t={t:g}"):
             evolve_cross(coherent_projector(0.5, 20), t, p)
+
+
+@pytest.mark.parametrize("gamma, t", [(1.0, 60.0), (2.0, 30.0), (0.5, 80.0)])
+def test_cross_overflow_warns_nothing(gamma, t):
+    # the seed product overflows on purpose; only ClosedFormOverflow reports it
+    p = ModelParams(omega=1.0, coupling=0.1, gamma=gamma, n_trunc=20)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ClosedFormOverflow):
+            evolve_cross(coherent_projector(0.5, 20), t, p)
+
+
+@pytest.mark.parametrize("scalar", [lambda t, p: displacement_amplitude(t, p, 1),
+                                    drive_integrals, kernel_double_integral],
+                         ids=["displacement_amplitude", "drive_integrals",
+                              "kernel_double_integral"])
+def test_closed_form_scalars_report_overflow(scalar):
+    # e^{g t / 2} at g t = 1500 leaves the float range
+    p = ModelParams(omega=1.0, coupling=0.1, gamma=1.0, n_trunc=8)
+    with pytest.raises(ClosedFormOverflow, match="overflows at t=1500 "):
+        scalar(1500.0, p)
 
 
 def test_cross_identity_at_t0():
