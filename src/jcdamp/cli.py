@@ -266,6 +266,18 @@ def _write_csv(path: str, header: list, rows: list) -> None:
             fh.write(",".join(_fmt(x) for x in row) + "\n")
 
 
+def _write_snapshot(path: str, t: float, state: np.ndarray) -> None:
+    """The bytes of json.dump({"t": t, "dim": N, "entries": [[[re, im], ...], ...]},
+    sort_keys=True) and a newline, one row at a time through json.dumps: json.dump
+    streams every number through the pure-Python encoder, and one json.dumps of the
+    whole payload would hold its full text in memory."""
+    with open(path, "w") as fh:
+        fh.write(f'{{"dim": {len(state)}, "entries": [')
+        for i, row in enumerate(np.stack([state.real, state.imag], axis=-1)):
+            fh.write((", " if i else "") + json.dumps(row.tolist()))
+        fh.write(f'], "t": {json.dumps(t)}}}\n')
+
+
 def _component_initials(rho_joint: np.ndarray):
     cs = split_components(rho_joint)
     return {"plus": cs.plus, "minus": cs.minus, "cross": cs.cross}
@@ -324,14 +336,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: str, quiet: bool = False) -> int:
             state = traj.states[step]
             if cfg.picture == "rotational":
                 state = from_rotational_picture(state, t - cfg.grid.t_start, cfg.params)
-            payload = {
-                "t": t,
-                "dim": int(state.shape[0]),
-                "entries": [[[z.real, z.imag] for z in row] for row in state],
-            }
-            with open(os.path.join(out_dir, f"snapshot_{k:03d}.json"), "w") as fh:
-                json.dump(payload, fh, sort_keys=True)
-                fh.write("\n")
+            _write_snapshot(os.path.join(out_dir, f"snapshot_{k:03d}.json"), t, state)
         if not quiet:
             print(f"wrote observables.csv ({len(rows)} rows)")
         del traj  # frees the joint states before the component run keeps its own

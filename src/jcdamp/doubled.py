@@ -29,6 +29,11 @@ on the "interior" entries whose row and column pair indices all stay
 at least ``fock.TAIL_LEVELS`` levels below the boundary; see
 ``interior_indices``.  Two, [dissipator, comm_a(d)] = -comm_a(d), turn a displacement by
 lambda before exp(s dissipator) into one by e^{-s} lambda after it (``solution``).
+
+Only ``compare`` uses this route, so each function that builds sparse
+matrices imports ``scipy.sparse`` itself: ``import jcdamp`` and the other
+verbs then never load scipy.  Annotations such as ``sp.spmatrix`` stay
+strings (``from __future__ import annotations``).
 """
 
 from __future__ import annotations
@@ -39,7 +44,6 @@ from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
-import scipy.sparse as sp
 
 from .fock import TAIL_LEVELS, ModelParams, annihilation
 from .oracle import TimeGrid, require_step
@@ -74,6 +78,8 @@ def superoperators(n_trunc: int) -> dict:
     acomm_a_partner     2 left_a + comm_a, = [dissipator, acomm_a] on the interior
     acomm_ad_partner    2 right_ad - comm_ad, = [dissipator, acomm_ad] on the interior
     """
+    import scipy.sparse as sp
+
     a = sp.csr_matrix(annihilation(n_trunc))
     eye = sp.identity(n_trunc, dtype=complex, format="csr")
     left_a = sp.kron(a, eye, format="csr")
@@ -99,6 +105,8 @@ class FrameGenerator:
     """
 
     def __init__(self, g0: sp.spmatrix, rotation: np.ndarray):
+        import scipy.sparse as sp
+
         self.g0 = sp.csr_matrix(g0, dtype=complex)
         self.rotation = np.asarray(rotation, dtype=float)
 
@@ -107,6 +115,8 @@ class FrameGenerator:
         return np.exp(1j * t * self.rotation)
 
     def __call__(self, t: float) -> sp.csr_matrix:
+        import scipy.sparse as sp
+
         s = sp.diags(self.phase(t))
         return (s @ self.g0 @ s.conj()).tocsr()
 
@@ -194,6 +204,8 @@ def taylor_plan(a: sp.spmatrix) -> TaylorPlan:
     with estimated norms of powers of B instead; the 1-norm bounds those
     estimates, so this choice is never less accurate, at most slower.
     """
+    import scipy.sparse as sp
+
     n = a.shape[0]
     mu = complex(a.trace()) / n
     shifted = sp.csr_matrix(a - mu * sp.identity(n, dtype=complex, format="csr"))

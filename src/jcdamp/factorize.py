@@ -12,6 +12,10 @@ as a multiple of the identity) or a central matrix; both occur in
 practice (truncated bosonic problems have scalar kernels away from the
 truncation boundary, finite-dimensional nilpotent representations have
 a central nilpotent commutator).
+
+The two propagators import scipy inside the function, not at module
+level, so that ``import jcdamp`` and the CLI verbs, which never call
+them, do not pay for loading scipy.
 """
 
 from __future__ import annotations
@@ -20,8 +24,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
-import scipy.linalg
-from scipy.sparse.linalg import expm_multiply
 
 from .oracle import StepTooLarge, TimeGrid
 from .quadrature import simpson_adaptive, triangle_double_integral
@@ -101,6 +103,8 @@ def factorized_propagator(problem: FactorizationProblem, t: float,
     kernel uses nested Simpson over the lower triangle, each refined to
     ``QUAD_TOL``.
     """
+    import scipy.linalg
+
     if check:
         check_preconditions(problem)
     t0 = problem.grid.t_start
@@ -122,6 +126,9 @@ def time_ordered_propagator(generator: Callable[[float], np.ndarray],
     generators); otherwise accumulates and returns the full propagator.
     Second-order convergent in the step size.
     """
+    import scipy.linalg
+    from scipy.sparse.linalg import expm_multiply
+
     h = grid.step
     result = None if v0 is None else v0.astype(complex).copy()
     for k in range(grid.n_steps):

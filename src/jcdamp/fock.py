@@ -15,7 +15,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 TAIL_LEVELS = 4
 
@@ -65,8 +64,12 @@ def matrix_exponential(op: np.ndarray, scale: complex = 1.0) -> np.ndarray:
     """exp(scale * op) by scaling-and-squaring (Pade), via scipy.
 
     Rejects non-finite input entries; accuracy on well-conditioned
-    input is limited only by the dense expm algorithm itself.
+    input is limited only by the dense expm algorithm itself.  scipy is
+    imported here, not at module level, so that ``import jcdamp`` and the
+    verbs that never call this function do not pay for loading it.
     """
+    import scipy.linalg
+
     op = np.asarray(op, dtype=complex)
     if not np.all(np.isfinite(op)):
         raise ValueError("matrix_exponential requires finite entries")

@@ -103,11 +103,16 @@ def damping_weight(t: float, gamma: float) -> float:
 def coherent_center(t: float, params: ModelParams, sign: int, alpha0: complex) -> complex:
     """Phase-space center of an initially coherent commutator branch.
 
-    e^{-(i w + g/2) t} (alpha0 + displacement_amplitude(t)); for
-    g t >> 1 this forgets alpha0 and tends to -/+ 2 i c / (2 i w + g).
+    e^{-z t} (alpha0 + displacement_amplitude(t)), z = i w + g/2, evaluated
+    as e^{-z t} alpha0 -/+ i c (1 - e^{-z t}) / z: the damped amplitude stays
+    finite where displacement_amplitude (growing like e^{g t / 2}) overflows.
+    For g t >> 1 this forgets alpha0 and tends to -/+ 2 i c / (2 i w + g).
     """
+    if sign not in (1, -1):
+        raise ValueError(f"sign must be +1 or -1, got {sign}")
     z = 1j * params.omega + 0.5 * params.gamma
-    return cmath.exp(-z * t) * (alpha0 + displacement_amplitude(t, params, sign))
+    return (cmath.exp(-z * t) * alpha0
+            - 1j * sign * params.coupling * _growth_integral(-z, t))
 
 
 @_overflow_reported

@@ -213,6 +213,20 @@ def test_simulate_deterministic_bytes(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+def test_snapshot_bytes_are_those_of_json_dump(tmp_path):
+    state = np.random.default_rng(4).normal(size=(5, 5, 2)) @ np.array([1.0, 1j])
+    state[0, 1] = complex(-0.0, 1e-300)
+    payload = {"t": 0.1 + 0.2, "dim": 5,
+               "entries": [[[z.real, z.imag] for z in row] for row in state]}
+    want = tmp_path / "json_dump.json"
+    with open(want, "w") as fh:
+        json.dump(payload, fh, sort_keys=True)
+        fh.write("\n")
+    got = tmp_path / "snapshot.json"
+    cli._write_snapshot(str(got), 0.1 + 0.2, state)
+    assert got.read_bytes() == want.read_bytes()
+
+
 def test_solve_columns_and_long_time_limit(tmp_path):
     # weak drive so the sustained center at g t = 20 sits within 1e-6 of
     # its infinite-time limit (the memory of alpha0 decays as e^{-g t / 2})

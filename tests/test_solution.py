@@ -406,6 +406,20 @@ def test_closed_form_scalars_report_overflow(scalar):
         scalar(1500.0, p)
 
 
+def test_plus_minus_finite_where_displacement_amplitude_overflows():
+    # lambda ~ e^{g t / 2} overflows at g t = 1500, but the damped center
+    # e^{-z t} lambda = -i c (1 - e^{-z t}) / z, z = i w + g/2, is finite
+    p = ModelParams(omega=1.0, coupling=0.1, gamma=1.0, n_trunc=8)
+    for sign in (1, -1):
+        center = coherent_center(1500.0, p, sign, 1.0 + 0.5j)
+        assert abs(center - sign * (-0.08 - 0.04j)) < 1e-15
+    vacuum = np.zeros((8, 8), dtype=complex)
+    vacuum[0, 0] = 1.0
+    d = displacement(-0.08 - 0.04j, 8)
+    state = evolve_plus_minus(vacuum, 1500.0, p, 1)
+    assert np.max(np.abs(state - d @ vacuum @ d.conj().T)) < 1e-15
+
+
 def test_cross_identity_at_t0():
     rho0 = coherent_projector(1.0, 30)
     p = ModelParams(omega=1.0, coupling=0.05, gamma=0.2, n_trunc=30)
