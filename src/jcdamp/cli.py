@@ -24,10 +24,11 @@ and Wigner times must be grid times (``TimeGrid.step_index``).
 ``compare`` runs each route once per component over the run's grid and
 reads the three routes' states at the same sample steps.
 
-Exit codes: 0 success, 2 config parse failure, 3 numerical failure (a
-closed-form state over the oracle's tail limit or the float range too), 4
-tight comparison failure.  Outputs are byte-deterministic for a given
-config (17-significant-digit formatting, sorted JSON keys).
+Exit codes: 0 success, 2 config parse failure (a coherent amplitude with no
+weight below n_trunc too, found before ``--out`` is created), 3 numerical
+failure (a closed-form state over the oracle's tail limit or the float range
+too), 4 tight comparison failure.  Outputs are byte-deterministic for a
+given config (17-significant-digit formatting, sorted JSON keys).
 """
 
 from __future__ import annotations
@@ -245,7 +246,10 @@ class RunConfig:
             # exactly Hermitian, of unit trace: the check bounds both changes
             rho = 0.5 * (rho + rho.conj().T)
             return rho / np.trace(rho).real
-        field = coherent_state(self.coherent_alpha0, n).vec
+        try:
+            field = coherent_state(self.coherent_alpha0, n).vec
+        except ValueError as exc:
+            raise ConfigError(f"config.initial.coherent_alpha0: {exc}") from None
         atom = ATOM_UP if self.atom == "up" else ATOM_DOWN
         return np.kron(np.outer(atom, atom.conj()), np.outer(field, field.conj()))
 
@@ -308,9 +312,9 @@ def _component_rows(traj, n_op):
 
 
 def cmd_simulate(cfg: RunConfig, out_dir: str, quiet: bool = False) -> int:
-    os.makedirs(out_dir, exist_ok=True)
     n = cfg.params.n_trunc
     rho0 = cfg.initial_joint()
+    os.makedirs(out_dir, exist_ok=True)
 
     if "trajectory" in cfg.outputs:
         traj = integrate_joint(rho0, cfg.params, cfg.grid, picture=cfg.picture,
@@ -355,9 +359,9 @@ def cmd_simulate(cfg: RunConfig, out_dir: str, quiet: bool = False) -> int:
 
 
 def cmd_solve(cfg: RunConfig, out_dir: str, quiet: bool = False) -> int:
-    os.makedirs(out_dir, exist_ok=True)
     n = cfg.params.n_trunc
     comps = _component_initials(cfg.initial_joint())
+    os.makedirs(out_dir, exist_ok=True)
     n_op = number_operator(n)
     alpha0 = _phase_center(comps)
 
@@ -397,9 +401,9 @@ def cmd_solve(cfg: RunConfig, out_dir: str, quiet: bool = False) -> int:
 
 def cmd_wigner(cfg: RunConfig, out_dir: str, quiet: bool = False) -> int:
     _require(cfg.wigner is not None, "config.wigner section is required for wigner runs")
-    os.makedirs(out_dir, exist_ok=True)
     w = cfg.wigner
     comps = _component_initials(cfg.initial_joint())
+    os.makedirs(out_dir, exist_ok=True)
     alpha0 = _phase_center(comps)
     box = (w["re_min"], w["re_max"], w["n_re"], w["im_min"], w["im_max"], w["n_im"])
 
@@ -461,7 +465,7 @@ def build_comparison_report(cfg: RunConfig) -> dict:
     for kind, traj in trajs.items():
         op0 = comps[kind]
         doubled = evolve_vectorized(factories[kind], vectorize(op0[:n_doubled, :n_doubled]),
-                                    cfg.grid, doubled_params, store_steps=sample_ks)
+                                    cfg.grid, store_steps=sample_ks)
         ana_max = ana_mean = doubled_max = trace_drift = 0.0
         for k in sample_ks:
             t = t0 + k * h
@@ -495,8 +499,8 @@ def cmd_compare(cfg: RunConfig, out_dir: str, quiet: bool = False) -> int:
     valid, message = _DOUBLED_N_TRUNC
     _require(valid(cfg.doubled_n_trunc, cfg), f"config.compare.doubled_n_trunc {message}"
              f" (default min(30, params.n_trunc) = {cfg.doubled_n_trunc})")
-    os.makedirs(out_dir, exist_ok=True)
     report = build_comparison_report(cfg)
+    os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "compare_report.json"), "w") as fh:
         json.dump(report, fh, sort_keys=True, indent=1)
         fh.write("\n")

@@ -46,7 +46,7 @@ from typing import Iterable
 import numpy as np
 
 from .fock import TAIL_LEVELS, ModelParams, annihilation
-from .oracle import TimeGrid, require_step
+from .oracle import TimeGrid
 
 
 def vectorize(op: np.ndarray) -> np.ndarray:
@@ -243,7 +243,6 @@ def expm_multiply(plan: TaylorPlan, v: np.ndarray) -> np.ndarray:
 
 
 def evolve_vectorized(generator: FrameGenerator, v0: np.ndarray, grid: TimeGrid,
-                      params: ModelParams = None,
                       store_steps: Iterable[int] = None) -> dict[int, np.ndarray]:
     """Midpoint-exponential product integration of dv/dt = G(t) v.
 
@@ -254,12 +253,10 @@ def evolve_vectorized(generator: FrameGenerator, v0: np.ndarray, grid: TimeGrid,
     around one ``expm_multiply`` call.
 
     Returns step -> vector for the steps ``grid.check_steps(store_steps)``
-    keeps, and takes no step after the last of them.  With ``params`` the
-    step must pass ``require_step``.
+    keeps, and takes no step after the last of them.  The step bound is the
+    oracle's (``compare`` runs ``integrate_component`` first, at the full truncation).
     """
     keep = grid.check_steps(store_steps)
-    if params is not None:
-        require_step(params, grid.step)
     h = grid.step
     plan = taylor_plan(h * generator.g0)
     v = v0.astype(complex)

@@ -123,18 +123,26 @@ class CoherentState(NamedTuple):
 
 
 def coherent_state(alpha: complex, n_trunc: int) -> CoherentState:
-    """Coherent state amplitudes e^{-|a|^2/2} alpha^n / sqrt(n!)."""
+    """Coherent state amplitudes e^{-|a|^2/2} alpha^n / sqrt(n!).  ValueError if the
+    weight below ``n_trunc`` leaves the float range here (at any n_trunc from |alpha| ~ 38)."""
     alpha = complex(alpha)
     if not (math.isfinite(alpha.real) and math.isfinite(alpha.imag)):
         raise ValueError("coherent_state requires finite alpha")
     if n_trunc < 2:
         raise ValueError(f"n_trunc must be at least 2, got {n_trunc}")
+    try:
+        weight = math.exp(-0.5 * abs(alpha) ** 2)
+    except OverflowError:  # |alpha|^2 beyond the float range: the norm check rejects it
+        weight = 0.0
     amps = np.empty(n_trunc, dtype=complex)
     amps[0] = 1.0
-    for n in range(1, n_trunc):
-        amps[n] = amps[n - 1] * alpha / math.sqrt(n)
-    amps *= math.exp(-0.5 * abs(alpha) ** 2)
+    with np.errstate(over="ignore", invalid="ignore"):  # the norm check catches both
+        for n in range(1, n_trunc):
+            amps[n] = amps[n - 1] * alpha / math.sqrt(n)
+        amps *= weight
     norm_sq = float(np.sum(np.abs(amps) ** 2))
+    if not np.finfo(float).tiny <= norm_sq < math.inf:
+        raise ValueError(f"weight of alpha {alpha} below n_trunc {n_trunc} leaves the float range")
     tail = max(0.0, 1.0 - norm_sq)
     amps /= math.sqrt(norm_sq)
     return CoherentState(amps, tail, tail > COHERENT_TAIL_FLAG)

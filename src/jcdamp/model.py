@@ -16,7 +16,10 @@ The damping term is normalized once and for all as
 
     D[r] = (gamma/2) (2 a r a+  -  a+ a r  -  r a+ a)
 
-and is used with this normalization everywhere in the package.
+and is used with this normalization everywhere in the package.  Every
+equation of motion a run uses is built by ``_coupled_rhs``, with the one fast
+D.  A joint state or a plus or minus component must be Hermitian there (one
+product serves both sides; the oracle checks); a cross component may be any matrix.
 """
 
 from __future__ import annotations
@@ -72,38 +75,11 @@ def _ladder(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return s, np.concatenate([[0.0], (s.conj() * s).real])
 
 
-def damping(gamma: float, a: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """D[mat] = (gamma/2)(2 a mat a+ - a+a mat - mat a+a) as a function of
-    mat, or of a stack of matrices on the last two axes.
-
-    ``a`` is checked by ``_ladder``.  No matrix product is formed:
-    (a mat a+)[i, j] is the shifted entry s_i mat[i+1, j+1] conj(s_j), and
-    a+a = diag(d) scales rows and columns, so every entry is the value the
-    dense products give, bit for bit.
-    """
-    s, d = _ladder(a)
-    # 2a is scaled first, as in (2a) mat a+; the doubling is exact anyway
-    s2_col, s_row = 2.0 * s[:, None], s.conj()
-    d_col = d[:, None]
-
-    def damp(mat: np.ndarray) -> np.ndarray:
-        out = np.zeros(mat.shape, dtype=complex)
-        jump = out[..., :-1, :-1]  # 2 a mat a+ is non-zero only here
-        np.multiply(s2_col, mat[..., 1:, 1:], out=jump)
-        jump *= s_row
-        out -= d_col * mat
-        out -= mat * d
-        out *= 0.5 * gamma
-        return out
-
-    return damp
-
-
-def _coupled_rhs(coupling, front, sign, gamma: float, a: np.ndarray, hermitian) -> RHS:
+def _coupled_rhs(coupling, front, sign, gamma: float, a: np.ndarray) -> RHS:
     """f(t, y) = front (K y + sign y K) + D[y] with K = coupling, or coupling(t)
-    if it is callable, and D the ``damping`` of (gamma, a): sign -1 gives the
-    commutator, +1 the anticommutator.  The form of every equation of motion
-    here; front and sign may be arrays that broadcast over a stack y of matrices.
+    if it is callable, and D the damping of (gamma, a), ``a`` checked by
+    ``_ladder``: sign -1 gives the commutator, +1 the anticommutator.  Front
+    and sign may be arrays that broadcast over a stack y of matrices.
 
     It is evaluated in effective-generator form, f(y) = G y + y G' + gamma a y a+,
     with G = front K - (gamma/2) a+a and G' = sign front K - (gamma/2) a+a, built
@@ -111,11 +87,9 @@ def _coupled_rhs(coupling, front, sign, gamma: float, a: np.ndarray, hermitian) 
     The jump term gamma a y a+ is the shifted entry y[i+1, j+1] times the table
     gamma s_i conj(s_j) (``_ladder``).
 
-    ``hermitian`` (a bool, or one per slice of the stack) marks slices that the
-    caller guarantees Hermitian, with front imaginary, sign -1 and K Hermitian.
-    There G' = G+, so y G' = (G y)+ and one product serves both sides; the result
-    is then exactly Hermitian.  For any other y that shortcut is wrong, so every
-    caller that sets ``hermitian`` checks its states (``oracle``).
+    The kind of each slice sets its products: an anticommutator slice (G' = G)
+    takes G y + y G; a commutator slice (G' = G+) takes G y + (G y)+, exactly
+    Hermitian, and must be Hermitian itself, or the result is wrong.
     """
     s, d = _ladder(a)
     jump = gamma * np.outer(s, s.conj())
@@ -123,35 +97,23 @@ def _coupled_rhs(coupling, front, sign, gamma: float, a: np.ndarray, hermitian) 
         jump = jump.real  # a real table halves the multiplies
     half_n = 0.5 * gamma * d
     diag = np.diag_indices(len(d))
-    mask = np.asarray(hermitian, dtype=bool)
-    one, two = _slices(mask), _slices(~mask)  # slices taking one product, and two
-    # G' differs from G only where sign is -1; an anticommutator slice reuses G
-    own_g_two = two is not None and bool(np.any(np.asarray(sign)[two] != 1))
-    front_two = np.asarray(sign * front)[two] if own_g_two else None
-
-    def generators(k: np.ndarray) -> tuple:
-        g = front * k
-        g[..., diag[0], diag[1]] -= half_n
-        if not own_g_two:
-            return g, None if two is None else g[two]
-        g_two = front_two * k
-        g_two[..., diag[0], diag[1]] -= half_n
-        return g, g_two
+    commutator = np.asarray(sign).reshape(-1) < 0
+    comm, acomm = _slices(commutator), _slices(~commutator)
 
     timed = callable(coupling)
-    last_t = None
-    g, g_two = (None, None) if timed else generators(coupling)
+    last_t = g = None
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        nonlocal last_t, g, g_two
-        if timed and t != last_t:
+        nonlocal last_t, g
+        if g is None or (timed and t != last_t):
             last_t = t
-            g, g_two = generators(coupling(t))
+            g = front * (coupling(t) if timed else coupling)
+            g[..., diag[0], diag[1]] -= half_n
         out = g @ y
-        if one is not None:
-            out[one] += out[one].conj().swapaxes(-1, -2)
-        if two is not None:
-            out[two] += y[two] @ g_two
+        if comm is not None:
+            out[comm] += out[comm].conj().swapaxes(-1, -2)
+        if acomm is not None:
+            out[acomm] += y[acomm] @ g[acomm]
         out[..., :-1, :-1] += jump * y[..., 1:, 1:]
         return out
 
@@ -159,8 +121,7 @@ def _coupled_rhs(coupling, front, sign, gamma: float, a: np.ndarray, hermitian) 
 
 
 def _slices(mask: np.ndarray):
-    """An index over axis 0 of a stack for the True entries of ``mask``: Ellipsis
-    if all are (or a 0-d mask is), None if none is, a slice for one run."""
+    """Index over axis 0 for the True entries of ``mask``: Ellipsis, None, a slice or an array."""
     if mask.all():
         return Ellipsis
     idx = np.flatnonzero(mask)
@@ -176,23 +137,23 @@ def _rotating(raising: np.ndarray, lowering: np.ndarray,
     return lambda t: raising * np.exp(1j * omega * t) + lowering * np.exp(-1j * omega * t)
 
 
-def lab_frame_rhs(params: ModelParams, hermitian: bool = False) -> RHS:
+def lab_frame_rhs(params: ModelParams) -> RHS:
     """Right-hand side f(t, rho) of the lab-frame joint equation
-    -i[H, rho] + D[rho].  With ``hermitian`` every rho must be Hermitian, and
-    one product serves both sides (``_coupled_rhs``)."""
+    -i[H, rho] + D[rho].  Every rho must be Hermitian: one product serves
+    both sides (``_coupled_rhs``)."""
     return _coupled_rhs(hamiltonian_full(params), -1j, -1.0, params.gamma,
-                        joint_annihilation(params.n_trunc), hermitian)
+                        joint_annihilation(params.n_trunc))
 
 
-def rotating_frame_rhs(params: ModelParams, hermitian: bool = False) -> RHS:
+def rotating_frame_rhs(params: ModelParams) -> RHS:
     """Right-hand side f(t, rho) of the joint equation in the rotating
-    (free-field) frame, -i coupling [X(t) (x) sigma_x, rho] + D[rho].  With
-    ``hermitian`` every rho must be Hermitian, as in ``lab_frame_rhs``."""
+    (free-field) frame, -i coupling [X(t) (x) sigma_x, rho] + D[rho].  Every
+    rho must be Hermitian, as in ``lab_frame_rhs``."""
     a = annihilation(params.n_trunc)
     coupling_at = _rotating(params.coupling * np.kron(SIGMA_X, a.conj().T),
                             params.coupling * np.kron(SIGMA_X, a), params.omega)
     return _coupled_rhs(coupling_at, -1j, -1.0, params.gamma,
-                        joint_annihilation(params.n_trunc), hermitian)
+                        joint_annihilation(params.n_trunc))
 
 
 def _lab_phases(t: float, params: ModelParams, blocks: int) -> np.ndarray:
@@ -278,8 +239,12 @@ def component_rhs(cs: ComponentSet, t: float, params: ModelParams) -> ComponentS
         d rho3 = +  c {X, rho2} + D[rho3]
     """
     a = annihilation(params.n_trunc)
-    x = _rotating(a.conj().T, a, params.omega)(t)
-    damp = damping(params.gamma, a)
+    ad = a.conj().T
+    x = _rotating(ad, a, params.omega)(t)
+    n_op = ad @ a
+
+    def damp(r):  # dense products, a reference apart from ``_coupled_rhs``
+        return 0.5 * params.gamma * (2.0 * a @ r @ ad - n_op @ r - r @ n_op)
     c = params.coupling
     return ComponentSet(
         rho0=-1j * c * (x @ cs.rho1 - cs.rho1 @ x) + damp(cs.rho0),
@@ -293,16 +258,16 @@ def component_rhs(cs: ComponentSet, t: float, params: ModelParams) -> ComponentS
 _KINDS = {"plus": (-1j, -1.0), "minus": (1j, -1.0), "cross": (-1j, 1.0)}
 
 
-def decoupled_rhs(kinds: Sequence[str], params: ModelParams, hermitian: bool = False) -> RHS:
+def decoupled_rhs(kinds: Sequence[str], params: ModelParams) -> RHS:
     """Right-hand side f(t, ops) of a stack of decoupled components
     (rotating frame), ops[i] of kind kinds[i]:
 
     kind "plus"/"minus": -/+ i c [X(t), op] + D[op]
     kind "cross":           -i c {X(t), op} + D[op]
 
-    Each slice of the stack evolves on its own.  With ``hermitian`` every
-    plus and minus slice must be Hermitian, and takes one product
-    (``_coupled_rhs``); a cross slice always takes two.
+    Each slice of the stack evolves on its own.  Every plus and minus slice
+    must be Hermitian, and takes one product; a cross slice may be any
+    matrix, and takes two (``_coupled_rhs``).
     """
     for kind in kinds:
         if kind not in _KINDS:
@@ -310,8 +275,7 @@ def decoupled_rhs(kinds: Sequence[str], params: ModelParams, hermitian: bool = F
     a = annihilation(params.n_trunc)
     front = np.array([_KINDS[kind][0] * params.coupling for kind in kinds])[:, None, None]
     sign = np.array([_KINDS[kind][1] for kind in kinds])[:, None, None]
-    return _coupled_rhs(_rotating(a.conj().T, a, params.omega), front, sign, params.gamma, a,
-                        [hermitian and kind != "cross" for kind in kinds])
+    return _coupled_rhs(_rotating(a.conj().T, a, params.omega), front, sign, params.gamma, a)
 
 
 def joint_tail_weight(rho: np.ndarray) -> float:

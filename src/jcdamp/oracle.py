@@ -8,16 +8,13 @@ deterministic and reproducible as regression baselines.  One loop,
 and the decoupled components (plus, minus, cross) asked for together run
 as one (k, N, N) stack, each slice under its own front factor and
 commutator or anticommutator sign.  Each right-hand side is evaluated in
-effective-generator form (``model._coupled_rhs``): the a+a damping rides
-in the coupling product, and the jump term a y a+ is an exact shift.  A
-joint, plus or minus initial state must be Hermitian within
-``model.HERM_TOL`` (ValueError naming it otherwise); its Hermitian part is
-integrated, with one dense product per right-hand side, and every state
-of the run stays exactly Hermitian.  The cross component takes two
-products.  A run keeps exactly the steps ``store_steps`` (by default the
-last) and takes no step after the last of them; ``TimeGrid.check_steps``
-holds this rule here and in the doubled route, and ``TimeGrid.step_index``
-maps a time to its step.  A step must pass the heuristic bound of
+effective-generator form (``model._coupled_rhs``), whose Hermitian
+contract is held here at entry: a joint, plus or minus initial state must
+be Hermitian within ``model.HERM_TOL`` (ValueError naming it otherwise),
+and its Hermitian part is integrated.  A run keeps exactly the steps
+``store_steps`` (by default the last) and takes no step after the last of
+them; ``TimeGrid.check_steps`` holds this rule here and in the doubled
+route, and ``TimeGrid.step_index`` maps a time to its step.  A step must pass the heuristic bound of
 ``require_step`` and the stability bound of ``require_stable``: h
 times a norm bound of the real generator, 2||H||_2 + 2 gamma (N-1), at
 most ``STABILITY_LIMIT``, inside RK4's imaginary-axis limit 2 sqrt(2).
@@ -229,7 +226,7 @@ def integrate_joint(rho0: np.ndarray, params: ModelParams, grid: TimeGrid,
     rho0 = _hermitian_part(rho0, "joint")
     require_step(params, grid.step)
     require_stable(params, grid.step, picture)
-    rhs = builders[picture](params, True)  # hermitian: rho0 is checked above
+    rhs = builders[picture](params)  # rho0 is Hermitian, as the builders require
     return _rk4(rhs, rho0[None], grid, store_steps, ["joint"], joint=True)["joint"]
 
 
@@ -251,7 +248,7 @@ def integrate_component(initial: Mapping[str, np.ndarray], params: ModelParams,
         if np.shape(op0) != (n, n):
             raise ValueError(f"initial {kind} operator has shape {np.shape(op0)},"
                              f" expected {(n, n)}")
-    rhs = decoupled_rhs(kinds, params, True)  # hermitian: plus and minus are checked next
+    rhs = decoupled_rhs(kinds, params)  # which needs plus and minus Hermitian, as made next
     y0 = [op0 if kind == "cross" else _hermitian_part(op0, kind) for kind, op0 in initial.items()]
     require_step(params, grid.step)
     require_stable(params, grid.step, "rotational")

@@ -126,7 +126,7 @@ def test_criterion_3_coherence_preservation_and_memory_loss():
 def evolve_vectorized_sparse(p, sign, rho0, grid):
     from jcdamp.doubled import evolve_vectorized
     gen = commutator_generator_factory(p, sign)
-    return devectorize(evolve_vectorized(gen, vectorize(rho0), grid, p)[grid.n_steps])
+    return devectorize(evolve_vectorized(gen, vectorize(rho0), grid)[grid.n_steps])
 
 
 def test_criterion_4_doubled_space_equivalence():

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -137,6 +138,49 @@ def test_main_exit_code_on_rk4_blow_up(tmp_path, capsys, monkeypatch, limit, cau
     assert code == 3
     err = capsys.readouterr().err
     assert "unstable" in err and cause in err
+
+
+@pytest.mark.parametrize("verb", ["simulate", "solve", "wigner", "compare"])
+@pytest.mark.parametrize("alpha0", [[30.0, 0.0], [1e150, 0.0], [1e200, 0.0]],
+                         ids=["30", "1e150", "1e200"])
+def test_coherent_amplitude_with_no_weight_below_n_trunc_exits_2(tmp_path, capsys, verb, alpha0):
+    # at N=12 the kept weight underflows (30), the amplitudes overflow (1e150)
+    # or |alpha0|^2 does (1e200); each had given NaN rows, or a traceback
+    doc = dict(BASE_DOC, outputs=["trajectory", "compare"], wigner=WIGNER)
+    doc["params"] = dict(BASE_DOC["params"], n_trunc=12)
+    doc["initial"] = {"coherent_alpha0": alpha0, "atom": "up"}
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+        code = main([verb, "--config", write_config(tmp_path, doc), "--out", str(out), "--quiet"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config.initial.coherent_alpha0" in err and "Traceback" not in err
+    assert not out.exists()  # nothing written, so no NaN either
+
+
+def test_compare_step_bound_is_the_oracles(tmp_path, capsys, monkeypatch):
+    # the oracle runs first and holds h at the full truncation, so a step over
+    # its bound stops compare before any doubled-space step
+    from jcdamp import doubled
+
+    calls = []
+    real = doubled.expm_multiply
+
+    def counted(plan, v):
+        calls.append(1)
+        return real(plan, v)
+
+    monkeypatch.setattr(doubled, "expm_multiply", counted)
+    doc = dict(BASE_DOC, outputs=["compare"], compare={"doubled_n_trunc": 12})
+    doc["grid"] = {"t_start": 0.0, "t_end": 2.0, "n_steps": 10}
+    path = write_config(tmp_path, doc)
+    cfg = load_config(path)
+    with pytest.raises(oracle.StepTooLarge) as expected:
+        oracle.require_step(cfg.params, cfg.grid.step)
+    assert main(["compare", "--config", path, "--out", str(tmp_path / "cmp"), "--quiet"]) == 3
+    assert f"StepTooLarge: {expected.value}" in capsys.readouterr().err
+    assert calls == []
 
 
 def test_empty_outputs_produce_nothing(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -128,6 +129,17 @@ def test_coherent_normalization_and_tail_flag():
     clipped = coherent_state(3.0, 12)
     assert clipped.clipped and clipped.tail_weight > 1e-10
     assert abs(np.linalg.norm(clipped.vec) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("alpha", [30.0, 1e150, 1e200, -30j])
+def test_coherent_state_with_no_weight_below_n_trunc_raises(alpha):
+    # the kept weight underflows, the amplitudes overflow, or |alpha|^2 does
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="float range"):
+            coherent_state(alpha, 12)
+    # just inside the boundary (about 27.64 at N=12) the state is still a unit vector
+    assert abs(np.linalg.norm(coherent_state(27.0, 12).vec) - 1.0) < 1e-12
 
 
 def test_matrix_exponential_zero():

@@ -9,8 +9,8 @@ from jcdamp.model import (
     ComponentSet,
     check_joint_density,
     combine_components,
+    _coupled_rhs,
     component_rhs,
-    damping,
     decoupled_rhs,
     from_rotational_picture,
     hamiltonian_full,
@@ -261,31 +261,36 @@ def _dense_damping(gamma, a, mat):
 
 @pytest.mark.parametrize("ops", [annihilation, joint_annihilation])
 def test_damping_matches_dense_products(ops):
-    # the shift-and-scale form against the dense formula, on random
-    # non-Hermitian matrices, one at a time and as a stack
+    # the one fast D (``_coupled_rhs`` with no coupling) against the dense
+    # formula: on random non-Hermitian matrices as anticommutator slices, and
+    # on their Hermitian parts as commutator slices, one at a time and as a stack
     a = ops(9)
     dim = a.shape[0]
     rng = np.random.default_rng(41)
     stack = rng.normal(size=(3, dim, dim)) + 1j * rng.normal(size=(3, dim, dim))
-    damp = damping(0.37, a)
-    stacked = damp(stack)
-    assert stacked.shape == stack.shape
-    for mat, got in zip(stack, stacked):
-        want = _dense_damping(0.37, a, mat)
-        scale = np.max(np.abs(want))
-        assert np.max(np.abs(damp(mat) - want)) <= 1e-15 * scale
-        assert np.max(np.abs(got - want)) <= 1e-15 * scale
+    zero = np.zeros((dim, dim), dtype=complex)
+    for sign, mats in ((1.0, stack), (-1.0, 0.5 * (stack + stack.conj().swapaxes(1, 2)))):
+        damp = _coupled_rhs(zero, -1j, sign, 0.37, a)
+        stacked = damp(0.0, mats)
+        assert stacked.shape == mats.shape
+        for mat, got in zip(mats, stacked):
+            want = _dense_damping(0.37, a, mat)
+            scale = np.max(np.abs(want))
+            assert np.max(np.abs(damp(0.0, mat) - want)) <= 1e-15 * scale
+            assert np.max(np.abs(got - want)) <= 1e-15 * scale
 
 
 def test_damping_rejects_entries_off_the_superdiagonal():
+    # ``_ladder`` checks the a of every right-hand side
     a = annihilation(6)
+    zero = np.zeros((6, 6), dtype=complex)
     for i, j in ((0, 0), (2, 1), (0, 2), (5, 0)):
         bad = a.copy()
         bad[i, j] = 0.5
         with pytest.raises(ValueError, match="superdiagonal"):
-            damping(0.2, bad)
-    with pytest.raises(ValueError):
-        damping(0.2, np.zeros((3, 4), dtype=complex))
+            _coupled_rhs(zero, -1j, -1.0, 0.2, bad)
+    with pytest.raises(ValueError, match="square"):
+        _coupled_rhs(zero, -1j, -1.0, 0.2, np.zeros((3, 4), dtype=complex))
 
 
 def exactly_hermitian_density(n, seed):
@@ -301,40 +306,38 @@ def _field_coupling(t, p):
 
 
 def test_joint_rhs_matches_dense_equation_of_motion():
-    # both pictures, with and without the one-product form for Hermitian
-    # input, against -i[K, rho] + D[rho] from dense products
+    # both pictures, in the one-product form for Hermitian input, against
+    # -i[K, rho] + D[rho] from dense products
     n, t = 9, 0.7
     p = ModelParams(omega=1.1, coupling=0.17, gamma=0.23, n_trunc=n)
     rho = exactly_hermitian_density(n, 43)
-    damp = damping(p.gamma, joint_annihilation(n))
+    a = joint_annihilation(n)
     couplings = {lab_frame_rhs: hamiltonian_full(p),
                  rotating_frame_rhs: p.coupling * np.kron(SIGMA_X, _field_coupling(t, p))}
     for build, k in couplings.items():
-        want = -1j * (k @ rho - rho @ k) + damp(rho)
-        for hermitian in (False, True):
-            got = build(p, hermitian)(t, rho)
-            assert np.max(np.abs(got - want)) <= 1e-13
+        want = -1j * (k @ rho - rho @ k) + _dense_damping(p.gamma, a, rho)
+        got = build(p)(t, rho)
+        assert np.max(np.abs(got - want)) <= 1e-13
         assert np.array_equal(got, got.conj().T)
 
 
 @pytest.mark.parametrize("kinds", [("plus", "minus", "cross"), ("cross", "plus", "minus"),
                                    ("plus", "cross", "minus")])
 def test_component_stack_rhs_matches_dense_equation_of_motion(kinds):
-    # a mixed stack in every placement of the cross slice, with and without
-    # the one-product form for the Hermitian plus and minus slices
+    # a mixed stack in every placement of the cross slice; the Hermitian plus
+    # and minus slices take the one-product form
     n, t = 9, 1.3
     p = ModelParams(omega=0.9, coupling=0.21, gamma=0.31, n_trunc=n)
     cs = split_components(exactly_hermitian_density(n, 47))
     x = _field_coupling(t, p)
-    damp = damping(p.gamma, annihilation(n))
+    a = annihilation(n)
     c = p.coupling
-    want = {"plus": -1j * c * (x @ cs.plus - cs.plus @ x) + damp(cs.plus),
-            "minus": 1j * c * (x @ cs.minus - cs.minus @ x) + damp(cs.minus),
-            "cross": -1j * c * (x @ cs.cross + cs.cross @ x) + damp(cs.cross)}
+    want = {"plus": -1j * c * (x @ cs.plus - cs.plus @ x) + _dense_damping(p.gamma, a, cs.plus),
+            "minus": 1j * c * (x @ cs.minus - cs.minus @ x) + _dense_damping(p.gamma, a, cs.minus),
+            "cross": -1j * c * (x @ cs.cross + cs.cross @ x) + _dense_damping(p.gamma, a, cs.cross)}
     stack = np.stack([getattr(cs, kind) for kind in kinds])
-    for hermitian in (False, True):
-        got = decoupled_rhs(kinds, p, hermitian)(t, stack)
-        for kind, slice_ in zip(kinds, got):
-            assert np.max(np.abs(slice_ - want[kind])) <= 1e-13
-            if hermitian and kind != "cross":
-                assert np.array_equal(slice_, slice_.conj().T)
+    got = decoupled_rhs(kinds, p)(t, stack)
+    for kind, slice_ in zip(kinds, got):
+        assert np.max(np.abs(slice_ - want[kind])) <= 1e-13
+        if kind != "cross":
+            assert np.array_equal(slice_, slice_.conj().T)

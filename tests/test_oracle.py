@@ -308,7 +308,7 @@ def test_store_steps_out_of_range_rejected(bad):
         integrate_component({"plus": np.eye(n, dtype=complex) / n}, p, grid, store_steps=bad)
     # the doubled route keeps steps by the same rule
     with pytest.raises(ValueError, match="store_steps"):
-        evolve_vectorized(commutator_generator_factory(p, 1), vectorize(np.eye(n)), grid, p,
+        evolve_vectorized(commutator_generator_factory(p, 1), vectorize(np.eye(n)), grid,
                           store_steps=bad)
 
 
