@@ -4,9 +4,9 @@ oracle-vs-analytic comparison reports.
 
 Verbs
 -----
-simulate   brute-force joint integration -> observables.csv
-           (plus component trajectories and optional state snapshots,
-           written in the lab frame for either picture)
+simulate   one rotating-frame joint integration -> observables.csv, the
+           component trajectories split from it and optional snapshots
+           (lab frame); ``picture`` is accepted but selects nothing
 solve      closed-form component solutions -> solve.csv
 wigner     phase-space grids for the commutator branches (closed-form
            Gaussian for coherent input only, and grid evaluation) and the
@@ -22,7 +22,10 @@ without creating ``--out``.  Brute-force and doubled-space runs keep
 exactly the steps a verb reads and stop at the last of them.  Snapshot
 and Wigner times must be grid times (``TimeGrid.step_index``).
 ``compare`` runs each route once per component over the run's grid and
-reads the three routes' states at the same sample steps.
+reads the three routes' states at the same sample steps.  ``simulate``
+integrates the joint state for ``components`` alone too (8N^3 per right-hand
+side, not the stack's 4N^3), under the joint tail guard; each component's
+``tail`` column, at most twice the joint tail, reports its own.
 
 Exit codes: 0 success, 2 config parse failure (a coherent amplitude with no
 weight below n_trunc too, found before ``--out`` is created), 3 numerical
@@ -282,7 +285,7 @@ def _write_snapshot(path: str, t: float, state: np.ndarray) -> None:
         fh.write(f'], "t": {json.dumps(t)}}}\n')
 
 
-def _component_initials(rho_joint: np.ndarray):
+def _components(rho_joint: np.ndarray):
     cs = split_components(rho_joint)
     return {"plus": cs.plus, "minus": cs.minus, "cross": cs.cross}
 
@@ -302,23 +305,17 @@ def _closed_form(kind: str, op0: np.ndarray, dt: float, params: ModelParams) -> 
     return state
 
 
-def _component_rows(traj, n_op):
-    rows = []
-    for t, state in zip(traj.times, traj.states.values()):
-        tr = np.trace(state)
-        num = np.trace(n_op @ state)
-        rows.append([t, tr.real, tr.imag, num.real, num.imag, abs(field_tail_weight(state))])
-    return rows
-
-
 def cmd_simulate(cfg: RunConfig, out_dir: str, quiet: bool = False) -> int:
     n = cfg.params.n_trunc
     rho0 = cfg.initial_joint()
     os.makedirs(out_dir, exist_ok=True)
+    # one run writes every output: the observables and the component rows are the
+    # same in either frame, and snapshots are converted to the lab frame.  The
+    # rotating frame drops omega a+a from the generator, and its RK4 error with it.
+    traj = integrate_joint(rho0, cfg.params, cfg.grid, picture="rotational",
+                           store_steps=cfg.grid.stored_steps(cfg.store_every))
 
     if "trajectory" in cfg.outputs:
-        traj = integrate_joint(rho0, cfg.params, cfg.grid, picture=cfg.picture,
-                               store_steps=cfg.grid.stored_steps(cfg.store_every))
         n_joint = np.kron(np.eye(2, dtype=complex), number_operator(n))
         sz = np.kron(SIGMA_Z, np.eye(n, dtype=complex))
         rows = []
@@ -337,22 +334,25 @@ def cmd_simulate(cfg: RunConfig, out_dir: str, quiet: bool = False) -> int:
         for k, t_snap in enumerate(cfg.snapshot_times):
             step = cfg.grid.step_index(t_snap)
             t = cfg.grid.t_start + step * cfg.grid.step
-            state = traj.states[step]
-            if cfg.picture == "rotational":
-                state = from_rotational_picture(state, t - cfg.grid.t_start, cfg.params)
+            state = from_rotational_picture(traj.states[step], t - cfg.grid.t_start, cfg.params)
             _write_snapshot(os.path.join(out_dir, f"snapshot_{k:03d}.json"), t, state)
         if not quiet:
             print(f"wrote observables.csv ({len(rows)} rows)")
-        del traj  # frees the joint states before the component run keeps its own
 
     if "components" in cfg.outputs:
         n_op = number_operator(n)
-        trajs = integrate_component(_component_initials(rho0), cfg.params, cfg.grid,
-                                    store_steps=cfg.grid.stored_steps(cfg.store_every))
-        for kind, traj in trajs.items():
+        rows = {"plus": [], "minus": [], "cross": []}
+        for t, joint in zip(traj.times, traj.states.values()):
+            # one kept state at a time, so no second stack of states is held
+            for kind, state in _components(joint).items():
+                tr = np.trace(state)
+                num = np.trace(n_op @ state)
+                rows[kind].append([t, tr.real, tr.imag, num.real, num.imag,
+                                   abs(field_tail_weight(state))])
+        for kind, kind_rows in rows.items():
             _write_csv(os.path.join(out_dir, f"component_{kind}.csv"),
                        ["t", "trace_re", "trace_im", "number_re", "number_im", "tail"],
-                       _component_rows(traj, n_op))
+                       kind_rows)
             if not quiet:
                 print(f"wrote component_{kind}.csv")
     return 0
@@ -360,7 +360,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: str, quiet: bool = False) -> int:
 
 def cmd_solve(cfg: RunConfig, out_dir: str, quiet: bool = False) -> int:
     n = cfg.params.n_trunc
-    comps = _component_initials(cfg.initial_joint())
+    comps = _components(cfg.initial_joint())
     os.makedirs(out_dir, exist_ok=True)
     n_op = number_operator(n)
     alpha0 = _phase_center(comps)
@@ -402,7 +402,7 @@ def cmd_solve(cfg: RunConfig, out_dir: str, quiet: bool = False) -> int:
 def cmd_wigner(cfg: RunConfig, out_dir: str, quiet: bool = False) -> int:
     _require(cfg.wigner is not None, "config.wigner section is required for wigner runs")
     w = cfg.wigner
-    comps = _component_initials(cfg.initial_joint())
+    comps = _components(cfg.initial_joint())
     os.makedirs(out_dir, exist_ok=True)
     alpha0 = _phase_center(comps)
     box = (w["re_min"], w["re_max"], w["n_re"], w["im_min"], w["im_max"], w["n_im"])
@@ -445,7 +445,7 @@ def build_comparison_report(cfg: RunConfig) -> dict:
     run's grid, keep the sample steps and stop at the last.
     """
     params = cfg.params
-    comps = _component_initials(cfg.initial_joint())
+    comps = _components(cfg.initial_joint())
     t0 = cfg.grid.t_start
     h = cfg.grid.step
     sample_ks = sorted({max(1, int(round((t - t0) / h))) for t in cfg.sample_times})

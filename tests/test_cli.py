@@ -10,6 +10,7 @@ import pytest
 import jcdamp.cli as cli
 import jcdamp.oracle as oracle
 from jcdamp.cli import ConfigError, load_config, main
+from jcdamp.fock import number_operator, tail_weight
 
 
 BASE_DOC = {
@@ -122,17 +123,23 @@ def test_main_exit_code_on_numerical_failure(tmp_path, capsys):
 
 @pytest.mark.parametrize("limit, cause", [
     (None, "generator norm bound"),  # caught before integrating
-    (math.inf, "purity"),  # with the bound lifted, caught at a stored step
+    (math.inf, "purity"),  # with both step bounds lifted, caught at a stored step
 ])
 def test_main_exit_code_on_rk4_blow_up(tmp_path, capsys, monkeypatch, limit, cause):
-    # free rotation at h = 0.1 over N = 40 levels lies outside RK4's
-    # stability region although h * omega passes the step heuristic
-    if limit is not None:
-        monkeypatch.setattr(oracle, "STABILITY_LIMIT", limit)
+    # simulate integrates in the rotating frame, whose generator is the coupling
+    # c (a + a+) and the damping: at c = 1, h = 0.1 over N = 60 levels it lies
+    # outside RK4's stability region although h * c passes the step heuristic
     doc = dict(BASE_DOC)
-    doc["params"] = {"omega": 1.0, "coupling": 0.0, "gamma": 0.0, "n_trunc": 40}
+    doc["params"] = {"omega": 1.0, "coupling": 1.0, "gamma": 0.0, "n_trunc": 60}
     doc["initial"] = {"coherent_alpha0": [2.0, 0.0], "atom": "up"}
-    doc["grid"] = {"t_start": 0.0, "t_end": 20.0, "n_steps": 200}
+    doc["grid"] = {"t_start": 0.0, "t_end": 10.0, "n_steps": 100}
+    if limit is not None:
+        monkeypatch.setattr(oracle, "STEP_SAFETY", limit)
+        monkeypatch.setattr(oracle, "STABILITY_LIMIT", limit)
+        # h = 0.5 over N = 20 levels: the purity of the first stored step exceeds 1
+        doc["params"]["n_trunc"] = 20
+        doc["initial"] = {"coherent_alpha0": [1.0, 0.0], "atom": "up"}
+        doc["grid"] = {"t_start": 0.0, "t_end": 20.0, "n_steps": 40}
     path = write_config(tmp_path, doc)
     code = main(["simulate", "--config", path, "--out", str(tmp_path / "out")])
     assert code == 3
@@ -571,27 +578,72 @@ def test_compare_at_nonzero_t_start_matches_t_start_zero(tmp_path):
 
 @pytest.mark.parametrize("t_start", [0.0, 0.7])
 def test_pictures_agree_in_observables_and_snapshots(tmp_path, t_start):
-    # the rotating frame coincides with the lab frame at t_start, and
-    # snapshots are written in the lab frame whatever the picture
+    # every output is frame-invariant or written in the lab frame, so picture
+    # selects nothing and both values write the same bytes
     outs = {}
     for picture in ("schrodinger", "rotational"):
-        doc = _shifted_doc(t_start, outputs=["trajectory"], picture=picture,
+        doc = _shifted_doc(t_start, outputs=["trajectory", "components"], picture=picture,
                            store_every=25, snapshot_times=[t_start + 0.5, t_start + 1.0])
         path = write_config(tmp_path, doc, f"{picture}.json")
         outs[picture] = tmp_path / picture
         assert main(["simulate", "--config", path, "--out", str(outs[picture]), "--quiet"]) == 0
+    names = sorted(p.name for p in outs["schrodinger"].iterdir())
+    assert names == sorted(p.name for p in outs["rotational"].iterdir())
+    assert len(names) == 6
+    for name in names:
+        assert (outs["schrodinger"] / name).read_bytes() == (outs["rotational"] / name).read_bytes()
 
-    def table(name):
-        rows = (outs[name] / "observables.csv").read_text().splitlines()[1:]
-        return np.array([[float(x) for x in row.split(",")] for row in rows])
+    # and they agree with an independent lab-frame run, which the rotating
+    # frame coincides with at t_start
+    cfg = load_config(path)
+    lab = oracle.integrate_joint(cfg.initial_joint(), cfg.params, cfg.grid, picture="schrodinger",
+                                 store_steps=cfg.grid.stored_steps(cfg.store_every))
+    purity = [np.trace(state @ state).real for state in lab.states.values()]
+    assert np.max(np.abs(_load_csv(outs["rotational"] / "observables.csv")[:, 4] - purity)) < 1e-9
+    for k, step in enumerate((50, 100)):
+        snap = json.loads((outs["rotational"] / f"snapshot_{k:03d}.json").read_text())
+        assert snap["t"] == lab.times[list(lab.states).index(step)]
+        entries = np.array(snap["entries"])
+        assert np.max(np.abs(entries[..., 0] + 1j * entries[..., 1] - lab.states[step])) < 1e-6
 
-    assert np.max(np.abs(table("schrodinger") - table("rotational"))) < 1e-9
-    for k in range(2):
-        lab, rot = (json.loads((outs[name] / f"snapshot_{k:03d}.json").read_text())
-                    for name in ("schrodinger", "rotational"))
-        assert lab["t"] == rot["t"]
-        lab_m, rot_m = (np.array(s["entries"]) for s in (lab, rot))
-        assert np.max(np.abs(lab_m - rot_m)) < 1e-6
+
+@pytest.mark.parametrize("outputs", [["trajectory", "components"], ["components"]],
+                         ids=["trajectory_components", "components_only"])
+def test_simulate_integrates_the_joint_state_once(tmp_path, monkeypatch, outputs):
+    # one rotating-frame joint run writes every file; the component rows are
+    # split from its kept states, with no component run
+    pictures, component_calls = [], []
+    real_joint, real_component = cli.integrate_joint, cli.integrate_component
+
+    def joint(*args, **kwargs):
+        pictures.append(kwargs.get("picture"))
+        return real_joint(*args, **kwargs)
+
+    def component(*args, **kwargs):
+        component_calls.append(list(args[0]))
+        return real_component(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "integrate_joint", joint)
+    monkeypatch.setattr(cli, "integrate_component", component)
+    path = write_config(tmp_path, _shifted_doc(0.0, outputs=outputs))
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", path, "--out", str(out), "--quiet"]) == 0
+    assert pictures == ["rotational"] and component_calls == []
+    assert (out / "observables.csv").exists() == ("trajectory" in outputs)
+
+    # the rows of a direct component run over the same grid and stored steps
+    cfg = load_config(path)
+    n_op = number_operator(cfg.params.n_trunc)
+    trajs = real_component(cli._components(cfg.initial_joint()), cfg.params, cfg.grid,
+                           store_steps=cfg.grid.stored_steps(cfg.store_every))
+    for kind, traj in trajs.items():
+        ref = []
+        for t, state in zip(traj.times, traj.states.values()):
+            tr, num = np.trace(state), np.trace(n_op @ state)
+            ref.append([t, tr.real, tr.imag, num.real, num.imag, abs(tail_weight(state))])
+        got = _load_csv(out / f"component_{kind}.csv")
+        assert got.shape == (101, 6)
+        assert np.max(np.abs(got - np.array(ref))) <= 1e-12
 
 
 def _load_csv(path):
@@ -645,7 +697,7 @@ def test_wigner_integrates_the_cross_component_once(tmp_path, monkeypatch):
 
     # the same grids from one integration per time, each ending at that time
     cfg = load_config(path)
-    cross0 = cli._component_initials(cfg.initial_joint())["cross"]
+    cross0 = cli._components(cfg.initial_joint())["cross"]
     for i, (t, k) in enumerate(((0.6, 60), (1.2, 120)), start=1):
         final = real({"cross": cross0}, cfg.params, oracle.TimeGrid(0.0, t, k))["cross"].final
         cross = field_from_rotational(final, t, cfg.params)
