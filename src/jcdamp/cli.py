@@ -11,7 +11,8 @@ solve      closed-form component solutions -> solve.csv
 wigner     phase-space grids for the commutator branches (closed-form
            Gaussian for coherent input only, and grid evaluation) and the
            anticommutator branch (grid only, split into Hermitian/
-           anti-Hermitian parts, from one brute-force run over the grid)
+           anti-Hermitian parts, from one brute-force run over the grid);
+           every state of the run is gridded in one ``wigner_grid`` pass
 compare    brute-force vs closed-form vs doubled-space evolution, with
            a machine-readable report; commutator branches are held to a
            tight tolerance, the anticommutator closed form is reported
@@ -19,8 +20,8 @@ compare    brute-force vs closed-form vs doubled-space evolution, with
 
 A verb that ``outputs`` gives nothing to write (``_WRITES``) exits 0
 without creating ``--out``.  Brute-force and doubled-space runs keep
-exactly the steps a verb reads and stop at the last of them.  Snapshot
-and Wigner times must be grid times (``TimeGrid.step_index``).
+exactly the steps a verb reads and stop at the last of them.  A snapshot
+or Wigner time is read as the grid time within 1e-9 (``TimeGrid.step_index``).
 ``compare`` runs each route once per component over the run's grid and
 reads the three routes' states at the same sample steps.  ``simulate``
 integrates the joint state for ``components`` alone too (8N^3 per right-hand
@@ -407,30 +408,30 @@ def cmd_wigner(cfg: RunConfig, out_dir: str, quiet: bool = False) -> int:
     alpha0 = _phase_center(comps)
     box = (w["re_min"], w["re_max"], w["n_re"], w["im_min"], w["im_max"], w["n_im"])
 
-    steps = {t: cfg.grid.step_index(t) for t in sorted(set(w["times"]))}
-    if any(steps.values()):
+    steps = sorted({cfg.grid.step_index(t) for t in w["times"]})
+    if steps[-1]:
         traj = integrate_component({"cross": comps["cross"]}, cfg.params, cfg.grid,
-                                   store_steps=steps.values())["cross"]
+                                   store_steps=steps)["cross"]
 
-    for i, (t, k) in enumerate(steps.items()):
-        dt = t - cfg.grid.t_start
+    states = []  # per step: plus, minus, the cross state's Hermitian and anti-Hermitian parts
+    for i, k in enumerate(steps):
+        dt = k * cfg.grid.step
         for tag, sign in _SIGNS.items():
+            states.append(_closed_form(tag, comps[tag], dt, cfg.params))
             if cfg.coherent_alpha0 is not None:  # the Gaussian holds for coherent input only
                 closed = gaussian_grid(dt, cfg.params, sign, alpha0, *box)
                 closed.to_csv(os.path.join(out_dir, f"wigner_{tag}_closed_{i:02d}.csv"))
                 closed.to_json(os.path.join(out_dir, f"wigner_{tag}_closed_{i:02d}.json"))
-            state = _closed_form(tag, comps[tag], dt, cfg.params)
-            sampled = wigner_grid(state, *box)
-            sampled.to_csv(os.path.join(out_dir, f"wigner_{tag}_grid_{i:02d}.csv"))
-            sampled.to_json(os.path.join(out_dir, f"wigner_{tag}_grid_{i:02d}.json"))
-        cross = (field_from_rotational(traj.states[k], dt, cfg.params) if k
-                 else comps["cross"])
-        for part, mat in (("herm", 0.5 * (cross + cross.conj().T)),
-                          ("anti", (cross - cross.conj().T) / 2j)):
-            wigner_grid(mat, *box).to_csv(
-                os.path.join(out_dir, f"wigner_cross_{part}_{i:02d}.csv"))
-        if not quiet:
-            print(f"wrote wigner grids for t={t:g}")
+        cross = field_from_rotational(traj.states[k], dt, cfg.params) if k else comps["cross"]
+        states += [0.5 * (cross + cross.conj().T), (cross - cross.conj().T) / 2j]
+    names = [f"{tag}_grid" for tag in _SIGNS] + ["cross_herm", "cross_anti"]
+    for s, grid in enumerate(wigner_grid(np.stack(states), *box)):
+        path = os.path.join(out_dir, f"wigner_{names[s % 4]}_{s // 4:02d}")
+        grid.to_csv(path + ".csv")
+        if s % 4 < 2:  # the cross parts have no JSON
+            grid.to_json(path + ".json")
+    if not quiet:
+        print(f"wrote wigner grids for {len(steps)} grid times")
     return 0
 
 

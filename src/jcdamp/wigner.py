@@ -12,12 +12,12 @@ it is faithful to the untruncated operator only on states whose
 displaced support stays below the truncation boundary, so at large
 |alpha| a value carries a truncation error.  Each D(alpha) reuses one
 cached eigendecomposition per truncation, so a grid point costs two
-N x N products and no matrix exponential.  The normally
-ordered series definition is numerically delicate (its partial sums
-cancel catastrophically in floating point), so it is provided only as
-a certification path, summed in exact rational arithmetic
-(``wigner_operator_series``) and compared against the displaced-parity
-form in the test suite.
+N x N products and no matrix exponential, once for every state of a
+``wigner_grid`` stack.  The normally ordered series definition is
+numerically delicate (its partial sums cancel catastrophically in
+floating point), so it is provided only as a certification path, summed
+in exact rational arithmetic (``wigner_operator_series``) and compared
+against the displaced-parity form in the test suite.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 from .fock import ModelParams, displacement
-from .model import HERM_TOL
+from .model import require_hermitian
 from .solution import coherent_center
 
 SERIES_TARGET = 1e-14
@@ -127,11 +127,8 @@ def wigner_operator_series(alpha: complex, n_trunc: int, block: int = None) -> n
 
 def wigner_at(rho: np.ndarray, alpha: complex) -> float:
     """W(alpha) = Tr(wigner_operator(alpha) rho) for Hermitian rho."""
-    if np.max(np.abs(rho - rho.conj().T)) > HERM_TOL:
-        raise ValueError("wigner_at requires a Hermitian state")
-    u0 = wigner_operator(alpha, rho.shape[0])
-    val = np.sum(u0 * rho.T)
-    return float(val.real)
+    require_hermitian(rho, "wigner_at state")
+    return float(np.sum(wigner_operator(alpha, rho.shape[0]) * rho.T).real)
 
 
 @dataclass(frozen=True)
@@ -178,15 +175,22 @@ def _axes(re_min, re_max, n_re, im_min, im_max, n_im) -> tuple:
 
 
 def wigner_grid(rho: np.ndarray, re_min: float, re_max: float, n_re: int,
-                im_min: float, im_max: float, n_im: int) -> PhaseGrid:
-    """Evaluate ``wigner_at`` over a rectangular grid (deterministic
-    row-major order, re outer / im inner)."""
+                im_min: float, im_max: float, n_im: int):
+    """``wigner_at`` over a rectangular grid (deterministic row-major order, re outer / im
+    inner) for one (N, N) state, a ``PhaseGrid``, or for each state of an (S, N, N) stack,
+    a list of S grids.  Each point's operator is built once for the whole stack."""
     re, im = _axes(re_min, re_max, n_re, im_min, im_max, n_im)
-    values = np.empty((n_re, n_im))
+    stack = rho[None] if rho.ndim == 2 else rho
+    for state in stack:
+        require_hermitian(state, "wigner_grid state")
+    values = np.empty((len(stack), n_re, n_im))
     for i, x in enumerate(re):
         for j, p in enumerate(im):
-            values[i, j] = wigner_at(rho, x + 1j * p)
-    return PhaseGrid(re=re, im=im, values=values)
+            u0 = wigner_operator(x + 1j * p, rho.shape[-1])
+            for s, state in enumerate(stack):
+                values[s, i, j] = np.sum(u0 * state.T).real
+    grids = [PhaseGrid(re=re, im=im, values=v) for v in values]
+    return grids[0] if rho.ndim == 2 else grids
 
 
 def gaussian_grid(t: float, params: ModelParams, sign: int, alpha0: complex,

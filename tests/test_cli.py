@@ -708,6 +708,44 @@ def test_wigner_integrates_the_cross_component_once(tmp_path, monkeypatch):
             assert np.max(np.abs(got - ref)) <= 1e-12
 
 
+def test_wigner_builds_each_grid_operator_once(tmp_path, monkeypatch):
+    import jcdamp.wigner as wigner
+
+    built = []
+    real = wigner.wigner_operator
+
+    def counted(alpha, n_trunc):
+        built.append(alpha)
+        return real(alpha, n_trunc)
+
+    # every state of the run shares one operator per grid point: 4 x 3 points, 3 times
+    monkeypatch.setattr(wigner, "wigner_operator", counted)
+    box = {"re_min": -1.0, "re_max": 1.0, "n_re": 4, "im_min": -1.0, "im_max": 1.0, "n_im": 3}
+    doc = _shifted_doc(0.0, outputs=["wigner"], wigner=dict(box, times=[0.0, 0.5, 1.0]))
+    assert main(["wigner", "--config", write_config(tmp_path, doc), "--out",
+                 str(tmp_path / "wig"), "--quiet"]) == 0
+    assert len(built) == len(set(built)) == 4 * 3
+    assert len(list((tmp_path / "wig").glob("wigner_cross_anti_*.csv"))) == 3
+
+
+def test_wigner_reads_a_near_grid_time_as_that_grid_time(tmp_path):
+    # h = 0.004, as in the README example: 0.6000000001 is within 1e-9 of step 150,
+    # so every branch is drawn at the grid time 0.6 and the two times are one
+    doc = _shifted_doc(0.0, outputs=["wigner"])
+    doc["grid"] = {"t_start": 0.0, "t_end": 1.2, "n_steps": 300}
+    written = {}
+    for times in ([0.6], [0.6, 0.6000000001], [0.6000000001]):
+        doc["wigner"] = dict(WIGNER, n_re=3, n_im=3, times=times)
+        out = tmp_path / f"wig{len(written)}"
+        assert main(["wigner", "--config", write_config(tmp_path, doc), "--out", str(out),
+                     "--quiet"]) == 0
+        written[str(times)] = {f.name: f.read_bytes() for f in out.iterdir()}
+    exact = written.pop("[0.6]")
+    assert "wigner_cross_herm_00.csv" in exact and len(exact) == 10
+    for files in written.values():
+        assert files == exact
+
+
 def _count_component_rhs_calls(monkeypatch) -> list:
     # the times of every component right-hand side call, 4 per RK4 step
     calls = []

@@ -170,6 +170,29 @@ def test_grid_coherent_argmax_near_center():
     assert abs(grid.im[j] - beta.imag) <= spacing / 2 + 1e-12
 
 
+def test_grid_of_a_stack_is_each_state_grid():
+    # one pass over a stack gives, for each state, its own single-state grid
+    rng = np.random.default_rng(5)
+    n = 10
+    states = []
+    for _ in range(3):
+        m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        states.append(m @ m.conj().T / np.trace(m @ m.conj().T))
+    box = (-1.5, 1.5, 4, -1.0, 1.0, 3)
+    grids = wigner_grid(np.stack(states), *box)
+    assert len(grids) == 3
+    for state, grid in zip(states, grids):
+        single = wigner_grid(state, *box)
+        assert isinstance(single, PhaseGrid)
+        assert np.array_equal(grid.re, single.re) and np.array_equal(grid.im, single.im)
+        assert np.array_equal(grid.values, single.values)
+    assert grids[2].values[1, 2] == wigner_at(states[2], grids[2].re[1] + 1j * grids[2].im[2])
+    # a non-Hermitian member fails the whole stack
+    states[1] = states[1] + np.triu(np.full((n, n), 1e-6), 1)
+    with pytest.raises(ValueError):
+        wigner_grid(np.stack(states), *box)
+
+
 def test_grid_rejects_empty():
     rho = coherent_projector(0.0, 10)
     with pytest.raises(ValueError):
