@@ -20,7 +20,10 @@ exp(h G(t)) v = S(t) exp(h G(0)) S(t)^+ v at every step.  A call runs
 under the RK4 oracle's run contract: G is evaluated on the frame clock
 (time since ``grid.t_start``), and the call keeps exactly the steps
 ``store_steps`` (``TimeGrid.check_steps``, by default the last) and
-stops at the last of them.
+stops at the last of them.  ``compare`` evolves its three branches in one
+such call: under ``stacked``, their vectors are one vector and G(0) is
+the block diagonal of the branches' G(0), so the run makes one plan and
+one Taylor action per step, and no branch couples to another.
 
 Truncation caveat: identities that hold for the untruncated mode (for
 example that commutator and anticommutator superoperators commute with
@@ -108,7 +111,13 @@ class FrameGenerator:
         import scipy.sparse as sp
 
         self.g0 = sp.csr_matrix(g0, dtype=complex)
-        self.rotation = np.asarray(rotation, dtype=float)
+        rotation = np.asarray(rotation)
+        n, m = self.g0.shape
+        if n != m or rotation.shape != (n,) or not np.isrealobj(rotation):
+            raise ValueError(f"FrameGenerator needs a square g0 and a real rotation of length"
+                             f" g0.shape[0]; got g0 of shape {self.g0.shape} and rotation of"
+                             f" shape {rotation.shape}, dtype {rotation.dtype}")
+        self.rotation = rotation.astype(float)
 
     def phase(self, t: float) -> np.ndarray:
         """The diagonal of S(t)."""
@@ -152,19 +161,19 @@ def anticommutator_generator_factory(params: ModelParams) -> FrameGenerator:
     return _generator(params, "acomm", -1j * params.coupling)
 
 
-def damped_frame_drive(t: float, params: ModelParams, sign: int) -> np.ndarray:
-    """Drive generator in the frame that absorbs the damping flow.
+def stacked(generators: Iterable[FrameGenerator]) -> FrameGenerator:
+    """One generator for independent runs evolved as one vector.
 
-    Conjugating the commutator-branch drive by exp(-(g t / 2) dissipator)
-    rescales it by e^{g t / 2}; the resulting family commutes with itself
-    at different times on the interior subspace.
+    G(0) is the block diagonal of the generators' G(0) and the rotation
+    is their rotations, concatenated in order.  The off-diagonal blocks
+    are zero, so block i of the stacked vector evolves under generator i
+    alone, and the frame identity holds block by block.
     """
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
-    ops = superoperators(params.n_trunc)
-    pref = -1j * sign * params.coupling * np.exp(0.5 * params.gamma * t)
-    return pref * (ops["comm_a"] * np.exp(-1j * params.omega * t)
-                   + ops["comm_ad"] * np.exp(1j * params.omega * t)).toarray()
+    import scipy.sparse as sp
+
+    generators = list(generators)
+    return FrameGenerator(sp.block_diag([g.g0 for g in generators], format="csr"),
+                          np.concatenate([g.rotation for g in generators]))
 
 
 # theta_m of Al-Mohy & Higham (2011): the largest 1-norm of A for which m

@@ -16,7 +16,6 @@ import scipy.sparse as sp
 from jcdamp.cli import RunConfig, cmd_compare
 from jcdamp.doubled import (
     commutator_generator_factory,
-    damped_frame_drive,
     devectorize,
     interior_indices,
     vectorize,
@@ -40,6 +39,7 @@ from jcdamp.wigner import (
     wigner_operator,
     wigner_operator_series,
 )
+from reference import damped_frame_drive
 
 
 def report(num, description, ok):

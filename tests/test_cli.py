@@ -825,7 +825,7 @@ def test_compare_keeps_only_its_sample_steps(tmp_path, monkeypatch):
     # taking 50 RK4 steps of 100, 4 right-hand sides each
     assert kept == [{"plus": 2, "minus": 2, "cross": 2}]
     assert len(rhs_calls) == 4 * 50
-    # one doubled run and one Taylor plan per component, keeping the samples
-    # (steps 30 and 50 of 100) and stepping no further than the last
-    assert evolved == [[30, 50]] * 3
-    assert counts == {"taylor_plan": 3, "expm_multiply": 3 * 50}
+    # one doubled run and one Taylor plan for all three components, keeping
+    # the samples (steps 30 and 50 of 100) and stepping no further than the last
+    assert evolved == [[30, 50]]
+    assert counts == {"taylor_plan": 1, "expm_multiply": 50}

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -8,10 +10,10 @@ from jcdamp.doubled import (
     FrameGenerator,
     anticommutator_generator_factory,
     commutator_generator_factory,
-    damped_frame_drive,
     devectorize,
     evolve_vectorized,
     interior_indices,
+    stacked,
     taylor_plan,
     vectorize,
 )
@@ -19,6 +21,7 @@ from jcdamp.factorize import time_ordered_propagator
 from jcdamp.fock import ModelParams, annihilation, coherent_state
 from jcdamp.model import decoupled_rhs
 from jcdamp.oracle import TimeGrid, integrate_component
+from reference import damped_frame_drive
 
 
 def dense_damping(gamma, a, m):
@@ -332,3 +335,52 @@ def test_evolve_store_steps_match_runs_ending_there():
         for k in (13, 40):
             alone = evolve_vectorized(gen, v0, TimeGrid(0.7, 0.7 + k * grid.step, k))[k]
             assert np.max(np.abs(kept[k] - alone)) <= 1e-14 * np.max(np.abs(alone))
+
+
+@pytest.mark.parametrize("omega", [0.0, 1.3])
+@pytest.mark.parametrize("gamma", [0.0, 0.2])
+def test_stacked_run_matches_separate_runs(omega, gamma):
+    # one run under the block-diagonal generator gives each branch's own run
+    n = 8
+    p = ModelParams(omega=omega, coupling=0.1, gamma=gamma, n_trunc=n)
+    grid = TimeGrid(0.7, 1.7, 40)
+    gens = _generators(p)
+    v0s = [vectorize(random_matrix(n, seed)) for seed in (21, 22, 23)]
+    stack = stacked(gens.values())
+    assert stack.g0.shape == (3 * n * n, 3 * n * n)
+    got = evolve_vectorized(stack, np.concatenate(v0s), grid, store_steps=[13, 40])
+    assert list(got) == [13, 40]
+    for block, (gen, v0) in enumerate(zip(gens.values(), v0s)):
+        want = evolve_vectorized(gen, v0, grid, store_steps=[13, 40])
+        for k in (13, 40):
+            own = got[k][block * n * n:(block + 1) * n * n]
+            assert np.max(np.abs(own - want[k])) < 1e-13 * np.max(np.abs(want[k]))
+
+
+def test_stacked_blocks_do_not_couple():
+    # a branch that starts at zero stays exactly zero, whatever the others do
+    n = 8
+    size = n * n
+    p = ModelParams(omega=1.3, coupling=0.1, gamma=0.2, n_trunc=n)
+    stack = stacked(_generators(p).values())
+    grid = TimeGrid(0.0, 1.0, 40)
+    for block in range(3):
+        v0 = np.zeros(3 * size, dtype=complex)
+        v0[block * size:(block + 1) * size] = vectorize(random_matrix(n, block))
+        got = evolve_vectorized(stack, v0, grid)[grid.n_steps]
+        for other in set(range(3)) - {block}:
+            assert not np.any(got[other * size:(other + 1) * size])
+        assert np.any(got[block * size:(block + 1) * size])
+
+
+@pytest.mark.parametrize("g0, rotation", [
+    (sp.diags([-1.0, -2.0, -3.0, -4.0]), np.array([0.5])),
+    (sp.diags([-1.0, -2.0, -3.0, -4.0]), np.zeros(5)),
+    (sp.diags([-1.0, -2.0, -3.0, -4.0]), np.zeros((4, 1))),
+    (sp.diags([-1.0, -2.0, -3.0, -4.0]), np.zeros(4, dtype=complex)),
+    (sp.csr_matrix((4, 5)), np.zeros(4)),
+])
+def test_frame_generator_rejects_mismatched_shapes(g0, rotation):
+    with pytest.raises(ValueError, match=rf"shape \({g0.shape[0]}, {g0.shape[1]}\).*"
+                                         rf"shape {re.escape(str(rotation.shape))}"):
+        FrameGenerator(g0, rotation)
