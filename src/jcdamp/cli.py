@@ -4,9 +4,9 @@ oracle-vs-analytic comparison reports.
 
 Verbs
 -----
-simulate   one rotating-frame joint integration -> observables.csv, the
-           component trajectories split from it and optional snapshots
-           (lab frame); ``picture`` is accepted but selects nothing
+simulate   one joint integration (lab-frame states) -> observables.csv, the
+           component trajectories split from it and optional snapshots;
+           ``picture`` is accepted but selects nothing
 solve      closed-form component solutions -> solve.csv
 wigner     phase-space grids for the commutator branches (closed-form
            Gaussian for coherent input only, and grid evaluation) and the
@@ -62,7 +62,6 @@ from .model import (
     SIGMA_Z,
     check_joint_density,
     field_from_rotational,
-    from_rotational_picture,
     joint_tail_weight,
     split_components,
 )
@@ -311,10 +310,8 @@ def cmd_simulate(cfg: RunConfig, out_dir: str, quiet: bool = False) -> int:
     n = cfg.params.n_trunc
     rho0 = cfg.initial_joint()
     os.makedirs(out_dir, exist_ok=True)
-    # one run writes every output: the observables and the component rows are the
-    # same in either frame, and snapshots are converted to the lab frame.  The
-    # rotating frame drops omega a+a from the generator, and its RK4 error with it.
-    traj = integrate_joint(rho0, cfg.params, cfg.grid, picture="rotational",
+    # one run, its kept states in the lab frame, writes every output
+    traj = integrate_joint(rho0, cfg.params, cfg.grid,
                            store_steps=cfg.grid.stored_steps(cfg.store_every))
 
     if "trajectory" in cfg.outputs:
@@ -336,8 +333,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: str, quiet: bool = False) -> int:
         for k, t_snap in enumerate(cfg.snapshot_times):
             step = cfg.grid.step_index(t_snap)
             t = cfg.grid.t_start + step * cfg.grid.step
-            state = from_rotational_picture(traj.states[step], t - cfg.grid.t_start, cfg.params)
-            _write_snapshot(os.path.join(out_dir, f"snapshot_{k:03d}.json"), t, state)
+            _write_snapshot(os.path.join(out_dir, f"snapshot_{k:03d}.json"), t, traj.states[step])
         if not quiet:
             print(f"wrote observables.csv ({len(rows)} rows)")
 

@@ -16,7 +16,8 @@ e^{i w t (m - n)} at flat index m*N + n (conjugation by e^{i w t a+a}).
 The dissipator commutes with S, so the identity is exact at any
 truncation.  Each ``evolve_vectorized`` call therefore chooses one
 truncated-Taylor plan for h G(0) and applies
-exp(h G(t)) v = S(t) exp(h G(0)) S(t)^+ v at every step.  A call runs
+exp(h G(t)) = S(t) exp(h G(0)) S(t)^+ at every step, the phases of
+consecutive steps merged into one constant half-step phase.  A call runs
 under the RK4 oracle's run contract: G is evaluated on the frame clock
 (time since ``grid.t_start``), and the call keeps exactly the steps
 ``store_steps`` (``TimeGrid.check_steps``, by default the last) and
@@ -258,8 +259,10 @@ def evolve_vectorized(generator: FrameGenerator, v0: np.ndarray, grid: TimeGrid,
     Per step k: v <- exp(h G((k - 1/2) h)) v on the frame clock,
     second-order accurate.  By the frame identity,
     exp(h G(t)) = S(t) exp(h G(0)) S(t)^+, so one ``taylor_plan`` of
-    h G(0) serves every step, and a step is two diagonal phase multiplies
-    around one ``expm_multiply`` call.
+    h G(0) serves every step.  The loop steps w = S(-k h) v, for which the
+    step is w <- S(-h/2) exp(h G(0)) S(-h/2) w: one ``expm_multiply`` call
+    between two multiplies by one phase vector, made once per call.  A kept
+    step k returns S(k h) w, step 0 the initial vector itself.
 
     Returns step -> vector for the steps ``grid.check_steps(store_steps)``
     keeps, and takes no step after the last of them.  The step bound is the
@@ -268,12 +271,12 @@ def evolve_vectorized(generator: FrameGenerator, v0: np.ndarray, grid: TimeGrid,
     keep = grid.check_steps(store_steps)
     h = grid.step
     plan = taylor_plan(h * generator.g0)
-    v = v0.astype(complex)
+    half = generator.phase(-0.5 * h)
+    w = v0.astype(complex)
     kept = {}
     for k in range(max(keep) + 1):
         if k:
-            phase = generator.phase((k - 0.5) * h)
-            v = phase * expm_multiply(plan, phase.conj() * v)
+            w = half * expm_multiply(plan, half * w)
         if k in keep:
-            kept[k] = v
+            kept[k] = generator.phase(k * h) * w if k else w
     return kept

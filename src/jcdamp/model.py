@@ -17,9 +17,10 @@ The damping term is normalized once and for all as
     D[r] = (gamma/2) (2 a r a+  -  a+ a r  -  r a+ a)
 
 and is used with this normalization everywhere in the package.  Every
-equation of motion a run uses is built by ``_coupled_rhs``, with the one fast
-D.  A joint state or a plus or minus component must be Hermitian there (one
-product serves both sides; the oracle checks); a cross component may be any matrix.
+equation of motion a run uses is in the rotating frame and is built by
+``_coupled_rhs``, with the one fast D.  A joint state or a plus or minus
+component must be Hermitian there (one product serves both sides; the oracle
+checks); a cross component may be any matrix.
 """
 
 from __future__ import annotations
@@ -76,14 +77,14 @@ def _ladder(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _coupled_rhs(coupling, front, sign, gamma: float, a: np.ndarray) -> RHS:
-    """f(t, y) = front (K y + sign y K) + D[y] with K = coupling, or coupling(t)
-    if it is callable, and D the damping of (gamma, a), ``a`` checked by
-    ``_ladder``: sign -1 gives the commutator, +1 the anticommutator.  Front
-    and sign may be arrays that broadcast over a stack y of matrices.
+    """f(t, y) = front (K y + sign y K) + D[y] with K = coupling(t) and D the
+    damping of (gamma, a), ``a`` checked by ``_ladder``: sign -1 gives the
+    commutator, +1 the anticommutator.  Front and sign may be arrays that
+    broadcast over a stack y of matrices.
 
     It is evaluated in effective-generator form, f(y) = G y + y G' + gamma a y a+,
     with G = front K - (gamma/2) a+a and G' = sign front K - (gamma/2) a+a, built
-    once per distinct t (RK4 stages 2 and 3 share one time), or once for a fixed K.
+    once per distinct t (RK4 stages 2 and 3 share one time).
     The jump term gamma a y a+ is the shifted entry y[i+1, j+1] times the table
     gamma s_i conj(s_j) (``_ladder``).
 
@@ -100,14 +101,13 @@ def _coupled_rhs(coupling, front, sign, gamma: float, a: np.ndarray) -> RHS:
     commutator = np.asarray(sign).reshape(-1) < 0
     comm, acomm = _slices(commutator), _slices(~commutator)
 
-    timed = callable(coupling)
     last_t = g = None
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
         nonlocal last_t, g
-        if g is None or (timed and t != last_t):
+        if t != last_t:
             last_t = t
-            g = front * (coupling(t) if timed else coupling)
+            g = front * coupling(t)
             g[..., diag[0], diag[1]] -= half_n
         out = g @ y
         if comm is not None:
@@ -137,18 +137,11 @@ def _rotating(raising: np.ndarray, lowering: np.ndarray,
     return lambda t: raising * np.exp(1j * omega * t) + lowering * np.exp(-1j * omega * t)
 
 
-def lab_frame_rhs(params: ModelParams) -> RHS:
-    """Right-hand side f(t, rho) of the lab-frame joint equation
-    -i[H, rho] + D[rho].  Every rho must be Hermitian: one product serves
-    both sides (``_coupled_rhs``)."""
-    return _coupled_rhs(hamiltonian_full(params), -1j, -1.0, params.gamma,
-                        joint_annihilation(params.n_trunc))
-
-
 def rotating_frame_rhs(params: ModelParams) -> RHS:
     """Right-hand side f(t, rho) of the joint equation in the rotating
-    (free-field) frame, -i coupling [X(t) (x) sigma_x, rho] + D[rho].  Every
-    rho must be Hermitian, as in ``lab_frame_rhs``."""
+    (free-field) frame, -i coupling [X(t) (x) sigma_x, rho] + D[rho]: the lab
+    frame's -i[H, rho] + D[rho] with omega a+a moved into the frame.  Every
+    rho must be Hermitian: one product serves both sides (``_coupled_rhs``)."""
     a = annihilation(params.n_trunc)
     coupling_at = _rotating(params.coupling * np.kron(SIGMA_X, a.conj().T),
                             params.coupling * np.kron(SIGMA_X, a), params.omega)
@@ -157,9 +150,10 @@ def rotating_frame_rhs(params: ModelParams) -> RHS:
 
 
 def _lab_phases(t: float, params: ModelParams, blocks: int) -> np.ndarray:
-    """outer(d, d*) for d = diag(exp(-i w t a+a)), tiled over ``blocks`` atom blocks."""
-    d = np.tile(np.exp(-1j * params.omega * t * np.arange(params.n_trunc)), blocks)
-    return np.outer(d, d.conj())
+    """exp(-i w t (m - n)) at entry (m, n), levels tiled over ``blocks`` atom blocks:
+    from level differences, so a Hermitian state stays exactly Hermitian."""
+    levels = np.tile(np.arange(params.n_trunc), blocks)
+    return np.exp(-1j * params.omega * t * (levels[:, None] - levels[None, :]))
 
 
 def to_rotational_picture(rho: np.ndarray, t: float, params: ModelParams) -> np.ndarray:

@@ -1,6 +1,6 @@
 """Brute-force numerical ground truth: fixed-step RK4 integration of the
 full joint equation of motion and of the decoupled component equations
-on the truncated Fock space.
+on the truncated Fock space, both in the rotating frame.
 
 Fixed-step RK4 is used (rather than an adaptive solver) so runs are
 deterministic and reproducible as regression baselines.  One loop,
@@ -16,8 +16,9 @@ and its Hermitian part is integrated.  A run keeps exactly the steps
 them; ``TimeGrid.check_steps`` holds this rule here and in the doubled
 route, and ``TimeGrid.step_index`` maps a time to its step.  A step must pass the heuristic bound of
 ``require_step`` and the stability bound of ``require_stable``: h
-times a norm bound of the real generator, 2||H||_2 + 2 gamma (N-1), at
-most ``STABILITY_LIMIT``, inside RK4's imaginary-axis limit 2 sqrt(2).
+times a norm bound of the rotating-frame generator, 2||c (a + a+)||_2 +
+2 gamma (N-1), at most ``STABILITY_LIMIT``, inside RK4's imaginary-axis
+limit 2 sqrt(2).
 The initial state and every kept state must be finite, and a joint one
 must keep its purity at most 1 + ``PURITY_SLACK``; every step taken must
 keep the tail weight of each state at most ``TAIL_LIMIT``.  Each
@@ -25,11 +26,12 @@ failure raises ``StepTooLarge`` or ``TailOverflow`` naming its cause and
 its state ("joint", or the component kind).
 
 Frame clock: right-hand sides are called with the time since
-``grid.t_start``, so a rotating frame coincides with the lab frame at
-the first grid time.  The initial state is therefore the same in both
-frames, and a rotating-frame state stored at time t converts to the lab
-frame with ``model.from_rotational_picture(state, t - grid.t_start)``.
-The closed forms and the doubled route use the same clock.
+``grid.t_start``, so the rotating frame coincides with the lab frame at
+the first grid time, and the initial state is the same in both frames.
+``integrate_joint`` returns each state kept at step k in the lab frame,
+``model.from_rotational_picture(state, k * grid.step)``;
+``integrate_component`` returns rotating-frame states.  The closed forms
+and the doubled route use the same clock.
 """
 
 from __future__ import annotations
@@ -42,9 +44,8 @@ import numpy as np
 from .fock import ModelParams, annihilation
 from .model import (
     decoupled_rhs,
-    hamiltonian_full,
+    from_rotational_picture,
     joint_tail_weight,
-    lab_frame_rhs,
     require_hermitian,
     rotating_frame_rhs,
 )
@@ -134,17 +135,13 @@ def require_step(params: ModelParams, h: float) -> None:
         )
 
 
-def require_stable(params: ModelParams, h: float, picture: str) -> None:
-    """Enforce h * (2||H||_2 + 2 gamma (N-1)) <= STABILITY_LIMIT.
-
-    H is the lab-frame Hamiltonian for picture "schrodinger" and
-    coupling (a + a+) for "rotational" (also used for the components).
+def require_stable(params: ModelParams, h: float) -> None:
+    """Enforce h * (2||H||_2 + 2 gamma (N-1)) <= STABILITY_LIMIT, with H the
+    rotating-frame coupling c (a + a+): X(t) is a phase rotation of a + a+, so
+    the bound holds at every t, for the joint run and the components alike.
     """
-    if picture == "schrodinger":
-        h_norm = np.linalg.norm(hamiltonian_full(params), 2)
-    else:
-        a = annihilation(params.n_trunc)
-        h_norm = abs(params.coupling) * np.linalg.norm(a + a.conj().T, 2)
+    a = annihilation(params.n_trunc)
+    h_norm = abs(params.coupling) * np.linalg.norm(a + a.conj().T, 2)
     bound = 2.0 * h_norm + 2.0 * params.gamma * (params.n_trunc - 1)
     if h * bound > STABILITY_LIMIT:
         raise StepTooLarge(
@@ -209,25 +206,25 @@ def _rk4(rhs: Callable, y0: np.ndarray, grid: TimeGrid, store_steps: Iterable[in
 
 
 def integrate_joint(rho0: np.ndarray, params: ModelParams, grid: TimeGrid,
-                    picture: str = "schrodinger", store_steps: Iterable[int] = None) -> Trajectory:
-    """RK4 integration of the joint 2N x 2N equation of motion.
+                    store_steps: Iterable[int] = None) -> Trajectory:
+    """RK4 integration of the joint 2N x 2N equation of motion in the
+    rotating frame, which moves omega a+a and its RK4 error out of the
+    generator; each kept state is returned in the lab frame.
 
-    picture "schrodinger" uses the lab-frame generator; "rotational"
-    uses the rotating-frame generator with its explicit time dependence.
     ``rho0`` must be Hermitian within ``model.HERM_TOL``; its Hermitian part is
     integrated.
     """
     n = params.n_trunc
     if rho0.shape != (2 * n, 2 * n):
         raise ValueError(f"initial state has shape {rho0.shape}, expected {(2 * n, 2 * n)}")
-    builders = {"schrodinger": lab_frame_rhs, "rotational": rotating_frame_rhs}
-    if picture not in builders:
-        raise ValueError(f"unknown picture {picture!r}")
     rho0 = _hermitian_part(rho0, "joint")
     require_step(params, grid.step)
-    require_stable(params, grid.step, picture)
-    rhs = builders[picture](params)  # rho0 is Hermitian, as the builders require
-    return _rk4(rhs, rho0[None], grid, store_steps, ["joint"], joint=True)["joint"]
+    require_stable(params, grid.step)
+    rhs = rotating_frame_rhs(params)  # rho0 is Hermitian, as it requires
+    traj = _rk4(rhs, rho0[None], grid, store_steps, ["joint"], joint=True)["joint"]
+    for k, state in traj.states.items():
+        traj.states[k] = from_rotational_picture(state, k * grid.step, params)
+    return traj
 
 
 def integrate_component(initial: Mapping[str, np.ndarray], params: ModelParams,
@@ -251,5 +248,5 @@ def integrate_component(initial: Mapping[str, np.ndarray], params: ModelParams,
     rhs = decoupled_rhs(kinds, params)  # which needs plus and minus Hermitian, as made next
     y0 = [op0 if kind == "cross" else _hermitian_part(op0, kind) for kind, op0 in initial.items()]
     require_step(params, grid.step)
-    require_stable(params, grid.step, "rotational")
+    require_stable(params, grid.step)
     return _rk4(rhs, np.stack(y0), grid, store_steps, kinds, joint=False)

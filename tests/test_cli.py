@@ -11,6 +11,7 @@ import jcdamp.cli as cli
 import jcdamp.oracle as oracle
 from jcdamp.cli import ConfigError, load_config, main
 from jcdamp.fock import number_operator, tail_weight
+from reference import lab_frame_rhs
 
 
 BASE_DOC = {
@@ -596,8 +597,8 @@ def test_pictures_agree_in_observables_and_snapshots(tmp_path, t_start):
     # and they agree with an independent lab-frame run, which the rotating
     # frame coincides with at t_start
     cfg = load_config(path)
-    lab = oracle.integrate_joint(cfg.initial_joint(), cfg.params, cfg.grid, picture="schrodinger",
-                                 store_steps=cfg.grid.stored_steps(cfg.store_every))
+    lab = oracle._rk4(lab_frame_rhs(cfg.params), cfg.initial_joint()[None], cfg.grid,
+                      cfg.grid.stored_steps(cfg.store_every), ["joint"], joint=True)["joint"]
     purity = [np.trace(state @ state).real for state in lab.states.values()]
     assert np.max(np.abs(_load_csv(outs["rotational"] / "observables.csv")[:, 4] - purity)) < 1e-9
     for k, step in enumerate((50, 100)):
@@ -612,11 +613,11 @@ def test_pictures_agree_in_observables_and_snapshots(tmp_path, t_start):
 def test_simulate_integrates_the_joint_state_once(tmp_path, monkeypatch, outputs):
     # one rotating-frame joint run writes every file; the component rows are
     # split from its kept states, with no component run
-    pictures, component_calls = [], []
+    joint_calls, component_calls = [], []
     real_joint, real_component = cli.integrate_joint, cli.integrate_component
 
     def joint(*args, **kwargs):
-        pictures.append(kwargs.get("picture"))
+        joint_calls.append(kwargs.get("store_steps"))
         return real_joint(*args, **kwargs)
 
     def component(*args, **kwargs):
@@ -628,7 +629,7 @@ def test_simulate_integrates_the_joint_state_once(tmp_path, monkeypatch, outputs
     path = write_config(tmp_path, _shifted_doc(0.0, outputs=outputs))
     out = tmp_path / "sim"
     assert main(["simulate", "--config", path, "--out", str(out), "--quiet"]) == 0
-    assert pictures == ["rotational"] and component_calls == []
+    assert len(joint_calls) == 1 and component_calls == []
     assert (out / "observables.csv").exists() == ("trajectory" in outputs)
 
     # the rows of a direct component run over the same grid and stored steps

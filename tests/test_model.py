@@ -15,11 +15,11 @@ from jcdamp.model import (
     from_rotational_picture,
     hamiltonian_full,
     joint_annihilation,
-    lab_frame_rhs,
     rotating_frame_rhs,
     split_components,
     to_rotational_picture,
 )
+from reference import lab_frame_rhs
 
 
 def random_joint_density(n, seed):
@@ -270,7 +270,7 @@ def test_damping_matches_dense_products(ops):
     stack = rng.normal(size=(3, dim, dim)) + 1j * rng.normal(size=(3, dim, dim))
     zero = np.zeros((dim, dim), dtype=complex)
     for sign, mats in ((1.0, stack), (-1.0, 0.5 * (stack + stack.conj().swapaxes(1, 2)))):
-        damp = _coupled_rhs(zero, -1j, sign, 0.37, a)
+        damp = _coupled_rhs(lambda t: zero, -1j, sign, 0.37, a)
         stacked = damp(0.0, mats)
         assert stacked.shape == mats.shape
         for mat, got in zip(mats, stacked):
@@ -288,9 +288,9 @@ def test_damping_rejects_entries_off_the_superdiagonal():
         bad = a.copy()
         bad[i, j] = 0.5
         with pytest.raises(ValueError, match="superdiagonal"):
-            _coupled_rhs(zero, -1j, -1.0, 0.2, bad)
+            _coupled_rhs(lambda t: zero, -1j, -1.0, 0.2, bad)
     with pytest.raises(ValueError, match="square"):
-        _coupled_rhs(zero, -1j, -1.0, 0.2, np.zeros((3, 4), dtype=complex))
+        _coupled_rhs(lambda t: zero, -1j, -1.0, 0.2, np.zeros((3, 4), dtype=complex))
 
 
 def exactly_hermitian_density(n, seed):

@@ -140,9 +140,22 @@ def test_rk4_convergence_order():
     assert e_h / e_h2 >= 12.0
 
 
+def test_joint_run_integrates_in_the_rotating_frame():
+    # the rotating frame moves omega a+a out of the generator, and the RK4
+    # error with it: a lab-frame run here is 4.3e-9 from its h/4 run
+    n = 12
+    p = ModelParams(omega=1.0, coupling=0.1, gamma=0.2, n_trunc=n)
+    rho0 = coherent_joint(0.8, n, ATOM_UP)
+
+    def final(steps):
+        return integrate_joint(rho0, p, TimeGrid(0.0, 2.0, steps)).final
+
+    assert np.max(np.abs(final(200) - final(800))) < 1e-11
+
+
 def test_component_consistency_with_joint():
-    # lab-frame joint run, rotated and split, matches the rotating-frame
-    # component integrations
+    # the joint run's lab-frame state, rotated and split, matches the
+    # rotating-frame component integrations
     n = 40
     p = ModelParams(omega=1.0, coupling=0.05, gamma=0.1, n_trunc=n)
     v = coherent_state(1.0, n).vec
@@ -289,7 +302,7 @@ def test_coupling_built_at_most_three_times_per_step(monkeypatch):
     p = ModelParams(omega=1.3, coupling=0.1, gamma=0.2, n_trunc=n)
     rho0 = coherent_joint(0.5, n, ATOM_UP)
     grid = TimeGrid(0.4, 1.4, 50)
-    integrate_joint(rho0, p, grid, "rotational")
+    integrate_joint(rho0, p, grid)
     assert 0 < len(builds) <= 3 * grid.n_steps
     builds.clear()
     cs = split_components(rho0)
@@ -368,8 +381,7 @@ def test_commutator_states_stay_exactly_hermitian():
     initial = {kind: 0.5 * (op + op.conj().T) if kind != "cross" else op
                for kind, op in _component_initials(n).items()}
     rho0 = coherent_joint(0.5, n, ATOM_UP)
-    runs = [(integrate_joint(rho0, p, grid, picture, store_steps=keep), rho0)
-            for picture in ("schrodinger", "rotational")]
+    runs = [(integrate_joint(rho0, p, grid, store_steps=keep), rho0)]
     trajs = integrate_component(initial, p, grid, store_steps=keep)
     runs += [(trajs[kind], initial[kind]) for kind in ("plus", "minus")]
     for traj, y0 in runs:
