@@ -13,8 +13,6 @@ from .fock import (
 )
 from .model import (
     ComponentSet,
-    combine_components,
-    component_rhs,
     hamiltonian_full,
     split_components,
     to_rotational_picture,

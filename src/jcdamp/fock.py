@@ -20,6 +20,9 @@ TAIL_LEVELS = 4
 
 # tail weight above this is flagged on coherent-state construction
 COHERENT_TAIL_FLAG = 1e-10
+# ``coherent_state`` scales an overflowing recurrence by this exact power of
+# two: after it, one more step stays finite for any |alpha| < 2^511
+_RESCALE_BITS = 600
 
 
 @dataclass(frozen=True)
@@ -123,22 +126,30 @@ class CoherentState(NamedTuple):
 
 
 def coherent_state(alpha: complex, n_trunc: int) -> CoherentState:
-    """Coherent state amplitudes e^{-|a|^2/2} alpha^n / sqrt(n!).  ValueError if the
-    weight below ``n_trunc`` leaves the float range here (at any n_trunc from |alpha| ~ 38)."""
+    """Coherent state amplitudes e^{-|a|^2/2} alpha^n / sqrt(n!).  Where a step of
+    the recurrence for alpha^n / sqrt(n!) overflows, the amplitudes made so far are
+    scaled by 2^-``_RESCALE_BITS`` and the step is taken again; the scale is carried
+    into the factor e^{-|a|^2/2}.  A recurrence that never overflows is never
+    scaled.  ValueError if the weight below ``n_trunc`` leaves the float range."""
     alpha = complex(alpha)
     if not (math.isfinite(alpha.real) and math.isfinite(alpha.imag)):
         raise ValueError("coherent_state requires finite alpha")
     if n_trunc < 2:
         raise ValueError(f"n_trunc must be at least 2, got {n_trunc}")
-    try:
-        weight = math.exp(-0.5 * abs(alpha) ** 2)
-    except OverflowError:  # |alpha|^2 beyond the float range: the norm check rejects it
-        weight = 0.0
     amps = np.empty(n_trunc, dtype=complex)
     amps[0] = 1.0
+    log_scale = 0.0  # amps hold e^{-log_scale} alpha^n / sqrt(n!)
     with np.errstate(over="ignore", invalid="ignore"):  # the norm check catches both
         for n in range(1, n_trunc):
             amps[n] = amps[n - 1] * alpha / math.sqrt(n)
+            if not np.isfinite(amps[n]):
+                amps[:n] *= 2.0 ** -_RESCALE_BITS
+                log_scale += _RESCALE_BITS * math.log(2.0)
+                amps[n] = amps[n - 1] * alpha / math.sqrt(n)
+        try:
+            weight = math.exp(log_scale - 0.5 * abs(alpha) ** 2)
+        except OverflowError:  # |alpha|^2 beyond the float range: the norm check rejects it
+            weight = 0.0
         amps *= weight
     norm_sq = float(np.sum(np.abs(amps) ** 2))
     if not np.finfo(float).tiny <= norm_sq < math.inf:

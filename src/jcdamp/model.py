@@ -18,9 +18,12 @@ The damping term is normalized once and for all as
 
 and is used with this normalization everywhere in the package.  Every
 equation of motion a run uses is in the rotating frame and is built by
-``_coupled_rhs``, with the one fast D.  A joint state or a plus or minus
-component must be Hermitian there (one product serves both sides; the oracle
-checks); a cross component may be any matrix.
+``_coupled_rhs``, with the one fast D.  A right-hand side writes into an
+array its caller owns.  The joint coupling c sigma_x (x) X(t) acts as its
+N x N field block X(t) on the atom-swapped rows of the state, never as a
+2N x 2N matrix.  A joint state or a plus or minus component must be
+Hermitian there (one product serves both sides; the oracle checks); a cross
+component may be any matrix.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 ATOM_UP = np.array([1.0, 0.0], dtype=complex)
 ATOM_DOWN = np.array([0.0, 1.0], dtype=complex)
 
-RHS = Callable[[float, np.ndarray], np.ndarray]
+RHS = Callable[..., np.ndarray]  # f(t, y, out=None) -> out
 
 # ``check_joint_density`` (and ``wigner_at``) tolerances, loose enough for JSON text
 HERM_TOL = 1e-8
@@ -76,45 +79,71 @@ def _ladder(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return s, np.concatenate([[0.0], (s.conj() * s).real])
 
 
-def _coupled_rhs(coupling, front, sign, gamma: float, a: np.ndarray) -> RHS:
-    """f(t, y) = front (K y + sign y K) + D[y] with K = coupling(t) and D the
-    damping of (gamma, a), ``a`` checked by ``_ladder``: sign -1 gives the
-    commutator, +1 the anticommutator.  Front and sign may be arrays that
-    broadcast over a stack y of matrices.
+def _coupled_rhs(coupling, front, sign, gamma: float, a: np.ndarray,
+                 atom_swap: bool = False) -> RHS:
+    """f(t, y, out) = front (K y + sign y K) + D[y], written into ``out`` (a
+    C-contiguous array of y's shape, allocated when None) and returned: sign -1
+    gives the commutator, +1 the anticommutator, D is the damping of (gamma, a),
+    ``a`` checked by ``_ladder``.  Front and sign may be arrays that broadcast
+    over a stack y of matrices.  K = coupling(t), built once per distinct t
+    (RK4 stages 2 and 3 share one time); with ``atom_swap``, K = sigma_x (x)
+    coupling(t) on the joint space of ``a``'s two atom blocks, a commutator only.
 
     It is evaluated in effective-generator form, f(y) = G y + y G' + gamma a y a+,
-    with G = front K - (gamma/2) a+a and G' = sign front K - (gamma/2) a+a, built
-    once per distinct t (RK4 stages 2 and 3 share one time).
-    The jump term gamma a y a+ is the shifted entry y[i+1, j+1] times the table
-    gamma s_i conj(s_j) (``_ladder``).
+    with G = front K - (gamma/2) a+a and G' = sign front K - (gamma/2) a+a.
+    With ``atom_swap``, the coupling part of G y is the N x N block front
+    coupling(t) on the atom-swapped row blocks of y, two (N x N)(N x 2N)
+    products, and the a+a parts of both sides are one table,
+    -(gamma/2)(d_i + d_j) y_ij.  The jump term gamma a y a+ is y[i+1, j+1] times
+    the table gamma s_i conj(s_j) (``_ladder``), taken as one shift of the flat
+    m x m entries: entry p + m + 1 of y against entry p of a table padded with
+    zeros in its last row and column.
 
     The kind of each slice sets its products: an anticommutator slice (G' = G)
     takes G y + y G; a commutator slice (G' = G+) takes G y + (G y)+, exactly
     Hermitian, and must be Hermitian itself, or the result is wrong.
     """
     s, d = _ladder(a)
-    jump = gamma * np.outer(s, s.conj())
-    if not jump.imag.any():
-        jump = jump.real  # a real table halves the multiplies
+    m = len(d)
+    # complex even when real: numpy would cast a real table on every call
+    jump = np.zeros((m, m), dtype=complex)
+    jump[:-1, :-1] = gamma * np.outer(s, s.conj())
+    shift = m + 1
+    jump = jump.reshape(-1)[:m * m - shift].copy()
     half_n = 0.5 * gamma * d
-    diag = np.diag_indices(len(d))
+    diag = np.diag_indices(m)
     commutator = np.asarray(sign).reshape(-1) < 0
     comm, acomm = _slices(commutator), _slices(~commutator)
+    n = m // 2
+    decay = -(half_n[:, None] + half_n[None, :]).astype(complex)
 
-    last_t = g = None
+    last_t = g = work = None
 
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        nonlocal last_t, g
+    def rhs(t: float, y: np.ndarray, out: np.ndarray = None) -> np.ndarray:
+        nonlocal last_t, g, work
+        if out is None:
+            out = np.empty(np.shape(y), dtype=complex)
+        if work is None or work.shape != out.shape:
+            work = np.empty_like(out)  # scratch for the products added to out
         if t != last_t:
             last_t = t
             g = front * coupling(t)
-            g[..., diag[0], diag[1]] -= half_n
-        out = g @ y
+            if not atom_swap:
+                g[..., diag[0], diag[1]] -= half_n
+        if atom_swap:
+            np.matmul(g, y[..., n:, :], out=out[..., :n, :])
+            np.matmul(g, y[..., :n, :], out=out[..., n:, :])
+        else:
+            np.matmul(g, y, out=out)
         if comm is not None:
-            out[comm] += out[comm].conj().swapaxes(-1, -2)
+            out[comm] += np.conjugate(out[comm], out=work[comm]).swapaxes(-1, -2)
         if acomm is not None:
-            out[acomm] += y[acomm] @ g[acomm]
-        out[..., :-1, :-1] += jump * y[..., 1:, 1:]
+            out[acomm] += np.matmul(y[acomm], g[acomm], out=work[acomm])
+        if atom_swap:  # the a+a terms of G y + y G+: -(gamma/2)(d_i + d_j) y_ij
+            out += np.multiply(decay, y, out=work)
+        flat = out.reshape(-1, m * m)[:, :-shift]
+        flat += np.multiply(jump, np.reshape(y, (-1, m * m))[:, shift:],
+                            out=work.reshape(-1, m * m)[:, :-shift])
         return out
 
     return rhs
@@ -140,13 +169,14 @@ def _rotating(raising: np.ndarray, lowering: np.ndarray,
 def rotating_frame_rhs(params: ModelParams) -> RHS:
     """Right-hand side f(t, rho) of the joint equation in the rotating
     (free-field) frame, -i coupling [X(t) (x) sigma_x, rho] + D[rho]: the lab
-    frame's -i[H, rho] + D[rho] with omega a+a moved into the frame.  Every
-    rho must be Hermitian: one product serves both sides (``_coupled_rhs``)."""
+    frame's -i[H, rho] + D[rho] with omega a+a moved into the frame.  The
+    coupling is built as its field block c X(t) and acts on the atom-swapped
+    rows of rho.  Every rho must be Hermitian: one product serves both sides
+    (``_coupled_rhs``)."""
     a = annihilation(params.n_trunc)
-    coupling_at = _rotating(params.coupling * np.kron(SIGMA_X, a.conj().T),
-                            params.coupling * np.kron(SIGMA_X, a), params.omega)
+    coupling_at = _rotating(params.coupling * a.conj().T, params.coupling * a, params.omega)
     return _coupled_rhs(coupling_at, -1j, -1.0, params.gamma,
-                        joint_annihilation(params.n_trunc))
+                        joint_annihilation(params.n_trunc), atom_swap=True)
 
 
 def _lab_phases(t: float, params: ModelParams, blocks: int) -> np.ndarray:
@@ -212,39 +242,6 @@ def split_components(rho: np.ndarray) -> ComponentSet:
         rho1=r12 + r21,
         rho2=1j * (r12 - r21),
         rho3=r11 - r22,
-    )
-
-
-def combine_components(cs: ComponentSet) -> np.ndarray:
-    """Exact inverse of ``split_components``."""
-    r11 = 0.5 * (cs.rho0 + cs.rho3)
-    r22 = 0.5 * (cs.rho0 - cs.rho3)
-    r12 = 0.5 * (cs.rho1 - 1j * cs.rho2)
-    r21 = 0.5 * (cs.rho1 + 1j * cs.rho2)
-    return np.block([[r11, r12], [r21, r22]])
-
-
-def component_rhs(cs: ComponentSet, t: float, params: ModelParams) -> ComponentSet:
-    """Coupled equations of motion for the four components (rotating frame).
-
-        d rho0 = -i c [X, rho1] + D[rho0]
-        d rho1 = -i c [X, rho0] + D[rho1]
-        d rho2 = -  c {X, rho3} + D[rho2]
-        d rho3 = +  c {X, rho2} + D[rho3]
-    """
-    a = annihilation(params.n_trunc)
-    ad = a.conj().T
-    x = _rotating(ad, a, params.omega)(t)
-    n_op = ad @ a
-
-    def damp(r):  # dense products, a reference apart from ``_coupled_rhs``
-        return 0.5 * params.gamma * (2.0 * a @ r @ ad - n_op @ r - r @ n_op)
-    c = params.coupling
-    return ComponentSet(
-        rho0=-1j * c * (x @ cs.rho1 - cs.rho1 @ x) + damp(cs.rho0),
-        rho1=-1j * c * (x @ cs.rho0 - cs.rho0 @ x) + damp(cs.rho1),
-        rho2=-c * (x @ cs.rho3 + cs.rho3 @ x) + damp(cs.rho2),
-        rho3=c * (x @ cs.rho2 + cs.rho2 @ x) + damp(cs.rho3),
     )
 
 

@@ -7,9 +7,12 @@ deterministic and reproducible as regression baselines.  One loop,
 ``_rk4``, integrates a stack of states: the joint run is a stack of one,
 and the decoupled components (plus, minus, cross) asked for together run
 as one (k, N, N) stack, each slice under its own front factor and
-commutator or anticommutator sign.  Each right-hand side is evaluated in
-effective-generator form (``model._coupled_rhs``), whose Hermitian
-contract is held here at entry: a joint, plus or minus initial state must
+commutator or anticommutator sign.  Each step works in place: the
+right-hand side writes each RK4 stage into an array the loop made once
+per run, the stages are summed in those arrays, and a kept state is
+copied.  Each right-hand side is evaluated in effective-generator form
+(``model._coupled_rhs``; the joint coupling acts as its N x N field block
+on the atom-swapped rows), whose Hermitian contract is held here at entry: a joint, plus or minus initial state must
 be Hermitian within ``model.HERM_TOL`` (ValueError naming it otherwise),
 and its Hermitian part is integrated.  A run keeps exactly the steps
 ``store_steps`` (by default the last) and takes no step after the last of
@@ -173,21 +176,36 @@ def _rk4(rhs: Callable, y0: np.ndarray, grid: TimeGrid, store_steps: Iterable[in
     """Integrate the stack ``y0``, one state per name on axis 0, and return
     name -> Trajectory.  With ``joint`` the stack holds one joint state (tail
     ``joint_tail_weight``, purity checked), else field operators (tail
-    |``fock.tail_weight``|)."""
+    |``fock.tail_weight``|).  ``rhs(t, y, out)`` writes into ``out``: the four
+    stages and the stage state live in arrays made once per run, the state is
+    stepped in place, and a kept state is a copy."""
     keep = grid.check_steps(store_steps)
     h = grid.step
-    # a copy; each step rebinds y and never writes in place, so kept states need no copy
-    y = np.array(y0, dtype=complex)
+    y = np.array(y0, dtype=complex)  # a copy, stepped in place
+    k1, k2, k3, k4, stage = (np.empty_like(y) for _ in range(5))
     kept = {}
     tail_max = np.full(len(names), -np.inf)
     for k in range(max(keep) + 1):
         if k:
             tau = (k - 1) * h  # frame clock, time since grid.t_start
-            k1 = rhs(tau, y)
-            k2 = rhs(tau + 0.5 * h, y + (0.5 * h) * k1)
-            k3 = rhs(tau + 0.5 * h, y + (0.5 * h) * k2)
-            k4 = rhs(tau + h, y + h * k3)
-            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            rhs(tau, y, k1)
+            np.multiply(k1, 0.5 * h, out=stage)
+            stage += y
+            rhs(tau + 0.5 * h, stage, k2)
+            np.multiply(k2, 0.5 * h, out=stage)
+            stage += y
+            rhs(tau + 0.5 * h, stage, k3)
+            np.multiply(k3, h, out=stage)
+            stage += y
+            rhs(tau + h, stage, k4)
+            # y += (h/6) (k1 + 2 k2 + 2 k3 + k4), summed left to right
+            k2 *= 2.0
+            k1 += k2
+            k3 *= 2.0
+            k1 += k3
+            k1 += k4
+            k1 *= h / 6.0
+            y += k1
         t = grid.t_start + k * h
         w = np.array([joint_tail_weight(y[0])]) if joint else np.abs(field_tail_weight(y))
         over = np.flatnonzero(w > TAIL_LIMIT)
@@ -199,7 +217,7 @@ def _rk4(rhs: Callable, y0: np.ndarray, grid: TimeGrid, store_steps: Iterable[in
             for name, state in zip(names, y):
                 _check_stored(state, t, name, joint)
         if k in keep:
-            kept[k] = y
+            kept[k] = y.copy()
     return {name: Trajectory(grid=grid, states={k: stack[i] for k, stack in kept.items()},
                              tail_max=float(tail_max[i]))
             for i, name in enumerate(names)}

@@ -755,9 +755,9 @@ def _count_component_rhs_calls(monkeypatch) -> list:
     def counted(*args):
         rhs = real(*args)
 
-        def call(t, y):
+        def call(t, y, out):
             calls.append(t)
-            return rhs(t, y)
+            return rhs(t, y, out)
         return call
 
     monkeypatch.setattr(oracle, "decoupled_rhs", counted)

@@ -142,6 +142,38 @@ def test_coherent_state_with_no_weight_below_n_trunc_raises(alpha):
     assert abs(np.linalg.norm(coherent_state(27.0, 12).vec) - 1.0) < 1e-12
 
 
+def test_coherent_state_past_the_unscaled_overflow():
+    # alpha^n / sqrt(n!) passes the float range near n = 1444 at |alpha| = 38;
+    # the scaled recurrence keeps the state, all of it below n_trunc
+    for alpha in (38.0, 38j, 26.9 - 26.9j):
+        cs = coherent_state(alpha, 2000)
+        assert abs(np.linalg.norm(cs.vec) - 1.0) < 1e-12
+        assert cs.tail_weight < 1e-12 and not cs.clipped
+        n = np.arange(2000)
+        assert abs(np.sum(n * np.abs(cs.vec) ** 2) - abs(alpha) ** 2) < 1e-9 * abs(alpha) ** 2
+
+
+def _unscaled_coherent_amplitudes(alpha, n_trunc):
+    # the recurrence without scaling, as it was before scaling was added
+    amps = np.empty(n_trunc, dtype=complex)
+    amps[0] = 1.0
+    for n in range(1, n_trunc):
+        amps[n] = amps[n - 1] * alpha / math.sqrt(n)
+    amps *= math.exp(-0.5 * abs(alpha) ** 2)
+    return amps / math.sqrt(float(np.sum(np.abs(amps) ** 2)))
+
+
+@pytest.mark.parametrize("alpha, n_trunc", [
+    (1.0, 40), (1.0, 30), (1.0, 28), (1.0, 16), (2.5 + 1j, 64), (2.5 + 1j, 40),
+    (0.9998476951563913 + 0.01745240643728351j, 40), (0.5, 12), (0.8, 16),
+    (27.0, 12), (27.7, 2000)])
+def test_coherent_state_in_range_is_unscaled(alpha, n_trunc):
+    # the README, benchmark and CI amplitudes, and the largest ones that never
+    # overflow, come out bit for bit as from the unscaled recurrence
+    assert np.array_equal(coherent_state(alpha, n_trunc).vec,
+                          _unscaled_coherent_amplitudes(complex(alpha), n_trunc))
+
+
 def test_matrix_exponential_zero():
     z = np.zeros((6, 6), dtype=complex)
     assert np.max(np.abs(matrix_exponential(z) - np.eye(6))) < 1e-14

@@ -8,9 +8,7 @@ from jcdamp.model import (
     SIGMA_X,
     ComponentSet,
     check_joint_density,
-    combine_components,
     _coupled_rhs,
-    component_rhs,
     decoupled_rhs,
     from_rotational_picture,
     hamiltonian_full,
@@ -19,7 +17,7 @@ from jcdamp.model import (
     split_components,
     to_rotational_picture,
 )
-from reference import lab_frame_rhs
+from reference import combine_components, component_rhs, dense_damping, lab_frame_rhs
 
 
 def random_joint_density(n, seed):
@@ -253,28 +251,32 @@ def test_joint_annihilation_acts_on_field_only():
     assert np.max(np.abs(aj[:n, n:])) == 0.0
 
 
-def _dense_damping(gamma, a, mat):
-    ad = a.conj().T
-    n_op = ad @ a
-    return 0.5 * gamma * (2.0 * a @ mat @ ad - n_op @ mat - mat @ n_op)
-
-
 @pytest.mark.parametrize("ops", [annihilation, joint_annihilation])
 def test_damping_matches_dense_products(ops):
     # the one fast D (``_coupled_rhs`` with no coupling) against the dense
     # formula: on random non-Hermitian matrices as anticommutator slices, and
     # on their Hermitian parts as commutator slices, one at a time and as a stack
+    # written into a caller's buffer; on the joint space also with the coupling
+    # as a zero field block on the atom-swapped rows
     a = ops(9)
     dim = a.shape[0]
     rng = np.random.default_rng(41)
     stack = rng.normal(size=(3, dim, dim)) + 1j * rng.normal(size=(3, dim, dim))
     zero = np.zeros((dim, dim), dtype=complex)
-    for sign, mats in ((1.0, stack), (-1.0, 0.5 * (stack + stack.conj().swapaxes(1, 2)))):
-        damp = _coupled_rhs(lambda t: zero, -1j, sign, 0.37, a)
-        stacked = damp(0.0, mats)
+    hermitian = 0.5 * (stack + stack.conj().swapaxes(1, 2))
+    cases = [(_coupled_rhs(lambda t: zero, -1j, 1.0, 0.37, a), stack),
+             (_coupled_rhs(lambda t: zero, -1j, -1.0, 0.37, a), hermitian)]
+    if ops is joint_annihilation:
+        block = np.zeros((9, 9), dtype=complex)
+        cases.append((_coupled_rhs(lambda t: block, -1j, -1.0, 0.37, a, atom_swap=True),
+                      hermitian))
+    for damp, mats in cases:
+        out = np.full_like(mats, np.nan)
+        stacked = damp(0.0, mats, out)
+        assert stacked is out
         assert stacked.shape == mats.shape
         for mat, got in zip(mats, stacked):
-            want = _dense_damping(0.37, a, mat)
+            want = dense_damping(0.37, a, mat)
             scale = np.max(np.abs(want))
             assert np.max(np.abs(damp(0.0, mat) - want)) <= 1e-15 * scale
             assert np.max(np.abs(got - want)) <= 1e-15 * scale
@@ -306,8 +308,10 @@ def _field_coupling(t, p):
 
 
 def test_joint_rhs_matches_dense_equation_of_motion():
-    # both pictures, in the one-product form for Hermitian input, against
-    # -i[K, rho] + D[rho] from dense products
+    # both pictures against -i[K, rho] + D[rho] from dense products: the
+    # rotating frame in the package's one-product form, exactly Hermitian for
+    # Hermitian input; the lab frame is the tests' dense reference, Hermitian
+    # to rounding
     n, t = 9, 0.7
     p = ModelParams(omega=1.1, coupling=0.17, gamma=0.23, n_trunc=n)
     rho = exactly_hermitian_density(n, 43)
@@ -315,10 +319,13 @@ def test_joint_rhs_matches_dense_equation_of_motion():
     couplings = {lab_frame_rhs: hamiltonian_full(p),
                  rotating_frame_rhs: p.coupling * np.kron(SIGMA_X, _field_coupling(t, p))}
     for build, k in couplings.items():
-        want = -1j * (k @ rho - rho @ k) + _dense_damping(p.gamma, a, rho)
+        want = -1j * (k @ rho - rho @ k) + dense_damping(p.gamma, a, rho)
         got = build(p)(t, rho)
         assert np.max(np.abs(got - want)) <= 1e-13
-        assert np.array_equal(got, got.conj().T)
+        if build is rotating_frame_rhs:
+            assert np.array_equal(got, got.conj().T)
+        else:
+            assert np.max(np.abs(got - got.conj().T)) <= 1e-16
 
 
 @pytest.mark.parametrize("kinds", [("plus", "minus", "cross"), ("cross", "plus", "minus"),
@@ -332,12 +339,53 @@ def test_component_stack_rhs_matches_dense_equation_of_motion(kinds):
     x = _field_coupling(t, p)
     a = annihilation(n)
     c = p.coupling
-    want = {"plus": -1j * c * (x @ cs.plus - cs.plus @ x) + _dense_damping(p.gamma, a, cs.plus),
-            "minus": 1j * c * (x @ cs.minus - cs.minus @ x) + _dense_damping(p.gamma, a, cs.minus),
-            "cross": -1j * c * (x @ cs.cross + cs.cross @ x) + _dense_damping(p.gamma, a, cs.cross)}
+    want = {"plus": -1j * c * (x @ cs.plus - cs.plus @ x) + dense_damping(p.gamma, a, cs.plus),
+            "minus": 1j * c * (x @ cs.minus - cs.minus @ x) + dense_damping(p.gamma, a, cs.minus),
+            "cross": -1j * c * (x @ cs.cross + cs.cross @ x) + dense_damping(p.gamma, a, cs.cross)}
     stack = np.stack([getattr(cs, kind) for kind in kinds])
     got = decoupled_rhs(kinds, p)(t, stack)
     for kind, slice_ in zip(kinds, got):
         assert np.max(np.abs(slice_ - want[kind])) <= 1e-13
         if kind != "cross":
             assert np.array_equal(slice_, slice_.conj().T)
+
+
+def _random_hermitian(dim, rng):
+    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return 0.5 * (m + m.conj().T)
+
+
+@pytest.mark.parametrize("n", [2, 3, 6])
+def test_fast_right_hand_sides_match_dense_references(n):
+    # the joint product (the field block on the atom-swapped rows, a stack of
+    # one as the oracle runs it, and a single matrix) and a mixed component
+    # stack against dense products, 1e-14 relative, at several t != 0: random
+    # Hermitian joint states with weight in both off-diagonal atom blocks, and
+    # random non-Hermitian cross slices; every joint output is exactly Hermitian
+    p = ModelParams(omega=0.9, coupling=0.23, gamma=0.31, n_trunc=n)
+    rng = np.random.default_rng(53 + n)
+    a, aj, c = annihilation(n), joint_annihilation(n), p.coupling
+    joint = rotating_frame_rhs(p)
+    kinds = ["plus", "cross", "minus", "cross"]
+    components = decoupled_rhs(kinds, p)
+    front = {"plus": -1j, "minus": 1j, "cross": -1j}
+    for t in (0.3, 1.7, 4.1):
+        x = _field_coupling(t, p)
+        k = c * np.kron(SIGMA_X, x)
+        for _ in range(2):
+            rho = _random_hermitian(2 * n, rng)
+            assert min(np.min(np.abs(rho[:n, n:])), np.min(np.abs(rho[n:, :n]))) > 0.0
+            want = -1j * (k @ rho - rho @ k) + dense_damping(p.gamma, aj, rho)
+            for got in (joint(t, rho[None], np.empty((1, 2 * n, 2 * n), dtype=complex))[0],
+                        joint(t, rho)):
+                assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+                assert np.array_equal(got, got.conj().T)
+        stack = np.stack([_random_hermitian(n, rng) if kind != "cross" else
+                          rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+                          for kind in kinds])
+        assert np.max(np.abs(stack[1] - stack[1].conj().T)) > 0.1
+        got = components(t, stack, np.empty_like(stack))
+        for kind, y, g in zip(kinds, stack, got):
+            sign = 1.0 if kind == "cross" else -1.0
+            want = front[kind] * c * (x @ y + sign * y @ x) + dense_damping(p.gamma, a, y)
+            assert np.max(np.abs(g - want)) <= 1e-14 * np.max(np.abs(want))

@@ -20,6 +20,7 @@ from jcdamp.oracle import (
     integrate_component,
     integrate_joint,
 )
+from reference import rk4_states
 
 
 def coherent_joint(alpha, n, atom):
@@ -257,9 +258,9 @@ def test_component_run_takes_four_evaluations_per_step_to_its_last_kept_step(mon
     def counted(*args):
         rhs = real(*args)
 
-        def call(t, y):
+        def call(t, y, out):
             calls.append(t)
-            return rhs(t, y)
+            return rhs(t, y, out)
         return call
 
     monkeypatch.setattr(oracle, "decoupled_rhs", counted)
@@ -308,6 +309,43 @@ def test_coupling_built_at_most_three_times_per_step(monkeypatch):
     cs = split_components(rho0)
     integrate_component({"plus": cs.plus, "minus": cs.minus, "cross": cs.cross}, p, grid)
     assert 0 < len(builds) <= 3 * grid.n_steps
+
+
+def test_in_place_stages_match_the_allocating_rk4_loop():
+    # the stages written into the loop's own arrays and summed left to right
+    # give the states of the loop that makes every stage anew, bit for bit
+    n, steps = 14, 30
+    p = ModelParams(omega=1.1, coupling=0.2, gamma=0.3, n_trunc=n)
+    cs = split_components(coherent_joint(0.6 + 0.2j, n, ATOM_UP))
+    initial = {"plus": 0.5 * (cs.plus + cs.plus.conj().T), "cross": cs.cross,
+               "minus": 0.5 * (cs.minus + cs.minus.conj().T)}  # as the oracle integrates them
+    grid = TimeGrid(0.3, 0.9, steps)
+    trajs = integrate_component(initial, p, grid, store_steps=range(steps + 1))
+    want = rk4_states(model.decoupled_rhs(list(initial), p), np.stack(list(initial.values())),
+                      grid.step, steps)
+    for i, kind in enumerate(initial):
+        assert all(np.array_equal(trajs[kind].states[k], want[k][i]) for k in range(steps + 1))
+
+
+def test_joint_run_builds_the_coupling_as_its_field_block(monkeypatch):
+    # the joint coupling c sigma_x (x) X(t) is only ever built as the N x N
+    # block c X(t), so no (2N) x (2N) product with the coupling is made
+    shapes = []
+    real = model._rotating
+
+    def recorded(*args):
+        coupling_at = real(*args)
+
+        def build(t):
+            shapes.append(coupling_at(t).shape)
+            return coupling_at(t)
+        return build
+
+    monkeypatch.setattr(model, "_rotating", recorded)
+    n = 10
+    p = ModelParams(omega=1.3, coupling=0.1, gamma=0.2, n_trunc=n)
+    integrate_joint(coherent_joint(0.5, n, ATOM_UP), p, TimeGrid(0.0, 1.0, 20))
+    assert shapes and set(shapes) == {(n, n)}
 
 
 @pytest.mark.parametrize("bad", [[-1], [41], [3, 41]])
