@@ -4,6 +4,8 @@ truncated Fock space, with a brute-force integrator as ground truth."""
 from .fock import (
     CoherentState,
     ModelParams,
+    StepTooLarge,
+    TimeGrid,
     annihilation,
     coherent_state,
     displacement,
@@ -19,9 +21,7 @@ from .model import (
     from_rotational_picture,
 )
 from .oracle import (
-    StepTooLarge,
     TailOverflow,
-    TimeGrid,
     Trajectory,
     integrate_component,
     integrate_joint,
@@ -37,7 +37,6 @@ from .solution import (
     coherent_center,
     damping_weight,
     displacement_amplitude,
-    drive_commutator_kernel,
     drive_integrals,
     evolve_cross,
     evolve_plus_minus,

@@ -24,9 +24,9 @@ exactly the steps a verb reads and stop at the last of them.  A snapshot
 or Wigner time is read as the grid time within 1e-9 (``TimeGrid.step_index``).
 ``compare`` runs each route once per component over the run's grid and
 reads the three routes' states at the same sample steps.  ``simulate``
-integrates the joint state for ``components`` alone too (8N^3 per right-hand
-side, not the stack's 4N^3), under the joint tail guard; each component's
-``tail`` column, at most twice the joint tail, reports its own.
+integrates the joint state for ``components`` alone too (4N^3 per right-hand
+side, as the component stack makes), under the joint tail guard; each
+component's ``tail`` column, at most twice the joint tail, reports its own.
 
 Exit codes: 0 success, 2 config parse failure (a coherent amplitude with no
 weight below n_trunc too, found before ``--out`` is created), 3 numerical
@@ -54,12 +54,11 @@ from .doubled import (
     stacked,
     vectorize,
 )
-from .fock import TAIL_LEVELS, ModelParams, annihilation, coherent_state, number_operator
+from .fock import TAIL_LEVELS, ModelParams, annihilation, coherent_state
 from .fock import tail_weight as field_tail_weight
 from .model import (
     ATOM_DOWN,
     ATOM_UP,
-    SIGMA_Z,
     check_joint_density,
     field_from_rotational,
     joint_tail_weight,
@@ -291,6 +290,17 @@ def _components(rho_joint: np.ndarray):
     return {"plus": cs.plus, "minus": cs.minus, "cross": cs.cross}
 
 
+def _number(state: np.ndarray, n: int) -> complex:
+    """tr(a+a state) from the diagonal, a+a on the n-level field (on each atom block
+    of a joint state)."""
+    return np.sum(np.arange(len(state)) % n * np.diagonal(state))
+
+
+def _purity(state: np.ndarray) -> float:
+    """tr(state^2) = sum_ij state_ij state_ji, with no matrix product."""
+    return np.sum(state * state.T).real
+
+
 def _phase_center(comps) -> complex:
     # phase-space center reference: <a> of the plus component at t = 0
     return complex(np.trace(annihilation(len(comps["plus"])) @ comps["plus"]))
@@ -315,18 +325,11 @@ def cmd_simulate(cfg: RunConfig, out_dir: str, quiet: bool = False) -> int:
                            store_steps=cfg.grid.stored_steps(cfg.store_every))
 
     if "trajectory" in cfg.outputs:
-        n_joint = np.kron(np.eye(2, dtype=complex), number_operator(n))
-        sz = np.kron(SIGMA_Z, np.eye(n, dtype=complex))
         rows = []
         for t, state in zip(traj.times, traj.states.values()):
-            rows.append([
-                t,
-                np.trace(state[:n, :n]).real,
-                np.trace(n_joint @ state).real,
-                np.trace(sz @ state).real,
-                np.trace(state @ state).real,
-                joint_tail_weight(state),
-            ])
+            up, down = np.trace(state[:n, :n]).real, np.trace(state[n:, n:]).real
+            rows.append([t, up, _number(state, n).real, up - down, _purity(state),
+                         joint_tail_weight(state)])
         _write_csv(os.path.join(out_dir, "observables.csv"),
                    ["t", "tr_rho11", "n_expect", "sigma3", "purity", "tail_weight"],
                    rows)
@@ -338,13 +341,12 @@ def cmd_simulate(cfg: RunConfig, out_dir: str, quiet: bool = False) -> int:
             print(f"wrote observables.csv ({len(rows)} rows)")
 
     if "components" in cfg.outputs:
-        n_op = number_operator(n)
         rows = {"plus": [], "minus": [], "cross": []}
         for t, joint in zip(traj.times, traj.states.values()):
             # one kept state at a time, so no second stack of states is held
             for kind, state in _components(joint).items():
                 tr = np.trace(state)
-                num = np.trace(n_op @ state)
+                num = _number(state, n)
                 rows[kind].append([t, tr.real, tr.imag, num.real, num.imag,
                                    abs(field_tail_weight(state))])
         for kind, kind_rows in rows.items():
@@ -360,7 +362,6 @@ def cmd_solve(cfg: RunConfig, out_dir: str, quiet: bool = False) -> int:
     n = cfg.params.n_trunc
     comps = _components(cfg.initial_joint())
     os.makedirs(out_dir, exist_ok=True)
-    n_op = number_operator(n)
     alpha0 = _phase_center(comps)
 
     # the times ``simulate`` stores
@@ -386,8 +387,8 @@ def cmd_solve(cfg: RunConfig, out_dir: str, quiet: bool = False) -> int:
             state = _closed_form(tag, comps[tag], dt, cfg.params)
             row += [
                 np.trace(state).real,
-                np.trace(n_op @ state).real,
-                np.trace(state @ state).real,
+                _number(state, n).real,
+                _purity(state),
                 abs(field_tail_weight(state)),
             ]
         rows.append(row)

@@ -18,10 +18,12 @@ truncation.  Each ``evolve_vectorized`` call therefore chooses one
 truncated-Taylor plan for h G(0) and applies
 exp(h G(t)) = S(t) exp(h G(0)) S(t)^+ at every step, the phases of
 consecutive steps merged into one constant half-step phase.  A call runs
-under the RK4 oracle's run contract: G is evaluated on the frame clock
-(time since ``grid.t_start``), and the call keeps exactly the steps
-``store_steps`` (``TimeGrid.check_steps``, by default the last) and
-stops at the last of them.  ``compare`` evolves its three branches in one
+under the run contract the routes share (``fock.TimeGrid``): G is
+evaluated on the frame clock (time since ``grid.t_start``), and the call
+keeps exactly the steps ``store_steps`` (``TimeGrid.check_steps``, by
+default the last) and stops at the last of them.  The route imports only
+``fock``: no oracle or model code, so it stays independent of the routes
+it is checked against.  ``compare`` evolves its three branches in one
 such call: under ``stacked``, their vectors are one vector and G(0) is
 the block diagonal of the branches' G(0), so the run makes one plan and
 one Taylor action per step, and no branch couples to another.
@@ -49,8 +51,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .fock import TAIL_LEVELS, ModelParams, annihilation
-from .oracle import TimeGrid
+from .fock import TAIL_LEVELS, ModelParams, TimeGrid, annihilation
 
 
 def vectorize(op: np.ndarray) -> np.ndarray:

@@ -15,7 +15,9 @@ a central nilpotent commutator).
 
 The two propagators import scipy inside the function, not at module
 level, so that ``import jcdamp`` and the CLI verbs, which never call
-them, do not pay for loading scipy.
+them, do not pay for loading scipy.  The run contract (``TimeGrid``,
+``StepTooLarge``) comes from ``fock``; the module imports only ``fock``
+and ``quadrature``, no route's code.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .oracle import StepTooLarge, TimeGrid
+from .fock import StepTooLarge, TimeGrid
 from .quadrature import simpson_adaptive, triangle_double_integral
 
 Kernel = Callable[[float, float], Union[complex, np.ndarray]]

@@ -1,10 +1,17 @@
-"""Dense single-mode Fock-space operators and states.
+"""Dense single-mode Fock-space operators and states, and the base the
+three routes share.
 
 Operators are plain complex numpy arrays in the number basis
 |0>, ..., |n_trunc-1>.  All functions are pure and never mutate their
 arguments.  Tolerance claims for truncated operators exclude the top
 ``TAIL_LEVELS`` Fock levels, where truncation error concentrates;
 ``tail_weight`` reports the population living there.
+
+Shared base: ``ModelParams`` and the run contract, ``TimeGrid`` and
+``StepTooLarge``, live here.  The three routes (``oracle`` over ``model``,
+``solution``, ``doubled``) share this module and import none of each
+other's; it imports no sibling module.  ``tests/test_import_graph.py`` pins
+every import between the package's modules.
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -47,6 +54,51 @@ class ModelParams:
             raise ValueError(f"gamma must be finite and >= 0, got {self.gamma}")
         if int(self.n_trunc) != self.n_trunc or self.n_trunc < 2:
             raise ValueError(f"n_trunc must be an integer >= 2, got {self.n_trunc}")
+
+
+class StepTooLarge(RuntimeError):
+    """The RK4 step violates a stability bound, or the state blew up."""
+
+
+@dataclass(frozen=True)
+class TimeGrid:
+    """Uniform time grid with n_steps integrator steps."""
+
+    t_start: float
+    t_end: float
+    n_steps: int
+
+    def __post_init__(self):
+        if not self.t_end > self.t_start:
+            raise ValueError("t_end must exceed t_start")
+        if self.n_steps < 1:
+            raise ValueError("n_steps must be >= 1")
+
+    @property
+    def step(self) -> float:
+        return (self.t_end - self.t_start) / self.n_steps
+
+    def times(self) -> np.ndarray:
+        return self.t_start + self.step * np.arange(self.n_steps + 1)
+
+    def stored_steps(self, store_every: int) -> list:
+        """Every ``store_every``-th step index and the last."""
+        return sorted({*range(0, self.n_steps + 1, store_every), self.n_steps})
+
+    def check_steps(self, steps: Iterable[int] = None) -> set:
+        """The steps a run keeps: ``steps`` as a set, by default {n_steps}.
+        ValueError if the set is empty or leaves [0, n_steps]."""
+        steps = {self.n_steps} if steps is None else set(steps)
+        if not steps or min(steps) < 0 or max(steps) > self.n_steps:
+            raise ValueError(f"store_steps must be a non-empty set in [0, {self.n_steps}]")
+        return steps
+
+    def step_index(self, t: float) -> int:
+        """The step k with |t_start + k * step - t| <= 1e-9, else ValueError."""
+        k = round((t - self.t_start) / self.step)
+        if not 0 <= k <= self.n_steps or abs(self.t_start + k * self.step - t) > 1e-9:
+            raise ValueError(f"time {t} is not a grid time")
+        return k
 
 
 def annihilation(n_trunc: int) -> np.ndarray:

@@ -17,11 +17,13 @@ be Hermitian within ``model.HERM_TOL`` (ValueError naming it otherwise),
 and its Hermitian part is integrated.  A run keeps exactly the steps
 ``store_steps`` (by default the last) and takes no step after the last of
 them; ``TimeGrid.check_steps`` holds this rule here and in the doubled
-route, and ``TimeGrid.step_index`` maps a time to its step.  A step must pass the heuristic bound of
-``require_step`` and the stability bound of ``require_stable``: h
-times a norm bound of the rotating-frame generator, 2||c (a + a+)||_2 +
-2 gamma (N-1), at most ``STABILITY_LIMIT``, inside RK4's imaginary-axis
-limit 2 sqrt(2).
+route, and ``TimeGrid.step_index`` maps a time to its step.  ``TimeGrid``
+and ``StepTooLarge`` live in ``fock``, the base the routes share, and are
+re-exported here; this module imports only ``fock`` and ``model``.  A
+step must pass the heuristic bound of ``require_step`` and the stability
+bound of ``require_stable``: h times a norm bound of the rotating-frame
+generator, 2||c (a + a+)||_2 + 2 gamma (N-1), at most ``STABILITY_LIMIT``,
+inside RK4's imaginary-axis limit 2 sqrt(2).
 The initial state and every kept state must be finite, and a joint one
 must keep its purity at most 1 + ``PURITY_SLACK``; every step taken must
 keep the tail weight of each state at most ``TAIL_LIMIT``.  Each
@@ -44,7 +46,7 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from .fock import ModelParams, annihilation
+from .fock import ModelParams, StepTooLarge, TimeGrid, annihilation
 from .model import (
     decoupled_rhs,
     from_rotational_picture,
@@ -60,53 +62,8 @@ PURITY_SLACK = 1e-9
 TAIL_LIMIT = 1e-6
 
 
-class StepTooLarge(RuntimeError):
-    """The RK4 step violates a stability bound, or the state blew up."""
-
-
 class TailOverflow(RuntimeError):
     """Truncation-boundary population exceeded the allowed budget."""
-
-
-@dataclass(frozen=True)
-class TimeGrid:
-    """Uniform time grid with n_steps integrator steps."""
-
-    t_start: float
-    t_end: float
-    n_steps: int
-
-    def __post_init__(self):
-        if not self.t_end > self.t_start:
-            raise ValueError("t_end must exceed t_start")
-        if self.n_steps < 1:
-            raise ValueError("n_steps must be >= 1")
-
-    @property
-    def step(self) -> float:
-        return (self.t_end - self.t_start) / self.n_steps
-
-    def times(self) -> np.ndarray:
-        return self.t_start + self.step * np.arange(self.n_steps + 1)
-
-    def stored_steps(self, store_every: int) -> list:
-        """Every ``store_every``-th step index and the last."""
-        return sorted({*range(0, self.n_steps + 1, store_every), self.n_steps})
-
-    def check_steps(self, steps: Iterable[int] = None) -> set:
-        """The steps a run keeps: ``steps`` as a set, by default {n_steps}.
-        ValueError if the set is empty or leaves [0, n_steps]."""
-        steps = {self.n_steps} if steps is None else set(steps)
-        if not steps or min(steps) < 0 or max(steps) > self.n_steps:
-            raise ValueError(f"store_steps must be a non-empty set in [0, {self.n_steps}]")
-        return steps
-
-    def step_index(self, t: float) -> int:
-        """The step k with |t_start + k * step - t| <= 1e-9, else ValueError."""
-        k = round((t - self.t_start) / self.step)
-        if not 0 <= k <= self.n_steps or abs(self.t_start + k * self.step - t) > 1e-9:
-            raise ValueError(f"time {t} is not a grid time")
-        return k
 
 
 @dataclass

@@ -11,8 +11,9 @@ would carry the state past the truncation edge.  The anticommutator
 branch factorizes the same way once the drive is split along growing /
 decaying damping envelopes (the cosh and sinh moments of
 ``drive_integrals``), at the price of a scalar weight accumulated from
-the c-number commutator between the two envelope families
-(``drive_commutator_kernel`` / ``kernel_double_integral``).
+the c-number commutator between the two envelope families at times
+(s, s'), -8 c^2 cosh(g s / 2) sinh(g s' / 2) cos(w (s - s'))
+(``kernel_double_integral``).
 
 Every scalar here is evaluated in closed form: the drive moments are
 integrals of exponentials, and the kernel double integral is a sum of
@@ -131,18 +132,6 @@ def drive_integrals(t: float, params: ModelParams) -> tuple[complex, complex]:
     return pref * (up + dn), pref * (up - dn)
 
 
-def drive_commutator_kernel(s: float, s_prime: float, params: ModelParams) -> float:
-    """c-number commutator between the growing- and decaying-envelope
-    drive generators at times (s, s'):
-
-        -8 c^2 cosh(g s / 2) sinh(g s' / 2) cos(w (s - s'))
-    """
-    c = params.coupling
-    g = params.gamma
-    return (-8.0 * c * c * math.cosh(0.5 * g * s) * math.sinh(0.5 * g * s_prime)
-            * math.cos(params.omega * (s - s_prime)))
-
-
 def _exp_divided_difference(nodes: list) -> complex:
     """exp[z_0, ..., z_m], the divided difference of exp at ``nodes``
     (repeats allowed).  By the Hermite-Genocchi formula it is the
@@ -172,7 +161,8 @@ def _exp_divided_difference(nodes: list) -> complex:
 
 @_overflow_reported
 def kernel_double_integral(t: float, params: ModelParams) -> float:
-    """int_0^t ds int_0^s ds' of ``drive_commutator_kernel``, exactly.
+    """int_0^t ds int_0^s ds' of the envelope commutator kernel
+    -8 c^2 cosh(g s / 2) sinh(g s' / 2) cos(w (s - s')), exactly.
 
     With cosh, sinh and cos split into exponentials the kernel is
     -2 c^2 Re sum_{s1, s2 = +-1} s2 e^{a s + b s'}, a = s1 g/2 + i w,

@@ -30,16 +30,14 @@ from jcdamp.model import ATOM_DOWN, field_from_rotational
 from jcdamp.oracle import TimeGrid, integrate_component, integrate_joint
 from jcdamp.solution import (
     coherent_center,
-    drive_commutator_kernel,
     evolve_plus_minus,
 )
 from jcdamp.wigner import (
     gaussian_grid,
     wigner_grid,
     wigner_operator,
-    wigner_operator_series,
 )
-from reference import damped_frame_drive
+from reference import damped_frame_drive, drive_commutator_kernel, wigner_operator_series
 
 
 def report(num, description, ok):

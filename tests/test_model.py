@@ -148,6 +148,30 @@ def test_split_combine_round_trip_exact():
     assert np.max(np.abs(combine_components(cs) - rho)) < 1e-15
 
 
+@pytest.mark.parametrize("hermitian", [True, False])
+def test_split_matches_pauli_expansion(hermitian):
+    """``split_components`` reads back each rho_k of rho = (1/2) sum_k sigma_k (x) rho_k
+    (atom factor first, the ``np.kron`` block layout), with the Pauli matrices written
+    here from integers rather than taken from ``model``."""
+    n = 6
+    rng = np.random.default_rng(5 + hermitian)
+    rhos = []
+    for _ in range(4):
+        m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        rhos.append(m + m.conj().T if hermitian else m)
+    paulis = [np.array([[1, 0], [0, 1]]), np.array([[0, 1], [1, 0]]),
+              1j * np.array([[0, -1], [1, 0]]), np.array([[1, 0], [0, -1]])]
+    rho = 0.5 * sum(np.kron(sigma, r) for sigma, r in zip(paulis, rhos))
+    cs = split_components(rho)
+    tol = 1e-15 * max(np.max(np.abs(r)) for r in rhos)
+    for got, want in zip((cs.rho0, cs.rho1, cs.rho2, cs.rho3), rhos):
+        assert np.max(np.abs(got - want)) <= tol
+    rho0, rho1, rho2, rho3 = rhos
+    assert np.max(np.abs(cs.plus - (rho0 + rho1))) <= 2 * tol
+    assert np.max(np.abs(cs.minus - (rho0 - rho1))) <= 2 * tol
+    assert np.max(np.abs(cs.cross - (rho3 + 1j * rho2))) <= 2 * tol
+
+
 def test_derived_component_sum_identity():
     rho = random_joint_density(6, 2)
     cs = split_components(rho)

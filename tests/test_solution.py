@@ -18,12 +18,12 @@ from jcdamp.solution import (
     coherent_center,
     damping_weight,
     displacement_amplitude,
-    drive_commutator_kernel,
     drive_integrals,
     evolve_cross,
     evolve_plus_minus,
     kernel_double_integral,
 )
+from reference import drive_commutator_kernel
 
 STD = ModelParams(omega=1.0, coupling=0.1, gamma=0.2, n_trunc=40)
 

@@ -9,12 +9,11 @@ from jcdamp.solution import coherent_center, evolve_plus_minus
 from jcdamp.wigner import (
     PhaseGrid,
     gaussian_grid,
-    parity_operator,
     wigner_at,
     wigner_grid,
     wigner_operator,
-    wigner_operator_series,
 )
+from reference import parity_operator, wigner_operator_series
 
 
 def coherent_projector(alpha, n):
