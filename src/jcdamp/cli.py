@@ -22,8 +22,9 @@ A verb that ``outputs`` gives nothing to write (``_WRITES``) exits 0
 without creating ``--out``.  Brute-force and doubled-space runs keep
 exactly the steps a verb reads and stop at the last of them.  A snapshot
 or Wigner time is read as the grid time within 1e-9 (``TimeGrid.step_index``).
-``compare`` runs each route once per component over the run's grid and
-reads the three routes' states at the same sample steps.  ``simulate``
+``compare`` makes one run per route for all three components over the
+run's grid and compares the lab-frame states every route returns at the
+same sample steps.  ``simulate``
 integrates the joint state for ``components`` alone too (4N^3 per right-hand
 side, as the component stack makes), under the joint tail guard; each
 component's ``tail`` column, at most twice the joint tail, reports its own.
@@ -60,7 +61,6 @@ from .model import (
     ATOM_DOWN,
     ATOM_UP,
     check_joint_density,
-    field_from_rotational,
     joint_tail_weight,
     split_components,
 )
@@ -420,7 +420,7 @@ def cmd_wigner(cfg: RunConfig, out_dir: str, quiet: bool = False) -> int:
                 closed = gaussian_grid(dt, cfg.params, sign, alpha0, *box)
                 closed.to_csv(os.path.join(out_dir, f"wigner_{tag}_closed_{i:02d}.csv"))
                 closed.to_json(os.path.join(out_dir, f"wigner_{tag}_closed_{i:02d}.json"))
-        cross = field_from_rotational(traj.states[k], dt, cfg.params) if k else comps["cross"]
+        cross = traj.states[k] if k else comps["cross"]
         states += [0.5 * (cross + cross.conj().T), (cross - cross.conj().T) / 2j]
     names = [f"{tag}_grid" for tag in _SIGNS] + ["cross_herm", "cross_anti"]
     for s, grid in enumerate(wigner_grid(np.stack(states), *box)):
@@ -439,12 +439,12 @@ def build_comparison_report(cfg: RunConfig) -> dict:
     Routes: brute-force component integration (ground truth), the
     closed-form solutions, and midpoint-exponential evolution in the
     doubled space at a (possibly reduced) truncation, compared on the
-    interior block.  All three run on the frame clock t - grid.t_start;
-    the oracle and the doubled route each make one run for all three
-    components over the run's grid, keep the sample steps and stop at
-    the last.  The doubled run evolves the components' vectors as one,
-    under the block-diagonal ``stacked`` generator, and each component's
-    block is sliced back out.
+    interior block.  All three run on the frame clock t - grid.t_start
+    and return lab-frame states; the oracle and the doubled route each
+    make one run for all three components over the run's grid, keep the
+    sample steps and stop at the last.  The doubled run evolves the
+    components' vectors as one, under the block-diagonal ``stacked``
+    generator, and each component's block is sliced back out.
     """
     params = cfg.params
     comps = _components(cfg.initial_joint())
@@ -473,18 +473,17 @@ def build_comparison_report(cfg: RunConfig) -> dict:
         ana_max = ana_mean = doubled_max = trace_drift = 0.0
         for k in sample_ks:
             t = t0 + k * h
-            oracle_rot = traj.states[k]
-            oracle_lab = field_from_rotational(oracle_rot, t - t0, params)
+            oracle = traj.states[k]
             ana = _closed_form(kind, op0, t - t0, params)
-            dev = np.abs(ana - oracle_lab)
+            dev = np.abs(ana - oracle)
             ana_max = max(ana_max, dev.max())
             ana_mean = max(ana_mean, dev.mean())
             own = devectorize(doubled[k].reshape(len(comps), -1)[block])
-            inner = own[:interior, :interior] - oracle_rot[:interior, :interior]
+            inner = own[:interior, :interior] - oracle[:interior, :interior]
             doubled_max = max(doubled_max, np.abs(inner).max())
             if kind in _SIGNS:
                 trace_drift = max(trace_drift,
-                                  abs(np.trace(oracle_rot) - np.trace(op0)))
+                                  abs(np.trace(oracle) - np.trace(op0)))
         tight = kind in _SIGNS
         passed = doubled_max <= DOUBLED_TOLERANCE and (not tight or ana_max <= PM_TOLERANCE)
         report["components"][kind] = {

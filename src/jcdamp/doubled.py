@@ -15,9 +15,9 @@ G(t) = S(t) G(0) S(t)^+, where S(t) is the diagonal phase
 e^{i w t (m - n)} at flat index m*N + n (conjugation by e^{i w t a+a}).
 The dissipator commutes with S, so the identity is exact at any
 truncation.  Each ``evolve_vectorized`` call therefore chooses one
-truncated-Taylor plan for h G(0) and applies
-exp(h G(t)) = S(t) exp(h G(0)) S(t)^+ at every step, the phases of
-consecutive steps merged into one constant half-step phase.  A call runs
+truncated-Taylor plan for h G(0) and steps the lab-frame vector
+w = S(t)^+ v under one constant half-step phase; it returns w, as the
+oracle and the closed forms return lab-frame states.  A call runs
 under the run contract the routes share (``fock.TimeGrid``): G is
 evaluated on the frame clock (time since ``grid.t_start``), and the call
 keeps exactly the steps ``store_steps`` (``TimeGrid.check_steps``, by
@@ -260,14 +260,14 @@ def evolve_vectorized(generator: FrameGenerator, v0: np.ndarray, grid: TimeGrid,
     Per step k: v <- exp(h G((k - 1/2) h)) v on the frame clock,
     second-order accurate.  By the frame identity,
     exp(h G(t)) = S(t) exp(h G(0)) S(t)^+, so one ``taylor_plan`` of
-    h G(0) serves every step.  The loop steps w = S(-k h) v, for which the
-    step is w <- S(-h/2) exp(h G(0)) S(-h/2) w: one ``expm_multiply`` call
-    between two multiplies by one phase vector, made once per call.  A kept
-    step k returns S(k h) w, step 0 the initial vector itself.
+    h G(0) serves every step.  The loop steps the lab-frame vector
+    w = S(-k h) v, for which the step is w <- S(-h/2) exp(h G(0)) S(-h/2) w,
+    the symmetric split of the lab-frame generator G(0) - i diag(rotation):
+    one ``expm_multiply`` call between two multiplies by one phase vector.
 
-    Returns step -> vector for the steps ``grid.check_steps(store_steps)``
-    keeps, and takes no step after the last of them.  The step bound is the
-    oracle's (``compare`` runs ``integrate_component`` first, at the full truncation).
+    Returns step -> w for the steps ``grid.check_steps(store_steps)`` keeps,
+    step 0 the initial vector itself, and takes no step after the last.  The
+    step bound is the oracle's, checked first by ``compare`` at the full truncation.
     """
     keep = grid.check_steps(store_steps)
     h = grid.step
@@ -279,5 +279,5 @@ def evolve_vectorized(generator: FrameGenerator, v0: np.ndarray, grid: TimeGrid,
         if k:
             w = half * expm_multiply(plan, half * w)
         if k in keep:
-            kept[k] = generator.phase(k * h) * w if k else w
+            kept[k] = w
     return kept

@@ -53,7 +53,7 @@ def joint_annihilation(n_trunc: int) -> np.ndarray:
 
 
 def hamiltonian_full(params: ModelParams) -> np.ndarray:
-    """H = omega a+a (x) 1 + coupling (a+ + a) (x) sigma_x.
+    """H = 1 (x) omega a+a + coupling sigma_x (x) (a + a+).
 
     The coupling keeps both co- and counter-rotating terms.
     """
@@ -205,7 +205,7 @@ def field_from_rotational(mat: np.ndarray, t: float, params: ModelParams) -> np.
 class ComponentSet:
     """The four field operators of the Pauli expansion of a joint state.
 
-    rho = (1/2) (rho0 (x) 1 + rho1 (x) sx + rho2 (x) sy + rho3 (x) sz).
+    rho = (1/2) (1 (x) rho0 + sx (x) rho1 + sy (x) rho2 + sz (x) rho3).
     The decoupled combinations are exposed as properties: ``plus`` and
     ``minus`` evolve under commutator coupling of either sign, and the
     (generally non-Hermitian) ``cross`` combination rho3 + i rho2

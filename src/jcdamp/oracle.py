@@ -1,6 +1,6 @@
 """Brute-force numerical ground truth: fixed-step RK4 integration of the
 full joint equation of motion and of the decoupled component equations
-on the truncated Fock space, both in the rotating frame.
+on the truncated Fock space in the rotating frame, kept in the lab frame.
 
 Fixed-step RK4 is used (rather than an adaptive solver) so runs are
 deterministic and reproducible as regression baselines.  One loop,
@@ -33,10 +33,9 @@ its state ("joint", or the component kind).
 Frame clock: right-hand sides are called with the time since
 ``grid.t_start``, so the rotating frame coincides with the lab frame at
 the first grid time, and the initial state is the same in both frames.
-``integrate_joint`` returns each state kept at step k in the lab frame,
-``model.from_rotational_picture(state, k * grid.step)``;
-``integrate_component`` returns rotating-frame states.  The closed forms
-and the doubled route use the same clock.
+Both entry points return the state kept at step k in the lab frame, its
+product with ``model._lab_phases(k * grid.step)``, as the closed forms
+and the doubled route, on the same clock, return theirs.
 """
 
 from __future__ import annotations
@@ -48,8 +47,8 @@ import numpy as np
 
 from .fock import ModelParams, StepTooLarge, TimeGrid, annihilation
 from .model import (
+    _lab_phases,
     decoupled_rhs,
-    from_rotational_picture,
     joint_tail_weight,
     require_hermitian,
     rotating_frame_rhs,
@@ -128,14 +127,15 @@ def _hermitian_part(y: np.ndarray, name: str) -> np.ndarray:
     return 0.5 * (y + y.conj().T)
 
 
-def _rk4(rhs: Callable, y0: np.ndarray, grid: TimeGrid, store_steps: Iterable[int],
-         names: list[str], joint: bool) -> dict[str, Trajectory]:
+def _rk4(rhs: Callable, y0: np.ndarray, params: ModelParams, grid: TimeGrid,
+         store_steps: Iterable[int], names: list[str], joint: bool) -> dict[str, Trajectory]:
     """Integrate the stack ``y0``, one state per name on axis 0, and return
     name -> Trajectory.  With ``joint`` the stack holds one joint state (tail
     ``joint_tail_weight``, purity checked), else field operators (tail
     |``fock.tail_weight``|).  ``rhs(t, y, out)`` writes into ``out``: the four
     stages and the stage state live in arrays made once per run, the state is
-    stepped in place, and a kept state is a copy."""
+    stepped in place, and each kept state is its product with its step's lab
+    phases, a new array."""
     keep = grid.check_steps(store_steps)
     h = grid.step
     y = np.array(y0, dtype=complex)  # a copy, stepped in place
@@ -174,8 +174,8 @@ def _rk4(rhs: Callable, y0: np.ndarray, grid: TimeGrid, store_steps: Iterable[in
             for name, state in zip(names, y):
                 _check_stored(state, t, name, joint)
         if k in keep:
-            kept[k] = y.copy()
-    return {name: Trajectory(grid=grid, states={k: stack[i] for k, stack in kept.items()},
+            kept[k] = [state * _lab_phases(k * h, params, 2 if joint else 1) for state in y]
+    return {name: Trajectory(grid=grid, states={k: states[i] for k, states in kept.items()},
                              tail_max=float(tail_max[i]))
             for i, name in enumerate(names)}
 
@@ -196,16 +196,13 @@ def integrate_joint(rho0: np.ndarray, params: ModelParams, grid: TimeGrid,
     require_step(params, grid.step)
     require_stable(params, grid.step)
     rhs = rotating_frame_rhs(params)  # rho0 is Hermitian, as it requires
-    traj = _rk4(rhs, rho0[None], grid, store_steps, ["joint"], joint=True)["joint"]
-    for k, state in traj.states.items():
-        traj.states[k] = from_rotational_picture(state, k * grid.step, params)
-    return traj
+    return _rk4(rhs, rho0[None], params, grid, store_steps, ["joint"], joint=True)["joint"]
 
 
 def integrate_component(initial: Mapping[str, np.ndarray], params: ModelParams,
                         grid: TimeGrid, store_steps: Iterable[int] = None) -> dict[str, Trajectory]:
-    """RK4 integration of decoupled components (rotating frame), all in one
-    (k, N, N) stack.
+    """RK4 integration of decoupled components in the rotating frame, all in
+    one (k, N, N) stack; each kept state is returned in the lab frame.
 
     ``initial`` maps each kind ("plus", "minus" or "cross") to its N x N
     initial operator; the result maps each kind to its Trajectory.  A plus or
@@ -224,4 +221,4 @@ def integrate_component(initial: Mapping[str, np.ndarray], params: ModelParams,
     y0 = [op0 if kind == "cross" else _hermitian_part(op0, kind) for kind, op0 in initial.items()]
     require_step(params, grid.step)
     require_stable(params, grid.step)
-    return _rk4(rhs, np.stack(y0), grid, store_steps, kinds, joint=False)
+    return _rk4(rhs, np.stack(y0), params, grid, store_steps, kinds, joint=False)

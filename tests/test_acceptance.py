@@ -26,7 +26,7 @@ from jcdamp.factorize import (
     time_ordered_propagator,
 )
 from jcdamp.fock import ModelParams, coherent_state
-from jcdamp.model import ATOM_DOWN, field_from_rotational
+from jcdamp.model import ATOM_DOWN
 from jcdamp.oracle import TimeGrid, integrate_component, integrate_joint
 from jcdamp.solution import (
     coherent_center,
@@ -86,7 +86,7 @@ def test_criterion_2_closed_form_matches_oracle_sweep():
                 for sign, kind in ((1, "plus"), (-1, "minus")):
                     traj = trajs[kind]
                     for t in (1.25, 2.5, 3.75, 5.0):
-                        lab = field_from_rotational(traj.states[grid.step_index(t)], t, p)
+                        lab = traj.states[grid.step_index(t)]
                         got = evolve_plus_minus(rho0, t, p, sign)
                         worst = max(worst, float(np.max(np.abs(got - lab))))
     elapsed = time.time() - started

@@ -11,7 +11,7 @@ import jcdamp.cli as cli
 import jcdamp.oracle as oracle
 from jcdamp.cli import ConfigError, load_config, main
 from jcdamp.fock import number_operator, tail_weight
-from reference import lab_frame_rhs
+from reference import lab_frame_rhs, rk4_states
 
 
 BASE_DOC = {
@@ -403,6 +403,38 @@ def test_compare_free_evolution_all_routes_agree(tmp_path):
         assert entry["doubled_max_dev"] <= 1e-10
 
 
+def test_every_route_returns_lab_frame_states():
+    # the component run, the split joint run, the doubled run and the closed
+    # form agree at one sample step as returned: the test converts no frame
+    from jcdamp.doubled import (anticommutator_generator_factory, commutator_generator_factory,
+                                devectorize, evolve_vectorized, stacked, vectorize)
+    from jcdamp.fock import TAIL_LEVELS, ModelParams, coherent_state
+    from jcdamp.model import ATOM_UP, split_components
+    from jcdamp.solution import evolve_plus_minus
+
+    n, k = 12, 200
+    p = ModelParams(omega=1.0, coupling=0.1, gamma=0.2, n_trunc=n)
+    grid = oracle.TimeGrid(0.0, 3.0, 300)
+    v = coherent_state(0.5, n).vec
+    rho0 = np.kron(np.outer(ATOM_UP, ATOM_UP.conj()), np.outer(v, v.conj()))
+    comps = cli._components(rho0)
+    component = oracle.integrate_component(comps, p, grid, store_steps=[k])
+    joint = split_components(oracle.integrate_joint(rho0, p, grid, store_steps=[k]).states[k])
+    gens = [commutator_generator_factory(p, 1), commutator_generator_factory(p, -1),
+            anticommutator_generator_factory(p)]  # plus, minus, cross: the order of comps
+    doubled = evolve_vectorized(stacked(gens),
+                                np.concatenate([vectorize(op) for op in comps.values()]),
+                                grid, store_steps=[k])[k]
+    inner = n - TAIL_LEVELS
+    for block, kind in enumerate(comps):
+        state = component[kind].states[k]
+        assert np.max(np.abs(state - getattr(joint, kind))) < 1e-7, kind
+        own = devectorize(doubled.reshape(len(comps), -1)[block])
+        assert np.max(np.abs(own[:inner, :inner] - state[:inner, :inner])) <= cli.DOUBLED_TOLERANCE
+    closed = evolve_plus_minus(comps["plus"], k * grid.step, p, 1)
+    assert np.max(np.abs(closed - component["plus"].states[k])) <= cli.PM_TOLERANCE
+
+
 def test_compare_exit_code_when_tight_comparison_fails(tmp_path, monkeypatch):
     doc = {
         "params": {"omega": 1.0, "coupling": 0.1, "gamma": 0.2, "n_trunc": 20},
@@ -594,18 +626,18 @@ def test_pictures_agree_in_observables_and_snapshots(tmp_path, t_start):
     for name in names:
         assert (outs["schrodinger"] / name).read_bytes() == (outs["rotational"] / name).read_bytes()
 
-    # and they agree with an independent lab-frame run, which the rotating
+    # and they agree with an independent lab-frame RK4 run, which the rotating
     # frame coincides with at t_start
     cfg = load_config(path)
-    lab = oracle._rk4(lab_frame_rhs(cfg.params), cfg.initial_joint()[None], cfg.grid,
-                      cfg.grid.stored_steps(cfg.store_every), ["joint"], joint=True)["joint"]
-    purity = [np.trace(state @ state).real for state in lab.states.values()]
+    lab = rk4_states(lab_frame_rhs(cfg.params), cfg.initial_joint(), cfg.grid.step,
+                     cfg.grid.n_steps)
+    purity = [np.trace(lab[k] @ lab[k]).real for k in cfg.grid.stored_steps(cfg.store_every)]
     assert np.max(np.abs(_load_csv(outs["rotational"] / "observables.csv")[:, 4] - purity)) < 1e-9
     for k, step in enumerate((50, 100)):
         snap = json.loads((outs["rotational"] / f"snapshot_{k:03d}.json").read_text())
-        assert snap["t"] == lab.times[list(lab.states).index(step)]
+        assert snap["t"] == cfg.grid.times()[step]
         entries = np.array(snap["entries"])
-        assert np.max(np.abs(entries[..., 0] + 1j * entries[..., 1] - lab.states[step])) < 1e-6
+        assert np.max(np.abs(entries[..., 0] + 1j * entries[..., 1] - lab[step])) < 1e-6
 
 
 @pytest.mark.parametrize("outputs", [["trajectory", "components"], ["components"]],
@@ -677,7 +709,6 @@ def test_wigner_writes_closed_form_grids_for_coherent_input_only(tmp_path):
 
 
 def test_wigner_integrates_the_cross_component_once(tmp_path, monkeypatch):
-    from jcdamp.model import field_from_rotational
     from jcdamp.wigner import wigner_grid
 
     calls = []
@@ -700,8 +731,7 @@ def test_wigner_integrates_the_cross_component_once(tmp_path, monkeypatch):
     cfg = load_config(path)
     cross0 = cli._components(cfg.initial_joint())["cross"]
     for i, (t, k) in enumerate(((0.6, 60), (1.2, 120)), start=1):
-        final = real({"cross": cross0}, cfg.params, oracle.TimeGrid(0.0, t, k))["cross"].final
-        cross = field_from_rotational(final, t, cfg.params)
+        cross = real({"cross": cross0}, cfg.params, oracle.TimeGrid(0.0, t, k))["cross"].final
         for part, mat in (("herm", 0.5 * (cross + cross.conj().T)),
                           ("anti", (cross - cross.conj().T) / 2j)):
             ref = wigner_grid(mat, *box.values()).values.reshape(-1)

@@ -210,6 +210,20 @@ def test_evolve_zero_generator_is_identity():
     assert np.array_equal(got, v0)
 
 
+def test_evolve_returns_the_lab_frame_vector():
+    # with G(0) = 0 the rotating-frame vector stays v0, and the lab-frame
+    # vector S(-t) v0 = e^{-i t r} v0 is what a kept step returns
+    rotation = np.array([0.0, 1.3, -2.1, 0.4])
+    gen = FrameGenerator(sp.csr_matrix((4, 4)), rotation)
+    v0 = np.array([1.0, 2.0 - 1.0j, 0.5j, -3.0], dtype=complex)
+    grid = TimeGrid(0.7, 2.7, 40)
+    kept = evolve_vectorized(gen, v0, grid, store_steps=[0, 13, 40])
+    assert np.array_equal(kept[0], v0)
+    for k in (13, 40):
+        want = np.exp(-1j * k * grid.step * rotation) * v0
+        assert np.max(np.abs(kept[k] - want)) < 1e-13
+
+
 def test_evolve_matches_oracle_component():
     n = 30
     p = ModelParams(omega=1.0, coupling=0.1, gamma=0.2, n_trunc=n)
@@ -261,9 +275,10 @@ def test_evolve_matches_time_ordered_propagator(t_start):
             for coupling in (0.0, 0.1):
                 p = ModelParams(omega=omega, coupling=coupling, gamma=gamma, n_trunc=n)
                 for kind, gen in _generators(p).items():
-                    # evolve_vectorized runs on the frame clock, zero at t_start
-                    want = time_ordered_propagator(lambda t: gen(t - t_start), grid,
-                                                   vectorize(rho0))
+                    # evolve_vectorized runs on the frame clock, zero at t_start,
+                    # and returns the lab-frame vector S(-T) v at T = t_end - t_start
+                    want = gen.phase(-grid.n_steps * grid.step) * time_ordered_propagator(
+                        lambda t: gen(t - t_start), grid, vectorize(rho0))
                     got = evolve_vectorized(gen, vectorize(rho0), grid)[grid.n_steps]
                     rel = np.max(np.abs(got - want)) / np.max(np.abs(want))
                     assert rel < 1e-13, (kind, omega, gamma, coupling)
@@ -295,7 +310,8 @@ def test_scaled_taylor_plan_matches_scipy():
     want = scipy_expm_multiply(h * gen.g0, v0)
     got = doubled.expm_multiply(plan, v0)
     assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
-    want = scipy_expm_multiply(h * gen(0.5 * h), v0)
+    # one midpoint step, returned in the lab frame: S(-h) exp(h G(h/2)) v0
+    want = gen.phase(-h) * scipy_expm_multiply(h * gen(0.5 * h), v0)
     grid = TimeGrid(0.0, h, 1)
     got = evolve_vectorized(gen, v0, grid)[grid.n_steps]
     assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))

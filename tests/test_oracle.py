@@ -11,7 +11,6 @@ from jcdamp.model import (
     hamiltonian_full,
     joint_tail_weight,
     split_components,
-    to_rotational_picture,
 )
 from jcdamp.oracle import (
     StepTooLarge,
@@ -155,8 +154,8 @@ def test_joint_run_integrates_in_the_rotating_frame():
 
 
 def test_component_consistency_with_joint():
-    # the joint run's lab-frame state, rotated and split, matches the
-    # rotating-frame component integrations
+    # the joint run's lab-frame state, split, matches the component
+    # integrations, both returned in the lab frame
     n = 40
     p = ModelParams(omega=1.0, coupling=0.05, gamma=0.1, n_trunc=n)
     v = coherent_state(1.0, n).vec
@@ -164,7 +163,7 @@ def test_component_consistency_with_joint():
     t_end = 10.0
     steps = 2500
     joint = integrate_joint(rho_j0, p, TimeGrid(0.0, t_end, steps))
-    cs = split_components(to_rotational_picture(joint.final, t_end, p))
+    cs = split_components(joint.final)
     rho_f0 = np.outer(v, v.conj())
     comps = integrate_component({"plus": rho_f0, "minus": rho_f0, "cross": rho_f0}, p,
                                 TimeGrid(0.0, t_end, steps))
@@ -313,7 +312,8 @@ def test_coupling_built_at_most_three_times_per_step(monkeypatch):
 
 def test_in_place_stages_match_the_allocating_rk4_loop():
     # the stages written into the loop's own arrays and summed left to right
-    # give the states of the loop that makes every stage anew, bit for bit
+    # give the states of the loop that makes every stage anew, bit for bit,
+    # each kept state then taken to the lab frame
     n, steps = 14, 30
     p = ModelParams(omega=1.1, coupling=0.2, gamma=0.3, n_trunc=n)
     cs = split_components(coherent_joint(0.6 + 0.2j, n, ATOM_UP))
@@ -324,7 +324,9 @@ def test_in_place_stages_match_the_allocating_rk4_loop():
     want = rk4_states(model.decoupled_rhs(list(initial), p), np.stack(list(initial.values())),
                       grid.step, steps)
     for i, kind in enumerate(initial):
-        assert all(np.array_equal(trajs[kind].states[k], want[k][i]) for k in range(steps + 1))
+        assert all(np.array_equal(trajs[kind].states[k],
+                                  want[k][i] * model._lab_phases(k * grid.step, p, 1))
+                   for k in range(steps + 1))
 
 
 def test_joint_run_builds_the_coupling_as_its_field_block(monkeypatch):

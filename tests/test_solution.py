@@ -7,7 +7,6 @@ import scipy.linalg
 
 from jcdamp.doubled import interior_indices, vectorize, devectorize
 from jcdamp.fock import ModelParams, coherent_state, displacement
-from jcdamp.model import field_from_rotational
 from jcdamp.oracle import TimeGrid, integrate_component
 from jcdamp.quadrature import simpson_adaptive, simpson_fixed, triangle_double_integral
 from jcdamp.solution import (
@@ -150,7 +149,7 @@ def test_plus_minus_matches_oracle():
     for sign, kind in ((1, "plus"), (-1, "minus")):
         traj = trajs[kind]
         for t in (1.0, 3.0, 5.0):
-            lab = field_from_rotational(traj.states[grid.step_index(t)], t, p)
+            lab = traj.states[grid.step_index(t)]
             got = evolve_plus_minus(rho0, t, p, sign)
             assert np.max(np.abs(got - lab)) < 1e-6
 
@@ -176,7 +175,7 @@ def test_plus_minus_matches_oracle_at_long_gamma_t():
     grid = TimeGrid(0.0, 6.0, 960)
     trajs = integrate_component({"plus": rho0, "minus": rho0}, p, grid)
     for sign, kind in ((1, "plus"), (-1, "minus")):
-        lab = field_from_rotational(trajs[kind].final, 6.0, p)
+        lab = trajs[kind].final
         assert np.max(np.abs(evolve_plus_minus(rho0, 6.0, p, sign) - lab)) < 1e-9
 
 
@@ -370,8 +369,7 @@ def test_cross_reduces_to_loss_channel_when_uncoupled():
     p = ModelParams(omega=1.0, coupling=0.0, gamma=0.3, n_trunc=n)
     rho0 = coherent_projector(0.9, n)
     grid = TimeGrid(0.0, 2.0, 500)
-    oracle = integrate_component({"cross": rho0}, p, grid)["cross"].final
-    lab = field_from_rotational(oracle, 2.0, p)
+    lab = integrate_component({"cross": rho0}, p, grid)["cross"].final
     got = evolve_cross(rho0, 2.0, p)
     assert np.max(np.abs(got - lab)) < 1e-8
 
@@ -438,13 +436,13 @@ def test_cross_deviation_vs_oracle_is_reported_scale():
                                store_steps=grid.stored_steps(250))["cross"]
     devs = []
     for t in (1.0, 2.0, 3.0):
-        lab = field_from_rotational(traj.states[grid.step_index(t)], t, p)
+        lab = traj.states[grid.step_index(t)]
         devs.append(np.max(np.abs(evolve_cross(rho0, t, p) - lab)))
     assert all(d < 0.05 for d in devs)
     # the doubled-space factorization (ground-truth route) pins the blame
     # on the scalar prefactor: dividing it out must collapse the deviation
     mu1, mu2 = drive_integrals(3.0, p)
     factor = np.exp(mu1 * np.conj(mu2) + np.conj(mu1) * mu2)
-    lab = field_from_rotational(traj.states[grid.step_index(3.0)], 3.0, p)
+    lab = traj.states[grid.step_index(3.0)]
     rescaled = evolve_cross(rho0, 3.0, p) / factor
     assert np.max(np.abs(rescaled - lab)) < 1e-9
