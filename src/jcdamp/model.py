@@ -19,11 +19,12 @@ The damping term is normalized once and for all as
 and is used with this normalization everywhere in the package.  Every
 equation of motion a run uses is in the rotating frame and is built by
 ``_coupled_rhs``, with the one fast D.  A right-hand side writes into an
-array its caller owns.  The joint coupling c sigma_x (x) X(t) acts as its
-N x N field block X(t) on the atom-swapped rows of the state, never as a
-2N x 2N matrix.  A joint state or a plus or minus component must be
-Hermitian there (one product serves both sides; the oracle checks); a cross
-component may be any matrix.
+array its caller owns.  The coupling is written as its two bands into a
+buffer made once per right-hand side, and only at each new time; the joint
+coupling c sigma_x (x) X(t) acts as its N x N field block X(t) on the
+atom-swapped rows of the state, never as a 2N x 2N matrix.  A joint state
+or a plus or minus component must be Hermitian there (one product serves
+both sides; the oracle checks); a cross component may be any matrix.
 """
 
 from __future__ import annotations
@@ -79,20 +80,24 @@ def _ladder(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return s, np.concatenate([[0.0], (s.conj() * s).real])
 
 
-def _coupled_rhs(coupling, front, sign, gamma: float, a: np.ndarray,
+def _coupled_rhs(band: np.ndarray, omega: float, front, sign, gamma: float, a: np.ndarray,
                  atom_swap: bool = False) -> RHS:
     """f(t, y, out) = front (K y + sign y K) + D[y], written into ``out`` (a
     C-contiguous array of y's shape, allocated when None) and returned: sign -1
     gives the commutator, +1 the anticommutator, D is the damping of (gamma, a),
     ``a`` checked by ``_ladder``.  Front and sign may be arrays that broadcast
-    over a stack y of matrices.  K = coupling(t), built once per distinct t
-    (RK4 stages 2 and 3 share one time); with ``atom_swap``, K = sigma_x (x)
-    coupling(t) on the joint space of ``a``'s two atom blocks, a commutator only.
+    over a stack y of matrices.  K is the rotating-frame coupling whose
+    superdiagonal is ``band`` e^{-i omega t} and whose subdiagonal is
+    conj(``band``) e^{i omega t}; with ``atom_swap``, K is sigma_x (x) that N x N
+    matrix on the joint space of ``a``'s two atom blocks, a commutator only.
 
     It is evaluated in effective-generator form, f(y) = G y + y G' + gamma a y a+,
     with G = front K - (gamma/2) a+a and G' = sign front K - (gamma/2) a+a.
-    With ``atom_swap``, the coupling part of G y is the N x N block front
-    coupling(t) on the atom-swapped row blocks of y, two (N x N)(N x 2N)
+    G is one buffer made per right-hand side, its -(gamma/2) a+a diagonal
+    written once; at each distinct t (RK4 stages 2 and 3 share one time) only
+    its two bands are written (``_write_bands``), each entry the product the
+    dense front K(t) gives, bit for bit.  With ``atom_swap``, G is the N x N
+    block front K(t) on the atom-swapped row blocks of y, two (N x N)(N x 2N)
     products, and the a+a parts of both sides are one table,
     -(gamma/2)(d_i + d_j) y_ij.  The jump term gamma a y a+ is y[i+1, j+1] times
     the table gamma s_i conj(s_j) (``_ladder``), taken as one shift of the flat
@@ -111,25 +116,32 @@ def _coupled_rhs(coupling, front, sign, gamma: float, a: np.ndarray,
     shift = m + 1
     jump = jump.reshape(-1)[:m * m - shift].copy()
     half_n = 0.5 * gamma * d
-    diag = np.diag_indices(m)
     commutator = np.asarray(sign).reshape(-1) < 0
     comm, acomm = _slices(commutator), _slices(~commutator)
     n = m // 2
     decay = -(half_n[:, None] + half_n[None, :]).astype(complex)
 
-    last_t = g = work = None
+    size = n if atom_swap else m  # the N of G's N x N matrices
+    g = np.zeros(np.broadcast_shapes(np.shape(front), (size, size)), dtype=complex)
+    if not atom_swap:
+        diag = np.diag_indices(m)
+        g[..., diag[0], diag[1]] -= half_n
+    flat_g = g.reshape(-1, size * size)
+    bands = (flat_g[:, 1::size + 1], flat_g[:, size::size + 1])  # strided views into g
+    front_rows = np.reshape(front, (-1, 1))  # one front per N x N matrix of g
+    band_pair = (band, band.conj())
+
+    last_t = work = None
 
     def rhs(t: float, y: np.ndarray, out: np.ndarray = None) -> np.ndarray:
-        nonlocal last_t, g, work
+        nonlocal last_t, work
         if out is None:
             out = np.empty(np.shape(y), dtype=complex)
         if work is None or work.shape != out.shape:
             work = np.empty_like(out)  # scratch for the products added to out
         if t != last_t:
             last_t = t
-            g = front * coupling(t)
-            if not atom_swap:
-                g[..., diag[0], diag[1]] -= half_n
+            _write_bands(bands, front_rows, band_pair, omega, t)
         if atom_swap:
             np.matmul(g, y[..., n:, :], out=out[..., :n, :])
             np.matmul(g, y[..., :n, :], out=out[..., n:, :])
@@ -149,6 +161,17 @@ def _coupled_rhs(coupling, front, sign, gamma: float, a: np.ndarray,
     return rhs
 
 
+def _write_bands(bands, front, band_pair, omega: float, t: float) -> None:
+    """Write the two bands of front X(t) into ``bands``, the (superdiagonal,
+    subdiagonal) views of G: front (s e^{-i omega t}) and front (conj(s)
+    e^{i omega t}), with ``band_pair`` = (s, conj(s)).  Each entry is the
+    product, in the same order, that the dense front (a+ e^{i omega t} +
+    a e^{-i omega t}) gives it, so it has the same bits."""
+    upper, lower = bands
+    np.multiply(front, band_pair[0] * np.exp(-1j * omega * t), out=upper)
+    np.multiply(front, band_pair[1] * np.exp(1j * omega * t), out=lower)
+
+
 def _slices(mask: np.ndarray):
     """Index over axis 0 for the True entries of ``mask``: Ellipsis, None, a slice or an array."""
     if mask.all():
@@ -159,23 +182,15 @@ def _slices(mask: np.ndarray):
     return slice(idx[0], idx[-1] + 1) if idx[-1] - idx[0] + 1 == idx.size else idx
 
 
-def _rotating(raising: np.ndarray, lowering: np.ndarray,
-              omega: float) -> Callable[[float], np.ndarray]:
-    """t -> raising e^{i w t} + lowering e^{-i w t}; with (a+, a) this is the
-    rotating-frame field coupling X(t)."""
-    return lambda t: raising * np.exp(1j * omega * t) + lowering * np.exp(-1j * omega * t)
-
-
 def rotating_frame_rhs(params: ModelParams) -> RHS:
     """Right-hand side f(t, rho) of the joint equation in the rotating
     (free-field) frame, -i coupling [X(t) (x) sigma_x, rho] + D[rho]: the lab
     frame's -i[H, rho] + D[rho] with omega a+a moved into the frame.  The
-    coupling is built as its field block c X(t) and acts on the atom-swapped
-    rows of rho.  Every rho must be Hermitian: one product serves both sides
-    (``_coupled_rhs``)."""
-    a = annihilation(params.n_trunc)
-    coupling_at = _rotating(params.coupling * a.conj().T, params.coupling * a, params.omega)
-    return _coupled_rhs(coupling_at, -1j, -1.0, params.gamma,
+    coupling is its field block c X(t), written as the two bands of
+    c diag(a, 1), and acts on the atom-swapped rows of rho.  Every rho must be
+    Hermitian: one product serves both sides (``_coupled_rhs``)."""
+    band = np.diagonal(params.coupling * annihilation(params.n_trunc), 1)
+    return _coupled_rhs(band, params.omega, -1j, -1.0, params.gamma,
                         joint_annihilation(params.n_trunc), atom_swap=True)
 
 
@@ -266,7 +281,7 @@ def decoupled_rhs(kinds: Sequence[str], params: ModelParams) -> RHS:
     a = annihilation(params.n_trunc)
     front = np.array([_KINDS[kind][0] * params.coupling for kind in kinds])[:, None, None]
     sign = np.array([_KINDS[kind][1] for kind in kinds])[:, None, None]
-    return _coupled_rhs(_rotating(a.conj().T, a, params.omega), front, sign, params.gamma, a)
+    return _coupled_rhs(np.diagonal(a, 1), params.omega, front, sign, params.gamma, a)
 
 
 def joint_tail_weight(rho: np.ndarray) -> float:

@@ -9,12 +9,15 @@ and the decoupled components (plus, minus, cross) asked for together run
 as one (k, N, N) stack, each slice under its own front factor and
 commutator or anticommutator sign.  Each step works in place: the
 right-hand side writes each RK4 stage into an array the loop made once
-per run, the stages are summed in those arrays, and a kept state is
-copied.  Each right-hand side is evaluated in effective-generator form
-(``model._coupled_rhs``; the joint coupling acts as its N x N field block
-on the atom-swapped rows), whose Hermitian contract is held here at entry: a joint, plus or minus initial state must
-be Hermitian within ``model.HERM_TOL`` (ValueError naming it otherwise),
-and its Hermitian part is integrated.  A run keeps exactly the steps
+per run, the stages are summed in those arrays, the tail weights are read
+as one gather from a flat view of the state, and a kept state is copied.
+Each right-hand side is evaluated in effective-generator form
+(``model._coupled_rhs``: the coupling is written as its two bands into a
+buffer made once per right-hand side; the joint coupling acts as its N x N
+field block on the atom-swapped rows), whose Hermitian contract is held
+here at entry: a joint, plus or minus initial state must be Hermitian
+within ``model.HERM_TOL`` (ValueError naming it otherwise), and its
+Hermitian part is integrated.  A run keeps exactly the steps
 ``store_steps`` (by default the last) and takes no step after the last of
 them; ``TimeGrid.check_steps`` holds this rule here and in the doubled
 route, and ``TimeGrid.step_index`` maps a time to its step.  ``TimeGrid``
@@ -45,15 +48,8 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from .fock import ModelParams, StepTooLarge, TimeGrid, annihilation
-from .model import (
-    _lab_phases,
-    decoupled_rhs,
-    joint_tail_weight,
-    require_hermitian,
-    rotating_frame_rhs,
-)
-from .fock import tail_weight as field_tail_weight
+from .fock import TAIL_LEVELS, ModelParams, StepTooLarge, TimeGrid, annihilation
+from .model import _lab_phases, decoupled_rhs, require_hermitian, rotating_frame_rhs
 
 STEP_SAFETY = 0.1
 STABILITY_LIMIT = 2.5
@@ -127,19 +123,34 @@ def _hermitian_part(y: np.ndarray, name: str) -> np.ndarray:
     return 0.5 * (y + y.conj().T)
 
 
+def _tail_entries(y: np.ndarray, joint: bool) -> np.ndarray:
+    """Indices into ``y.reshape(-1).view(float)`` of the real parts of the top
+    ``fock.TAIL_LEVELS`` diagonal entries, one row per field block: per slice
+    of a component stack, or the two atom blocks of a joint state, upper first."""
+    m = y.shape[-1]
+    size = m // 2 if joint else m
+    levels = np.arange(size)[-TAIL_LEVELS:]
+    # flat index of (l, l) in one m x m slice, one row per field block
+    diagonal = (np.arange(2 if joint else 1)[:, None] * size + levels) * (m + 1)
+    return 2 * (np.arange(len(y))[:, None, None] * m * m + diagonal).reshape(-1, len(levels))
+
+
 def _rk4(rhs: Callable, y0: np.ndarray, params: ModelParams, grid: TimeGrid,
          store_steps: Iterable[int], names: list[str], joint: bool) -> dict[str, Trajectory]:
     """Integrate the stack ``y0``, one state per name on axis 0, and return
     name -> Trajectory.  With ``joint`` the stack holds one joint state (tail
     ``joint_tail_weight``, purity checked), else field operators (tail
-    |``fock.tail_weight``|).  ``rhs(t, y, out)`` writes into ``out``: the four
-    stages and the stage state live in arrays made once per run, the state is
-    stepped in place, and each kept state is its product with its step's lab
-    phases, a new array."""
+    |``fock.tail_weight``|, both read each step as one gather of the top
+    diagonal entries, ``_tail_entries``).  ``rhs(t, y, out)`` writes into
+    ``out``: the four stages and the stage state live in arrays made once per
+    run, the state is stepped in place, and each kept state is its product
+    with its step's lab phases, a new array."""
     keep = grid.check_steps(store_steps)
     h = grid.step
     y = np.array(y0, dtype=complex)  # a copy, stepped in place
     k1, k2, k3, k4, stage = (np.empty_like(y) for _ in range(5))
+    tail_at = _tail_entries(y, joint)
+    entries = y.reshape(-1).view(np.float64)  # y's parts, real at even places; a view
     kept = {}
     tail_max = np.full(len(names), -np.inf)
     for k in range(max(keep) + 1):
@@ -164,12 +175,12 @@ def _rk4(rhs: Callable, y0: np.ndarray, params: ModelParams, grid: TimeGrid,
             k1 *= h / 6.0
             y += k1
         t = grid.t_start + k * h
-        w = np.array([joint_tail_weight(y[0])]) if joint else np.abs(field_tail_weight(y))
-        over = np.flatnonzero(w > TAIL_LIMIT)
-        if over.size:
-            i = over[0]
+        w = entries[tail_at].sum(axis=1)
+        w = w[:1] + w[1:] if joint else np.abs(w)
+        if (w > TAIL_LIMIT).any():
+            i = np.flatnonzero(w > TAIL_LIMIT)[0]
             raise TailOverflow(f"{names[i]} tail weight {w[i]:.3e} > {TAIL_LIMIT} at t={t:.6g}")
-        tail_max = np.maximum(tail_max, w)
+        np.maximum(tail_max, w, out=tail_max)
         if not k or k in keep:
             for name, state in zip(names, y):
                 _check_stored(state, t, name, joint)

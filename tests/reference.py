@@ -2,19 +2,30 @@
 
 The right-hand sides here are dense matrix products, written apart from
 ``model._coupled_rhs`` so that the tests can hold the package's fast
-right-hand sides against them.  The envelope commutator kernel is the
-integrand of ``solution.kernel_double_integral``, and the exact-rational
-Wigner series certifies ``wigner.wigner_operator``.
+right-hand sides against them.  ``dense_coupled_rhs`` is the package's
+earlier right-hand side, which rebuilt the whole coupling matrix at each
+new time; the tests hold the band-written one to its bits.  The envelope
+commutator kernel is the integrand of ``solution.kernel_double_integral``,
+and the exact-rational Wigner series certifies ``wigner.wigner_operator``.
 """
 
 import math
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
 from jcdamp.doubled import superoperators
 from jcdamp.fock import ModelParams, annihilation
-from jcdamp.model import RHS, ComponentSet, _rotating, hamiltonian_full, joint_annihilation
+from jcdamp.model import (
+    _KINDS,
+    RHS,
+    ComponentSet,
+    _ladder,
+    _slices,
+    hamiltonian_full,
+    joint_annihilation,
+)
 
 
 def damped_frame_drive(t: float, params: ModelParams, sign: int) -> np.ndarray:
@@ -54,6 +65,102 @@ def lab_frame_rhs(params: ModelParams) -> RHS:
         return out
 
     return rhs
+
+
+def _rotating(raising: np.ndarray, lowering: np.ndarray,
+              omega: float) -> Callable[[float], np.ndarray]:
+    """t -> raising e^{i w t} + lowering e^{-i w t}; with (a+, a) this is the
+    rotating-frame field coupling X(t)."""
+    return lambda t: raising * np.exp(1j * omega * t) + lowering * np.exp(-1j * omega * t)
+
+
+def dense_coupled_rhs(coupling, front, sign, gamma: float, a: np.ndarray,
+                      atom_swap: bool = False) -> RHS:
+    """f(t, y, out) = front (K y + sign y K) + D[y], written into ``out`` (a
+    C-contiguous array of y's shape, allocated when None) and returned: sign -1
+    gives the commutator, +1 the anticommutator, D is the damping of (gamma, a),
+    ``a`` checked by ``_ladder``.  Front and sign may be arrays that broadcast
+    over a stack y of matrices.  K = coupling(t), built once per distinct t
+    (RK4 stages 2 and 3 share one time); with ``atom_swap``, K = sigma_x (x)
+    coupling(t) on the joint space of ``a``'s two atom blocks, a commutator only.
+
+    It is evaluated in effective-generator form, f(y) = G y + y G' + gamma a y a+,
+    with G = front K - (gamma/2) a+a and G' = sign front K - (gamma/2) a+a.
+    With ``atom_swap``, the coupling part of G y is the N x N block front
+    coupling(t) on the atom-swapped row blocks of y, two (N x N)(N x 2N)
+    products, and the a+a parts of both sides are one table,
+    -(gamma/2)(d_i + d_j) y_ij.  The jump term gamma a y a+ is y[i+1, j+1] times
+    the table gamma s_i conj(s_j) (``_ladder``), taken as one shift of the flat
+    m x m entries: entry p + m + 1 of y against entry p of a table padded with
+    zeros in its last row and column.
+
+    The kind of each slice sets its products: an anticommutator slice (G' = G)
+    takes G y + y G; a commutator slice (G' = G+) takes G y + (G y)+, exactly
+    Hermitian, and must be Hermitian itself, or the result is wrong.
+    """
+    s, d = _ladder(a)
+    m = len(d)
+    # complex even when real: numpy would cast a real table on every call
+    jump = np.zeros((m, m), dtype=complex)
+    jump[:-1, :-1] = gamma * np.outer(s, s.conj())
+    shift = m + 1
+    jump = jump.reshape(-1)[:m * m - shift].copy()
+    half_n = 0.5 * gamma * d
+    diag = np.diag_indices(m)
+    commutator = np.asarray(sign).reshape(-1) < 0
+    comm, acomm = _slices(commutator), _slices(~commutator)
+    n = m // 2
+    decay = -(half_n[:, None] + half_n[None, :]).astype(complex)
+
+    last_t = g = work = None
+
+    def rhs(t: float, y: np.ndarray, out: np.ndarray = None) -> np.ndarray:
+        nonlocal last_t, g, work
+        if out is None:
+            out = np.empty(np.shape(y), dtype=complex)
+        if work is None or work.shape != out.shape:
+            work = np.empty_like(out)  # scratch for the products added to out
+        if t != last_t:
+            last_t = t
+            g = front * coupling(t)
+            if not atom_swap:
+                g[..., diag[0], diag[1]] -= half_n
+        if atom_swap:
+            np.matmul(g, y[..., n:, :], out=out[..., :n, :])
+            np.matmul(g, y[..., :n, :], out=out[..., n:, :])
+        else:
+            np.matmul(g, y, out=out)
+        if comm is not None:
+            out[comm] += np.conjugate(out[comm], out=work[comm]).swapaxes(-1, -2)
+        if acomm is not None:
+            out[acomm] += np.matmul(y[acomm], g[acomm], out=work[acomm])
+        if atom_swap:  # the a+a terms of G y + y G+: -(gamma/2)(d_i + d_j) y_ij
+            out += np.multiply(decay, y, out=work)
+        flat = out.reshape(-1, m * m)[:, :-shift]
+        flat += np.multiply(jump, np.reshape(y, (-1, m * m))[:, shift:],
+                            out=work.reshape(-1, m * m)[:, :-shift])
+        return out
+
+    return rhs
+
+
+
+def dense_rotating_frame_rhs(params: ModelParams) -> RHS:
+    """``model.rotating_frame_rhs`` on ``dense_coupled_rhs``: the N x N block
+    c X(t) built whole at each new t."""
+    a = annihilation(params.n_trunc)
+    coupling_at = _rotating(params.coupling * a.conj().T, params.coupling * a, params.omega)
+    return dense_coupled_rhs(coupling_at, -1j, -1.0, params.gamma,
+                             joint_annihilation(params.n_trunc), atom_swap=True)
+
+
+def dense_decoupled_rhs(kinds, params: ModelParams) -> RHS:
+    """``model.decoupled_rhs`` on ``dense_coupled_rhs``."""
+    a = annihilation(params.n_trunc)
+    front = np.array([_KINDS[kind][0] * params.coupling for kind in kinds])[:, None, None]
+    sign = np.array([_KINDS[kind][1] for kind in kinds])[:, None, None]
+    return dense_coupled_rhs(_rotating(a.conj().T, a, params.omega), front, sign,
+                             params.gamma, a)
 
 
 def rk4_states(rhs: RHS, y0: np.ndarray, h: float, n_steps: int) -> list:

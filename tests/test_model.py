@@ -286,13 +286,13 @@ def test_damping_matches_dense_products(ops):
     dim = a.shape[0]
     rng = np.random.default_rng(41)
     stack = rng.normal(size=(3, dim, dim)) + 1j * rng.normal(size=(3, dim, dim))
-    zero = np.zeros((dim, dim), dtype=complex)
+    zero = np.zeros(dim - 1, dtype=complex)
     hermitian = 0.5 * (stack + stack.conj().swapaxes(1, 2))
-    cases = [(_coupled_rhs(lambda t: zero, -1j, 1.0, 0.37, a), stack),
-             (_coupled_rhs(lambda t: zero, -1j, -1.0, 0.37, a), hermitian)]
+    cases = [(_coupled_rhs(zero, 1.3, -1j, 1.0, 0.37, a), stack),
+             (_coupled_rhs(zero, 1.3, -1j, -1.0, 0.37, a), hermitian)]
     if ops is joint_annihilation:
-        block = np.zeros((9, 9), dtype=complex)
-        cases.append((_coupled_rhs(lambda t: block, -1j, -1.0, 0.37, a, atom_swap=True),
+        block = np.zeros(8, dtype=complex)
+        cases.append((_coupled_rhs(block, 1.3, -1j, -1.0, 0.37, a, atom_swap=True),
                       hermitian))
     for damp, mats in cases:
         out = np.full_like(mats, np.nan)
@@ -309,14 +309,14 @@ def test_damping_matches_dense_products(ops):
 def test_damping_rejects_entries_off_the_superdiagonal():
     # ``_ladder`` checks the a of every right-hand side
     a = annihilation(6)
-    zero = np.zeros((6, 6), dtype=complex)
+    zero = np.zeros(5, dtype=complex)
     for i, j in ((0, 0), (2, 1), (0, 2), (5, 0)):
         bad = a.copy()
         bad[i, j] = 0.5
         with pytest.raises(ValueError, match="superdiagonal"):
-            _coupled_rhs(lambda t: zero, -1j, -1.0, 0.2, bad)
+            _coupled_rhs(zero, 1.0, -1j, -1.0, 0.2, bad)
     with pytest.raises(ValueError, match="square"):
-        _coupled_rhs(lambda t: zero, -1j, -1.0, 0.2, np.zeros((3, 4), dtype=complex))
+        _coupled_rhs(zero, 1.0, -1j, -1.0, 0.2, np.zeros((3, 4), dtype=complex))
 
 
 def exactly_hermitian_density(n, seed):

@@ -13,13 +13,14 @@ from jcdamp.model import (
     split_components,
 )
 from jcdamp.oracle import (
+    TAIL_LIMIT,
     StepTooLarge,
     TailOverflow,
     TimeGrid,
     integrate_component,
     integrate_joint,
 )
-from reference import rk4_states
+from reference import dense_decoupled_rhs, dense_rotating_frame_rhs, rk4_states
 
 
 def coherent_joint(alpha, n, atom):
@@ -285,19 +286,15 @@ def test_initial_state_is_checked_when_not_kept():
 
 def test_coupling_built_at_most_three_times_per_step(monkeypatch):
     # RK4 stages 2 and 3 share one time, so the rotating-frame coupling K(t)
-    # needs at most three builds per step
+    # needs at most three band writes per step
     builds = []
-    real = model._rotating
+    real = model._write_bands
 
-    def counted(*args):
-        coupling_at = real(*args)
+    def counted(bands, front, band_pair, omega, t):
+        builds.append(t)
+        real(bands, front, band_pair, omega, t)
 
-        def build(t):
-            builds.append(t)
-            return coupling_at(t)
-        return build
-
-    monkeypatch.setattr(model, "_rotating", counted)
+    monkeypatch.setattr(model, "_write_bands", counted)
     n = 10
     p = ModelParams(omega=1.3, coupling=0.1, gamma=0.2, n_trunc=n)
     rho0 = coherent_joint(0.5, n, ATOM_UP)
@@ -330,24 +327,87 @@ def test_in_place_stages_match_the_allocating_rk4_loop():
 
 
 def test_joint_run_builds_the_coupling_as_its_field_block(monkeypatch):
-    # the joint coupling c sigma_x (x) X(t) is only ever built as the N x N
-    # block c X(t), so no (2N) x (2N) product with the coupling is made
+    # the joint coupling c sigma_x (x) X(t) is only ever written into an
+    # N x N buffer, the block c X(t), so no (2N) x (2N) product with the
+    # coupling is made
     shapes = []
-    real = model._rotating
+    real = model._write_bands
 
-    def recorded(*args):
-        coupling_at = real(*args)
+    def recorded(bands, front, band_pair, omega, t):
+        shapes.extend(view.base.shape for view in bands)
+        real(bands, front, band_pair, omega, t)
 
-        def build(t):
-            shapes.append(coupling_at(t).shape)
-            return coupling_at(t)
-        return build
-
-    monkeypatch.setattr(model, "_rotating", recorded)
+    monkeypatch.setattr(model, "_write_bands", recorded)
     n = 10
     p = ModelParams(omega=1.3, coupling=0.1, gamma=0.2, n_trunc=n)
     integrate_joint(coherent_joint(0.5, n, ATOM_UP), p, TimeGrid(0.0, 1.0, 20))
     assert shapes and set(shapes) == {(n, n)}
+
+
+def test_band_written_coupling_matches_the_dense_build_bit_for_bit():
+    # the coupling written as its two bands into one buffer gives the bits of
+    # the dense build front (a+ e^{iwt} + a e^{-iwt}) with its diagonal
+    # patched, at a new time, a repeated one and t = 0; and so whole runs
+    # equal RK4 on the dense build, each kept state then taken to the lab frame
+    n, steps = 10, 50
+    p = ModelParams(omega=1.3, coupling=0.23, gamma=0.31, n_trunc=n)
+    rng = np.random.default_rng(59)
+
+    def hermitian(dim):
+        m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        return 0.5 * (m + m.conj().T)
+
+    cases = [(model.rotating_frame_rhs(p), dense_rotating_frame_rhs(p), [hermitian(2 * n)])]
+    for kinds in (["plus", "cross", "minus", "cross"], ["cross"]):
+        stack = [rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) if kind == "cross"
+                 else hermitian(n) for kind in kinds]
+        cases.append((model.decoupled_rhs(kinds, p), dense_decoupled_rhs(kinds, p), stack))
+    for fast, dense, stack in cases:
+        y = np.stack(stack)
+        for t in (0.0, 0.3, 0.3, 4.1):
+            assert np.array_equal(fast(t, y, np.empty_like(y)), dense(t, y, np.empty_like(y)))
+
+    grid = TimeGrid(0.2, 1.2, steps)
+    rho0 = coherent_joint(0.35 + 0.1j, n, (ATOM_UP + ATOM_DOWN) / np.sqrt(2.0))
+    rho0 = 0.5 * (rho0 + rho0.conj().T)
+    got = integrate_joint(rho0, p, grid, store_steps=range(steps + 1))
+    want = rk4_states(dense_rotating_frame_rhs(p), rho0[None], grid.step, steps)
+    assert all(np.array_equal(got.states[k], want[k][0] * model._lab_phases(k * grid.step, p, 2))
+               for k in range(steps + 1))
+    cs = split_components(rho0)
+    initial = {"plus": 0.5 * (cs.plus + cs.plus.conj().T), "cross": cs.cross,
+               "minus": 0.5 * (cs.minus + cs.minus.conj().T)}
+    trajs = integrate_component(initial, p, grid, store_steps=range(steps + 1))
+    want = rk4_states(dense_decoupled_rhs(list(initial), p), np.stack(list(initial.values())),
+                      grid.step, steps)
+    for i, kind in enumerate(initial):
+        assert all(np.array_equal(trajs[kind].states[k],
+                                  want[k][i] * model._lab_phases(k * grid.step, p, 1))
+                   for k in range(steps + 1))
+
+
+def test_tail_overflow_names_the_first_slice_to_cross():
+    # plus starts in the vacuum and minus in |1>: both slices cross the tail
+    # limit, minus first; the error names minus at its step, and before it a
+    # component's tail_max is the largest |tail_weight| over every step
+    n, steps = 8, 400
+    p = ModelParams(omega=1.0, coupling=0.5, gamma=0.0, n_trunc=n)
+    vacuum, excited = np.zeros((n, n), dtype=complex), np.zeros((n, n), dtype=complex)
+    vacuum[0, 0] = excited[1, 1] = 1.0
+    grid = TimeGrid(0.0, 4.0, steps)
+    states = rk4_states(model.decoupled_rhs(["plus", "minus"], p), np.stack([vacuum, excited]),
+                        grid.step, steps)
+    weights = np.array([np.abs(tail_weight(state)) for state in states])
+    crossed = [int(np.argmax(weights[:, i] > TAIL_LIMIT)) for i in range(2)]
+    assert 0 < crossed[1] < crossed[0]  # both cross, minus first
+    k = crossed[1]
+    t = grid.t_start + k * grid.step
+    with pytest.raises(TailOverflow) as info:
+        integrate_component({"plus": vacuum, "minus": excited}, p, grid)
+    assert str(info.value) == f"minus tail weight {weights[k, 1]:.3e} > {TAIL_LIMIT} at t={t:.6g}"
+    trajs = integrate_component({"plus": vacuum, "minus": excited}, p, grid, store_steps=[k - 1])
+    for i, kind in enumerate(["plus", "minus"]):
+        assert trajs[kind].tail_max == np.max(weights[:k, i])
 
 
 @pytest.mark.parametrize("bad", [[-1], [41], [3, 41]])
