@@ -196,24 +196,29 @@ def rotating_frame_rhs(params: ModelParams) -> RHS:
 
 def _lab_phases(t: float, params: ModelParams, blocks: int) -> np.ndarray:
     """exp(-i w t (m - n)) at entry (m, n), levels tiled over ``blocks`` atom blocks:
-    from level differences, so a Hermitian state stays exactly Hermitian."""
+    from level differences, so a Hermitian state stays exactly Hermitian.
+
+    Callers write ``np.multiply(state, phases)``, never ``state * phases``:
+    from 256 KiB up, numpy reuses the temporary phase array and computes
+    ``phases * state``, and its complex multiply rounds the two operand
+    orders differently, so the bits would depend on the array's size."""
     levels = np.tile(np.arange(params.n_trunc), blocks)
     return np.exp(-1j * params.omega * t * (levels[:, None] - levels[None, :]))
 
 
 def to_rotational_picture(rho: np.ndarray, t: float, params: ModelParams) -> np.ndarray:
     """Lab frame -> rotating frame: U+ rho U with U = exp(-i w t a+a)."""
-    return rho * _lab_phases(t, params, 2).conj()
+    return np.multiply(rho, _lab_phases(t, params, 2).conj())
 
 
 def from_rotational_picture(rho: np.ndarray, t: float, params: ModelParams) -> np.ndarray:
     """Rotating frame -> lab frame, the inverse of ``to_rotational_picture``."""
-    return rho * _lab_phases(t, params, 2)
+    return np.multiply(rho, _lab_phases(t, params, 2))
 
 
 def field_from_rotational(mat: np.ndarray, t: float, params: ModelParams) -> np.ndarray:
     """Rotating frame -> lab frame for a single-mode field operator."""
-    return mat * _lab_phases(t, params, 1)
+    return np.multiply(mat, _lab_phases(t, params, 1))
 
 
 @dataclass(frozen=True)

@@ -185,7 +185,8 @@ def _rk4(rhs: Callable, y0: np.ndarray, params: ModelParams, grid: TimeGrid,
             for name, state in zip(names, y):
                 _check_stored(state, t, name, joint)
         if k in keep:
-            kept[k] = [state * _lab_phases(k * h, params, 2 if joint else 1) for state in y]
+            kept[k] = [np.multiply(state, _lab_phases(k * h, params, 2 if joint else 1))
+                       for state in y]
     return {name: Trajectory(grid=grid, states={k: states[i] for k, states in kept.items()},
                              tail_max=float(tail_max[i]))
             for i, name in enumerate(names)}

@@ -7,6 +7,11 @@ earlier right-hand side, which rebuilt the whole coupling matrix at each
 new time; the tests hold the band-written one to its bits.  The envelope
 commutator kernel is the integrand of ``solution.kernel_double_integral``,
 and the exact-rational Wigner series certifies ``wigner.wigner_operator``.
+``early_terminated_expm_multiply`` is the package's earlier Taylor loop,
+which stopped a sweep once two terms fell below unit roundoff; the tests
+hold the full-degree ``doubled.expm_multiply`` to it.  ``interior_indices``
+lists the doubled-space entries on which the truncated superoperator
+identities hold exactly.
 """
 
 import math
@@ -15,8 +20,8 @@ from typing import Callable
 
 import numpy as np
 
-from jcdamp.doubled import superoperators
-from jcdamp.fock import ModelParams, annihilation
+from jcdamp.doubled import TaylorPlan, superoperators
+from jcdamp.fock import TAIL_LEVELS, ModelParams, annihilation
 from jcdamp.model import (
     _KINDS,
     RHS,
@@ -41,6 +46,40 @@ def damped_frame_drive(t: float, params: ModelParams, sign: int) -> np.ndarray:
     pref = -1j * sign * params.coupling * np.exp(0.5 * params.gamma * t)
     return pref * (ops["comm_a"] * np.exp(-1j * params.omega * t)
                    + ops["comm_ad"] * np.exp(1j * params.omega * t)).toarray()
+
+
+def interior_indices(n_trunc: int) -> np.ndarray:
+    """Flat doubled-space indices (m, n) with both m, n < n_trunc - TAIL_LEVELS."""
+    keep = np.arange(n_trunc - TAIL_LEVELS)
+    return (keep[:, None] * n_trunc + keep[None, :]).reshape(-1)
+
+
+_UNIT_ROUNDOFF = 2.0 ** -53
+
+
+def early_terminated_expm_multiply(plan: TaylorPlan, v: np.ndarray) -> np.ndarray:
+    """exp(A) v for the matrix A of ``plan``.
+
+    This is jcdamp's own truncated-Taylor loop, not scipy's function of
+    the same name: it is Al-Mohy & Higham (2011), algorithm 3.2, with
+    scipy's early-termination test (stop a Taylor sweep once the last
+    two terms fall below unit roundoff relative to the sum), but the
+    degree and scaling come from a plan chosen once, not on every call.
+    """
+    f = v
+    eta = np.exp(plan.mu / plan.s)
+    for _ in range(plan.s):
+        c1 = np.abs(v).max()
+        for j in range(plan.m_star):
+            v = (1.0 / (plan.s * (j + 1))) * (plan.shifted @ v)
+            c2 = np.abs(v).max()
+            f = f + v
+            if c1 + c2 <= _UNIT_ROUNDOFF * np.abs(f).max():
+                break
+            c1 = c2
+        f = eta * f
+        v = f
+    return f
 
 
 def dense_damping(gamma: float, a: np.ndarray, mat: np.ndarray) -> np.ndarray:

@@ -17,7 +17,6 @@ from jcdamp.cli import RunConfig, cmd_compare
 from jcdamp.doubled import (
     commutator_generator_factory,
     devectorize,
-    interior_indices,
     vectorize,
 )
 from jcdamp.factorize import (
@@ -37,7 +36,12 @@ from jcdamp.wigner import (
     wigner_grid,
     wigner_operator,
 )
-from reference import damped_frame_drive, drive_commutator_kernel, wigner_operator_series
+from reference import (
+    damped_frame_drive,
+    drive_commutator_kernel,
+    interior_indices,
+    wigner_operator_series,
+)
 
 
 def report(num, description, ok):

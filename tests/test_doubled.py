@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -12,7 +13,6 @@ from jcdamp.doubled import (
     commutator_generator_factory,
     devectorize,
     evolve_vectorized,
-    interior_indices,
     stacked,
     taylor_plan,
     vectorize,
@@ -21,7 +21,7 @@ from jcdamp.factorize import time_ordered_propagator
 from jcdamp.fock import ModelParams, annihilation, coherent_state
 from jcdamp.model import decoupled_rhs
 from jcdamp.oracle import TimeGrid, integrate_component
-from reference import damped_frame_drive
+from reference import damped_frame_drive, early_terminated_expm_multiply, interior_indices
 
 
 def dense_damping(gamma, a, m):
@@ -315,6 +315,62 @@ def test_scaled_taylor_plan_matches_scipy():
     grid = TimeGrid(0.0, h, 1)
     got = evolve_vectorized(gen, v0, grid)[grid.n_steps]
     assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
+
+
+class _CountedProducts:
+    """Stand-in for a plan's sparse matrix that counts its products."""
+
+    def __init__(self, mat):
+        self.mat, self.products = mat, 0
+
+    def __matmul__(self, v):
+        self.products += 1
+        return self.mat @ v
+
+
+@pytest.mark.parametrize("coupling, gamma, h", [(0.1, 0.2, 0.05), (0.7, 1.5, 1.0)])
+def test_expm_multiply_runs_the_plans_full_degree(coupling, gamma, h):
+    # m_star products per sweep, s sweeps, whatever the vector; the
+    # stand-in changes no bit of the result, and the input is not written
+    n = 8
+    p = ModelParams(omega=1.3, coupling=coupling, gamma=gamma, n_trunc=n)
+    for gen in _generators(p).values():
+        plan = taylor_plan(h * gen.g0)
+        assert (plan.s > 1) == (h == 1.0)
+        counted = _CountedProducts(plan.shifted)
+        for v0 in (vectorize(random_matrix(n, 8)), vectorize(np.eye(n)),
+                   np.zeros(n * n, dtype=complex)):
+            counted.products = 0
+            before = v0.copy()
+            got = doubled.expm_multiply(dataclasses.replace(plan, shifted=counted), v0)
+            assert counted.products == plan.m_star * plan.s
+            assert np.array_equal(v0, before)
+            assert np.array_equal(got, doubled.expm_multiply(plan, v0))
+
+
+@pytest.mark.parametrize("coupling, gamma, h", [(0.1, 0.2, 0.004), (0.1, 0.2, 0.05),
+                                                (0.7, 1.5, 1.0), (0.7, 1.5, 3.0)])
+def test_full_degree_matches_early_terminated_loop(coupling, gamma, h):
+    # the terms the early-termination test skipped lie below unit roundoff
+    n = 8
+    p = ModelParams(omega=1.3, coupling=coupling, gamma=gamma, n_trunc=n)
+    v0 = vectorize(random_matrix(n, 9))
+    for kind, gen in _generators(p).items():
+        plan = taylor_plan(h * gen.g0)
+        want = early_terminated_expm_multiply(plan, v0)
+        got = doubled.expm_multiply(plan, v0)
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want)), kind
+
+
+@pytest.mark.parametrize("size", [1, 5, 17])
+def test_evolve_rejects_a_vector_of_the_wrong_shape(size):
+    # a length-1 vector would broadcast against the half-step phase
+    gen = commutator_generator_factory(ModelParams(omega=1.0, coupling=0.1, gamma=0.2,
+                                                   n_trunc=4), 1)
+    with pytest.raises(ValueError, match=rf"shape \(16,\).*\(16, 16\).*shape \({size},\)"):
+        evolve_vectorized(gen, np.ones(size, dtype=complex), TimeGrid(0.0, 0.1, 2))
+    with pytest.raises(ValueError, match=r"shape \(16,\).*shape \(4, 4\)"):
+        evolve_vectorized(gen, np.eye(4, dtype=complex), TimeGrid(0.0, 0.1, 2))
 
 
 def test_evolve_calls_expm_multiply_once_per_step(monkeypatch):

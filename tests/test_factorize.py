@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from jcdamp.doubled import interior_indices, vectorize
+from jcdamp.doubled import vectorize
 from jcdamp.factorize import (
     FactorizationProblem,
     PreconditionViolated,
@@ -15,6 +15,7 @@ from jcdamp.factorize import (
 from jcdamp.fock import ModelParams, coherent_state
 from jcdamp.oracle import StepTooLarge, TimeGrid
 from jcdamp.quadrature import simpson_adaptive
+from reference import interior_indices
 
 
 def heisenberg_pair(c1=0.8, c2=-1.3):

@@ -9,7 +9,9 @@ from jcdamp.model import (
     ComponentSet,
     check_joint_density,
     _coupled_rhs,
+    _lab_phases,
     decoupled_rhs,
+    field_from_rotational,
     from_rotational_picture,
     hamiltonian_full,
     joint_annihilation,
@@ -101,6 +103,26 @@ def test_rotational_picture_round_trip():
     rho = random_joint_density(9, 5)
     back = from_rotational_picture(to_rotational_picture(rho, 1.7, p), 1.7, p)
     assert np.max(np.abs(back - rho)) < 1e-12
+
+
+def test_frame_changes_multiply_state_by_phase_at_any_size():
+    # from 256 KiB up numpy may compute `phases * rho` for `rho * phases`,
+    # and the complex multiply rounds the two orders differently: each
+    # frame change must give the row-by-row product state * phase bit for bit
+    t = 0.37
+    p = ModelParams(omega=1.0, coupling=0.3, gamma=0.2, n_trunc=72)
+    rho = random_joint_density(72, 11)
+    assert rho.nbytes > 256 * 1024
+    phases = _lab_phases(t, p, 2)
+    for convert, ph in ((from_rotational_picture, phases),
+                        (to_rotational_picture, phases.conj())):
+        want = np.array([row * ph_row for row, ph_row in zip(rho, ph)])
+        assert np.array_equal(convert(rho, t, p), want)
+    p = ModelParams(omega=1.0, coupling=0.3, gamma=0.2, n_trunc=136)
+    mat = random_joint_density(68, 12)
+    assert mat.nbytes > 256 * 1024
+    want = np.array([row * ph_row for row, ph_row in zip(mat, _lab_phases(t, p, 1))])
+    assert np.array_equal(field_from_rotational(mat, t, p), want)
 
 
 def test_rotational_rhs_consistent_with_lab_frame():

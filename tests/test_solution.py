@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from jcdamp.doubled import interior_indices, vectorize, devectorize
+from jcdamp.doubled import vectorize, devectorize
 from jcdamp.fock import ModelParams, coherent_state, displacement
 from jcdamp.oracle import TimeGrid, integrate_component
 from jcdamp.quadrature import simpson_adaptive, simpson_fixed, triangle_double_integral
@@ -22,7 +22,7 @@ from jcdamp.solution import (
     evolve_plus_minus,
     kernel_double_integral,
 )
-from reference import drive_commutator_kernel
+from reference import drive_commutator_kernel, interior_indices
 
 STD = ModelParams(omega=1.0, coupling=0.1, gamma=0.2, n_trunc=40)
 
