@@ -60,9 +60,15 @@ class StepTooLarge(RuntimeError):
     """The RK4 step violates a stability bound, or the state blew up."""
 
 
+def _is_integer(value) -> bool:
+    """True for an int or a numpy integer, False for a bool and anything else."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform time grid with n_steps integrator steps."""
+    """Uniform time grid with n_steps integrator steps; ``n_steps`` is an int
+    or a numpy integer (a bool or a float is a ValueError)."""
 
     t_start: float
     t_end: float
@@ -71,6 +77,8 @@ class TimeGrid:
     def __post_init__(self):
         if not self.t_end > self.t_start:
             raise ValueError("t_end must exceed t_start")
+        if not _is_integer(self.n_steps):
+            raise ValueError(f"n_steps must be an integer, got {self.n_steps!r}")
         if self.n_steps < 1:
             raise ValueError("n_steps must be >= 1")
 
@@ -87,8 +95,12 @@ class TimeGrid:
 
     def check_steps(self, steps: Iterable[int] = None) -> set:
         """The steps a run keeps: ``steps`` as a set, by default {n_steps}.
-        ValueError if the set is empty or leaves [0, n_steps]."""
+        ValueError if a step is not an integer (as ``n_steps``), or if the set
+        is empty or leaves [0, n_steps]."""
         steps = {self.n_steps} if steps is None else set(steps)
+        for k in steps:
+            if not _is_integer(k):
+                raise ValueError(f"store_steps must be integers, got {k!r}")
         if not steps or min(steps) < 0 or max(steps) > self.n_steps:
             raise ValueError(f"store_steps must be a non-empty set in [0, {self.n_steps}]")
         return steps

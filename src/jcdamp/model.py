@@ -18,13 +18,18 @@ The damping term is normalized once and for all as
 
 and is used with this normalization everywhere in the package.  Every
 equation of motion a run uses is in the rotating frame and is built by
-``_coupled_rhs``, with the one fast D.  A right-hand side writes into an
-array its caller owns.  The coupling is written as its two bands into a
-buffer made once per right-hand side, and only at each new time; the joint
-coupling c sigma_x (x) X(t) acts as its N x N field block X(t) on the
-atom-swapped rows of the state, never as a 2N x 2N matrix.  A joint state
-or a plus or minus component must be Hermitian there (one product serves
-both sides; the oracle checks); a cross component may be any matrix.
+``_coupled_rhs``, with the one fast D, as a generator G made at one frame
+time and a stage bound once to the arrays it reads and writes
+(``CoupledRHS``).  The joint coupling c sigma_x (x) X(t) acts as its N x N
+field block X(t) on the atom-swapped rows of the state, never as a 2N x 2N
+matrix.  A joint state or a plus or minus component must be Hermitian
+there (one product serves both sides; the oracle checks); a cross
+component may be any matrix.
+
+Frame identity: X(t) = U X(0) U+ with U = exp(i omega t a+a), and D commutes
+with that conjugation, so with P(tau) = ``_lab_phases(tau)`` the right-hand
+side at frame time tau + s is f_s(y P(tau)) conj(P(tau)), entrywise; the
+oracle's RK4 step rests on it.
 """
 
 from __future__ import annotations
@@ -40,8 +45,6 @@ SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 ATOM_UP = np.array([1.0, 0.0], dtype=complex)
 ATOM_DOWN = np.array([0.0, 1.0], dtype=complex)
-
-RHS = Callable[..., np.ndarray]  # f(t, y, out=None) -> out
 
 # ``check_joint_density`` (and ``wigner_at``) tolerances, loose enough for JSON text
 HERM_TOL = 1e-8
@@ -80,25 +83,51 @@ def _ladder(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return s, np.concatenate([[0.0], (s.conj() * s).real])
 
 
+class CoupledRHS:
+    """A right-hand side in its two pieces (``_coupled_rhs``).
+
+    ``generator(t)`` builds the effective generator G at frame time t, a new
+    buffer; ``bind(g, y, out, work)`` returns a zero-argument callable that
+    writes f(y) under G = ``g`` into ``out`` and returns it, reading the
+    current entries of ``y`` and using ``work`` as scratch.  Every view the
+    products use is made once, at bind time, so ``y``, ``out`` and ``work``
+    must be C-contiguous complex arrays of one shape (ValueError otherwise).
+    Called as f(t, y, out=None) it is ``bind(generator(t), y, out, work)()``,
+    with ``out`` allocated when None.  A plain class: a dataclass would cost
+    every ``import jcdamp`` about a millisecond.
+    """
+
+    __slots__ = ("generator", "bind")
+
+    def __init__(self, generator: Callable[[float], np.ndarray],
+                 bind: Callable[..., Callable[[], np.ndarray]]):
+        self.generator = generator
+        self.bind = bind
+
+    def __call__(self, t: float, y: np.ndarray, out: np.ndarray = None) -> np.ndarray:
+        y = np.ascontiguousarray(y, dtype=complex)
+        if out is None:
+            out = np.empty_like(y)
+        return self.bind(self.generator(t), y, out, np.empty_like(out))()
+
+
 def _coupled_rhs(band: np.ndarray, omega: float, front, sign, gamma: float, a: np.ndarray,
-                 atom_swap: bool = False) -> RHS:
-    """f(t, y, out) = front (K y + sign y K) + D[y], written into ``out`` (a
-    C-contiguous array of y's shape, allocated when None) and returned: sign -1
-    gives the commutator, +1 the anticommutator, D is the damping of (gamma, a),
-    ``a`` checked by ``_ladder``.  Front and sign may be arrays that broadcast
-    over a stack y of matrices.  K is the rotating-frame coupling whose
+                 atom_swap: bool = False) -> CoupledRHS:
+    """f(t, y, out) = front (K y + sign y K) + D[y]: sign -1 gives the
+    commutator, +1 the anticommutator, D is the damping of (gamma, a), ``a``
+    checked by ``_ladder``.  Front and sign may be arrays that broadcast over
+    a stack y of matrices.  K is the rotating-frame coupling whose
     superdiagonal is ``band`` e^{-i omega t} and whose subdiagonal is
     conj(``band``) e^{i omega t}; with ``atom_swap``, K is sigma_x (x) that N x N
     matrix on the joint space of ``a``'s two atom blocks, a commutator only.
 
     It is evaluated in effective-generator form, f(y) = G y + y G' + gamma a y a+,
     with G = front K - (gamma/2) a+a and G' = sign front K - (gamma/2) a+a.
-    G is one buffer made per right-hand side, its -(gamma/2) a+a diagonal
-    written once; at each distinct t (RK4 stages 2 and 3 share one time) only
-    its two bands are written (``_write_bands``), each entry the product the
-    dense front K(t) gives, bit for bit.  With ``atom_swap``, G is the N x N
-    block front K(t) on the atom-swapped row blocks of y, two (N x N)(N x 2N)
-    products, and the a+a parts of both sides are one table,
+    ``generator(t)`` makes G as a zero buffer, writes its -(gamma/2) a+a
+    diagonal, and writes its two bands once (``_write_bands``), each entry the
+    product the dense front K(t) gives, bit for bit.  With ``atom_swap``, G is
+    the N x N block front K(t) on the atom-swapped row blocks of y, two
+    (N x N)(N x 2N) products, and the a+a parts of both sides are one table,
     -(gamma/2)(d_i + d_j) y_ij.  The jump term gamma a y a+ is y[i+1, j+1] times
     the table gamma s_i conj(s_j) (``_ladder``), taken as one shift of the flat
     m x m entries: entry p + m + 1 of y against entry p of a table padded with
@@ -106,7 +135,9 @@ def _coupled_rhs(band: np.ndarray, omega: float, front, sign, gamma: float, a: n
 
     The kind of each slice sets its products: an anticommutator slice (G' = G)
     takes G y + y G; a commutator slice (G' = G+) takes G y + (G y)+, exactly
-    Hermitian, and must be Hermitian itself, or the result is wrong.
+    Hermitian, and must be Hermitian itself, or the result is wrong.  ``bind``
+    takes each group of slices of one kind as one basic-slice view per
+    contiguous run of the stack, so no product reads or writes a copy.
     """
     s, d = _ladder(a)
     m = len(d)
@@ -117,48 +148,61 @@ def _coupled_rhs(band: np.ndarray, omega: float, front, sign, gamma: float, a: n
     jump = jump.reshape(-1)[:m * m - shift].copy()
     half_n = 0.5 * gamma * d
     commutator = np.asarray(sign).reshape(-1) < 0
-    comm, acomm = _slices(commutator), _slices(~commutator)
+    comm, acomm = _runs(commutator), _runs(~commutator)
     n = m // 2
     decay = -(half_n[:, None] + half_n[None, :]).astype(complex)
 
     size = n if atom_swap else m  # the N of G's N x N matrices
-    g = np.zeros(np.broadcast_shapes(np.shape(front), (size, size)), dtype=complex)
-    if not atom_swap:
-        diag = np.diag_indices(m)
-        g[..., diag[0], diag[1]] -= half_n
-    flat_g = g.reshape(-1, size * size)
-    bands = (flat_g[:, 1::size + 1], flat_g[:, size::size + 1])  # strided views into g
-    front_rows = np.reshape(front, (-1, 1))  # one front per N x N matrix of g
+    shape = np.broadcast_shapes(np.shape(front), (size, size))
+    diag = np.diag_indices(m)
+    front_rows = np.reshape(front, (-1, 1))  # one front per N x N matrix of G
     band_pair = (band, band.conj())
 
-    last_t = work = None
+    def generator(t: float) -> np.ndarray:
+        g = np.zeros(shape, dtype=complex)
+        if not atom_swap:
+            g[..., diag[0], diag[1]] -= half_n
+        flat_g = g.reshape(-1, size * size)
+        # strided views into g
+        _write_bands((flat_g[:, 1::size + 1], flat_g[:, size::size + 1]), front_rows,
+                     band_pair, omega, t)
+        return g
 
-    def rhs(t: float, y: np.ndarray, out: np.ndarray = None) -> np.ndarray:
-        nonlocal last_t, work
-        if out is None:
-            out = np.empty(np.shape(y), dtype=complex)
-        if work is None or work.shape != out.shape:
-            work = np.empty_like(out)  # scratch for the products added to out
-        if t != last_t:
-            last_t = t
-            _write_bands(bands, front_rows, band_pair, omega, t)
+    def bind(g: np.ndarray, y: np.ndarray, out: np.ndarray, work: np.ndarray):
+        for arr in (y, out, work):
+            if arr.shape != y.shape or arr.dtype != complex or not arr.flags.c_contiguous:
+                raise ValueError("y, out and work must be C-contiguous complex arrays"
+                                 " of one shape")
         if atom_swap:
-            np.matmul(g, y[..., n:, :], out=out[..., :n, :])
-            np.matmul(g, y[..., :n, :], out=out[..., n:, :])
+            products = [(g, y[..., n:, :], out[..., :n, :]), (g, y[..., :n, :], out[..., n:, :])]
         else:
-            np.matmul(g, y, out=out)
-        if comm is not None:
-            out[comm] += np.conjugate(out[comm], out=work[comm]).swapaxes(-1, -2)
-        if acomm is not None:
-            out[acomm] += np.matmul(y[acomm], g[acomm], out=work[acomm])
-        if atom_swap:  # the a+a terms of G y + y G+: -(gamma/2)(d_i + d_j) y_ij
-            out += np.multiply(decay, y, out=work)
-        flat = out.reshape(-1, m * m)[:, :-shift]
-        flat += np.multiply(jump, np.reshape(y, (-1, m * m))[:, shift:],
-                            out=work.reshape(-1, m * m)[:, :-shift])
-        return out
+            products = [(g, y, out)]
+        # G y + (G y)+: out's slices, their conjugates in work, read transposed
+        comm_views = [(out[i], work[i], work[i].swapaxes(-1, -2)) for i in comm]
+        # G y + y G: y G into work's slices, then added to out's; a 2-D G
+        # (one front for every slice) serves each slice whole
+        acomm_views = [(y[i], g[i] if g.ndim > 2 else g, work[i], out[i]) for i in acomm]
+        flat_out = out.reshape(-1, m * m)[:, :-shift]
+        flat_y = y.reshape(-1, m * m)[:, shift:]
+        flat_work = work.reshape(-1, m * m)[:, :-shift]
 
-    return rhs
+        def stage() -> np.ndarray:
+            for left, right, dest in products:
+                np.matmul(left, right, out=dest)
+            for dest, scratch, scratch_t in comm_views:
+                np.conjugate(dest, out=scratch)
+                dest += scratch_t
+            for y_i, g_i, scratch, dest in acomm_views:
+                np.matmul(y_i, g_i, out=scratch)
+                dest += scratch
+            if atom_swap:  # the a+a terms of G y + y G+: -(gamma/2)(d_i + d_j) y_ij
+                np.add(out, np.multiply(decay, y, out=work), out=out)
+            np.add(flat_out, np.multiply(jump, flat_y, out=flat_work), out=flat_out)
+            return out
+
+        return stage
+
+    return CoupledRHS(generator, bind)
 
 
 def _write_bands(bands, front, band_pair, omega: float, t: float) -> None:
@@ -172,17 +216,17 @@ def _write_bands(bands, front, band_pair, omega: float, t: float) -> None:
     np.multiply(front, band_pair[1] * np.exp(1j * omega * t), out=lower)
 
 
-def _slices(mask: np.ndarray):
-    """Index over axis 0 for the True entries of ``mask``: Ellipsis, None, a slice or an array."""
+def _runs(mask: np.ndarray) -> list:
+    """Indices over axis 0 for the True entries of ``mask``: [Ellipsis] when
+    all are True, else one slice per contiguous run of them (none when none is)."""
     if mask.all():
-        return Ellipsis
+        return [Ellipsis]
     idx = np.flatnonzero(mask)
-    if not idx.size:
-        return None
-    return slice(idx[0], idx[-1] + 1) if idx[-1] - idx[0] + 1 == idx.size else idx
+    breaks = np.flatnonzero(np.diff(idx) > 1) + 1
+    return [slice(run[0], run[-1] + 1) for run in np.split(idx, breaks) if run.size]
 
 
-def rotating_frame_rhs(params: ModelParams) -> RHS:
+def rotating_frame_rhs(params: ModelParams) -> CoupledRHS:
     """Right-hand side f(t, rho) of the joint equation in the rotating
     (free-field) frame, -i coupling [X(t) (x) sigma_x, rho] + D[rho]: the lab
     frame's -i[H, rho] + D[rho] with omega a+a moved into the frame.  The
@@ -269,7 +313,7 @@ def split_components(rho: np.ndarray) -> ComponentSet:
 _KINDS = {"plus": (-1j, -1.0), "minus": (1j, -1.0), "cross": (-1j, 1.0)}
 
 
-def decoupled_rhs(kinds: Sequence[str], params: ModelParams) -> RHS:
+def decoupled_rhs(kinds: Sequence[str], params: ModelParams) -> CoupledRHS:
     """Right-hand side f(t, ops) of a stack of decoupled components
     (rotating frame), ops[i] of kind kinds[i]:
 

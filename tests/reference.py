@@ -4,7 +4,9 @@ The right-hand sides here are dense matrix products, written apart from
 ``model._coupled_rhs`` so that the tests can hold the package's fast
 right-hand sides against them.  ``dense_coupled_rhs`` is the package's
 earlier right-hand side, which rebuilt the whole coupling matrix at each
-new time; the tests hold the band-written one to its bits.  The envelope
+new time; the tests hold the band-written one to its bits.  ``rk4_states``
+is the oracle's earlier rotating-frame RK4 loop, and ``lab_rk4_states`` the
+lab-frame step the oracle takes now, with every stage made anew.  The envelope
 commutator kernel is the integrand of ``solution.kernel_double_integral``,
 and the exact-rational Wigner series certifies ``wigner.wigner_operator``.
 ``early_terminated_expm_multiply`` is the package's earlier Taylor loop,
@@ -24,13 +26,13 @@ from jcdamp.doubled import TaylorPlan, superoperators
 from jcdamp.fock import TAIL_LEVELS, ModelParams, annihilation
 from jcdamp.model import (
     _KINDS,
-    RHS,
     ComponentSet,
     _ladder,
-    _slices,
     hamiltonian_full,
     joint_annihilation,
 )
+
+RHS = Callable[..., np.ndarray]  # f(t, y, out=None) -> out
 
 
 def damped_frame_drive(t: float, params: ModelParams, sign: int) -> np.ndarray:
@@ -111,6 +113,17 @@ def _rotating(raising: np.ndarray, lowering: np.ndarray,
     """t -> raising e^{i w t} + lowering e^{-i w t}; with (a+, a) this is the
     rotating-frame field coupling X(t)."""
     return lambda t: raising * np.exp(1j * omega * t) + lowering * np.exp(-1j * omega * t)
+
+
+def _slices(mask: np.ndarray):
+    """Index over axis 0 for the True entries of ``mask``: Ellipsis, None, a slice
+    or an index array (which reads and writes copies)."""
+    if mask.all():
+        return Ellipsis
+    idx = np.flatnonzero(mask)
+    if not idx.size:
+        return None
+    return slice(idx[0], idx[-1] + 1) if idx[-1] - idx[0] + 1 == idx.size else idx
 
 
 def dense_coupled_rhs(coupling, front, sign, gamma: float, a: np.ndarray,
@@ -203,9 +216,10 @@ def dense_decoupled_rhs(kinds, params: ModelParams) -> RHS:
 
 
 def rk4_states(rhs: RHS, y0: np.ndarray, h: float, n_steps: int) -> list:
-    """Every state of fixed-step RK4 from y0, each stage a new array, the step
-    written as one expression: the loop the oracle's in-place stages keep
-    bit for bit."""
+    """Every state of fixed-step RK4 from y0 in the rotating frame, each stage
+    a new array at frame times tau, tau + h/2, tau + h/2 and tau + h, the step
+    written as one expression: the oracle's earlier method, whose states times
+    ``model._lab_phases(k h)`` are the lab-frame ones."""
     y, states = np.array(y0, dtype=complex), []
     for k in range(n_steps + 1):
         if k:
@@ -215,6 +229,25 @@ def rk4_states(rhs: RHS, y0: np.ndarray, h: float, n_steps: int) -> list:
             k3 = rhs(tau + 0.5 * h, y + (0.5 * h) * k2)
             k4 = rhs(tau + h, y + h * k3)
             y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        states.append(y)
+    return states
+
+
+def lab_rk4_states(rhs: RHS, y0: np.ndarray, h: float, n_steps: int,
+                   phases: np.ndarray) -> list:
+    """Every state of the lab-frame RK4 step z <- P(h) Phi_0(z) from y0, with
+    ``phases`` = P(h) = ``model._lab_phases(h)``: each stage a new array at
+    frame times 0, h/2, h/2 and h, the step written as one expression, then
+    its product with the phases.  The loop the oracle's bound, in-place stages
+    keep bit for bit."""
+    y, states = np.array(y0, dtype=complex), []
+    for k in range(n_steps + 1):
+        if k:
+            k1 = rhs(0.0, y)
+            k2 = rhs(0.5 * h, y + (0.5 * h) * k1)
+            k3 = rhs(0.5 * h, y + (0.5 * h) * k2)
+            k4 = rhs(h, y + h * k3)
+            y = np.multiply(y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), phases)
         states.append(y)
     return states
 

@@ -11,6 +11,7 @@ import jcdamp.cli as cli
 import jcdamp.oracle as oracle
 from jcdamp.cli import ConfigError, load_config, main
 from jcdamp.fock import number_operator, tail_weight
+from jcdamp.model import CoupledRHS
 from reference import lab_frame_rhs, rk4_states
 
 
@@ -778,17 +779,21 @@ def test_wigner_reads_a_near_grid_time_as_that_grid_time(tmp_path):
 
 
 def _count_component_rhs_calls(monkeypatch) -> list:
-    # the times of every component right-hand side call, 4 per RK4 step
+    # every call of a bound component stage, one right-hand side each, 4 per RK4 step
     calls = []
     real = oracle.decoupled_rhs
 
     def counted(*args):
         rhs = real(*args)
 
-        def call(t, y, out):
-            calls.append(t)
-            return rhs(t, y, out)
-        return call
+        def bind(*arrays):
+            stage = rhs.bind(*arrays)
+
+            def call():
+                calls.append(stage)
+                return stage()
+            return call
+        return CoupledRHS(rhs.generator, bind)
 
     monkeypatch.setattr(oracle, "decoupled_rhs", counted)
     return calls

@@ -10,6 +10,7 @@ from jcdamp.model import (
     check_joint_density,
     _coupled_rhs,
     _lab_phases,
+    _runs,
     decoupled_rhs,
     field_from_rotational,
     from_rotational_picture,
@@ -435,3 +436,31 @@ def test_fast_right_hand_sides_match_dense_references(n):
             sign = 1.0 if kind == "cross" else -1.0
             want = front[kind] * c * (x @ y + sign * y @ x) + dense_damping(p.gamma, a, y)
             assert np.max(np.abs(g - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_bound_stage_reads_and_writes_through_its_views():
+    # a stage bound once reads y's current entries at each call and writes
+    # out in place; each kind's slices are basic-slice views, one per
+    # contiguous run of the stack (cross splits plus from minus here), so no
+    # product works on a copy; arrays it cannot view are rejected
+    assert _runs(np.array([True, False, True])) == [slice(0, 1), slice(2, 3)]
+    assert _runs(np.array([False, True, False])) == [slice(1, 2)]
+    assert _runs(np.array([True, True])) == [Ellipsis]
+    assert _runs(np.array([False, False])) == []
+    n = 7
+    p = ModelParams(omega=0.9, coupling=0.21, gamma=0.31, n_trunc=n)
+    rng = np.random.default_rng(61)
+    kinds = ["plus", "cross", "minus"]
+    rhs = decoupled_rhs(kinds, p)
+    y = np.empty((3, n, n), dtype=complex)
+    out, work = np.empty_like(y), np.empty_like(y)
+    stage = rhs.bind(rhs.generator(0.4), y, out, work)
+    for _ in range(2):
+        y[...] = [_random_hermitian(n, rng) if kind != "cross" else
+                  rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) for kind in kinds]
+        assert stage() is out
+        assert np.array_equal(out, rhs(0.4, y))
+    for bad in (np.empty((3, n, 2 * n), dtype=complex)[..., ::2],
+                np.empty((3, n, n)), np.empty((2, n, n), dtype=complex)):
+        with pytest.raises(ValueError, match="C-contiguous complex"):
+            rhs.bind(rhs.generator(0.4), y, bad, work)

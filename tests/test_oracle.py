@@ -20,7 +20,7 @@ from jcdamp.oracle import (
     integrate_component,
     integrate_joint,
 )
-from reference import dense_decoupled_rhs, dense_rotating_frame_rhs, rk4_states
+from reference import dense_decoupled_rhs, dense_rotating_frame_rhs, lab_rk4_states, rk4_states
 
 
 def coherent_joint(alpha, n, atom):
@@ -36,6 +36,47 @@ def test_time_grid_validation():
     g = TimeGrid(0.0, 2.0, 8)
     assert g.step == pytest.approx(0.25)
     assert np.allclose(g.times(), np.linspace(0.0, 2.0, 9))
+
+
+@pytest.mark.parametrize("bad", [2.5, 20.5, 20.0, True, np.float64(8.0), "8"])
+def test_time_grid_rejects_a_non_integer_step_count(bad):
+    # 2.5 steps would run times() past t_end, and 20.5 would reach range()
+    with pytest.raises(ValueError, match="n_steps must be an integer"):
+        TimeGrid(0.0, 1.0, bad)
+
+
+def test_time_grid_takes_numpy_integers():
+    g = TimeGrid(0.0, 1.0, np.int64(8))
+    assert np.array_equal(g.times(), TimeGrid(0.0, 1.0, 8).times())
+    assert g.check_steps(np.arange(3, 9, 5)) == {3, 8}
+
+
+@pytest.mark.parametrize("bad", [[10.0], [3, 4.5], [True], [np.float64(2.0)]])
+def test_store_steps_must_be_integers(bad):
+    n = 8
+    p = ModelParams(omega=1.0, coupling=0.1, gamma=0.2, n_trunc=n)
+    grid = TimeGrid(0.0, 1.0, 40)
+    with pytest.raises(ValueError, match="store_steps must be integers"):
+        grid.check_steps(bad)
+    with pytest.raises(ValueError, match="store_steps must be integers"):
+        integrate_joint(coherent_joint(0.3, n, ATOM_UP), p, grid, store_steps=bad)
+    with pytest.raises(ValueError, match="store_steps must be integers"):
+        evolve_vectorized(commutator_generator_factory(p, 1), vectorize(np.eye(n)), grid,
+                          store_steps=bad)
+
+
+def test_joint_run_takes_an_array_like_initial_state():
+    # as integrate_component does: a nested list runs as its array
+    n = 12
+    p = ModelParams(omega=1.0, coupling=0.1, gamma=0.2, n_trunc=n)
+    rho0 = coherent_joint(0.3, n, ATOM_UP)
+    grid = TimeGrid(0.0, 1.0, 40)
+    got = integrate_joint(rho0.tolist(), p, grid, store_steps=[0, 40])
+    want = integrate_joint(rho0, p, grid, store_steps=[0, 40])
+    for k in (0, 40):
+        assert np.array_equal(got.states[k], want.states[k])
+    with pytest.raises(ValueError, match="initial state has shape"):
+        integrate_joint(rho0[:-1].tolist(), p, grid)
 
 
 
@@ -252,16 +293,21 @@ def test_store_steps_keep_exactly_the_given_steps():
 
 
 def test_component_run_takes_four_evaluations_per_step_to_its_last_kept_step(monkeypatch):
+    # every call of a bound stage is one right-hand side evaluation
     calls = []
     real = oracle.decoupled_rhs
 
     def counted(*args):
         rhs = real(*args)
 
-        def call(t, y, out):
-            calls.append(t)
-            return rhs(t, y, out)
-        return call
+        def bind(*arrays):
+            stage = rhs.bind(*arrays)
+
+            def call():
+                calls.append(stage)
+                return stage()
+            return call
+        return model.CoupledRHS(rhs.generator, bind)
 
     monkeypatch.setattr(oracle, "decoupled_rhs", counted)
     n = 8
@@ -284,9 +330,10 @@ def test_initial_state_is_checked_when_not_kept():
         integrate_joint(rho0, p, TimeGrid(0.0, 1.0, 40), store_steps=[20])
 
 
-def test_coupling_built_at_most_three_times_per_step(monkeypatch):
-    # RK4 stages 2 and 3 share one time, so the rotating-frame coupling K(t)
-    # needs at most three band writes per step
+def test_coupling_built_three_times_per_run(monkeypatch):
+    # the oracle steps the lab-frame state with the rotating-frame step at
+    # frame time 0, so a run writes the coupling's bands three times, at frame
+    # times 0, h/2 and h (RK4 stages 2 and 3 share one), however many steps
     builds = []
     real = model._write_bands
 
@@ -298,19 +345,22 @@ def test_coupling_built_at_most_three_times_per_step(monkeypatch):
     n = 10
     p = ModelParams(omega=1.3, coupling=0.1, gamma=0.2, n_trunc=n)
     rho0 = coherent_joint(0.5, n, ATOM_UP)
-    grid = TimeGrid(0.4, 1.4, 50)
-    integrate_joint(rho0, p, grid)
-    assert 0 < len(builds) <= 3 * grid.n_steps
-    builds.clear()
     cs = split_components(rho0)
-    integrate_component({"plus": cs.plus, "minus": cs.minus, "cross": cs.cross}, p, grid)
-    assert 0 < len(builds) <= 3 * grid.n_steps
+    for steps in (50, 400):
+        grid = TimeGrid(0.4, 1.4, steps)
+        times = [0.0, 0.5 * grid.step, grid.step]
+        builds.clear()
+        integrate_joint(rho0, p, grid)
+        assert builds == times
+        builds.clear()
+        integrate_component({"plus": cs.plus, "minus": cs.minus, "cross": cs.cross}, p, grid)
+        assert builds == times
 
 
 def test_in_place_stages_match_the_allocating_rk4_loop():
-    # the stages written into the loop's own arrays and summed left to right
-    # give the states of the loop that makes every stage anew, bit for bit,
-    # each kept state then taken to the lab frame
+    # the stages bound once to the loop's own arrays and summed left to right
+    # give the states of the loop that makes every stage anew, bit for bit:
+    # both take the lab-frame step z <- P(h) Phi_0(z)
     n, steps = 14, 30
     p = ModelParams(omega=1.1, coupling=0.2, gamma=0.3, n_trunc=n)
     cs = split_components(coherent_joint(0.6 + 0.2j, n, ATOM_UP))
@@ -318,12 +368,11 @@ def test_in_place_stages_match_the_allocating_rk4_loop():
                "minus": 0.5 * (cs.minus + cs.minus.conj().T)}  # as the oracle integrates them
     grid = TimeGrid(0.3, 0.9, steps)
     trajs = integrate_component(initial, p, grid, store_steps=range(steps + 1))
-    want = rk4_states(model.decoupled_rhs(list(initial), p), np.stack(list(initial.values())),
-                      grid.step, steps)
+    want = lab_rk4_states(model.decoupled_rhs(list(initial), p),
+                          np.stack(list(initial.values())), grid.step, steps,
+                          model._lab_phases(grid.step, p, 1))
     for i, kind in enumerate(initial):
-        assert all(np.array_equal(trajs[kind].states[k],
-                                  want[k][i] * model._lab_phases(k * grid.step, p, 1))
-                   for k in range(steps + 1))
+        assert all(np.array_equal(trajs[kind].states[k], want[k][i]) for k in range(steps + 1))
 
 
 def test_joint_run_builds_the_coupling_as_its_field_block(monkeypatch):
@@ -348,7 +397,7 @@ def test_band_written_coupling_matches_the_dense_build_bit_for_bit():
     # the coupling written as its two bands into one buffer gives the bits of
     # the dense build front (a+ e^{iwt} + a e^{-iwt}) with its diagonal
     # patched, at a new time, a repeated one and t = 0; and so whole runs
-    # equal RK4 on the dense build, each kept state then taken to the lab frame
+    # equal the lab-frame RK4 step on the dense build
     n, steps = 10, 50
     p = ModelParams(omega=1.3, coupling=0.23, gamma=0.31, n_trunc=n)
     rng = np.random.default_rng(59)
@@ -371,19 +420,44 @@ def test_band_written_coupling_matches_the_dense_build_bit_for_bit():
     rho0 = coherent_joint(0.35 + 0.1j, n, (ATOM_UP + ATOM_DOWN) / np.sqrt(2.0))
     rho0 = 0.5 * (rho0 + rho0.conj().T)
     got = integrate_joint(rho0, p, grid, store_steps=range(steps + 1))
-    want = rk4_states(dense_rotating_frame_rhs(p), rho0[None], grid.step, steps)
-    assert all(np.array_equal(got.states[k], want[k][0] * model._lab_phases(k * grid.step, p, 2))
-               for k in range(steps + 1))
+    want = lab_rk4_states(dense_rotating_frame_rhs(p), rho0[None], grid.step, steps,
+                          model._lab_phases(grid.step, p, 2))
+    assert all(np.array_equal(got.states[k], want[k][0]) for k in range(steps + 1))
     cs = split_components(rho0)
     initial = {"plus": 0.5 * (cs.plus + cs.plus.conj().T), "cross": cs.cross,
                "minus": 0.5 * (cs.minus + cs.minus.conj().T)}
     trajs = integrate_component(initial, p, grid, store_steps=range(steps + 1))
-    want = rk4_states(dense_decoupled_rhs(list(initial), p), np.stack(list(initial.values())),
-                      grid.step, steps)
+    want = lab_rk4_states(dense_decoupled_rhs(list(initial), p),
+                          np.stack(list(initial.values())), grid.step, steps,
+                          model._lab_phases(grid.step, p, 1))
     for i, kind in enumerate(initial):
-        assert all(np.array_equal(trajs[kind].states[k],
-                                  want[k][i] * model._lab_phases(k * grid.step, p, 1))
-                   for k in range(steps + 1))
+        assert all(np.array_equal(trajs[kind].states[k], want[k][i]) for k in range(steps + 1))
+
+
+def test_lab_frame_step_is_the_rotating_frame_method():
+    # z <- P(h) Phi_0(z) is the rotating-frame RK4 step at every frame time,
+    # taken to the lab frame (model's frame identity): a joint run and a
+    # plus/cross/minus stack both equal the earlier method, rotating-frame
+    # states times their step's lab phases, to rounding (at most 6e-15 of
+    # the stack's largest entry here, and 5.4e-15 at N = 28 over 1,000 steps)
+    n, steps = 12, 400
+    p = ModelParams(omega=1.3, coupling=0.15, gamma=0.2, n_trunc=n)
+    grid = TimeGrid(0.4, 1.4, steps)
+    rho0 = _entangled_joint(n)
+    rho0 = 0.5 * (rho0 + rho0.conj().T)
+    initial = {kind: 0.5 * (op + op.conj().T) if kind != "cross" else op
+               for kind, op in _component_initials(n).items()}
+    runs = [({"joint": integrate_joint(rho0, p, grid, store_steps=range(steps + 1))},
+             model.rotating_frame_rhs(p), rho0[None], 2),
+            (integrate_component(initial, p, grid, store_steps=range(steps + 1)),
+             model.decoupled_rhs(list(initial), p), np.stack(list(initial.values())), 1)]
+    for trajs, rhs, y0, blocks in runs:
+        rotating = rk4_states(rhs, y0, grid.step, steps)
+        for k in range(steps + 1):
+            # the whole stack at step k, relative to its largest entry
+            want = np.multiply(rotating[k], model._lab_phases(k * grid.step, p, blocks))
+            got = np.stack([traj.states[k] for traj in trajs.values()])
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_tail_overflow_names_the_first_slice_to_cross():
@@ -395,8 +469,9 @@ def test_tail_overflow_names_the_first_slice_to_cross():
     vacuum, excited = np.zeros((n, n), dtype=complex), np.zeros((n, n), dtype=complex)
     vacuum[0, 0] = excited[1, 1] = 1.0
     grid = TimeGrid(0.0, 4.0, steps)
-    states = rk4_states(model.decoupled_rhs(["plus", "minus"], p), np.stack([vacuum, excited]),
-                        grid.step, steps)
+    states = lab_rk4_states(model.decoupled_rhs(["plus", "minus"], p),
+                            np.stack([vacuum, excited]), grid.step, steps,
+                            model._lab_phases(grid.step, p, 1))
     weights = np.array([np.abs(tail_weight(state)) for state in states])
     crossed = [int(np.argmax(weights[:, i] > TAIL_LIMIT)) for i in range(2)]
     assert 0 < crossed[1] < crossed[0]  # both cross, minus first
@@ -425,12 +500,17 @@ def test_store_steps_out_of_range_rejected(bad):
                           store_steps=bad)
 
 
+def _entangled_joint(n):
+    # an entangled atom-field state, Hermitian to rounding
+    psi = (np.kron(ATOM_UP, coherent_state(0.5, n).vec)
+           + (0.6 + 0.3j) * np.kron(ATOM_DOWN, coherent_state(-0.4j, n).vec))
+    return np.outer(psi, psi.conj()) / np.vdot(psi, psi)
+
+
 def _component_initials(n):
     # the plus, minus and (non-Hermitian) cross components of an entangled
     # atom-field state
-    psi = (np.kron(ATOM_UP, coherent_state(0.5, n).vec)
-           + (0.6 + 0.3j) * np.kron(ATOM_DOWN, coherent_state(-0.4j, n).vec))
-    cs = split_components(np.outer(psi, psi.conj()) / np.vdot(psi, psi))
+    cs = split_components(_entangled_joint(n))
     return {"plus": cs.plus, "minus": cs.minus, "cross": cs.cross}
 
 
