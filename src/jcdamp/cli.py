@@ -437,14 +437,15 @@ def build_comparison_report(cfg: RunConfig) -> dict:
     """Run the three evolution routes and collect deviation statistics.
 
     Routes: brute-force component integration (ground truth), the
-    closed-form solutions, and midpoint-exponential evolution in the
-    doubled space at a (possibly reduced) truncation, compared on the
-    interior block.  All three run on the frame clock t - grid.t_start
-    and return lab-frame states; the oracle and the doubled route each
-    make one run for all three components over the run's grid, keep the
-    sample steps and stop at the last.  The doubled run evolves the
-    components' vectors as one, under the block-diagonal ``stacked``
-    generator, and each component's block is sliced back out.
+    closed-form solutions, and the doubled space at a (possibly reduced)
+    truncation, compared on the interior block.  All three measure time
+    from grid.t_start and return lab-frame states; the oracle and the
+    doubled route each make one run for all three components over the
+    run's grid, keep the sample steps and stop at the last.  Each doubled
+    branch has one constant lab-frame generator L; the doubled run evolves
+    the components' vectors as one, under the block diagonal of the three
+    (``stacked``), by the Strang split of L into its free diagonal and the
+    rest, and each component's block is sliced back out.
     """
     params = cfg.params
     comps = _components(cfg.initial_joint())

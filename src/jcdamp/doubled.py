@@ -8,28 +8,21 @@ ordinary matrices on the doubled space, and the damped equations of
 motion become linear vector ODEs.
 
 The superoperator matrices are built once per truncation, as sparse
-matrices (``superoperators``), and the generators are sums of them.
-
-Frame identity: in the rotating frame every generator obeys
-G(t) = S(t) G(0) S(t)^+, where S(t) is the diagonal phase
-e^{i w t (m - n)} at flat index m*N + n (conjugation by e^{i w t a+a}).
-The dissipator commutes with S, so the identity is exact at any
-truncation.  Each ``evolve_vectorized`` call therefore chooses one
-truncated-Taylor plan for h G(0) and steps the lab-frame vector
-w = S(t)^+ v under one constant half-step phase; it returns w, as the
-oracle and the closed forms return lab-frame states.  A call runs
-under the run contract the routes share (``fock.TimeGrid``): G is
-evaluated on the frame clock (time since ``grid.t_start``), and the call
-keeps exactly the steps ``store_steps`` (``TimeGrid.check_steps``, by
-default the last) and stops at the last of them.  The route imports only
-``fock``: no oracle or model code, so it stays independent of the routes
-it is checked against.  ``compare`` evolves its three branches in one
-such call: under ``stacked``, their vectors are one vector and G(0) is
-the block diagonal of the branches' G(0), so the run makes one plan and
-one Taylor action per step, and no branch couples to another.  Each
-action sums the plan's full Taylor degree, with no early-termination
-test: the plan is chosen so that this degree meets unit roundoff for
-every vector, and the terms a test would skip lie below that already.
+matrices (``superoperators``), and the generators are sums of them.  The
+Hamiltonian of the paper's equation (1) does not depend on time in the
+lab frame, so each branch has one constant generator L: the factories
+return it, and ``stacked`` joins the branches' L into one block-diagonal
+matrix, under which ``compare`` evolves their vectors as one vector with
+no branch coupled to another.  ``evolve_vectorized`` runs the Strang
+split of L into its free diagonal D = i Im diag(L) and the rest A = L - D,
+with one truncated-Taylor plan for h A per call.  Each Taylor action sums
+the plan's full degree, with no early-termination test: the plan is
+chosen so that this degree meets unit roundoff for every vector, and the
+terms a test would skip lie below that already.  A call runs under the
+run contract the routes share (``fock.TimeGrid``): it keeps exactly the
+steps ``store_steps`` (``TimeGrid.check_steps``, by default the last) and
+stops at the last of them.  The route imports only ``fock``: no oracle or
+model code, so it stays independent of the routes it is checked against.
 
 Truncation caveat: identities that hold for the untruncated mode (for
 example that commutator and anticommutator superoperators commute with
@@ -77,9 +70,8 @@ def superoperators(n_trunc: int) -> dict:
 
     left_*  / right_*   a or a+ times a vectorized operator, from the left / right
     comm_*  / acomm_*   commutator / anticommutator superoperators
+    comm_n              [a+a, .] = diag(m - n), exact integers
     dissipator          2 a . a+ - a+a . - . a+a   (rate not included)
-    acomm_a_partner     2 left_a + comm_a, = [dissipator, acomm_a] on the interior
-    acomm_ad_partner    2 right_ad - comm_ad, = [dissipator, acomm_ad] on the interior
     """
     import scipy.sparse as sp
 
@@ -89,91 +81,52 @@ def superoperators(n_trunc: int) -> dict:
     left_ad = sp.kron(a.conj().T, eye, format="csr")
     right_a = sp.kron(eye, a.T, format="csr")
     right_ad = sp.kron(eye, a.conj(), format="csr")
-    comm_a, comm_ad = left_a - right_a, left_ad - right_ad
+    levels = np.arange(n_trunc)
     return {"left_a": left_a, "left_ad": left_ad, "right_a": right_a, "right_ad": right_ad,
-            "comm_a": comm_a, "comm_ad": comm_ad, "acomm_a": left_a + right_a,
-            "acomm_ad": left_ad + right_ad, "acomm_a_partner": 2.0 * left_a + comm_a,
-            "acomm_ad_partner": 2.0 * right_ad - comm_ad,
+            "comm_a": left_a - right_a, "comm_ad": left_ad - right_ad,
+            "acomm_a": left_a + right_a, "acomm_ad": left_ad + right_ad,
+            "comm_n": sp.diags((levels[:, None] - levels[None, :]).reshape(-1).astype(complex),
+                               format="csr"),
             "dissipator": 2.0 * left_a @ right_ad - left_ad @ left_a - right_a @ right_ad}
 
 
-class FrameGenerator:
-    """Doubled-space generator in the rotating frame,
-
-        G(t) = S(t) G(0) S(t)^+,   S(t) = diag(exp(i t rotation)),
-
-    held as the sparse G(0) and the real vector ``rotation``.  Calling it
-    at t returns the sparse G(t).  A constant generator has a zero
-    rotation.
-    """
-
-    def __init__(self, g0: sp.spmatrix, rotation: np.ndarray):
-        import scipy.sparse as sp
-
-        self.g0 = sp.csr_matrix(g0, dtype=complex)
-        rotation = np.asarray(rotation)
-        n, m = self.g0.shape
-        if n != m or rotation.shape != (n,) or not np.isrealobj(rotation):
-            raise ValueError(f"FrameGenerator needs a square g0 and a real rotation of length"
-                             f" g0.shape[0]; got g0 of shape {self.g0.shape} and rotation of"
-                             f" shape {rotation.shape}, dtype {rotation.dtype}")
-        self.rotation = rotation.astype(float)
-
-    def phase(self, t: float) -> np.ndarray:
-        """The diagonal of S(t)."""
-        return np.exp(1j * t * self.rotation)
-
-    def __call__(self, t: float) -> sp.csr_matrix:
-        import scipy.sparse as sp
-
-        s = sp.diags(self.phase(t))
-        return (s @ self.g0 @ s.conj()).tocsr()
-
-
-def _generator(params: ModelParams, kind: str, pref: complex) -> FrameGenerator:
-    # G(0) = pref (<kind>_a + <kind>_ad) + (g/2) dissipator.  Conjugation by
-    # e^{i w t a+a} multiplies entry (m, n), (m', n') by e^{i w t (m - n - m' + n')}:
-    # e^{-i w t} on the lowering terms, e^{i w t} on the raising ones, 1 on the
-    # dissipator, so G(t) = S(t) G(0) S(t)^+ holds exactly at any truncation.
+def _generator(params: ModelParams, kind: str, pref: complex) -> sp.csr_matrix:
+    # L = pref (<kind>_a + <kind>_ad) + (g/2) dissipator - i w comm_n.  Only
+    # comm_n has an imaginary diagonal (the coupling has no diagonal, the
+    # dissipator's is real), so Im diag(L) = -w (m - n) exactly.
     ops = superoperators(params.n_trunc)
-    g0 = pref * (ops[kind + "_a"] + ops[kind + "_ad"]) + 0.5 * params.gamma * ops["dissipator"]
-    levels = np.arange(params.n_trunc)
-    return FrameGenerator(g0, params.omega * (levels[:, None] - levels[None, :]).reshape(-1))
+    return (pref * (ops[kind + "_a"] + ops[kind + "_ad"]) + 0.5 * params.gamma * ops["dissipator"]
+            - 1j * params.omega * ops["comm_n"])
 
 
-def commutator_generator_factory(params: ModelParams, sign: int) -> FrameGenerator:
-    """Generator of the vectorized commutator-branch equation.
+def commutator_generator_factory(params: ModelParams, sign: int) -> sp.csr_matrix:
+    """Lab-frame generator of the vectorized commutator-branch equation.
 
-        G(t) = -/+ i c (comm_a e^{-i w t} + comm_ad e^{i w t}) + (g/2) dissipator
+        L = -i w [a+a, .] -/+ i c (comm_a + comm_ad) + (g/2) dissipator
 
-    sign=+1 selects the branch driven by -i c [X, .].
+    sign=+1 selects the branch driven by -i c [a + a+, .].
     """
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
     return _generator(params, "comm", -1j * sign * params.coupling)
 
 
-def anticommutator_generator_factory(params: ModelParams) -> FrameGenerator:
-    """Generator of the vectorized anticommutator-branch equation.
+def anticommutator_generator_factory(params: ModelParams) -> sp.csr_matrix:
+    """Lab-frame generator of the vectorized anticommutator-branch equation.
 
-        G(t) = -i c (acomm_a e^{-i w t} + acomm_ad e^{i w t}) + (g/2) dissipator
+        L = -i w [a+a, .] - i c (acomm_a + acomm_ad) + (g/2) dissipator
     """
     return _generator(params, "acomm", -1j * params.coupling)
 
 
-def stacked(generators: Iterable[FrameGenerator]) -> FrameGenerator:
-    """One generator for independent runs evolved as one vector.
-
-    G(0) is the block diagonal of the generators' G(0) and the rotation
-    is their rotations, concatenated in order.  The off-diagonal blocks
-    are zero, so block i of the stacked vector evolves under generator i
-    alone, and the frame identity holds block by block.
+def stacked(generators: Iterable[sp.spmatrix]) -> sp.csr_matrix:
+    """One generator for independent runs evolved as one vector: the block
+    diagonal of the generators, in order.  The off-diagonal blocks are
+    zero, so block i of the stacked vector evolves under generator i alone.
     """
     import scipy.sparse as sp
 
-    generators = list(generators)
-    return FrameGenerator(sp.block_diag([g.g0 for g in generators], format="csr"),
-                          np.concatenate([g.rotation for g in generators]))
+    return sp.block_diag(list(generators), format="csr")
 
 
 # theta_m of Al-Mohy & Higham (2011): the largest 1-norm of A for which m
@@ -254,30 +207,41 @@ def expm_multiply(plan: TaylorPlan, v: np.ndarray) -> np.ndarray:
     return f
 
 
-def evolve_vectorized(generator: FrameGenerator, v0: np.ndarray, grid: TimeGrid,
+def evolve_vectorized(generator: sp.spmatrix, v0: np.ndarray, grid: TimeGrid,
                       store_steps: Iterable[int] = None) -> dict[int, np.ndarray]:
-    """Midpoint-exponential product integration of dv/dt = G(t) v.
+    """Strang-split integration of dv/dt = L v for a constant square L.
 
-    Per step k: v <- exp(h G((k - 1/2) h)) v on the frame clock,
-    second-order accurate.  By the frame identity,
-    exp(h G(t)) = S(t) exp(h G(0)) S(t)^+, so one ``taylor_plan`` of
-    h G(0) serves every step.  The loop steps the lab-frame vector
-    w = S(-k h) v, for which the step is w <- S(-h/2) exp(h G(0)) S(-h/2) w,
-    the symmetric split of the lab-frame generator G(0) - i diag(rotation):
-    one ``expm_multiply`` call between two multiplies by one phase vector.
+    L splits into its free diagonal D = i Im diag(L) and A = L - D; per step
+    v <- exp(h D / 2) exp(h A) exp(h D / 2) v, second-order accurate: one
+    ``expm_multiply`` of the call's one ``taylor_plan`` of h A between two
+    multiplies by one phase vector.  For the factories' generators D is the
+    free rotation -i w diag(m - n) and A the coupling and damping.
 
-    Returns step -> w for the steps ``grid.check_steps(store_steps)`` keeps,
+    Returns step -> v for the steps ``grid.check_steps(store_steps)`` keeps,
     step 0 the initial vector itself, and takes no step after the last.  The
-    step bound is the oracle's, checked first by ``compare`` at the full truncation.
+    step bound is the oracle's, checked first by ``compare`` at the full
+    truncation.  ValueError if L is not a square matrix or has a non-finite
+    entry, or if v0 does not match it.
     """
-    n = generator.g0.shape[0]
-    if np.shape(v0) != (n,):
-        raise ValueError(f"v0 must have shape ({n},) for a generator of shape"
-                         f" {generator.g0.shape}; got shape {np.shape(v0)}")
+    import scipy.sparse as sp
+
+    shape = np.shape(generator)
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise ValueError(f"the generator must be a square matrix; got shape {shape}")
+    lab = sp.csr_matrix(generator, dtype=complex)
+    if not np.isfinite(lab.data).all():
+        raise ValueError(f"the generator of shape {shape} has non-finite entries")
+    if np.shape(v0) != (shape[0],):
+        raise ValueError(f"v0 must have shape ({shape[0]},) for a generator of shape"
+                         f" {shape}; got shape {np.shape(v0)}")
     keep = grid.check_steps(store_steps)
     h = grid.step
-    plan = taylor_plan(h * generator.g0)
-    half = generator.phase(-0.5 * h)
+    rotation = -lab.diagonal().imag  # D = -i diag(rotation)
+    step = h * lab  # h A: h L with its diagonal's imaginary part dropped, in place
+    on_diag = step.indices == np.repeat(np.arange(shape[0]), np.diff(step.indptr))
+    step.data[on_diag] = step.data[on_diag].real
+    plan = taylor_plan(step)
+    half = np.exp(1j * (-0.5 * h) * rotation)
     w = v0.astype(complex)
     kept = {}
     for k in range(max(keep) + 1):

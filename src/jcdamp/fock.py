@@ -67,14 +67,18 @@ def _is_integer(value) -> bool:
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform time grid with n_steps integrator steps; ``n_steps`` is an int
-    or a numpy integer (a bool or a float is a ValueError)."""
+    """Uniform time grid with n_steps integrator steps between finite
+    endpoints; ``n_steps`` is an int or a numpy integer (a bool or a float
+    is a ValueError)."""
 
     t_start: float
     t_end: float
     n_steps: int
 
     def __post_init__(self):
+        if not (math.isfinite(self.t_start) and math.isfinite(self.t_end)):
+            raise ValueError(f"t_start and t_end must be finite, got {self.t_start}"
+                             f" and {self.t_end}")
         if not self.t_end > self.t_start:
             raise ValueError("t_end must exceed t_start")
         if not _is_integer(self.n_steps):

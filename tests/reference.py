@@ -11,18 +11,24 @@ commutator kernel is the integrand of ``solution.kernel_double_integral``,
 and the exact-rational Wigner series certifies ``wigner.wigner_operator``.
 ``early_terminated_expm_multiply`` is the package's earlier Taylor loop,
 which stopped a sweep once two terms fell below unit roundoff; the tests
-hold the full-degree ``doubled.expm_multiply`` to it.  ``interior_indices``
-lists the doubled-space entries on which the truncated superoperator
-identities hold exactly.
+hold the full-degree ``doubled.expm_multiply`` to it.  ``rotating_generator``
+views a doubled-space lab-frame generator in its rotating frame, and
+``frame_midpoint_states`` is the doubled route's earlier rotating-frame
+loop, which the tests hold ``doubled.evolve_vectorized`` to bit for bit.
+``interior_indices`` lists the doubled-space entries on which the truncated
+superoperator identities hold exactly, and ``acomm_partners`` gives two of
+the operators they relate.
 """
 
 import math
 from fractions import Fraction
-from typing import Callable
+from types import SimpleNamespace
+from typing import Callable, Mapping
 
 import numpy as np
+import scipy.sparse as sp
 
-from jcdamp.doubled import TaylorPlan, superoperators
+from jcdamp.doubled import TaylorPlan, expm_multiply, superoperators, taylor_plan
 from jcdamp.fock import TAIL_LEVELS, ModelParams, annihilation
 from jcdamp.model import (
     _KINDS,
@@ -82,6 +88,59 @@ def early_terminated_expm_multiply(plan: TaylorPlan, v: np.ndarray) -> np.ndarra
         f = eta * f
         v = f
     return f
+
+
+def rotating_generator(lab) -> SimpleNamespace:
+    """A doubled-space lab-frame generator L seen in its rotating frame.
+
+    L = G0 - i diag(rotation) with rotation = -Im diag(L), and
+    G(t) = S(t) G0 S(t)^+ with S(t) = diag(exp(i t rotation)), so that
+    v' = L v holds for v = S(t)^+ u when u' = G(t) u.  Returns a namespace
+    with the sparse ``g0``, the real ``rotation``, ``phase(t)`` = the
+    diagonal of S(t) and ``at(t)`` = the sparse G(t).
+    """
+    lab = sp.csr_matrix(lab, dtype=complex)
+    rotation = -lab.diagonal().imag
+    g0 = (lab + sp.diags(1j * rotation)).tocsr()
+
+    def phase(t: float) -> np.ndarray:
+        return np.exp(1j * t * rotation)
+
+    def at(t: float) -> sp.csr_matrix:
+        s = sp.diags(phase(t))
+        return (s @ g0 @ s.conj()).tocsr()
+
+    return SimpleNamespace(g0=g0, rotation=rotation, phase=phase, at=at)
+
+
+def frame_midpoint_states(g0, rotation: np.ndarray, v0: np.ndarray, grid,
+                          store_steps=None) -> dict:
+    """The doubled route's earlier method on (G0, rotation), step -> vector.
+
+    One ``taylor_plan`` of h G0, and the lab-frame vector w = S(-k h) v of
+    the rotating-frame midpoint product v <- exp(h G((k - 1/2) h)) v stepped
+    as w <- S(-h/2) exp(h G0) S(-h/2) w, keeping ``grid.check_steps(store_steps)``.
+    """
+    keep = grid.check_steps(store_steps)
+    h = grid.step
+    plan = taylor_plan(h * sp.csr_matrix(g0, dtype=complex))
+    half = np.exp(1j * (-0.5 * h) * np.asarray(rotation, dtype=float))
+    w = v0.astype(complex)
+    kept = {}
+    for k in range(max(keep) + 1):
+        if k:
+            w = half * expm_multiply(plan, half * w)
+        if k in keep:
+            kept[k] = w
+    return kept
+
+
+def acomm_partners(table: Mapping) -> tuple:
+    """(2 left_a + comm_a, 2 right_ad - comm_ad) from a superoperator table
+    (``doubled.superoperators(n)`` or its dense copy): on the interior they
+    equal [dissipator, acomm_a] and [dissipator, acomm_ad]."""
+    return (2.0 * table["left_a"] + table["comm_a"],
+            2.0 * table["right_ad"] - table["comm_ad"])
 
 
 def dense_damping(gamma: float, a: np.ndarray, mat: np.ndarray) -> np.ndarray:

@@ -37,6 +37,7 @@ from jcdamp.wigner import (
     wigner_operator,
 )
 from reference import (
+    acomm_partners,
     damped_frame_drive,
     drive_commutator_kernel,
     interior_indices,
@@ -151,6 +152,7 @@ def test_criterion_5_commutator_algebra(dense_superoperators):
     n = 30
     p = ModelParams(omega=1.0, coupling=0.1, gamma=0.2, n_trunc=n)
     ds = dense_superoperators(n)
+    a_partner, ad_partner = acomm_partners(vars(ds))
     idx = interior_indices(n)
     eye = np.eye(n * n, dtype=complex)
 
@@ -163,13 +165,13 @@ def test_criterion_5_commutator_algebra(dense_superoperators):
     devs.append(interior_max(comm(ds.dissipator, ds.comm_a) + ds.comm_a))
     devs.append(interior_max(comm(ds.dissipator, ds.comm_ad) + ds.comm_ad))
     # the four anticommutator-partner relations
-    devs.append(interior_max(comm(ds.dissipator, ds.acomm_a) - ds.acomm_a_partner))
-    devs.append(interior_max(comm(ds.dissipator, ds.acomm_a_partner) - ds.acomm_a))
-    devs.append(interior_max(comm(ds.dissipator, ds.acomm_ad) - ds.acomm_ad_partner))
-    devs.append(interior_max(comm(ds.dissipator, ds.acomm_ad_partner) - ds.acomm_ad))
+    devs.append(interior_max(comm(ds.dissipator, ds.acomm_a) - a_partner))
+    devs.append(interior_max(comm(ds.dissipator, a_partner) - ds.acomm_a))
+    devs.append(interior_max(comm(ds.dissipator, ds.acomm_ad) - ad_partner))
+    devs.append(interior_max(comm(ds.dissipator, ad_partner) - ds.acomm_ad))
     # scalar cross commutators
-    devs.append(interior_max(comm(ds.acomm_a, ds.acomm_ad_partner) + 4.0 * eye))
-    devs.append(interior_max(comm(ds.acomm_ad, ds.acomm_a_partner) + 4.0 * eye))
+    devs.append(interior_max(comm(ds.acomm_a, ad_partner) + 4.0 * eye))
+    devs.append(interior_max(comm(ds.acomm_ad, a_partner) + 4.0 * eye))
     # damping-frame drive commutes with itself across times
     for t1, t2 in ((0.0, 0.9), (0.5, 2.1), (1.3, 3.0)):
         g1 = damped_frame_drive(t1, p, 1)
@@ -202,6 +204,7 @@ def test_criterion_6_factorization_theorem(dense_superoperators):
     n = 16
     p = ModelParams(omega=1.0, coupling=0.1, gamma=0.3, n_trunc=n)
     ds = dense_superoperators(n)
+    a_partner, ad_partner = acomm_partners(vars(ds))
 
     def a_of(t):
         return -1j * p.coupling * math.cosh(0.5 * p.gamma * t) * (
@@ -210,8 +213,8 @@ def test_criterion_6_factorization_theorem(dense_superoperators):
 
     def b_of(t):
         return 1j * p.coupling * math.sinh(0.5 * p.gamma * t) * (
-            ds.acomm_a_partner * np.exp(-1j * p.omega * t)
-            + ds.acomm_ad_partner * np.exp(1j * p.omega * t))
+            a_partner * np.exp(-1j * p.omega * t)
+            + ad_partner * np.exp(1j * p.omega * t))
 
     kernel = lambda s, sp_: drive_commutator_kernel(s, sp_, p)
     t_end = 1.2
@@ -222,7 +225,7 @@ def test_criterion_6_factorization_theorem(dense_superoperators):
     v = coherent_state(0.6, n).vec
     v0 = vectorize(np.outer(v, v.conj()))
     a_sp = [sp.csr_matrix(ds.acomm_a), sp.csr_matrix(ds.acomm_ad),
-            sp.csr_matrix(ds.acomm_a_partner), sp.csr_matrix(ds.acomm_ad_partner)]
+            sp.csr_matrix(a_partner), sp.csr_matrix(ad_partner)]
 
     def gen_sparse(t):
         ch = math.cosh(0.5 * p.gamma * t)

@@ -8,20 +8,27 @@ from scipy.sparse.linalg import expm_multiply as scipy_expm_multiply
 
 from jcdamp import doubled
 from jcdamp.doubled import (
-    FrameGenerator,
     anticommutator_generator_factory,
     commutator_generator_factory,
     devectorize,
     evolve_vectorized,
     stacked,
+    superoperators,
     taylor_plan,
     vectorize,
 )
 from jcdamp.factorize import time_ordered_propagator
-from jcdamp.fock import ModelParams, annihilation, coherent_state
+from jcdamp.fock import ModelParams, annihilation, coherent_state, number_operator
 from jcdamp.model import decoupled_rhs
 from jcdamp.oracle import TimeGrid, integrate_component
-from reference import damped_frame_drive, early_terminated_expm_multiply, interior_indices
+from reference import (
+    acomm_partners,
+    damped_frame_drive,
+    early_terminated_expm_multiply,
+    frame_midpoint_states,
+    interior_indices,
+    rotating_generator,
+)
 
 
 def dense_damping(gamma, a, m):
@@ -104,7 +111,7 @@ def test_commutator_generator_matches_equation_of_motion():
     a = annihilation(n)
     x = a.conj().T * np.exp(1j * p.omega * t) + a * np.exp(-1j * p.omega * t)
     for sign in (1, -1):
-        gen = commutator_generator_factory(p, sign)(t)
+        gen = rotating_generator(commutator_generator_factory(p, sign)).at(t)
         got = devectorize(gen @ vectorize(m))
         want = -1j * sign * p.coupling * (x @ m - m @ x) + dense_damping(p.gamma, a, m)
         assert np.max(np.abs(got - want)) < 1e-12
@@ -114,7 +121,7 @@ def test_anticommutator_generator_matches_equation_of_motion():
     n = 12
     p = ModelParams(omega=0.9, coupling=0.21, gamma=0.31, n_trunc=n)
     m = random_matrix(n, 9)
-    gen = anticommutator_generator_factory(p)(1.21)
+    gen = rotating_generator(anticommutator_generator_factory(p)).at(1.21)
     got = devectorize(gen @ vectorize(m))
     want = decoupled_rhs(["cross"], p)(1.21, m[None])[0]
     assert np.max(np.abs(got - want)) < 1e-12
@@ -129,10 +136,10 @@ def test_generators_match_dense_views(dense_superoperators):
     down, up = np.exp(-1j * p.omega * t), np.exp(1j * p.omega * t)
     for sign in (1, -1):
         dense = sign * pref * (ds.comm_a * down + ds.comm_ad * up) + 0.5 * p.gamma * ds.dissipator
-        sparse = commutator_generator_factory(p, sign)(t)
+        sparse = rotating_generator(commutator_generator_factory(p, sign)).at(t)
         assert np.max(np.abs(sparse.toarray() - dense)) < 1e-14
     dense = pref * (ds.acomm_a * down + ds.acomm_ad * up) + 0.5 * p.gamma * ds.dissipator
-    sparse = anticommutator_generator_factory(p)(t)
+    sparse = rotating_generator(anticommutator_generator_factory(p)).at(t)
     assert np.max(np.abs(sparse.toarray() - dense)) < 1e-14
 
 
@@ -159,14 +166,15 @@ def test_anticommutator_partner_relations_interior(dense_superoperators):
     ds = dense_superoperators(n)
     idx = interior_indices(n)
     d = ds.dissipator
+    a_partner, ad_partner = acomm_partners(vars(ds))
     # [D, acomm_a] = partner, [D, partner] = acomm_a; same for the adjoint pair
     c1 = d @ ds.acomm_a - ds.acomm_a @ d
-    assert np.max(np.abs(interior_block(c1 - ds.acomm_a_partner, idx))) < 1e-12
-    c2 = d @ ds.acomm_a_partner - ds.acomm_a_partner @ d
+    assert np.max(np.abs(interior_block(c1 - a_partner, idx))) < 1e-12
+    c2 = d @ a_partner - a_partner @ d
     assert np.max(np.abs(interior_block(c2 - ds.acomm_a, idx))) < 1e-12
     c3 = d @ ds.acomm_ad - ds.acomm_ad @ d
-    assert np.max(np.abs(interior_block(c3 - ds.acomm_ad_partner, idx))) < 1e-12
-    c4 = d @ ds.acomm_ad_partner - ds.acomm_ad_partner @ d
+    assert np.max(np.abs(interior_block(c3 - ad_partner, idx))) < 1e-12
+    c4 = d @ ad_partner - ad_partner @ d
     assert np.max(np.abs(interior_block(c4 - ds.acomm_ad, idx))) < 1e-12
 
 
@@ -176,9 +184,10 @@ def test_scalar_cross_commutators_interior(dense_superoperators):
     ds = dense_superoperators(n)
     idx = interior_indices(n)
     eye = np.eye(n * n, dtype=complex)
-    c1 = ds.acomm_a @ ds.acomm_ad_partner - ds.acomm_ad_partner @ ds.acomm_a
+    a_partner, ad_partner = acomm_partners(vars(ds))
+    c1 = ds.acomm_a @ ad_partner - ad_partner @ ds.acomm_a
     assert np.max(np.abs(interior_block(c1 + 4.0 * eye, idx))) < 1e-12
-    c2 = ds.acomm_ad @ ds.acomm_a_partner - ds.acomm_a_partner @ ds.acomm_ad
+    c2 = ds.acomm_ad @ a_partner - a_partner @ ds.acomm_ad
     assert np.max(np.abs(interior_block(c2 + 4.0 * eye, idx))) < 1e-12
 
 
@@ -195,7 +204,7 @@ def test_damped_frame_drive_commutes_at_different_times():
 
 def test_evolve_constant_diagonal_generator_exact():
     rates = np.array([-0.5, -0.1, 0.0, -2.0])
-    gen = FrameGenerator(sp.diags(rates), np.zeros(4))
+    gen = sp.diags(rates)
     v0 = np.array([1.0, 2.0, 3.0, 4.0], dtype=complex)
     grid = TimeGrid(0.0, 2.0, 50)
     got = evolve_vectorized(gen, v0, grid)[grid.n_steps]
@@ -203,7 +212,7 @@ def test_evolve_constant_diagonal_generator_exact():
 
 
 def test_evolve_zero_generator_is_identity():
-    gen = FrameGenerator(sp.csr_matrix((9, 9)), np.zeros(9))
+    gen = sp.csr_matrix((9, 9))
     v0 = np.arange(9.0).astype(complex)
     grid = TimeGrid(0.0, 1.0, 10)
     got = evolve_vectorized(gen, v0, grid)[grid.n_steps]
@@ -211,10 +220,10 @@ def test_evolve_zero_generator_is_identity():
 
 
 def test_evolve_returns_the_lab_frame_vector():
-    # with G(0) = 0 the rotating-frame vector stays v0, and the lab-frame
-    # vector S(-t) v0 = e^{-i t r} v0 is what a kept step returns
+    # with G(0) = 0, L = -i diag(r): the rotating-frame vector stays v0, and
+    # the lab-frame vector S(-t) v0 = e^{-i t r} v0 is what a kept step returns
     rotation = np.array([0.0, 1.3, -2.1, 0.4])
-    gen = FrameGenerator(sp.csr_matrix((4, 4)), rotation)
+    gen = -1j * sp.diags(rotation)
     v0 = np.array([1.0, 2.0 - 1.0j, 0.5j, -3.0], dtype=complex)
     grid = TimeGrid(0.7, 2.7, 40)
     kept = evolve_vectorized(gen, v0, grid, store_steps=[0, 13, 40])
@@ -255,14 +264,15 @@ def test_generator_frame_identity(dense_superoperators):
     for kind, gen in _generators(p).items():
         pieces = "comm" if kind != "cross" else "acomm"
         low, high = getattr(ds, pieces + "_a"), getattr(ds, pieces + "_ad")
-        g0 = gen(0.0).toarray()
+        frame = rotating_generator(gen)
+        g0 = frame.at(0.0).toarray()
         for t in (0.37, 1.9, -2.4, 11.0):
             dense = (prefs[kind] * (low * np.exp(-1j * p.omega * t) + high * np.exp(1j * p.omega * t))
                      + 0.5 * p.gamma * ds.dissipator)
             s = np.exp(1j * p.omega * t * diff)
             rotated = s[:, None] * g0 * s.conj()[None, :]
             assert np.max(np.abs(rotated - dense)) < 1e-14
-            assert np.max(np.abs(gen(t).toarray() - dense)) < 1e-14
+            assert np.max(np.abs(frame.at(t).toarray() - dense)) < 1e-14
 
 
 @pytest.mark.parametrize("t_start", [0.0, 0.7])
@@ -275,10 +285,12 @@ def test_evolve_matches_time_ordered_propagator(t_start):
             for coupling in (0.0, 0.1):
                 p = ModelParams(omega=omega, coupling=coupling, gamma=gamma, n_trunc=n)
                 for kind, gen in _generators(p).items():
-                    # evolve_vectorized runs on the frame clock, zero at t_start,
-                    # and returns the lab-frame vector S(-T) v at T = t_end - t_start
-                    want = gen.phase(-grid.n_steps * grid.step) * time_ordered_propagator(
-                        lambda t: gen(t - t_start), grid, vectorize(rho0))
+                    # the midpoint product in the rotating frame, zero at t_start,
+                    # is the split of L: the lab-frame vector S(-T) v at
+                    # T = t_end - t_start
+                    frame = rotating_generator(gen)
+                    want = frame.phase(-grid.n_steps * grid.step) * time_ordered_propagator(
+                        lambda t: frame.at(t - t_start), grid, vectorize(rho0))
                     got = evolve_vectorized(gen, vectorize(rho0), grid)[grid.n_steps]
                     rel = np.max(np.abs(got - want)) / np.max(np.abs(want))
                     assert rel < 1e-13, (kind, omega, gamma, coupling)
@@ -303,15 +315,16 @@ def test_scaled_taylor_plan_matches_scipy():
     n = 10
     p = ModelParams(omega=1.3, coupling=0.7, gamma=1.5, n_trunc=n)
     gen = anticommutator_generator_factory(p)
+    frame = rotating_generator(gen)
     h = 1.0
-    plan = taylor_plan(h * gen.g0)
+    plan = taylor_plan(h * frame.g0)
     assert plan.s > 1
     v0 = vectorize(random_matrix(n, 4))
-    want = scipy_expm_multiply(h * gen.g0, v0)
+    want = scipy_expm_multiply(h * frame.g0, v0)
     got = doubled.expm_multiply(plan, v0)
     assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
     # one midpoint step, returned in the lab frame: S(-h) exp(h G(h/2)) v0
-    want = gen.phase(-h) * scipy_expm_multiply(h * gen(0.5 * h), v0)
+    want = frame.phase(-h) * scipy_expm_multiply(h * frame.at(0.5 * h), v0)
     grid = TimeGrid(0.0, h, 1)
     got = evolve_vectorized(gen, v0, grid)[grid.n_steps]
     assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
@@ -335,7 +348,7 @@ def test_expm_multiply_runs_the_plans_full_degree(coupling, gamma, h):
     n = 8
     p = ModelParams(omega=1.3, coupling=coupling, gamma=gamma, n_trunc=n)
     for gen in _generators(p).values():
-        plan = taylor_plan(h * gen.g0)
+        plan = taylor_plan(h * rotating_generator(gen).g0)
         assert (plan.s > 1) == (h == 1.0)
         counted = _CountedProducts(plan.shifted)
         for v0 in (vectorize(random_matrix(n, 8)), vectorize(np.eye(n)),
@@ -356,7 +369,7 @@ def test_full_degree_matches_early_terminated_loop(coupling, gamma, h):
     p = ModelParams(omega=1.3, coupling=coupling, gamma=gamma, n_trunc=n)
     v0 = vectorize(random_matrix(n, 9))
     for kind, gen in _generators(p).items():
-        plan = taylor_plan(h * gen.g0)
+        plan = taylor_plan(h * rotating_generator(gen).g0)
         want = early_terminated_expm_multiply(plan, v0)
         got = doubled.expm_multiply(plan, v0)
         assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want)), kind
@@ -419,7 +432,7 @@ def test_stacked_run_matches_separate_runs(omega, gamma):
     gens = _generators(p)
     v0s = [vectorize(random_matrix(n, seed)) for seed in (21, 22, 23)]
     stack = stacked(gens.values())
-    assert stack.g0.shape == (3 * n * n, 3 * n * n)
+    assert stack.shape == (3 * n * n, 3 * n * n)
     got = evolve_vectorized(stack, np.concatenate(v0s), grid, store_steps=[13, 40])
     assert list(got) == [13, 40]
     for block, (gen, v0) in enumerate(zip(gens.values(), v0s)):
@@ -445,14 +458,82 @@ def test_stacked_blocks_do_not_couple():
         assert np.any(got[block * size:(block + 1) * size])
 
 
-@pytest.mark.parametrize("g0, rotation", [
-    (sp.diags([-1.0, -2.0, -3.0, -4.0]), np.array([0.5])),
-    (sp.diags([-1.0, -2.0, -3.0, -4.0]), np.zeros(5)),
-    (sp.diags([-1.0, -2.0, -3.0, -4.0]), np.zeros((4, 1))),
-    (sp.diags([-1.0, -2.0, -3.0, -4.0]), np.zeros(4, dtype=complex)),
-    (sp.csr_matrix((4, 5)), np.zeros(4)),
-])
-def test_frame_generator_rejects_mismatched_shapes(g0, rotation):
-    with pytest.raises(ValueError, match=rf"shape \({g0.shape[0]}, {g0.shape[1]}\).*"
-                                         rf"shape {re.escape(str(rotation.shape))}"):
-        FrameGenerator(g0, rotation)
+@pytest.mark.parametrize("generator", [
+    sp.csr_matrix((4, 5)),
+    np.zeros((5, 4), dtype=complex),
+    np.zeros(4, dtype=complex),
+    np.zeros((4, 4, 1), dtype=complex),
+    np.zeros((1, 4), dtype=complex),
+], ids=["sparse-4x5", "dense-5x4", "1-d", "3-d", "row"])
+def test_evolve_rejects_a_generator_that_is_not_square(generator):
+    shape = re.escape(str(np.shape(generator)))
+    with pytest.raises(ValueError, match=rf"square matrix; got shape {shape}"):
+        evolve_vectorized(generator, np.ones(4, dtype=complex), TimeGrid(0.0, 0.1, 2))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_evolve_rejects_a_generator_with_non_finite_entries(bad):
+    # a NaN would otherwise reach math.ceil in taylor_plan
+    gen = sp.diags([-1.0, -2.0, -3.0, -4.0]).astype(complex).tolil()
+    gen[1, 2] = bad
+    with pytest.raises(ValueError, match=r"shape \(4, 4\) has non-finite entries"):
+        evolve_vectorized(gen, np.ones(4, dtype=complex), TimeGrid(0.0, 0.1, 2))
+
+
+def _lab_lindblad(p, kind):
+    # -i w [a+a, .] + the branch drive + D, each side of rho as np.kron on the
+    # row-major vector: vec(A rho B) = kron(A, B^T) vec(rho)
+    a = annihilation(p.n_trunc)
+    eye = np.eye(p.n_trunc)
+    x = a + a.conj().T
+
+    def left(op):
+        return np.kron(op, eye)
+
+    def right(op):
+        return np.kron(eye, op.T)
+
+    num = number_operator(p.n_trunc)
+    drive = {"plus": -1j * p.coupling * (left(x) - right(x)),
+             "minus": 1j * p.coupling * (left(x) - right(x)),
+             "cross": -1j * p.coupling * (left(x) + right(x))}[kind]
+    ad = a.conj().T
+    damping = 0.5 * p.gamma * (2.0 * left(a) @ right(ad) - left(ad @ a) - right(ad @ a))
+    return -1j * p.omega * (left(num) - right(num)) + drive + damping
+
+
+def test_factories_return_the_lab_frame_lindblad_superoperator():
+    n = 8
+    p = ModelParams(omega=1.3, coupling=0.17, gamma=0.23, n_trunc=n)
+    levels = np.arange(n)
+    free = p.omega * (levels[:, None] - levels[None, :]).reshape(-1)
+    for kind, lab in _generators(p).items():
+        assert np.max(np.abs(lab.toarray() - _lab_lindblad(p, kind))) < 1e-14, kind
+        diagonal = lab.diagonal()
+        # the split relies on both: D = i Im diag(L) is the free rotation, and
+        # A = L - D, coupling and damping, has a real diagonal
+        assert np.array_equal(diagonal.imag, -free), kind
+        assert not np.any((diagonal + 1j * free).imag), kind
+
+
+@pytest.mark.parametrize("n", [16, 30, 40])
+def test_stacked_run_is_the_rotating_frame_method_bit_for_bit(n):
+    # the split of the stacked L runs the rotating-frame midpoint method on
+    # (G0, rotation) as built from the superoperator table, bit for bit
+    p = ModelParams(omega=1.0, coupling=0.1, gamma=0.2, n_trunc=n)
+    ops = superoperators(n)
+    drives = {"plus": -1j * p.coupling * (ops["comm_a"] + ops["comm_ad"]),
+              "minus": 1j * p.coupling * (ops["comm_a"] + ops["comm_ad"]),
+              "cross": -1j * p.coupling * (ops["acomm_a"] + ops["acomm_ad"])}
+    g0 = sp.block_diag([drive + 0.5 * p.gamma * ops["dissipator"] for drive in drives.values()],
+                       format="csr")
+    levels = np.arange(n)
+    rotation = np.tile(p.omega * (levels[:, None] - levels[None, :]).reshape(-1), 3)
+    rng = np.random.default_rng(n)
+    v0 = rng.normal(size=3 * n * n) + 1j * rng.normal(size=3 * n * n)
+    grid = TimeGrid(0.0, 1.2, 60)
+    got = evolve_vectorized(stacked(_generators(p).values()), v0, grid, store_steps=[0, 17, 60])
+    want = frame_midpoint_states(g0, rotation, v0, grid, store_steps=[0, 17, 60])
+    assert list(got) == list(want) == [0, 17, 60]
+    for k in want:
+        assert np.array_equal(got[k], want[k]), k

@@ -15,7 +15,7 @@ from jcdamp.factorize import (
 from jcdamp.fock import ModelParams, coherent_state
 from jcdamp.oracle import StepTooLarge, TimeGrid
 from jcdamp.quadrature import simpson_adaptive
-from reference import interior_indices
+from reference import acomm_partners, interior_indices
 
 
 def heisenberg_pair(c1=0.8, c2=-1.3):
@@ -129,6 +129,7 @@ def test_precondition_violation_detected():
 
 def _doubled_problem(ds, params):
     c, g, w = params.coupling, params.gamma, params.omega
+    a_partner, ad_partner = acomm_partners(vars(ds))
 
     def a_of(t):
         return -1j * c * math.cosh(0.5 * g * t) * (
@@ -136,8 +137,8 @@ def _doubled_problem(ds, params):
 
     def b_of(t):
         return 1j * c * math.sinh(0.5 * g * t) * (
-            ds.acomm_a_partner * np.exp(-1j * w * t)
-            + ds.acomm_ad_partner * np.exp(1j * w * t))
+            a_partner * np.exp(-1j * w * t)
+            + ad_partner * np.exp(1j * w * t))
 
     def kernel(s, sp):
         return (-8.0 * c * c * math.cosh(0.5 * g * s) * math.sinh(0.5 * g * sp)
@@ -187,9 +188,10 @@ def test_factorized_matches_closed_moment_form(dense_superoperators):
                                 restrict=interior_indices(n))
     fact = factorized_propagator(prob, t_end, check=False)
     ds = dense_superoperators(n)
+    a_partner, ad_partner = acomm_partners(vars(ds))
     mu1, mu2 = drive_integrals(t_end, p)
     big_f = kernel_double_integral(t_end, p)
-    int_b = np.conj(mu2) * ds.acomm_a_partner - mu2 * ds.acomm_ad_partner
+    int_b = np.conj(mu2) * a_partner - mu2 * ad_partner
     int_a = mu1 * ds.acomm_ad - np.conj(mu1) * ds.acomm_a
     closed = np.exp(big_f) * (scipy.linalg.expm(int_b) @ scipy.linalg.expm(int_a))
     v = coherent_state(0.6, n).vec

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,15 @@ def test_time_grid_validation():
     g = TimeGrid(0.0, 2.0, 8)
     assert g.step == pytest.approx(0.25)
     assert np.allclose(g.times(), np.linspace(0.0, 2.0, 9))
+
+
+@pytest.mark.parametrize("t_start, t_end", [(0.0, math.inf), (-math.inf, 1.0),
+                                             (-math.inf, math.inf), (0.0, math.nan)])
+def test_time_grid_rejects_non_finite_endpoints(t_start, t_end):
+    # an infinite t_end would make times() start with nan, and the doubled
+    # route's Taylor plan would reach math.ceil(nan)
+    with pytest.raises(ValueError, match="t_start and t_end must be finite"):
+        TimeGrid(t_start, t_end, 10)
 
 
 @pytest.mark.parametrize("bad", [2.5, 20.5, 20.0, True, np.float64(8.0), "8"])
