@@ -455,16 +455,16 @@ def build_comparison_report(cfg: RunConfig) -> dict:
 
     n_doubled = cfg.doubled_n_trunc
     interior = n_doubled - TAIL_LEVELS
-    doubled_params = dataclasses.replace(params, n_trunc=n_doubled)
-    factories = {kind: commutator_generator_factory(doubled_params, sign=sign)
-                 for kind, sign in _SIGNS.items()}
-    factories["cross"] = anticommutator_generator_factory(doubled_params)
-
     report = {"tolerances": {"analytic_pm": PM_TOLERANCE, "doubled": DOUBLED_TOLERANCE},
               "doubled_n_trunc": n_doubled, "interior_levels": interior,
               "sample_times": [t0 + k * h for k in sample_ks],
               "components": {}}
+    # the oracle runs first and holds the step, before any doubled generator is built
     trajs = integrate_component(comps, params, cfg.grid, store_steps=sample_ks)
+    doubled_params = dataclasses.replace(params, n_trunc=n_doubled)
+    factories = {kind: commutator_generator_factory(doubled_params, sign=sign)
+                 for kind, sign in _SIGNS.items()}
+    factories["cross"] = anticommutator_generator_factory(doubled_params)
     doubled = evolve_vectorized(
         stacked(factories[kind] for kind in comps),
         np.concatenate([vectorize(op0[:n_doubled, :n_doubled]) for op0 in comps.values()]),

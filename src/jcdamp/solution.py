@@ -208,6 +208,14 @@ def _loss_and_damping(seed: np.ndarray, t: float, params: ModelParams) -> np.nda
     return total * np.outer(e, e.conj())
 
 
+def _finite(state: np.ndarray, branch: str, t: float) -> np.ndarray:
+    """state, or ClosedFormOverflow naming ``branch`` and t where an entry is not
+    finite: the phase w t (N - 1) of E, say, leaves the float range at large w t."""
+    if not np.all(np.isfinite(state)):
+        raise ClosedFormOverflow(f"{branch} closed form overflows at t={t:.6g}")
+    return state
+
+
 def evolve_plus_minus(rho0: np.ndarray, t: float, params: ModelParams,
                       sign: int) -> np.ndarray:
     """Exact lab-frame state of a commutator branch at time t.
@@ -216,12 +224,15 @@ def evolve_plus_minus(rho0: np.ndarray, t: float, params: ModelParams,
     with e^{-(i w + g/2) t a+a} (left) and its adjoint (right), then displace by
     mu = e^{-(i w + g/2) t} ``displacement_amplitude`` (the channel's covariance).
     Hermitian input gives Hermitian output; the trace holds up to truncation tails.
+    A state that leaves the float range raises ``ClosedFormOverflow``.
     """
     n = params.n_trunc
     if rho0.shape != (n, n):
         raise ValueError(f"initial operator has shape {rho0.shape}, expected {(n, n)}")
     d = displacement(coherent_center(t, params, sign, 0.0), n)  # mu, the vacuum's center
-    return d @ _loss_and_damping(rho0, t, params) @ d.conj().T
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+        state = d @ _loss_and_damping(rho0, t, params) @ d.conj().T
+    return _finite(state, "plus" if sign > 0 else "minus", t)
 
 
 def evolve_cross(rho0: np.ndarray, t: float, params: ModelParams) -> np.ndarray:
@@ -252,4 +263,6 @@ def evolve_cross(rho0: np.ndarray, t: float, params: ModelParams) -> np.ndarray:
         seed = left @ d @ rho0 @ d @ right
     if not np.all(np.isfinite(seed)):
         raise ClosedFormOverflow(f"cross closed form overflows at t={t:.6g}: |m2| = {abs(mu2):.3e}")
-    return prefactor * _loss_and_damping(seed, t, params)
+    with np.errstate(over="ignore", invalid="ignore"):
+        state = prefactor * _loss_and_damping(seed, t, params)
+    return _finite(state, "cross", t)

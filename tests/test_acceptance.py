@@ -152,7 +152,7 @@ def test_criterion_5_commutator_algebra(dense_superoperators):
     n = 30
     p = ModelParams(omega=1.0, coupling=0.1, gamma=0.2, n_trunc=n)
     ds = dense_superoperators(n)
-    a_partner, ad_partner = acomm_partners(vars(ds))
+    a_partner, ad_partner = acomm_partners(ds)
     idx = interior_indices(n)
     eye = np.eye(n * n, dtype=complex)
 
@@ -204,7 +204,7 @@ def test_criterion_6_factorization_theorem(dense_superoperators):
     n = 16
     p = ModelParams(omega=1.0, coupling=0.1, gamma=0.3, n_trunc=n)
     ds = dense_superoperators(n)
-    a_partner, ad_partner = acomm_partners(vars(ds))
+    a_partner, ad_partner = acomm_partners(ds)
 
     def a_of(t):
         return -1j * p.coupling * math.cosh(0.5 * p.gamma * t) * (

@@ -192,6 +192,43 @@ def test_compare_step_bound_is_the_oracles(tmp_path, capsys, monkeypatch):
     assert calls == []
 
 
+def test_simulate_exits_3_on_the_step_heuristic(tmp_path, capsys):
+    # one step of h = 0.5 over N = 12 levels: h * max(1, c, g N) = 1.2 breaks
+    # the heuristic h * max(1, c, g N) <= 0.1 before the stability bound is read
+    doc = dict(BASE_DOC, params=dict(BASE_DOC["params"], n_trunc=12),
+               grid={"t_start": 0.0, "t_end": 0.5, "n_steps": 1})
+    path = write_config(tmp_path, doc)
+    cfg = load_config(path)
+    with pytest.raises(oracle.StepTooLarge, match="violates") as expected:
+        oracle.require_step(cfg.params, cfg.grid.step)
+    assert main(["simulate", "--config", path, "--out", str(tmp_path / "out"), "--quiet"]) == 3
+    assert f"StepTooLarge: {expected.value}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb, failure", [
+    ("simulate", "StepTooLarge: step 1.000e-02 violates"),
+    ("solve", "ClosedFormOverflow: plus closed form overflows at t=0.17\n"),
+    ("wigner", "StepTooLarge: step 1.000e-02 violates"),
+    ("compare", "StepTooLarge: step 1.000e-02 violates"),
+], ids=["simulate", "solve", "wigner", "compare"])
+def test_omega_near_the_float_range_exits_3_without_a_warning(tmp_path, capsys, verb, failure):
+    # at w = 1e308 every step breaks h w <= 0.1, and the closed forms' phase
+    # w t (N - 1) leaves the float range at t = 0.17 (N = 12, h = 0.01): solve
+    # had exited 0 with NaN rows, and compare had warned from the doubled
+    # generators it built before the oracle held the step
+    doc = dict(BASE_DOC, outputs=["trajectory", "compare"],
+               wigner=dict(WIGNER, n_re=3, n_im=3, times=[0.0, 0.5]))
+    doc["params"] = dict(BASE_DOC["params"], omega=1e308, n_trunc=12)
+    doc["initial"] = {"coherent_alpha0": [0.5, 0.0], "atom": "up"}
+    doc["grid"] = {"t_start": 0.0, "t_end": 0.5, "n_steps": 50}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy or scipy RuntimeWarning fails the test
+        code = main([verb, "--config", write_config(tmp_path, doc), "--out",
+                     str(tmp_path / "out"), "--quiet"])
+    assert code == 3
+    assert failure in capsys.readouterr().err
+
+
 def test_empty_outputs_produce_nothing(tmp_path):
     doc = dict(BASE_DOC, outputs=[])
     path = write_config(tmp_path, doc)
@@ -253,16 +290,25 @@ def test_simulate_photon_decay_column(tmp_path):
     assert np.max(np.abs(n_col - fit)) < 1e-6
 
 
-def test_simulate_deterministic_bytes(tmp_path):
-    doc = dict(BASE_DOC)
-    doc["outputs"] = ["trajectory", "components"]
-    doc["snapshot_times"] = [1.0]
+@pytest.mark.parametrize("verb, written", [
+    ("simulate", ["observables.csv", "component_plus.csv", "component_minus.csv",
+                  "component_cross.csv", "snapshot_000.json"]),
+    ("solve", ["solve.csv"]),
+    ("wigner", ["wigner_cross_herm_00.csv", "wigner_cross_anti_01.csv"]),
+    ("compare", ["compare_report.json"]),
+], ids=["simulate", "solve", "wigner", "compare"])
+def test_deterministic_bytes(tmp_path, verb, written):
+    # a rerun writes the same files, byte for byte
+    doc = dict(BASE_DOC, outputs=["trajectory", "components"], snapshot_times=[1.0],
+               wigner=dict(WIGNER, n_re=3, n_im=3, times=[0.0, 1.0]))
     path = write_config(tmp_path, doc)
     out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert main(["simulate", "--config", path, "--out", str(out1), "--quiet"]) == 0
-    assert main(["simulate", "--config", path, "--out", str(out2), "--quiet"]) == 0
-    for name in ("observables.csv", "component_plus.csv", "component_minus.csv",
-                 "component_cross.csv", "snapshot_000.json"):
+    for out in (out1, out2):
+        assert main([verb, "--config", path, "--out", str(out), "--quiet"]) == 0
+    names = sorted(f.name for f in out1.iterdir())
+    assert set(written) <= set(names)
+    assert names == sorted(f.name for f in out2.iterdir())
+    for name in names:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
@@ -776,6 +822,22 @@ def test_wigner_reads_a_near_grid_time_as_that_grid_time(tmp_path):
     assert "wigner_cross_herm_00.csv" in exact and len(exact) == 10
     for files in written.values():
         assert files == exact
+
+
+def test_a_later_last_wigner_time_leaves_the_first_grids_unchanged(tmp_path):
+    # the cross run stops at the last Wigner time, and one grid pass covers every
+    # time: running on to a second time may not change a byte of the first's grids
+    doc = _shifted_doc(0.0, outputs=["wigner"])
+    written = []
+    for times in ([0.5], [0.5, 1.0]):
+        doc["wigner"] = dict(WIGNER, n_re=3, n_im=3, times=times)
+        out = tmp_path / f"wig{len(written)}"
+        assert main(["wigner", "--config", write_config(tmp_path, doc), "--out", str(out),
+                     "--quiet"]) == 0
+        written.append({f.name: f.read_bytes() for f in out.iterdir()})
+    early, late = written
+    assert len(early) == 10 and len(late) == 20
+    assert early == {name: data for name, data in late.items() if "_00." in name}
 
 
 def _count_component_rhs_calls(monkeypatch) -> list:

@@ -166,7 +166,7 @@ def test_anticommutator_partner_relations_interior(dense_superoperators):
     ds = dense_superoperators(n)
     idx = interior_indices(n)
     d = ds.dissipator
-    a_partner, ad_partner = acomm_partners(vars(ds))
+    a_partner, ad_partner = acomm_partners(ds)
     # [D, acomm_a] = partner, [D, partner] = acomm_a; same for the adjoint pair
     c1 = d @ ds.acomm_a - ds.acomm_a @ d
     assert np.max(np.abs(interior_block(c1 - a_partner, idx))) < 1e-12
@@ -184,7 +184,7 @@ def test_scalar_cross_commutators_interior(dense_superoperators):
     ds = dense_superoperators(n)
     idx = interior_indices(n)
     eye = np.eye(n * n, dtype=complex)
-    a_partner, ad_partner = acomm_partners(vars(ds))
+    a_partner, ad_partner = acomm_partners(ds)
     c1 = ds.acomm_a @ ad_partner - ad_partner @ ds.acomm_a
     assert np.max(np.abs(interior_block(c1 + 4.0 * eye, idx))) < 1e-12
     c2 = ds.acomm_ad @ a_partner - a_partner @ ds.acomm_ad

@@ -129,7 +129,7 @@ def test_precondition_violation_detected():
 
 def _doubled_problem(ds, params):
     c, g, w = params.coupling, params.gamma, params.omega
-    a_partner, ad_partner = acomm_partners(vars(ds))
+    a_partner, ad_partner = acomm_partners(ds)
 
     def a_of(t):
         return -1j * c * math.cosh(0.5 * g * t) * (
@@ -188,7 +188,7 @@ def test_factorized_matches_closed_moment_form(dense_superoperators):
                                 restrict=interior_indices(n))
     fact = factorized_propagator(prob, t_end, check=False)
     ds = dense_superoperators(n)
-    a_partner, ad_partner = acomm_partners(vars(ds))
+    a_partner, ad_partner = acomm_partners(ds)
     mu1, mu2 = drive_integrals(t_end, p)
     big_f = kernel_double_integral(t_end, p)
     int_b = np.conj(mu2) * a_partner - mu2 * ad_partner

@@ -277,7 +277,7 @@ def test_kernel_matches_doubled_space_commutator(dense_superoperators):
     n = 16
     p = ModelParams(omega=1.0, coupling=0.12, gamma=0.3, n_trunc=n)
     ds = dense_superoperators(n)
-    a_partner, ad_partner = acomm_partners(vars(ds))
+    a_partner, ad_partner = acomm_partners(ds)
 
     def a_of(s):
         return -1j * p.coupling * math.cosh(0.5 * p.gamma * s) * (
@@ -447,3 +447,23 @@ def test_cross_deviation_vs_oracle_is_reported_scale():
     lab = traj.states[grid.step_index(3.0)]
     rescaled = evolve_cross(rho0, 3.0, p) / factor
     assert np.max(np.abs(rescaled - lab)) < 1e-9
+
+
+@pytest.mark.parametrize("branch", ["plus", "minus", "cross"])
+def test_closed_form_state_past_the_float_range_is_reported(branch):
+    # at w = 1e308 and N = 12 the phase w t (N - 1) of e^{-(i w + g/2) t a+a}
+    # leaves the float range between t = 0.1 and t = 0.2; the state had come
+    # back with NaN entries and a RuntimeWarning
+    p = ModelParams(omega=1e308, coupling=0.1, gamma=0.2, n_trunc=12)
+    rho0 = coherent_projector(0.5, 12)
+
+    def evolve(t):
+        if branch == "cross":
+            return evolve_cross(rho0, t, p)
+        return evolve_plus_minus(rho0, t, p, 1 if branch == "plus" else -1)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.all(np.isfinite(evolve(0.1)))
+        with pytest.raises(ClosedFormOverflow, match=f"^{branch} closed form overflows at t=0.2$"):
+            evolve(0.2)
