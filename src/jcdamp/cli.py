@@ -30,9 +30,10 @@ side, as the component stack makes), under the joint tail guard; each
 component's ``tail`` column, at most twice the joint tail, reports its own.
 
 Exit codes: 0 success, 2 config parse failure (a coherent amplitude with no
-weight below n_trunc too, found before ``--out`` is created), 3 numerical
-failure (a closed-form state over the oracle's tail limit or the float range
-too), 4 tight comparison failure.  Outputs are byte-deterministic for a
+weight below n_trunc too), 3 numerical failure (a closed-form state over the
+oracle's tail limit or the float range too), 4 tight comparison failure.  A
+verb creates ``--out`` only after its last check that can fail, so an exit 2
+or 3 leaves no ``--out`` behind.  Outputs are byte-deterministic for a
 given config (17-significant-digit formatting, sorted JSON keys).
 """
 
@@ -319,10 +320,10 @@ def _closed_form(kind: str, op0: np.ndarray, dt: float, params: ModelParams) -> 
 def cmd_simulate(cfg: RunConfig, out_dir: str, quiet: bool = False) -> int:
     n = cfg.params.n_trunc
     rho0 = cfg.initial_joint()
-    os.makedirs(out_dir, exist_ok=True)
     # one run, its kept states in the lab frame, writes every output
     traj = integrate_joint(rho0, cfg.params, cfg.grid,
                            store_steps=cfg.grid.stored_steps(cfg.store_every))
+    os.makedirs(out_dir, exist_ok=True)  # after the last check that can fail
 
     if "trajectory" in cfg.outputs:
         rows = []
@@ -361,7 +362,6 @@ def cmd_simulate(cfg: RunConfig, out_dir: str, quiet: bool = False) -> int:
 def cmd_solve(cfg: RunConfig, out_dir: str, quiet: bool = False) -> int:
     n = cfg.params.n_trunc
     comps = _components(cfg.initial_joint())
-    os.makedirs(out_dir, exist_ok=True)
     alpha0 = _phase_center(comps)
 
     # the times ``simulate`` stores
@@ -392,6 +392,7 @@ def cmd_solve(cfg: RunConfig, out_dir: str, quiet: bool = False) -> int:
                 abs(field_tail_weight(state)),
             ]
         rows.append(row)
+    os.makedirs(out_dir, exist_ok=True)  # after the last check that can fail
     _write_csv(os.path.join(out_dir, "solve.csv"), header, rows)
     if not quiet:
         print(f"wrote solve.csv ({len(rows)} rows)")
@@ -402,7 +403,6 @@ def cmd_wigner(cfg: RunConfig, out_dir: str, quiet: bool = False) -> int:
     _require(cfg.wigner is not None, "config.wigner section is required for wigner runs")
     w = cfg.wigner
     comps = _components(cfg.initial_joint())
-    os.makedirs(out_dir, exist_ok=True)
     alpha0 = _phase_center(comps)
     box = (w["re_min"], w["re_max"], w["n_re"], w["im_min"], w["im_max"], w["n_im"])
 
@@ -412,16 +412,20 @@ def cmd_wigner(cfg: RunConfig, out_dir: str, quiet: bool = False) -> int:
                                    store_steps=steps)["cross"]
 
     states = []  # per step: plus, minus, the cross state's Hermitian and anti-Hermitian parts
+    closed = {}  # file stem -> Gaussian grid, all made before the first write
     for i, k in enumerate(steps):
         dt = k * cfg.grid.step
         for tag, sign in _SIGNS.items():
             states.append(_closed_form(tag, comps[tag], dt, cfg.params))
             if cfg.coherent_alpha0 is not None:  # the Gaussian holds for coherent input only
-                closed = gaussian_grid(dt, cfg.params, sign, alpha0, *box)
-                closed.to_csv(os.path.join(out_dir, f"wigner_{tag}_closed_{i:02d}.csv"))
-                closed.to_json(os.path.join(out_dir, f"wigner_{tag}_closed_{i:02d}.json"))
+                closed[f"wigner_{tag}_closed_{i:02d}"] = gaussian_grid(dt, cfg.params, sign,
+                                                                       alpha0, *box)
         cross = traj.states[k] if k else comps["cross"]
         states += [0.5 * (cross + cross.conj().T), (cross - cross.conj().T) / 2j]
+    os.makedirs(out_dir, exist_ok=True)  # after the last check that can fail
+    for stem, grid in closed.items():
+        grid.to_csv(os.path.join(out_dir, stem + ".csv"))
+        grid.to_json(os.path.join(out_dir, stem + ".json"))
     names = [f"{tag}_grid" for tag in _SIGNS] + ["cross_herm", "cross_anti"]
     for s, grid in enumerate(wigner_grid(np.stack(states), *box)):
         path = os.path.join(out_dir, f"wigner_{names[s % 4]}_{s // 4:02d}")

@@ -18,7 +18,9 @@ split of L into its free diagonal D = i Im diag(L) and the rest A = L - D,
 with one truncated-Taylor plan for h A per call.  Each Taylor action sums
 the plan's full degree, with no early-termination test: the plan is
 chosen so that this degree meets unit roundoff for every vector, and the
-terms a test would skip lie below that already.  A call runs under the
+terms a test would skip lie below that already.  Each of its products
+goes straight to scipy's CSR kernel, into buffers made once per action,
+with the bits of ``csr_matrix @ vector`` (``expm_multiply``).  A call runs under the
 run contract the routes share (``fock.TimeGrid``): it keeps exactly the
 steps ``store_steps`` (``TimeGrid.check_steps``, by default the last) and
 stops at the last of them.  The route imports only ``fock``: no oracle or
@@ -34,8 +36,8 @@ them with ``interior_indices`` in ``tests/reference.py``.  Two,
 lambda before exp(s dissipator) into one by e^{-s} lambda after it (``solution``).
 
 Only ``compare`` uses this route, so each function that builds sparse
-matrices imports ``scipy.sparse`` itself: ``import jcdamp`` and the other
-verbs then never load scipy.  Annotations such as ``sp.spmatrix`` stay
+matrices, or calls the CSR kernel, imports from ``scipy.sparse`` itself:
+``import jcdamp`` and the other verbs then never load scipy.  Annotations such as ``sp.spmatrix`` stay
 strings (``from __future__ import annotations``).
 """
 
@@ -192,17 +194,38 @@ def expm_multiply(plan: TaylorPlan, v: np.ndarray) -> np.ndarray:
     m_star * s products in all.  There is no early-termination test:
     the plan's (m_star, s) already meet unit roundoff for every v, so the
     terms such a test skips change the sum by less than that, while the
-    test costs two norm passes per term.  Terms are scaled and summed in
-    place; the only new arrays are the copy of v and one product per term.
+    test costs two norm passes per term.
+
+    Each product goes straight to ``csr_matvec``, the kernel that scipy's
+    ``csr_matrix @ vector`` calls, without the operator's dispatch or a new
+    output array per product.  The kernel adds B x to its output row by
+    row, in the order of the row's stored entries, so with the output
+    zeroed first, as scipy's fresh ``np.zeros`` is, every product has the
+    bits of ``plan.shifted @ term``, and every doubled state those of the
+    operator loop (held by the tests, so a scipy release that changes the
+    private kernel fails one).  The call makes three arrays, the copy of v
+    and two term buffers the products alternate between; terms are scaled
+    and summed in place, in the order the operator loop used.  ValueError
+    if v does not match the plan, which the kernel would not check.
     """
+    from scipy.sparse._sparsetools import csr_matvec
+
+    b = plan.shifted
+    if np.shape(v) != (b.shape[1],):
+        raise ValueError(f"v must have shape ({b.shape[1]},) for a plan of shape {b.shape};"
+                         f" got shape {np.shape(v)}")
     f = np.array(v, dtype=complex)
+    buffers = (np.empty_like(f), np.empty_like(f))
     eta = np.exp(plan.mu / plan.s)
     for _ in range(plan.s):
         term = f
         for j in range(1, plan.m_star + 1):
-            term = plan.shifted @ term
-            term *= 1.0 / (plan.s * j)
-            f += term
+            product = buffers[j % 2]
+            product.fill(0.0)
+            csr_matvec(b.shape[0], b.shape[1], b.indptr, b.indices, b.data, term, product)
+            product *= 1.0 / (plan.s * j)
+            f += product
+            term = product
         f *= eta
     return f
 

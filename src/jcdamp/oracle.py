@@ -8,11 +8,13 @@ deterministic and reproducible as regression baselines.  One loop,
 ``_rk4``, integrates a stack of states: the joint run is a stack of one,
 and the decoupled components (plus, minus, cross) asked for together run
 as one (k, N, N) stack, each slice under its own front factor and
-commutator or anticommutator sign.  Each step works in place: each RK4
-stage, bound once per run, writes into an array the loop made once per
-run, the stages are summed into the first stage's array, the state takes
-one step's lab phases, the tail weights are read as one gather from a
-flat view of the state, and a kept state is copied.  Each right-hand side
+commutator or anticommutator sign.  Each step works in place: the state
+and the four RK4 stages are the rows of one buffer made once per run,
+each stage, bound once per run, writes its row, each stage input and the
+step sum is one weighted product of rows, the state takes one step's lab
+phases, the tail entries are read with one ``np.take`` into a block that
+is checked at every kept step and at least every ``TAIL_BLOCK`` steps,
+and a kept state is copied.  Each right-hand side
 is evaluated in effective-generator form (``model._coupled_rhs``: a run
 makes three generators, each with the coupling written as its two bands;
 the joint coupling acts as its N x N field block on the atom-swapped
@@ -65,6 +67,7 @@ STEP_SAFETY = 0.1
 STABILITY_LIMIT = 2.5
 PURITY_SLACK = 1e-9
 TAIL_LIMIT = 1e-6
+TAIL_BLOCK = 64  # most steps whose tail weights are read before a check
 
 
 class TailOverflow(RuntimeError):
@@ -150,8 +153,8 @@ def _rk4(rhs: CoupledRHS, y0: np.ndarray, params: ModelParams, grid: TimeGrid,
     """Integrate the stack ``y0``, one state per name on axis 0, and return
     name -> Trajectory.  With ``joint`` the stack holds one joint state (tail
     ``joint_tail_weight``, purity checked), else field operators (tail
-    |``fock.tail_weight``|, both read each step as one gather of the top
-    diagonal entries, ``_tail_entries``).
+    |``fock.tail_weight``|, both read as the top diagonal entries,
+    ``_tail_entries``).
 
     The state is the lab-frame one, stepped in place as z <- P(h) Phi_0(z):
     Phi_0 is the rotating-frame RK4 step at frame time 0 and P(h) the lab
@@ -159,53 +162,68 @@ def _rk4(rhs: CoupledRHS, y0: np.ndarray, params: ModelParams, grid: TimeGrid,
     step at every frame time tau, taken to the lab frame, because
     Phi_tau(y) = Phi_0(y P(tau)) conj(P(tau)) entrywise (``model``'s frame
     identity).  So the run makes three generators, at frame times 0, h/2 and
-    h, binds its stages once to arrays made once per run (stages 2 and 3 are
-    one bound stage; one work array serves all), and keeps plain copies of
-    the state."""
+    h, and binds its four stages once.
+
+    The step's vectors are the rows (k1, y, k2, k3, k4) of one buffer, and
+    each stage input y + c k_i and the step sum y + (h/6)(k1 + 2 k2 + 2 k3 +
+    k4) is one product of a weight vector with the rows' real parts (a BLAS
+    gemv; its arithmetic does not depend on an entry's place or on the BLAS
+    thread count, so a Hermitian sum stays exactly Hermitian, as the tests
+    hold), written into the stage input array; the lab phases then take the
+    step sum back into y.  The tail
+    entries are read with one ``np.take`` per step into a block of at most
+    ``TAIL_BLOCK`` steps, checked at every kept step and whenever the block
+    is full, so an overflow is raised at its first step, before any later
+    kept state is checked.  The run holds seven arrays the size of the
+    stack (the five rows, the stage input and the stages' work array) and
+    plain copies of the kept states."""
     keep = grid.check_steps(store_steps)
     h = grid.step
-    y = np.array(y0, dtype=complex)  # a copy, stepped in place
-    # k1 gathers the stage sum; k2, k3 and k4 are written in turn into kn,
-    # each added to k1 before the next stage overwrites it
-    k1, kn, stage, work = (np.empty_like(y) for _ in range(4))
+    rows = np.zeros((5,) + np.shape(y0), dtype=complex)
+    rows[1] = y0
+    k1, y, k2, k3, k4 = rows
+    # zeroed: a gemv may scale its output by beta = 0 rather than set it, and
+    # 0 * NaN from uninitialized memory is NaN
+    stage, work = np.zeros_like(y), np.empty_like(y)
     g_start, g_mid, g_end = (rhs.generator(t) for t in (0.0, 0.5 * h, h))
-    first = rhs.bind(g_start, y, k1, work)
-    middle = rhs.bind(g_mid, stage, kn, work)  # stages 2 and 3
-    last = rhs.bind(g_end, stage, kn, work)
+    stages = (rhs.bind(g_start, y, k1, work), rhs.bind(g_mid, stage, k2, work),
+              rhs.bind(g_mid, stage, k3, work), rhs.bind(g_end, stage, k4, work))
+    # after stage i, the input of stage i + 1 (y + (h/2) k1, y + (h/2) k2,
+    # y + h k3) or, after the last, the step sum, over rows of ``parts``
+    parts = rows.reshape(5, -1).view(np.float64)
+    sums = [(np.array([0.5 * h, 1.0]), parts[:2]), (np.array([1.0, 0.5 * h]), parts[1:3]),
+            (np.array([1.0, h]), parts[1::2]),
+            (np.array([h / 6.0, 1.0, h / 3.0, h / 3.0, h / 6.0]), parts)]
+    into = stage.reshape(-1).view(np.float64)
     phases = _lab_phases(h, params, 2 if joint else 1)
     tail_at = _tail_entries(y, joint)
     entries = y.reshape(-1).view(np.float64)  # y's parts, real at even places; a view
+    block = np.empty((TAIL_BLOCK,) + tail_at.shape)
+    read = 0  # steps in ``block`` not yet checked
     kept = {}
     tail_max = np.full(len(names), -np.inf)
     for k in range(max(keep) + 1):
         if k:
-            # y += (h/6) (k1 + 2 k2 + 2 k3 + k4), summed left to right
-            first()
-            np.multiply(k1, 0.5 * h, out=stage)
-            stage += y
-            middle()
-            np.multiply(kn, 0.5 * h, out=stage)
-            stage += y
-            kn *= 2.0
-            k1 += kn
-            middle()
-            np.multiply(kn, h, out=stage)
-            stage += y
-            kn *= 2.0
-            k1 += kn
-            last()
-            k1 += kn
-            k1 *= h / 6.0
-            y += k1
-            np.multiply(y, phases, out=y)
-        t = grid.t_start + k * h
-        w = entries[tail_at].sum(axis=1)
-        w = w[:1] + w[1:] if joint else np.abs(w)
-        if (w > TAIL_LIMIT).any():
-            i = np.flatnonzero(w > TAIL_LIMIT)[0]
-            raise TailOverflow(f"{names[i]} tail weight {w[i]:.3e} > {TAIL_LIMIT} at t={t:.6g}")
-        np.maximum(tail_max, w, out=tail_max)
-        if not k or k in keep:
+            for stage_i, (weights, terms) in zip(stages, sums):
+                stage_i()
+                np.matmul(weights, terms, out=into)
+            np.multiply(stage, phases, out=y)
+        np.take(entries, tail_at, out=block[read], mode="clip")
+        read += 1
+        stored = not k or k in keep
+        if stored or read == TAIL_BLOCK:
+            w = block[:read].sum(axis=2)
+            w = w[:, :1] + w[:, 1:] if joint else np.abs(w)
+            over = w > TAIL_LIMIT
+            if over.any():
+                step, i = np.argwhere(over)[0]
+                t = grid.t_start + (k - read + 1 + int(step)) * h
+                raise TailOverflow(f"{names[i]} tail weight {w[step, i]:.3e} > {TAIL_LIMIT}"
+                                   f" at t={t:.6g}")
+            np.maximum(tail_max, w.max(axis=0), out=tail_max)
+            read = 0
+        if stored:
+            t = grid.t_start + k * h
             for name, state in zip(names, y):
                 _check_stored(state, t, name, joint)
         if k in keep:

@@ -5,19 +5,23 @@ The right-hand sides here are dense matrix products, written apart from
 right-hand sides against them.  ``dense_coupled_rhs`` is the package's
 earlier right-hand side, which rebuilt the whole coupling matrix at each
 new time; the tests hold the band-written one to its bits.  ``rk4_states``
-is the oracle's earlier rotating-frame RK4 loop, and ``lab_rk4_states`` the
-lab-frame step the oracle takes now, with every stage made anew.  The envelope
+is the oracle's earlier rotating-frame RK4 loop, ``lab_rk4_states`` its
+earlier lab-frame step, summed left to right, and
+``weighted_lab_rk4_states`` the lab-frame step the oracle takes now, its
+sums weighted row products, each with every stage made anew.  The envelope
 commutator kernel is the integrand of ``solution.kernel_double_integral``,
 and the exact-rational Wigner series certifies ``wigner.wigner_operator``.
 ``early_terminated_expm_multiply`` is the package's earlier Taylor loop,
 which stopped a sweep once two terms fell below unit roundoff; the tests
-hold the full-degree ``doubled.expm_multiply`` to it.  ``rotating_generator``
-views a doubled-space lab-frame generator in its rotating frame, and
-``frame_midpoint_states`` is the doubled route's earlier rotating-frame
-loop, which the tests hold ``doubled.evolve_vectorized`` to bit for bit.
-``interior_indices`` lists the doubled-space entries on which the truncated
-superoperator identities hold exactly, and ``acomm_partners`` gives two of
-the operators they relate.
+hold the full-degree ``doubled.expm_multiply`` to it, and to
+``operator_expm_multiply``, the same loop on scipy's ``@``, bit for bit.
+``rotating_generator`` views a doubled-space lab-frame generator in its
+rotating frame, and ``frame_midpoint_states`` is the doubled route's
+earlier rotating-frame loop, which the tests hold
+``doubled.evolve_vectorized`` to bit for bit.  ``interior_indices`` lists
+the doubled-space entries on which the truncated superoperator identities
+hold exactly, and ``acomm_partners`` gives two of the operators they
+relate.
 """
 
 import math
@@ -87,6 +91,22 @@ def early_terminated_expm_multiply(plan: TaylorPlan, v: np.ndarray) -> np.ndarra
             c1 = c2
         f = eta * f
         v = f
+    return f
+
+
+def operator_expm_multiply(plan: TaylorPlan, v: np.ndarray) -> np.ndarray:
+    """The package's earlier full-degree Taylor loop, each product scipy's
+    ``plan.shifted @ term``, scaled and summed in place as
+    ``doubled.expm_multiply`` scales and sums its kernel products."""
+    f = np.array(v, dtype=complex)
+    eta = np.exp(plan.mu / plan.s)
+    for _ in range(plan.s):
+        term = f
+        for j in range(1, plan.m_star + 1):
+            term = plan.shifted @ term
+            term *= 1.0 / (plan.s * j)
+            f += term
+        f *= eta
     return f
 
 
@@ -297,8 +317,8 @@ def lab_rk4_states(rhs: RHS, y0: np.ndarray, h: float, n_steps: int,
     """Every state of the lab-frame RK4 step z <- P(h) Phi_0(z) from y0, with
     ``phases`` = P(h) = ``model._lab_phases(h)``: each stage a new array at
     frame times 0, h/2, h/2 and h, the step written as one expression, then
-    its product with the phases.  The loop the oracle's bound, in-place stages
-    keep bit for bit."""
+    its product with the phases.  The oracle's earlier arithmetic, which its
+    weighted row sums (``weighted_lab_rk4_states``) keep to rounding."""
     y, states = np.array(y0, dtype=complex), []
     for k in range(n_steps + 1):
         if k:
@@ -307,6 +327,34 @@ def lab_rk4_states(rhs: RHS, y0: np.ndarray, h: float, n_steps: int,
             k3 = rhs(0.5 * h, y + (0.5 * h) * k2)
             k4 = rhs(h, y + h * k3)
             y = np.multiply(y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), phases)
+        states.append(y)
+    return states
+
+
+def _weighted_sum(weights, terms) -> np.ndarray:
+    """sum_i weights[i] terms[i] for real weights and complex arrays of one
+    shape: a new array, from one product of the weights with the terms'
+    real parts, stacked as rows."""
+    rows = np.stack(terms)
+    parts = rows.reshape(len(terms), -1).view(np.float64)
+    return np.matmul(np.asarray(weights, dtype=float), parts).view(complex).reshape(rows.shape[1:])
+
+
+def weighted_lab_rk4_states(rhs: RHS, y0: np.ndarray, h: float, n_steps: int,
+                            phases: np.ndarray) -> list:
+    """``lab_rk4_states`` with the oracle's arithmetic: each stage input and
+    the step sum y + (h/6) k1 + (h/3) k2 + (h/3) k3 + (h/6) k4 is one weighted
+    sum of the step's vectors (``_weighted_sum``), each stage and each sum a
+    new array.  The loop the oracle's in-place rows keep bit for bit."""
+    y, states = np.array(y0, dtype=complex), []
+    for k in range(n_steps + 1):
+        if k:
+            k1 = rhs(0.0, y)
+            k2 = rhs(0.5 * h, _weighted_sum((0.5 * h, 1.0), (k1, y)))
+            k3 = rhs(0.5 * h, _weighted_sum((1.0, 0.5 * h), (y, k2)))
+            k4 = rhs(h, _weighted_sum((1.0, h), (y, k3)))
+            y = np.multiply(_weighted_sum((h / 6.0, 1.0, h / 3.0, h / 3.0, h / 6.0),
+                                          (k1, y, k2, k3, k4)), phases)
         states.append(y)
     return states
 

@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -227,6 +230,41 @@ def test_omega_near_the_float_range_exits_3_without_a_warning(tmp_path, capsys, 
                      str(tmp_path / "out"), "--quiet"])
     assert code == 3
     assert failure in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+# N = 12 over 50 steps to t = 0.5, a coherent 0.5 with the atom up
+_SMALL_DOC = dict(BASE_DOC, params=dict(BASE_DOC["params"], n_trunc=12),
+                  initial={"coherent_alpha0": [0.5, 0.0], "atom": "up"},
+                  grid={"t_start": 0.0, "t_end": 0.5, "n_steps": 50},
+                  wigner=dict(WIGNER, n_re=3, n_im=3, times=[0.0, 0.5]))
+
+
+@pytest.mark.parametrize("verb, change, failure", [
+    # one step of h = 0.5 breaks the step heuristic
+    ("simulate", {"grid": {"t_start": 0.0, "t_end": 0.5, "n_steps": 1}},
+     "StepTooLarge: step 5.000e-01 violates"),
+    ("wigner", {"grid": {"t_start": 0.0, "t_end": 0.5, "n_steps": 1}},
+     "StepTooLarge: step 5.000e-01 violates"),
+    # the closed forms' phase w t (N - 1) leaves the float range at t = 0.17
+    ("solve", {"params": dict(_SMALL_DOC["params"], omega=1e308)},
+     "ClosedFormOverflow: plus closed form overflows at t=0.17\n"),
+    # the cross run passes; the plus closed form crosses the tail limit at the
+    # second Wigner time, after the first time's Gaussian grids are made
+    ("wigner", {"params": dict(_SMALL_DOC["params"], coupling=0.6),
+                "initial": {"coherent_alpha0": [0.3, 0.0], "atom": "up"},
+                "grid": {"t_start": 0.0, "t_end": 1.3, "n_steps": 100},
+                "wigner": dict(_SMALL_DOC["wigner"], times=[0.0, 1.3])},
+     "TailOverflow: plus closed-form tail weight 1.336e-06 > 1e-06 at dt=1.3\n"),
+], ids=["simulate", "wigner", "solve", "wigner_late_closed_form"])
+def test_an_exit_3_creates_no_out(tmp_path, capsys, verb, change, failure):
+    # every verb creates --out only after its last check that can fail
+    out = tmp_path / "out"
+    code = main([verb, "--config", write_config(tmp_path, dict(_SMALL_DOC, **change)),
+                 "--out", str(out), "--quiet"])
+    assert code == 3
+    assert failure in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_empty_outputs_produce_nothing(tmp_path):
@@ -927,3 +965,36 @@ def test_compare_keeps_only_its_sample_steps(tmp_path, monkeypatch):
     # the samples (steps 30 and 50 of 100) and stepping no further than the last
     assert evolved == [[30, 50]]
     assert counts == {"taylor_plan": 1, "expm_multiply": 50}
+
+
+# argv: package parent, config path; runs simulate and compare into ./simulate, ./compare
+_VERBS_SCRIPT = """\
+import sys
+sys.path.insert(0, sys.argv[1])
+from jcdamp.cli import main
+for verb in ("simulate", "compare"):
+    assert main([verb, "--config", sys.argv[2], "--out", verb, "--quiet"]) == 0, verb
+"""
+
+
+def test_outputs_are_the_same_bytes_with_one_and_two_blas_threads(tmp_path):
+    # the oracle's weighted sums and the products go through BLAS, which splits
+    # work over threads from sizes this N = 40 run reaches; the bytes must not move
+    package_parent = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    doc = dict(BASE_DOC, params=dict(BASE_DOC["params"], n_trunc=40),
+               grid={"t_start": 0.0, "t_end": 0.3, "n_steps": 30},
+               outputs=["trajectory", "components", "compare"], snapshot_times=[0.3],
+               compare={"doubled_n_trunc": 30})
+    config = write_config(tmp_path, doc)
+    written = []
+    for threads in ("1", "2"):
+        run_dir = tmp_path / f"threads_{threads}"
+        run_dir.mkdir()
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", _VERBS_SCRIPT, package_parent, config],
+                              cwd=run_dir, env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        written.append({str(path.relative_to(run_dir)): path.read_bytes()
+                        for path in sorted(run_dir.rglob("*")) if path.is_file()})
+    assert len(written[0]) == 6  # observables, three components, a snapshot, the report
+    assert written[0] == written[1]

@@ -27,6 +27,7 @@ from reference import (
     early_terminated_expm_multiply,
     frame_midpoint_states,
     interior_indices,
+    operator_expm_multiply,
     rotating_generator,
 )
 
@@ -330,35 +331,64 @@ def test_scaled_taylor_plan_matches_scipy():
     assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
 
 
-class _CountedProducts:
-    """Stand-in for a plan's sparse matrix that counts its products."""
-
-    def __init__(self, mat):
-        self.mat, self.products = mat, 0
-
-    def __matmul__(self, v):
-        self.products += 1
-        return self.mat @ v
-
-
 @pytest.mark.parametrize("coupling, gamma, h", [(0.1, 0.2, 0.05), (0.7, 1.5, 1.0)])
-def test_expm_multiply_runs_the_plans_full_degree(coupling, gamma, h):
-    # m_star products per sweep, s sweeps, whatever the vector; the
-    # stand-in changes no bit of the result, and the input is not written
+def test_expm_multiply_runs_the_plans_full_degree(coupling, gamma, h, monkeypatch):
+    # m_star kernel products per sweep, s sweeps, whatever the vector;
+    # counting them changes no bit of the result, and the input is not written
+    from scipy.sparse import _sparsetools
+
+    kernel = _sparsetools.csr_matvec
+    products = []
+
+    def counted(*args):
+        products.append(args[0])
+        return kernel(*args)
+
     n = 8
     p = ModelParams(omega=1.3, coupling=coupling, gamma=gamma, n_trunc=n)
     for gen in _generators(p).values():
         plan = taylor_plan(h * rotating_generator(gen).g0)
         assert (plan.s > 1) == (h == 1.0)
-        counted = _CountedProducts(plan.shifted)
         for v0 in (vectorize(random_matrix(n, 8)), vectorize(np.eye(n)),
                    np.zeros(n * n, dtype=complex)):
-            counted.products = 0
+            want = doubled.expm_multiply(plan, v0)
             before = v0.copy()
-            got = doubled.expm_multiply(dataclasses.replace(plan, shifted=counted), v0)
-            assert counted.products == plan.m_star * plan.s
+            products.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(_sparsetools, "csr_matvec", counted)
+                got = doubled.expm_multiply(plan, v0)
+            assert len(products) == plan.m_star * plan.s
             assert np.array_equal(v0, before)
-            assert np.array_equal(got, doubled.expm_multiply(plan, v0))
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("coupling, gamma, h", [(0.1, 0.2, 0.004), (0.7, 1.5, 1.0),
+                                                (0.7, 1.5, 3.0)])
+def test_kernel_products_are_the_operators_bit_for_bit(coupling, gamma, h):
+    # each product sent straight to scipy's CSR kernel has the bits of
+    # ``plan.shifted @ term``, so the Taylor action equals the loop on ``@``
+    # bit for bit; a scipy release whose kernel no longer adds to a zeroed
+    # output, or reads other arguments, fails here
+    n = 8
+    p = ModelParams(omega=1.3, coupling=coupling, gamma=gamma, n_trunc=n)
+    vectors = [vectorize(random_matrix(n, seed)) for seed in (3, 4)]
+    vectors.append(np.where(np.arange(n * n) % 3, complex(-0.0, -0.0), 1.0 + 0.5j))
+    plans = [taylor_plan(h * rotating_generator(gen).g0) for gen in _generators(p).values()]
+    plans.append(taylor_plan(h * stacked(_generators(p).values())))
+    for plan in plans:
+        for v0 in vectors if plan.shifted.shape[0] == n * n else [np.concatenate(vectors)]:
+            assert np.array_equal(doubled.expm_multiply(plan, v0), operator_expm_multiply(plan, v0))
+    one = dataclasses.replace(plans[0], mu=0.0, m_star=1, s=1)  # f = v + B v
+    assert np.array_equal(doubled.expm_multiply(one, vectors[0]),
+                          vectors[0] + plans[0].shifted @ vectors[0])
+
+
+@pytest.mark.parametrize("shape", [(63,), (65,), (8, 8)])
+def test_expm_multiply_rejects_a_vector_of_the_wrong_shape(shape):
+    # the kernel reads v unchecked, so the shape is checked before it runs
+    plan = taylor_plan(0.05 * commutator_generator_factory(ModelParams(1.0, 0.1, 0.2, 8), 1))
+    with pytest.raises(ValueError, match=r"v must have shape \(64,\) for a plan of shape"):
+        doubled.expm_multiply(plan, np.ones(shape, dtype=complex))
 
 
 @pytest.mark.parametrize("coupling, gamma, h", [(0.1, 0.2, 0.004), (0.1, 0.2, 0.05),

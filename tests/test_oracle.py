@@ -22,7 +22,13 @@ from jcdamp.oracle import (
     integrate_component,
     integrate_joint,
 )
-from reference import dense_decoupled_rhs, dense_rotating_frame_rhs, lab_rk4_states, rk4_states
+from reference import (
+    dense_decoupled_rhs,
+    dense_rotating_frame_rhs,
+    lab_rk4_states,
+    rk4_states,
+    weighted_lab_rk4_states,
+)
 
 
 def coherent_joint(alpha, n, atom):
@@ -368,10 +374,21 @@ def test_coupling_built_three_times_per_run(monkeypatch):
         assert builds == times
 
 
+def _twin_states(rhs, y0, h, steps, phases):
+    """The allocating twin of the oracle's step, after holding it to the
+    left-to-right sum of ``lab_rk4_states`` within 1e-14 of the stack's
+    largest entry at every step."""
+    twin = weighted_lab_rk4_states(rhs, y0, h, steps, phases)
+    for got, want in zip(twin, lab_rk4_states(rhs, y0, h, steps, phases)):
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    return twin
+
+
 def test_in_place_stages_match_the_allocating_rk4_loop():
-    # the stages bound once to the loop's own arrays and summed left to right
-    # give the states of the loop that makes every stage anew, bit for bit:
-    # both take the lab-frame step z <- P(h) Phi_0(z)
+    # the stages bound once to the rows of the loop's one buffer, with every
+    # sum a weighted row product, give the states of the loop that makes
+    # every stage and sum anew, bit for bit: both take the lab-frame step
+    # z <- P(h) Phi_0(z)
     n, steps = 14, 30
     p = ModelParams(omega=1.1, coupling=0.2, gamma=0.3, n_trunc=n)
     cs = split_components(coherent_joint(0.6 + 0.2j, n, ATOM_UP))
@@ -379,9 +396,9 @@ def test_in_place_stages_match_the_allocating_rk4_loop():
                "minus": 0.5 * (cs.minus + cs.minus.conj().T)}  # as the oracle integrates them
     grid = TimeGrid(0.3, 0.9, steps)
     trajs = integrate_component(initial, p, grid, store_steps=range(steps + 1))
-    want = lab_rk4_states(model.decoupled_rhs(list(initial), p),
-                          np.stack(list(initial.values())), grid.step, steps,
-                          model._lab_phases(grid.step, p, 1))
+    want = _twin_states(model.decoupled_rhs(list(initial), p),
+                        np.stack(list(initial.values())), grid.step, steps,
+                        model._lab_phases(grid.step, p, 1))
     for i, kind in enumerate(initial):
         assert all(np.array_equal(trajs[kind].states[k], want[k][i]) for k in range(steps + 1))
 
@@ -408,7 +425,8 @@ def test_band_written_coupling_matches_the_dense_build_bit_for_bit():
     # the coupling written as its two bands into one buffer gives the bits of
     # the dense build front (a+ e^{iwt} + a e^{-iwt}) with its diagonal
     # patched, at a new time, a repeated one and t = 0; and so whole runs
-    # equal the lab-frame RK4 step on the dense build
+    # equal the lab-frame RK4 step, with the oracle's weighted sums, on the
+    # dense build
     n, steps = 10, 50
     p = ModelParams(omega=1.3, coupling=0.23, gamma=0.31, n_trunc=n)
     rng = np.random.default_rng(59)
@@ -431,16 +449,16 @@ def test_band_written_coupling_matches_the_dense_build_bit_for_bit():
     rho0 = coherent_joint(0.35 + 0.1j, n, (ATOM_UP + ATOM_DOWN) / np.sqrt(2.0))
     rho0 = 0.5 * (rho0 + rho0.conj().T)
     got = integrate_joint(rho0, p, grid, store_steps=range(steps + 1))
-    want = lab_rk4_states(dense_rotating_frame_rhs(p), rho0[None], grid.step, steps,
-                          model._lab_phases(grid.step, p, 2))
+    want = _twin_states(dense_rotating_frame_rhs(p), rho0[None], grid.step, steps,
+                        model._lab_phases(grid.step, p, 2))
     assert all(np.array_equal(got.states[k], want[k][0]) for k in range(steps + 1))
     cs = split_components(rho0)
     initial = {"plus": 0.5 * (cs.plus + cs.plus.conj().T), "cross": cs.cross,
                "minus": 0.5 * (cs.minus + cs.minus.conj().T)}
     trajs = integrate_component(initial, p, grid, store_steps=range(steps + 1))
-    want = lab_rk4_states(dense_decoupled_rhs(list(initial), p),
-                          np.stack(list(initial.values())), grid.step, steps,
-                          model._lab_phases(grid.step, p, 1))
+    want = _twin_states(dense_decoupled_rhs(list(initial), p),
+                        np.stack(list(initial.values())), grid.step, steps,
+                        model._lab_phases(grid.step, p, 1))
     for i, kind in enumerate(initial):
         assert all(np.array_equal(trajs[kind].states[k], want[k][i]) for k in range(steps + 1))
 
@@ -480,9 +498,9 @@ def test_tail_overflow_names_the_first_slice_to_cross():
     vacuum, excited = np.zeros((n, n), dtype=complex), np.zeros((n, n), dtype=complex)
     vacuum[0, 0] = excited[1, 1] = 1.0
     grid = TimeGrid(0.0, 4.0, steps)
-    states = lab_rk4_states(model.decoupled_rhs(["plus", "minus"], p),
-                            np.stack([vacuum, excited]), grid.step, steps,
-                            model._lab_phases(grid.step, p, 1))
+    states = _twin_states(model.decoupled_rhs(["plus", "minus"], p),
+                          np.stack([vacuum, excited]), grid.step, steps,
+                          model._lab_phases(grid.step, p, 1))
     weights = np.array([np.abs(tail_weight(state)) for state in states])
     crossed = [int(np.argmax(weights[:, i] > TAIL_LIMIT)) for i in range(2)]
     assert 0 < crossed[1] < crossed[0]  # both cross, minus first
@@ -494,6 +512,47 @@ def test_tail_overflow_names_the_first_slice_to_cross():
     trajs = integrate_component({"plus": vacuum, "minus": excited}, p, grid, store_steps=[k - 1])
     for i, kind in enumerate(["plus", "minus"]):
         assert trajs[kind].tail_max == np.max(weights[:k, i])
+
+
+@pytest.mark.parametrize("store_steps", [[146], [150, 400], [400]])
+def test_tail_overflow_is_raised_at_its_first_step_across_check_blocks(store_steps):
+    # the tail weights are checked in blocks of at most TAIL_BLOCK steps and at
+    # kept steps: vacuum plus at c = 0.2 crosses at step 146, in the third
+    # block, and the error names that step whichever later step is kept, while
+    # tail_max over the 146 steps before it is the largest weight, bit for bit
+    n, steps = 8, 400
+    p = ModelParams(omega=1.0, coupling=0.2, gamma=0.0, n_trunc=n)
+    vacuum = np.zeros((n, n), dtype=complex)
+    vacuum[0, 0] = 1.0
+    grid = TimeGrid(0.0, 4.0, steps)
+    states = _twin_states(model.decoupled_rhs(["plus"], p), vacuum[None], grid.step, steps,
+                          model._lab_phases(grid.step, p, 1))
+    weights = np.array([abs(tail_weight(state[0])) for state in states])
+    k = int(np.argmax(weights > TAIL_LIMIT))
+    assert k == 146 and 2 * oracle.TAIL_BLOCK < k
+    t = grid.t_start + k * grid.step
+    with pytest.raises(TailOverflow) as info:
+        integrate_component({"plus": vacuum}, p, grid, store_steps=store_steps)
+    assert str(info.value) == f"plus tail weight {weights[k]:.3e} > {TAIL_LIMIT} at t={t:.6g}"
+    traj = integrate_component({"plus": vacuum}, p, grid, store_steps=[k - 1])["plus"]
+    assert traj.tail_max == np.max(weights[:k])
+
+
+def test_tail_overflow_comes_before_a_later_kept_states_checks(monkeypatch):
+    # with both step bounds lifted, h = 0.5 over N = 20 levels blows up: the
+    # purity exceeds 1 from step 1 and the tail crosses its limit at step 4.
+    # The tail steps read so far are checked at each kept step before its
+    # state is, so keeping step 5 stops the run at step 4
+    monkeypatch.setattr(oracle, "STEP_SAFETY", math.inf)
+    monkeypatch.setattr(oracle, "STABILITY_LIMIT", math.inf)
+    n = 20
+    p = ModelParams(omega=1.0, coupling=1.0, gamma=0.0, n_trunc=n)
+    rho0 = coherent_joint(1.0, n, ATOM_UP)
+    grid = TimeGrid(0.0, 20.0, 40)
+    with pytest.raises(oracle.StepTooLarge, match=r"unstable: purity .* at t=0.5$"):
+        integrate_joint(rho0, p, grid, store_steps=[1, 40])
+    with pytest.raises(TailOverflow, match=r"^joint tail weight .* at t=2$"):
+        integrate_joint(rho0, p, grid, store_steps=[5, 40])
 
 
 @pytest.mark.parametrize("bad", [[-1], [41], [3, 41]])
