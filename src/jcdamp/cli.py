@@ -364,8 +364,9 @@ def cmd_solve(cfg: RunConfig, out_dir: str, quiet: bool = False) -> int:
     comps = _components(cfg.initial_joint())
     alpha0 = _phase_center(comps)
 
-    # the times ``simulate`` stores
-    times = cfg.grid.times()[cfg.grid.stored_steps(cfg.store_every)].tolist()
+    # the times ``simulate`` stores, by the arithmetic of ``grid.times()``
+    steps = np.array(cfg.grid.stored_steps(cfg.store_every))
+    times = (cfg.grid.t_start + cfg.grid.step * steps).tolist()
     header = ["t"]
     for tag in ("disp_plus", "disp_minus", "alpha_plus", "alpha_minus",
                 "mu_cosh", "mu_sinh"):

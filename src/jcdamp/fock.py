@@ -39,7 +39,7 @@ class ModelParams:
     omega     cavity angular frequency (rad / time)
     coupling  atom-field coupling rate (1 / time)
     gamma     cavity energy decay rate (1 / time, >= 0)
-    n_trunc   Fock-space truncation dimension (>= 2)
+    n_trunc   Fock-space truncation dimension, an int or a numpy integer (>= 2)
     """
 
     omega: float
@@ -52,8 +52,8 @@ class ModelParams:
             raise ValueError("omega and coupling must be finite")
         if not math.isfinite(self.gamma) or self.gamma < 0.0:
             raise ValueError(f"gamma must be finite and >= 0, got {self.gamma}")
-        if int(self.n_trunc) != self.n_trunc or self.n_trunc < 2:
-            raise ValueError(f"n_trunc must be an integer >= 2, got {self.n_trunc}")
+        if not _is_integer(self.n_trunc) or self.n_trunc < 2:
+            raise ValueError(f"n_trunc must be an integer >= 2, got {self.n_trunc!r}")
 
 
 class StepTooLarge(RuntimeError):

@@ -68,21 +68,6 @@ def hamiltonian_full(params: ModelParams) -> np.ndarray:
     return h
 
 
-def _ladder(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(s, d): the superdiagonal s = diag(a, 1) of ``a`` and the diagonal
-    d = [0, |s_0|^2, |s_1|^2, ...] of a+a.  ValueError unless ``a`` is square with
-    non-zero entries only on its superdiagonal (``annihilation`` and
-    ``joint_annihilation`` are).  d is taken from s, not from the integers
-    (fl(sqrt(3)^2) != 3), so it is the diagonal the dense product gives, bit for bit."""
-    a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"damping needs a square a, got shape {a.shape}")
-    s = np.diagonal(a, 1)
-    if np.count_nonzero(a) != np.count_nonzero(s):
-        raise ValueError("damping needs an a with non-zero entries only on its superdiagonal")
-    return s, np.concatenate([[0.0], (s.conj() * s).real])
-
-
 class CoupledRHS:
     """A right-hand side in its two pieces (``_coupled_rhs``).
 
@@ -111,35 +96,41 @@ class CoupledRHS:
         return self.bind(self.generator(t), y, out, np.empty_like(out))()
 
 
-def _coupled_rhs(band: np.ndarray, omega: float, front, sign, gamma: float, a: np.ndarray,
+def _coupled_rhs(band: np.ndarray, omega: float, front, sign, gamma: float, s: np.ndarray,
                  atom_swap: bool = False) -> CoupledRHS:
     """f(t, y, out) = front (K y + sign y K) + D[y]: sign -1 gives the
-    commutator, +1 the anticommutator, D is the damping of (gamma, a), ``a``
-    checked by ``_ladder``.  Front and sign may be arrays that broadcast over
-    a stack y of matrices.  K is the rotating-frame coupling whose
-    superdiagonal is ``band`` e^{-i omega t} and whose subdiagonal is
+    commutator, +1 the anticommutator, D is the damping of (gamma, a) for the
+    a whose only non-zero entries are its superdiagonal ``s`` = diag(a, 1)
+    (``annihilation`` and ``joint_annihilation`` are such).  Front and sign
+    may be arrays that broadcast over a stack y of matrices, every commutator
+    slice before every anticommutator one.  K is the rotating-frame coupling
+    whose superdiagonal is ``band`` e^{-i omega t} and whose subdiagonal is
     conj(``band``) e^{i omega t}; with ``atom_swap``, K is sigma_x (x) that N x N
-    matrix on the joint space of ``a``'s two atom blocks, a commutator only.
+    matrix on the joint space of a's two atom blocks, a commutator only.
 
     It is evaluated in effective-generator form, f(y) = G y + y G' + gamma a y a+,
-    with G = front K - (gamma/2) a+a and G' = sign front K - (gamma/2) a+a.
-    ``generator(t)`` makes G as a zero buffer, writes its -(gamma/2) a+a
-    diagonal, and writes its two bands once (``_write_bands``), each entry the
-    product the dense front K(t) gives, bit for bit.  With ``atom_swap``, G is
+    with G = front K - (gamma/2) a+a and G' = sign front K - (gamma/2) a+a.  The
+    diagonal d = [0, |s_0|^2, |s_1|^2, ...] of a+a is taken from s, not from the
+    integers (fl(sqrt(3)^2) != 3), so it is the diagonal the dense product gives,
+    bit for bit.  ``generator(t)`` makes G as a zero buffer, writes its
+    -(gamma/2) a+a diagonal, and writes its two bands once, each entry the
+    product, in the same order, that the dense front (a+ e^{i omega t} +
+    a e^{-i omega t}) gives it, so it has the same bits.  With ``atom_swap``, G is
     the N x N block front K(t) on the atom-swapped row blocks of y, two
     (N x N)(N x 2N) products, and the a+a parts of both sides are one table,
     -(gamma/2)(d_i + d_j) y_ij.  The jump term gamma a y a+ is y[i+1, j+1] times
-    the table gamma s_i conj(s_j) (``_ladder``), taken as one shift of the flat
+    the table gamma s_i conj(s_j), taken as one shift of the flat
     m x m entries: entry p + m + 1 of y against entry p of a table padded with
     zeros in its last row and column.
 
     The kind of each slice sets its products: an anticommutator slice (G' = G)
     takes G y + y G; a commutator slice (G' = G+) takes G y + (G y)+, exactly
     Hermitian, and must be Hermitian itself, or the result is wrong.  ``bind``
-    takes each group of slices of one kind as one basic-slice view per
-    contiguous run of the stack, so no product reads or writes a copy.
+    takes the commutator slices as one leading basic-slice view of the stack
+    and the anticommutator slices as one trailing one, so no product reads or
+    writes a copy.
     """
-    s, d = _ladder(a)
+    d = np.concatenate([[0.0], (s.conj() * s).real])
     m = len(d)
     # complex even when real: numpy would cast a real table on every call
     jump = np.zeros((m, m), dtype=complex)
@@ -147,8 +138,10 @@ def _coupled_rhs(band: np.ndarray, omega: float, front, sign, gamma: float, a: n
     shift = m + 1
     jump = jump.reshape(-1)[:m * m - shift].copy()
     half_n = 0.5 * gamma * d
-    commutator = np.asarray(sign).reshape(-1) < 0
-    comm, acomm = _runs(commutator), _runs(~commutator)
+    # the commutator slices lead the stack; slices of one kind are all of it
+    lead, total = np.count_nonzero(np.asarray(sign) < 0), np.size(sign)
+    comm = [] if not lead else [Ellipsis] if lead == total else [slice(lead)]
+    acomm = [] if lead == total else [Ellipsis] if not lead else [slice(lead, None)]
     n = m // 2
     decay = -(half_n[:, None] + half_n[None, :]).astype(complex)
 
@@ -156,16 +149,15 @@ def _coupled_rhs(band: np.ndarray, omega: float, front, sign, gamma: float, a: n
     shape = np.broadcast_shapes(np.shape(front), (size, size))
     diag = np.diag_indices(m)
     front_rows = np.reshape(front, (-1, 1))  # one front per N x N matrix of G
-    band_pair = (band, band.conj())
+    conj_band = band.conj()
 
     def generator(t: float) -> np.ndarray:
         g = np.zeros(shape, dtype=complex)
         if not atom_swap:
             g[..., diag[0], diag[1]] -= half_n
-        flat_g = g.reshape(-1, size * size)
-        # strided views into g
-        _write_bands((flat_g[:, 1::size + 1], flat_g[:, size::size + 1]), front_rows,
-                     band_pair, omega, t)
+        flat_g = g.reshape(-1, size * size)  # its two bands are strided views
+        np.multiply(front_rows, band * np.exp(-1j * omega * t), out=flat_g[:, 1::size + 1])
+        np.multiply(front_rows, conj_band * np.exp(1j * omega * t), out=flat_g[:, size::size + 1])
         return g
 
     def bind(g: np.ndarray, y: np.ndarray, out: np.ndarray, work: np.ndarray):
@@ -205,27 +197,6 @@ def _coupled_rhs(band: np.ndarray, omega: float, front, sign, gamma: float, a: n
     return CoupledRHS(generator, bind)
 
 
-def _write_bands(bands, front, band_pair, omega: float, t: float) -> None:
-    """Write the two bands of front X(t) into ``bands``, the (superdiagonal,
-    subdiagonal) views of G: front (s e^{-i omega t}) and front (conj(s)
-    e^{i omega t}), with ``band_pair`` = (s, conj(s)).  Each entry is the
-    product, in the same order, that the dense front (a+ e^{i omega t} +
-    a e^{-i omega t}) gives it, so it has the same bits."""
-    upper, lower = bands
-    np.multiply(front, band_pair[0] * np.exp(-1j * omega * t), out=upper)
-    np.multiply(front, band_pair[1] * np.exp(1j * omega * t), out=lower)
-
-
-def _runs(mask: np.ndarray) -> list:
-    """Indices over axis 0 for the True entries of ``mask``: [Ellipsis] when
-    all are True, else one slice per contiguous run of them (none when none is)."""
-    if mask.all():
-        return [Ellipsis]
-    idx = np.flatnonzero(mask)
-    breaks = np.flatnonzero(np.diff(idx) > 1) + 1
-    return [slice(run[0], run[-1] + 1) for run in np.split(idx, breaks) if run.size]
-
-
 def rotating_frame_rhs(params: ModelParams) -> CoupledRHS:
     """Right-hand side f(t, rho) of the joint equation in the rotating
     (free-field) frame, -i coupling [X(t) (x) sigma_x, rho] + D[rho]: the lab
@@ -235,7 +206,7 @@ def rotating_frame_rhs(params: ModelParams) -> CoupledRHS:
     Hermitian: one product serves both sides (``_coupled_rhs``)."""
     band = np.diagonal(params.coupling * annihilation(params.n_trunc), 1)
     return _coupled_rhs(band, params.omega, -1j, -1.0, params.gamma,
-                        joint_annihilation(params.n_trunc), atom_swap=True)
+                        np.diagonal(joint_annihilation(params.n_trunc), 1), atom_swap=True)
 
 
 def _lab_phases(t: float, params: ModelParams, blocks: int) -> np.ndarray:
@@ -320,17 +291,20 @@ def decoupled_rhs(kinds: Sequence[str], params: ModelParams) -> CoupledRHS:
     kind "plus"/"minus": -/+ i c [X(t), op] + D[op]
     kind "cross":           -i c {X(t), op} + D[op]
 
-    Each slice of the stack evolves on its own.  Every plus and minus slice
-    must be Hermitian, and takes one product; a cross slice may be any
-    matrix, and takes two (``_coupled_rhs``).
+    The kinds come in the order plus, minus, cross, each any number of times
+    (ValueError otherwise).  Each slice of the stack evolves on its own.
+    Every plus and minus slice must be Hermitian, and takes one product; a
+    cross slice may be any matrix, and takes two (``_coupled_rhs``).
     """
     for kind in kinds:
         if kind not in _KINDS:
             raise ValueError(f"unknown component kind {kind!r}")
-    a = annihilation(params.n_trunc)
+    if list(kinds) != sorted(kinds, key=list(_KINDS).index):
+        raise ValueError(f"component kinds {list(kinds)} are not in the order {list(_KINDS)}")
+    s = np.diagonal(annihilation(params.n_trunc), 1)
     front = np.array([_KINDS[kind][0] * params.coupling for kind in kinds])[:, None, None]
     sign = np.array([_KINDS[kind][1] for kind in kinds])[:, None, None]
-    return _coupled_rhs(np.diagonal(a, 1), params.omega, front, sign, params.gamma, a)
+    return _coupled_rhs(s, params.omega, front, sign, params.gamma, s)
 
 
 def joint_tail_weight(rho: np.ndarray) -> float:

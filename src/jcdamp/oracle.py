@@ -7,8 +7,8 @@ Fixed-step RK4 is used (rather than an adaptive solver) so runs are
 deterministic and reproducible as regression baselines.  One loop,
 ``_rk4``, integrates a stack of states: the joint run is a stack of one,
 and the decoupled components (plus, minus, cross) asked for together run
-as one (k, N, N) stack, each slice under its own front factor and
-commutator or anticommutator sign.  Each step works in place: the state
+as one (k, N, N) stack in that order, each slice under its own front factor
+and commutator or anticommutator sign.  Each step works in place: the state
 and the four RK4 stages are the rows of one buffer made once per run,
 each stage, bound once per run, writes its row, each stage input and the
 step sum is one weighted product of rows, the state takes one step's lab
@@ -56,6 +56,7 @@ import numpy as np
 
 from .fock import TAIL_LEVELS, ModelParams, StepTooLarge, TimeGrid, annihilation
 from .model import (
+    _KINDS,
     CoupledRHS,
     _lab_phases,
     decoupled_rhs,
@@ -84,7 +85,8 @@ class Trajectory:
 
     @property
     def times(self) -> np.ndarray:
-        return self.grid.times()[list(self.states)]
+        # the arithmetic of ``grid.times()``, at the kept steps only
+        return self.grid.t_start + self.grid.step * np.array(list(self.states))
 
     @property
     def final(self) -> np.ndarray:
@@ -258,20 +260,24 @@ def integrate_component(initial: Mapping[str, np.ndarray], params: ModelParams,
     all in one (k, N, N) stack; each kept state is returned in the lab frame.
 
     ``initial`` maps each kind ("plus", "minus" or "cross") to its N x N
-    initial operator; the result maps each kind to its Trajectory.  A plus or
-    minus operator must be Hermitian within ``model.HERM_TOL``; its Hermitian part is
-    integrated.
+    initial operator; the result maps each kind, in ``initial``'s order, to
+    its Trajectory.  The stack holds the kinds in the order ``decoupled_rhs``
+    takes.  A plus or minus operator must be Hermitian within
+    ``model.HERM_TOL``; its Hermitian part is integrated.
     """
     n = params.n_trunc
-    kinds = list(initial)
-    if not kinds:
+    if not initial:
         raise ValueError("no component to integrate")
     for kind, op0 in initial.items():
         if np.shape(op0) != (n, n):
             raise ValueError(f"initial {kind} operator has shape {np.shape(op0)},"
                              f" expected {(n, n)}")
+    # in the order decoupled_rhs takes, an unknown kind first for it to name
+    kinds = sorted(initial, key=lambda kind: list(_KINDS).index(kind) if kind in _KINDS else -1)
     rhs = decoupled_rhs(kinds, params)  # which needs plus and minus Hermitian, as made next
-    y0 = [op0 if kind == "cross" else _hermitian_part(op0, kind) for kind, op0 in initial.items()]
+    y0 = [initial[kind] if kind == "cross" else _hermitian_part(initial[kind], kind)
+          for kind in kinds]
     require_step(params, grid.step)
     require_stable(params, grid.step)
-    return _rk4(rhs, np.stack(y0), params, grid, store_steps, kinds, joint=False)
+    trajs = _rk4(rhs, np.stack(y0), params, grid, store_steps, kinds, joint=False)
+    return {kind: trajs[kind] for kind in initial}

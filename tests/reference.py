@@ -37,7 +37,6 @@ from jcdamp.fock import TAIL_LEVELS, ModelParams, annihilation
 from jcdamp.model import (
     _KINDS,
     ComponentSet,
-    _ladder,
     hamiltonian_full,
     joint_annihilation,
 )
@@ -194,6 +193,15 @@ def _rotating(raising: np.ndarray, lowering: np.ndarray,
     return lambda t: raising * np.exp(1j * omega * t) + lowering * np.exp(-1j * omega * t)
 
 
+def _ladder(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(s, d): the superdiagonal s = diag(a, 1) of an ``a`` with no other
+    non-zero entry, and the diagonal d = [0, |s_0|^2, |s_1|^2, ...] of a+a,
+    taken from s as ``model._coupled_rhs`` takes it (fl(sqrt(3)^2) != 3)."""
+    s = np.diagonal(a, 1)
+    assert np.count_nonzero(a) == np.count_nonzero(s), "a has entries off its superdiagonal"
+    return s, np.concatenate([[0.0], (s.conj() * s).real])
+
+
 def _slices(mask: np.ndarray):
     """Index over axis 0 for the True entries of ``mask``: Ellipsis, None, a slice
     or an index array (which reads and writes copies)."""
@@ -210,8 +218,8 @@ def dense_coupled_rhs(coupling, front, sign, gamma: float, a: np.ndarray,
     """f(t, y, out) = front (K y + sign y K) + D[y], written into ``out`` (a
     C-contiguous array of y's shape, allocated when None) and returned: sign -1
     gives the commutator, +1 the anticommutator, D is the damping of (gamma, a),
-    ``a`` checked by ``_ladder``.  Front and sign may be arrays that broadcast
-    over a stack y of matrices.  K = coupling(t), built once per distinct t
+    ``a`` read by ``_ladder``.  Front and sign may be arrays that broadcast
+    over a stack y of matrices, the slices of the two kinds in any order.  K = coupling(t), built once per distinct t
     (RK4 stages 2 and 3 share one time); with ``atom_swap``, K = sigma_x (x)
     coupling(t) on the joint space of ``a``'s two atom blocks, a commutator only.
 

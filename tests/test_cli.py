@@ -633,6 +633,25 @@ def test_solve_and_simulate_write_the_same_times(tmp_path):
         assert time_strings(name) == solve_times
 
 
+def test_solve_computes_only_the_times_it_writes(tmp_path):
+    # a 4e6-step grid, of which solve writes the 101 steps simulate keeps by
+    # default: every grid time and its step index would take 64 MB, and at
+    # about 1e9 steps 16 GB, for a verb that takes no steps
+    import tracemalloc
+    doc = dict(BASE_DOC, grid={"t_start": 0.5, "t_end": 2.5, "n_steps": 4_000_000})
+    path = write_config(tmp_path, doc)
+    out = tmp_path / "solve"
+    tracemalloc.start()
+    try:
+        assert main(["solve", "--config", path, "--out", str(out), "--quiet"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    times = [float(row.split(",")[0]) for row in (out / "solve.csv").read_text().splitlines()[1:]]
+    assert times == [0.5 + 5e-7 * k for k in range(0, 4_000_001, 40_000)]
+
+
 # g t = 12: the drive's displacement amplitude grows like e^{g t / 2} to
 # about 20, far beyond N = 8 levels, while the states stay near the vacuum
 LONG_GAMMA_T = dict(BASE_DOC, params={"omega": 1.0, "coupling": 0.1, "gamma": 2.0, "n_trunc": 8},

@@ -210,6 +210,16 @@ def test_model_params_validation():
         ModelParams(omega=float("nan"), coupling=0.1, gamma=0.1, n_trunc=10)
 
 
+def test_model_params_requires_an_integer_truncation():
+    # as TimeGrid's n_steps: a float equal to an integer would pass the oracle
+    # and the doubled route, then fail in coherent_state with a bare TypeError
+    for bad in (12.0, np.float64(12.0), True):
+        with pytest.raises(ValueError, match="n_trunc must be an integer"):
+            ModelParams(omega=1.0, coupling=0.1, gamma=0.2, n_trunc=bad)
+    for n_trunc in (np.int64(12), np.int32(12)):
+        assert ModelParams(omega=1.0, coupling=0.1, gamma=0.2, n_trunc=n_trunc).n_trunc == 12
+
+
 def test_tail_weight_of_a_stack_is_per_matrix():
     rng = np.random.default_rng(7)
     stack = rng.normal(size=(3, 9, 9)) + 1j * rng.normal(size=(3, 9, 9))

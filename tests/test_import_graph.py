@@ -11,6 +11,10 @@ installed package it checks the installation.  The result must equal
 
 An importtime check cannot show this: importing any submodule runs
 ``jcdamp/__init__``, which loads every module.
+
+The same parse finds orphans: a module-level private name (``_name``) that
+no module of the package reads, such as a helper a simplification left
+behind.
 """
 
 import ast
@@ -103,3 +107,51 @@ def test_module_missing_from_the_table_is_caught():
     sources = package_sources()
     sources["extra"] = "from .fock import ModelParams\n"
     assert import_graph(sources) != GRAPH
+
+
+def private_names(sources: dict) -> list:
+    """(module, name) for every module-level function, class or assigned name
+    of the package that starts with one underscore and is not a dunder."""
+    names = []
+    for module, source in sources.items():
+        for node in ast.parse(source, filename=f"{module}.py").body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            names += [(module, name) for name in defined
+                      if name.startswith("_") and not name.startswith("__")]
+    return names
+
+
+def loaded_names(sources: dict) -> set:
+    """Every name the package reads: a bare name or an attribute, in any module."""
+    loaded = set()
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source, filename=f"{module}.py")):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+    return loaded
+
+
+def orphans(sources: dict) -> list:
+    loaded = loaded_names(sources)
+    return [f"{module}.{name}" for module, name in private_names(sources) if name not in loaded]
+
+
+def test_every_private_name_is_read():
+    sources = package_sources()
+    assert private_names(sources)
+    assert orphans(sources) == []
+
+
+def test_planted_orphan_is_caught():
+    sources = package_sources()
+    sources["model"] += "\n\ndef _left_behind(x):\n    return _left_behind_table[x]\n"
+    sources["model"] += "\n_left_behind_table: dict = {}\n_unread = _left_behind_table\n"
+    assert orphans(sources) == ["model._left_behind", "model._unread"]

@@ -347,18 +347,33 @@ def test_initial_state_is_checked_when_not_kept():
         integrate_joint(rho0, p, TimeGrid(0.0, 1.0, 40), store_steps=[20])
 
 
+def _counted_generators(monkeypatch):
+    """The G of every ``generator`` call of the oracle's right-hand sides, in
+    call order, through wrapped builders."""
+    built = []
+
+    def counted(build):
+        def wrapped(*args):
+            rhs = build(*args)
+
+            def generator(t):
+                g = rhs.generator(t)
+                built.append((t, g))
+                return g
+            return model.CoupledRHS(generator, rhs.bind)
+        return wrapped
+
+    for name in ("rotating_frame_rhs", "decoupled_rhs"):
+        monkeypatch.setattr(oracle, name, counted(getattr(oracle, name)))
+    return built
+
+
 def test_coupling_built_three_times_per_run(monkeypatch):
     # the oracle steps the lab-frame state with the rotating-frame step at
-    # frame time 0, so a run writes the coupling's bands three times, at frame
-    # times 0, h/2 and h (RK4 stages 2 and 3 share one), however many steps
-    builds = []
-    real = model._write_bands
-
-    def counted(bands, front, band_pair, omega, t):
-        builds.append(t)
-        real(bands, front, band_pair, omega, t)
-
-    monkeypatch.setattr(model, "_write_bands", counted)
+    # frame time 0, so a run builds the generator, with the coupling's bands,
+    # three times, at frame times 0, h/2 and h (RK4 stages 2 and 3 share one),
+    # however many steps
+    built = _counted_generators(monkeypatch)
     n = 10
     p = ModelParams(omega=1.3, coupling=0.1, gamma=0.2, n_trunc=n)
     rho0 = coherent_joint(0.5, n, ATOM_UP)
@@ -366,12 +381,12 @@ def test_coupling_built_three_times_per_run(monkeypatch):
     for steps in (50, 400):
         grid = TimeGrid(0.4, 1.4, steps)
         times = [0.0, 0.5 * grid.step, grid.step]
-        builds.clear()
+        built.clear()
         integrate_joint(rho0, p, grid)
-        assert builds == times
-        builds.clear()
+        assert [t for t, _ in built] == times
+        built.clear()
         integrate_component({"plus": cs.plus, "minus": cs.minus, "cross": cs.cross}, p, grid)
-        assert builds == times
+        assert [t for t, _ in built] == times
 
 
 def _twin_states(rhs, y0, h, steps, phases):
@@ -396,10 +411,11 @@ def test_in_place_stages_match_the_allocating_rk4_loop():
                "minus": 0.5 * (cs.minus + cs.minus.conj().T)}  # as the oracle integrates them
     grid = TimeGrid(0.3, 0.9, steps)
     trajs = integrate_component(initial, p, grid, store_steps=range(steps + 1))
-    want = _twin_states(model.decoupled_rhs(list(initial), p),
-                        np.stack(list(initial.values())), grid.step, steps,
+    kinds = list(model._KINDS)  # the order the oracle stacks them in
+    want = _twin_states(model.decoupled_rhs(kinds, p),
+                        np.stack([initial[kind] for kind in kinds]), grid.step, steps,
                         model._lab_phases(grid.step, p, 1))
-    for i, kind in enumerate(initial):
+    for i, kind in enumerate(kinds):
         assert all(np.array_equal(trajs[kind].states[k], want[k][i]) for k in range(steps + 1))
 
 
@@ -407,18 +423,11 @@ def test_joint_run_builds_the_coupling_as_its_field_block(monkeypatch):
     # the joint coupling c sigma_x (x) X(t) is only ever written into an
     # N x N buffer, the block c X(t), so no (2N) x (2N) product with the
     # coupling is made
-    shapes = []
-    real = model._write_bands
-
-    def recorded(bands, front, band_pair, omega, t):
-        shapes.extend(view.base.shape for view in bands)
-        real(bands, front, band_pair, omega, t)
-
-    monkeypatch.setattr(model, "_write_bands", recorded)
+    built = _counted_generators(monkeypatch)
     n = 10
     p = ModelParams(omega=1.3, coupling=0.1, gamma=0.2, n_trunc=n)
     integrate_joint(coherent_joint(0.5, n, ATOM_UP), p, TimeGrid(0.0, 1.0, 20))
-    assert shapes and set(shapes) == {(n, n)}
+    assert len(built) == 3 and {g.shape for _, g in built} == {(n, n)}
 
 
 def test_band_written_coupling_matches_the_dense_build_bit_for_bit():
@@ -436,7 +445,7 @@ def test_band_written_coupling_matches_the_dense_build_bit_for_bit():
         return 0.5 * (m + m.conj().T)
 
     cases = [(model.rotating_frame_rhs(p), dense_rotating_frame_rhs(p), [hermitian(2 * n)])]
-    for kinds in (["plus", "cross", "minus", "cross"], ["cross"]):
+    for kinds in (["plus", "minus", "cross", "cross"], ["cross"]):
         stack = [rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) if kind == "cross"
                  else hermitian(n) for kind in kinds]
         cases.append((model.decoupled_rhs(kinds, p), dense_decoupled_rhs(kinds, p), stack))
@@ -456,17 +465,18 @@ def test_band_written_coupling_matches_the_dense_build_bit_for_bit():
     initial = {"plus": 0.5 * (cs.plus + cs.plus.conj().T), "cross": cs.cross,
                "minus": 0.5 * (cs.minus + cs.minus.conj().T)}
     trajs = integrate_component(initial, p, grid, store_steps=range(steps + 1))
-    want = _twin_states(dense_decoupled_rhs(list(initial), p),
-                        np.stack(list(initial.values())), grid.step, steps,
+    kinds = list(model._KINDS)  # the order the oracle stacks them in
+    want = _twin_states(dense_decoupled_rhs(kinds, p),
+                        np.stack([initial[kind] for kind in kinds]), grid.step, steps,
                         model._lab_phases(grid.step, p, 1))
-    for i, kind in enumerate(initial):
+    for i, kind in enumerate(kinds):
         assert all(np.array_equal(trajs[kind].states[k], want[k][i]) for k in range(steps + 1))
 
 
 def test_lab_frame_step_is_the_rotating_frame_method():
     # z <- P(h) Phi_0(z) is the rotating-frame RK4 step at every frame time,
     # taken to the lab frame (model's frame identity): a joint run and a
-    # plus/cross/minus stack both equal the earlier method, rotating-frame
+    # plus/minus/cross stack both equal the earlier method, rotating-frame
     # states times their step's lab phases, to rounding (at most 6e-15 of
     # the stack's largest entry here, and 5.4e-15 at N = 28 over 1,000 steps)
     n, steps = 12, 400
@@ -602,6 +612,25 @@ def test_component_stack_matches_one_kind_runs():
         assert np.array_equal([tail_weight(s) for s in traj.states.values()],
                               [tail_weight(s) for s in alone.states.values()])
         assert traj.tail_max == alone.tail_max
+
+
+def test_component_run_returns_the_callers_kind_order():
+    # the oracle stacks the kinds plus, minus, cross, whatever the mapping's
+    # order, and returns the mapping's order: a cross, plus, minus mapping
+    # gives the ordered run's states and tail records bit for bit
+    n = 12
+    p = ModelParams(omega=1.0, coupling=0.15, gamma=0.2, n_trunc=n)
+    ordered = _component_initials(n)
+    grid = TimeGrid(0.0, 1.0, 200)
+    want = integrate_component(ordered, p, grid, store_steps=[0, 50, 200])
+    got = integrate_component({kind: ordered[kind] for kind in ("cross", "plus", "minus")},
+                              p, grid, store_steps=[0, 50, 200])
+    assert list(got) == ["cross", "plus", "minus"]
+    for kind, traj in got.items():
+        assert list(traj.states) == list(want[kind].states)
+        for k, state in traj.states.items():
+            assert np.array_equal(state, want[kind].states[k])
+        assert traj.tail_max == want[kind].tail_max
 
 
 def test_component_stack_overflow_names_its_kind():
