@@ -15,6 +15,7 @@ from .fock import (
 )
 from .model import (
     ComponentSet,
+    combine_components,
     hamiltonian_full,
     split_components,
     to_rotational_picture,

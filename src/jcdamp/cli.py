@@ -24,10 +24,10 @@ exactly the steps a verb reads and stop at the last of them.  A snapshot
 or Wigner time is read as the grid time within 1e-9 (``TimeGrid.step_index``).
 ``compare`` makes one run per route for all three components over the
 run's grid and compares the lab-frame states every route returns at the
-same sample steps.  ``simulate``
-integrates the joint state for ``components`` alone too (4N^3 per right-hand
-side, as the component stack makes), under the joint tail guard; each
-component's ``tail`` column, at most twice the joint tail, reports its own.
+same sample steps.  ``simulate``'s joint run steps the plus/minus/cross
+stack split from the initial state, so ``components`` alone costs what
+``trajectory`` does, under the joint tail guard; each component's ``tail`` column, at most twice
+the joint tail, reports its own.
 
 Exit codes: 0 success, 2 config parse failure (a coherent amplitude with no
 weight below n_trunc too), 3 numerical failure (a closed-form state over the
@@ -364,7 +364,7 @@ def cmd_solve(cfg: RunConfig, out_dir: str, quiet: bool = False) -> int:
     comps = _components(cfg.initial_joint())
     alpha0 = _phase_center(comps)
 
-    # the times ``simulate`` stores, by the arithmetic of ``grid.times()``
+    # the times ``simulate`` stores, t_start + step * k at each stored step k
     steps = np.array(cfg.grid.stored_steps(cfg.store_every))
     times = (cfg.grid.t_start + cfg.grid.step * steps).tolist()
     header = ["t"]

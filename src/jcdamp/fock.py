@@ -90,9 +90,6 @@ class TimeGrid:
     def step(self) -> float:
         return (self.t_end - self.t_start) / self.n_steps
 
-    def times(self) -> np.ndarray:
-        return self.t_start + self.step * np.arange(self.n_steps + 1)
-
     def stored_steps(self, store_every: int) -> list:
         """Every ``store_every``-th step index and the last."""
         return sorted({*range(0, self.n_steps + 1, store_every), self.n_steps})

@@ -16,15 +16,16 @@ The damping term is normalized once and for all as
 
     D[r] = (gamma/2) (2 a r a+  -  a+ a r  -  r a+ a)
 
-and is used with this normalization everywhere in the package.  Every
-equation of motion a run uses is in the rotating frame and is built by
-``_coupled_rhs``, with the one fast D, as a generator G made at one frame
-time and a stage bound once to the arrays it reads and writes
-(``CoupledRHS``).  The joint coupling c sigma_x (x) X(t) acts as its N x N
-field block X(t) on the atom-swapped rows of the state, never as a 2N x 2N
-matrix.  A joint state or a plus or minus component must be Hermitian
-there (one product serves both sides; the oracle checks); a cross
-component may be any matrix.
+and is used with this normalization everywhere in the package.  The joint
+equation splits exactly into three field equations (``split_components``,
+whose inverse is ``combine_components``): two commutator components, plus
+and minus, and one anticommutator component, cross.  The one right-hand
+side a run uses is that of a stack of these components in the rotating
+frame (``decoupled_rhs``), built by ``_coupled_rhs``, with the one fast D,
+as a generator G made at one frame time and a stage bound once to the
+arrays it reads and writes (``CoupledRHS``).  A plus or minus component
+must be Hermitian there (one product serves both sides; the oracle
+checks); a cross component may be any matrix.
 
 Frame identity: X(t) = U X(0) U+ with U = exp(i omega t a+a), and D commutes
 with that conjugation, so with P(tau) = ``_lab_phases(tau)`` the right-hand
@@ -50,10 +51,6 @@ ATOM_DOWN = np.array([0.0, 1.0], dtype=complex)
 HERM_TOL = 1e-8
 TRACE_TOL = 1e-8
 PSD_TOL = 1e-6
-
-
-def joint_annihilation(n_trunc: int) -> np.ndarray:
-    return np.kron(np.eye(2, dtype=complex), annihilation(n_trunc))
 
 
 def hamiltonian_full(params: ModelParams) -> np.ndarray:
@@ -96,17 +93,15 @@ class CoupledRHS:
         return self.bind(self.generator(t), y, out, np.empty_like(out))()
 
 
-def _coupled_rhs(band: np.ndarray, omega: float, front, sign, gamma: float, s: np.ndarray,
-                 atom_swap: bool = False) -> CoupledRHS:
+def _coupled_rhs(band: np.ndarray, omega: float, front, sign, gamma: float,
+                 s: np.ndarray) -> CoupledRHS:
     """f(t, y, out) = front (K y + sign y K) + D[y]: sign -1 gives the
     commutator, +1 the anticommutator, D is the damping of (gamma, a) for the
-    a whose only non-zero entries are its superdiagonal ``s`` = diag(a, 1)
-    (``annihilation`` and ``joint_annihilation`` are such).  Front and sign
-    may be arrays that broadcast over a stack y of matrices, every commutator
-    slice before every anticommutator one.  K is the rotating-frame coupling
-    whose superdiagonal is ``band`` e^{-i omega t} and whose subdiagonal is
-    conj(``band``) e^{i omega t}; with ``atom_swap``, K is sigma_x (x) that N x N
-    matrix on the joint space of a's two atom blocks, a commutator only.
+    a whose only non-zero entries are its superdiagonal ``s`` = diag(a, 1).
+    Front and sign may be arrays that broadcast over a stack y of matrices,
+    every commutator slice before every anticommutator one.  K is the
+    rotating-frame coupling whose superdiagonal is ``band`` e^{-i omega t} and
+    whose subdiagonal is conj(``band``) e^{i omega t}.
 
     It is evaluated in effective-generator form, f(y) = G y + y G' + gamma a y a+,
     with G = front K - (gamma/2) a+a and G' = sign front K - (gamma/2) a+a.  The
@@ -115,13 +110,10 @@ def _coupled_rhs(band: np.ndarray, omega: float, front, sign, gamma: float, s: n
     bit for bit.  ``generator(t)`` makes G as a zero buffer, writes its
     -(gamma/2) a+a diagonal, and writes its two bands once, each entry the
     product, in the same order, that the dense front (a+ e^{i omega t} +
-    a e^{-i omega t}) gives it, so it has the same bits.  With ``atom_swap``, G is
-    the N x N block front K(t) on the atom-swapped row blocks of y, two
-    (N x N)(N x 2N) products, and the a+a parts of both sides are one table,
-    -(gamma/2)(d_i + d_j) y_ij.  The jump term gamma a y a+ is y[i+1, j+1] times
-    the table gamma s_i conj(s_j), taken as one shift of the flat
-    m x m entries: entry p + m + 1 of y against entry p of a table padded with
-    zeros in its last row and column.
+    a e^{-i omega t}) gives it, so it has the same bits.  The jump term
+    gamma a y a+ is y[i+1, j+1] times the table gamma s_i conj(s_j), taken as
+    one shift of the flat m x m entries: entry p + m + 1 of y against entry p
+    of a table padded with zeros in its last row and column.
 
     The kind of each slice sets its products: an anticommutator slice (G' = G)
     takes G y + y G; a commutator slice (G' = G+) takes G y + (G y)+, exactly
@@ -142,22 +134,18 @@ def _coupled_rhs(band: np.ndarray, omega: float, front, sign, gamma: float, s: n
     lead, total = np.count_nonzero(np.asarray(sign) < 0), np.size(sign)
     comm = [] if not lead else [Ellipsis] if lead == total else [slice(lead)]
     acomm = [] if lead == total else [Ellipsis] if not lead else [slice(lead, None)]
-    n = m // 2
-    decay = -(half_n[:, None] + half_n[None, :]).astype(complex)
 
-    size = n if atom_swap else m  # the N of G's N x N matrices
-    shape = np.broadcast_shapes(np.shape(front), (size, size))
+    shape = np.broadcast_shapes(np.shape(front), (m, m))
     diag = np.diag_indices(m)
-    front_rows = np.reshape(front, (-1, 1))  # one front per N x N matrix of G
+    front_rows = np.reshape(front, (-1, 1))  # one front per m x m matrix of G
     conj_band = band.conj()
 
     def generator(t: float) -> np.ndarray:
         g = np.zeros(shape, dtype=complex)
-        if not atom_swap:
-            g[..., diag[0], diag[1]] -= half_n
-        flat_g = g.reshape(-1, size * size)  # its two bands are strided views
-        np.multiply(front_rows, band * np.exp(-1j * omega * t), out=flat_g[:, 1::size + 1])
-        np.multiply(front_rows, conj_band * np.exp(1j * omega * t), out=flat_g[:, size::size + 1])
+        g[..., diag[0], diag[1]] -= half_n
+        flat_g = g.reshape(-1, m * m)  # its two bands are strided views
+        np.multiply(front_rows, band * np.exp(-1j * omega * t), out=flat_g[:, 1::m + 1])
+        np.multiply(front_rows, conj_band * np.exp(1j * omega * t), out=flat_g[:, m::m + 1])
         return g
 
     def bind(g: np.ndarray, y: np.ndarray, out: np.ndarray, work: np.ndarray):
@@ -165,10 +153,6 @@ def _coupled_rhs(band: np.ndarray, omega: float, front, sign, gamma: float, s: n
             if arr.shape != y.shape or arr.dtype != complex or not arr.flags.c_contiguous:
                 raise ValueError("y, out and work must be C-contiguous complex arrays"
                                  " of one shape")
-        if atom_swap:
-            products = [(g, y[..., n:, :], out[..., :n, :]), (g, y[..., :n, :], out[..., n:, :])]
-        else:
-            products = [(g, y, out)]
         # G y + (G y)+: out's slices, their conjugates in work, read transposed
         comm_views = [(out[i], work[i], work[i].swapaxes(-1, -2)) for i in comm]
         # G y + y G: y G into work's slices, then added to out's; a 2-D G
@@ -179,34 +163,19 @@ def _coupled_rhs(band: np.ndarray, omega: float, front, sign, gamma: float, s: n
         flat_work = work.reshape(-1, m * m)[:, :-shift]
 
         def stage() -> np.ndarray:
-            for left, right, dest in products:
-                np.matmul(left, right, out=dest)
+            np.matmul(g, y, out=out)
             for dest, scratch, scratch_t in comm_views:
                 np.conjugate(dest, out=scratch)
                 dest += scratch_t
             for y_i, g_i, scratch, dest in acomm_views:
                 np.matmul(y_i, g_i, out=scratch)
                 dest += scratch
-            if atom_swap:  # the a+a terms of G y + y G+: -(gamma/2)(d_i + d_j) y_ij
-                np.add(out, np.multiply(decay, y, out=work), out=out)
             np.add(flat_out, np.multiply(jump, flat_y, out=flat_work), out=flat_out)
             return out
 
         return stage
 
     return CoupledRHS(generator, bind)
-
-
-def rotating_frame_rhs(params: ModelParams) -> CoupledRHS:
-    """Right-hand side f(t, rho) of the joint equation in the rotating
-    (free-field) frame, -i coupling [X(t) (x) sigma_x, rho] + D[rho]: the lab
-    frame's -i[H, rho] + D[rho] with omega a+a moved into the frame.  The
-    coupling is its field block c X(t), written as the two bands of
-    c diag(a, 1), and acts on the atom-swapped rows of rho.  Every rho must be
-    Hermitian: one product serves both sides (``_coupled_rhs``)."""
-    band = np.diagonal(params.coupling * annihilation(params.n_trunc), 1)
-    return _coupled_rhs(band, params.omega, -1j, -1.0, params.gamma,
-                        np.diagonal(joint_annihilation(params.n_trunc), 1), atom_swap=True)
 
 
 def _lab_phases(t: float, params: ModelParams, blocks: int) -> np.ndarray:
@@ -278,6 +247,16 @@ def split_components(rho: np.ndarray) -> ComponentSet:
         rho2=1j * (r12 - r21),
         rho3=r11 - r22,
     )
+
+
+def combine_components(cs: ComponentSet) -> np.ndarray:
+    """The joint state whose ``split_components`` is ``cs``: its inverse.  With
+    exactly Hermitian rho0..rho3 the result is exactly Hermitian."""
+    r11 = 0.5 * (cs.rho0 + cs.rho3)
+    r22 = 0.5 * (cs.rho0 - cs.rho3)
+    r12 = 0.5 * (cs.rho1 - 1j * cs.rho2)
+    r21 = 0.5 * (cs.rho1 + 1j * cs.rho2)
+    return np.block([[r11, r12], [r21, r22]])
 
 
 # kind -> (front factor over the coupling, sign of the y K term)

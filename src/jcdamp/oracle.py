@@ -1,40 +1,41 @@
 """Brute-force numerical ground truth: fixed-step RK4 integration of the
-full joint equation of motion and of the decoupled component equations
-on the truncated Fock space with the rotating-frame step, stepping the
-lab-frame state.
+joint equation of motion and of the decoupled component equations on the
+truncated Fock space with the rotating-frame step, stepping the lab-frame
+state.
 
 Fixed-step RK4 is used (rather than an adaptive solver) so runs are
-deterministic and reproducible as regression baselines.  One loop,
-``_rk4``, integrates a stack of states: the joint run is a stack of one,
-and the decoupled components (plus, minus, cross) asked for together run
-as one (k, N, N) stack in that order, each slice under its own front factor
-and commutator or anticommutator sign.  Each step works in place: the state
-and the four RK4 stages are the rows of one buffer made once per run,
-each stage, bound once per run, writes its row, each stage input and the
-step sum is one weighted product of rows, the state takes one step's lab
-phases, the tail entries are read with one ``np.take`` into a block that
-is checked at every kept step and at least every ``TAIL_BLOCK`` steps,
-and a kept state is copied.  Each right-hand side
-is evaluated in effective-generator form (``model._coupled_rhs``: a run
-makes three generators, each with the coupling written as its two bands;
-the joint coupling acts as its N x N field block on the atom-swapped
-rows), whose Hermitian contract is held here at entry: a joint, plus or
-minus initial state must be Hermitian within ``model.HERM_TOL``
-(ValueError naming it otherwise), and its Hermitian part is integrated.
-A run keeps exactly the steps ``store_steps`` (by default the last) and
-takes no step after the last of them; ``TimeGrid.check_steps`` holds this rule here and in the doubled
-route, and ``TimeGrid.step_index`` maps a time to its step.  ``TimeGrid``
-and ``StepTooLarge`` live in ``fock``, the base the routes share, and are
+deterministic and reproducible as regression baselines.  The joint
+equation splits exactly into its plus, minus and cross components, so
+the oracle has one right-hand side, a component stack's
+(``model.decoupled_rhs``), and one loop, ``_rk4``: components asked for
+together run as one (k, N, N) stack in the order plus, minus, cross, and
+a joint run is split, stacked, stepped and each kept stack embedded
+(``_embed``).  Each step works in place: the state and the four RK4
+stages are the rows of one buffer made once per run, each stage, bound
+once per run, writes its row, each stage input and the step sum is one
+weighted product of rows, the state takes one step's lab phases, the tail
+entries are read with one ``np.take`` into a block that is checked at
+every kept step and at least every ``TAIL_BLOCK`` steps, and a kept state
+is copied.  The right-hand side is evaluated in effective-generator form
+(``model._coupled_rhs``: a run makes three generators, each with the
+coupling written as its two bands), whose Hermitian contract is held here
+at entry: a joint, plus or minus initial state must be Hermitian within
+``model.HERM_TOL`` (ValueError naming it otherwise), and its Hermitian
+part is integrated.  A run keeps exactly the steps ``store_steps`` (by
+default the last) and takes no step after the last of them;
+``TimeGrid.check_steps`` holds this rule here and in the doubled route,
+and ``TimeGrid.step_index`` maps a time to its step.  ``TimeGrid`` and
+``StepTooLarge`` live in ``fock``, the base the routes share, and are
 re-exported here; this module imports only ``fock`` and ``model``.  A
 step must pass the heuristic bound of ``require_step`` and the stability
 bound of ``require_stable``: h times a norm bound of the rotating-frame
 generator, 2||c (a + a+)||_2 + 2 gamma (N-1), at most ``STABILITY_LIMIT``,
-inside RK4's imaginary-axis limit 2 sqrt(2).
-The initial state and every kept state must be finite, and a joint one
-must keep its purity at most 1 + ``PURITY_SLACK``; every step taken must
-keep the tail weight of each state at most ``TAIL_LIMIT``.  Each
-failure raises ``StepTooLarge`` or ``TailOverflow`` naming its cause and
-its state ("joint", or the component kind).
+inside RK4's imaginary-axis limit 2 sqrt(2).  The initial state and every
+kept state must be finite, and a joint one must keep its purity at most
+1 + ``PURITY_SLACK``; every step taken must keep the tail weight of each
+state at most ``TAIL_LIMIT``.  Each failure raises ``StepTooLarge`` or
+``TailOverflow`` naming its cause and its state ("joint", or the
+component kind).
 
 Frame clock: the rotating frame coincides with the lab frame at
 ``grid.t_start``, so the initial state is the same in both frames.  The
@@ -57,11 +58,13 @@ import numpy as np
 from .fock import TAIL_LEVELS, ModelParams, StepTooLarge, TimeGrid, annihilation
 from .model import (
     _KINDS,
+    ComponentSet,
     CoupledRHS,
     _lab_phases,
+    combine_components,
     decoupled_rhs,
     require_hermitian,
-    rotating_frame_rhs,
+    split_components,
 )
 
 STEP_SAFETY = 0.1
@@ -85,7 +88,7 @@ class Trajectory:
 
     @property
     def times(self) -> np.ndarray:
-        # the arithmetic of ``grid.times()``, at the kept steps only
+        # t_start + step * k at each kept step k
         return self.grid.t_start + self.grid.step * np.array(list(self.states))
 
     @property
@@ -120,12 +123,16 @@ def require_stable(params: ModelParams, h: float) -> None:
         )
 
 
-def _check_stored(y: np.ndarray, t: float, name: str, joint: bool) -> None:
-    if not np.all(np.isfinite(y)):
-        raise StepTooLarge(f"unstable: {name} state is not finite at t={t:.6g}")
+def _check_stored(y: np.ndarray, t: float, names: list[str], joint: bool) -> None:
+    for name, state in zip(names, [y] if joint else y):  # a joint stack is one state
+        if not np.all(np.isfinite(state)):
+            raise StepTooLarge(f"unstable: {name} state is not finite at t={t:.6g}")
     if joint:
-        # Tr(rho^2) of a Hermitian matrix is its squared Frobenius norm
-        purity = np.vdot(y, y).real
+        # Tr(rho^2) = (|plus|^2 + |minus|^2) / 4 + |cross|^2 / 2, squared
+        # Frobenius norms of the split of a Hermitian rho
+        plus, minus, cross = y
+        purity = (0.25 * (np.vdot(plus, plus).real + np.vdot(minus, minus).real)
+                  + 0.5 * np.vdot(cross, cross).real)
         if purity > 1.0 + PURITY_SLACK:
             raise StepTooLarge(f"unstable: purity {purity:.3e} > 1 at t={t:.6g}")
 
@@ -138,25 +145,33 @@ def _hermitian_part(y: np.ndarray, name: str) -> np.ndarray:
     return 0.5 * (y + y.conj().T)
 
 
-def _tail_entries(y: np.ndarray, joint: bool) -> np.ndarray:
+def _tail_entries(y: np.ndarray) -> np.ndarray:
     """Indices into ``y.reshape(-1).view(float)`` of the real parts of the top
-    ``fock.TAIL_LEVELS`` diagonal entries, one row per field block: per slice
-    of a component stack, or the two atom blocks of a joint state, upper first."""
+    ``fock.TAIL_LEVELS`` diagonal entries, one row per slice of the stack."""
     m = y.shape[-1]
-    size = m // 2 if joint else m
-    levels = np.arange(size)[-TAIL_LEVELS:]
-    # flat index of (l, l) in one m x m slice, one row per field block
-    diagonal = (np.arange(2 if joint else 1)[:, None] * size + levels) * (m + 1)
-    return 2 * (np.arange(len(y))[:, None, None] * m * m + diagonal).reshape(-1, len(levels))
+    levels = np.arange(m)[-TAIL_LEVELS:]
+    # flat index of (l, l) in slice i of the stack
+    return 2 * (np.arange(len(y))[:, None] * m * m + levels * (m + 1))
+
+
+def _embed(stack: np.ndarray) -> np.ndarray:
+    """The joint state split into the (Hermitian plus, minus, cross) ``stack``:
+    rho3 and i rho2 are cross's Hermitian and anti-Hermitian parts, each exactly,
+    so with exactly Hermitian plus and minus the state is exactly Hermitian."""
+    plus, minus, cross = stack
+    skew = 0.5 * (cross - cross.conj().T)  # i rho2
+    return combine_components(ComponentSet(
+        rho0=0.5 * (plus + minus), rho1=0.5 * (plus - minus),
+        rho2=-1j * skew, rho3=0.5 * (cross + cross.conj().T)))
 
 
 def _rk4(rhs: CoupledRHS, y0: np.ndarray, params: ModelParams, grid: TimeGrid,
          store_steps: Iterable[int], names: list[str], joint: bool) -> dict[str, Trajectory]:
-    """Integrate the stack ``y0``, one state per name on axis 0, and return
-    name -> Trajectory.  With ``joint`` the stack holds one joint state (tail
-    ``joint_tail_weight``, purity checked), else field operators (tail
-    |``fock.tail_weight``|, both read as the top diagonal entries,
-    ``_tail_entries``).
+    """Integrate the stack ``y0`` and return name -> Trajectory.  Without
+    ``joint`` it holds one field operator per name (tail |``fock.tail_weight``|);
+    with it, the plus, minus, cross split of the one named joint state, kept
+    whole (purity checked; tail the ``joint_tail_weight`` of ``_embed``, bit
+    for bit).  Both tails are read as top diagonal entries (``_tail_entries``).
 
     The state is the lab-frame one, stepped in place as z <- P(h) Phi_0(z):
     Phi_0 is the rotating-frame RK4 step at frame time 0 and P(h) the lab
@@ -197,8 +212,8 @@ def _rk4(rhs: CoupledRHS, y0: np.ndarray, params: ModelParams, grid: TimeGrid,
             (np.array([1.0, h]), parts[1::2]),
             (np.array([h / 6.0, 1.0, h / 3.0, h / 3.0, h / 6.0]), parts)]
     into = stage.reshape(-1).view(np.float64)
-    phases = _lab_phases(h, params, 2 if joint else 1)
-    tail_at = _tail_entries(y, joint)
+    phases = _lab_phases(h, params, 1)
+    tail_at = _tail_entries(y)
     entries = y.reshape(-1).view(np.float64)  # y's parts, real at even places; a view
     block = np.empty((TAIL_BLOCK,) + tail_at.shape)
     read = 0  # steps in ``block`` not yet checked
@@ -214,8 +229,11 @@ def _rk4(rhs: CoupledRHS, y0: np.ndarray, params: ModelParams, grid: TimeGrid,
         read += 1
         stored = not k or k in keep
         if stored or read == TAIL_BLOCK:
-            w = block[:read].sum(axis=2)
-            w = w[:, :1] + w[:, 1:] if joint else np.abs(w)
+            if joint:  # the embedding's diagonals: upper atom block, then lower
+                rho0, rho3 = 0.5 * (block[:read, :1] + block[:read, 1:2]), block[:read, 2:]
+                w = (0.5 * (rho0 + rho3)).sum(axis=2) + (0.5 * (rho0 - rho3)).sum(axis=2)
+            else:
+                w = np.abs(block[:read].sum(axis=2))
             over = w > TAIL_LIMIT
             if over.any():
                 step, i = np.argwhere(over)[0]
@@ -225,11 +243,9 @@ def _rk4(rhs: CoupledRHS, y0: np.ndarray, params: ModelParams, grid: TimeGrid,
             np.maximum(tail_max, w.max(axis=0), out=tail_max)
             read = 0
         if stored:
-            t = grid.t_start + k * h
-            for name, state in zip(names, y):
-                _check_stored(state, t, name, joint)
+            _check_stored(y, grid.t_start + k * h, names, joint)
         if k in keep:
-            kept[k] = [state.copy() for state in y]
+            kept[k] = [y.copy()] if joint else [state.copy() for state in y]
     return {name: Trajectory(grid=grid, states={k: states[i] for k, states in kept.items()},
                              tail_max=float(tail_max[i]))
             for i, name in enumerate(names)}
@@ -242,16 +258,21 @@ def integrate_joint(rho0: np.ndarray, params: ModelParams, grid: TimeGrid,
     generator; each kept state is returned in the lab frame.
 
     ``rho0``, an array-like, must be Hermitian within ``model.HERM_TOL``; its
-    Hermitian part is integrated.
+    Hermitian part is integrated, as the stack of its plus, minus and cross
+    components, and each kept stack is embedded back into a joint state.
     """
     n = params.n_trunc
     if np.shape(rho0) != (2 * n, 2 * n):
         raise ValueError(f"initial state has shape {np.shape(rho0)}, expected {(2 * n, 2 * n)}")
-    rho0 = _hermitian_part(rho0, "joint")
+    cs = split_components(_hermitian_part(rho0, "joint"))
     require_step(params, grid.step)
     require_stable(params, grid.step)
-    rhs = rotating_frame_rhs(params)  # rho0 is Hermitian, as it requires
-    return _rk4(rhs, rho0[None], params, grid, store_steps, ["joint"], joint=True)["joint"]
+    rhs = decoupled_rhs(list(_KINDS), params)  # cs.plus, cs.minus are exactly Hermitian
+    traj = _rk4(rhs, np.stack([cs.plus, cs.minus, cs.cross]), params, grid, store_steps,
+                ["joint"], joint=True)["joint"]
+    for k, stack in traj.states.items():  # one at a time, each stack freed as it goes
+        traj.states[k] = _embed(stack)
+    return traj
 
 
 def integrate_component(initial: Mapping[str, np.ndarray], params: ModelParams,

@@ -2,7 +2,10 @@
 
 The right-hand sides here are dense matrix products, written apart from
 ``model._coupled_rhs`` so that the tests can hold the package's fast
-right-hand sides against them.  ``dense_coupled_rhs`` is the package's
+right-hand sides against them.  ``lab_frame_rhs`` is the paper's joint
+equation (1) in the lab frame, built from ``hamiltonian_full`` and
+``joint_annihilation``, which the tests hold the oracle's joint run, the
+embedded component stack, against.  ``dense_coupled_rhs`` is the package's
 earlier right-hand side, which rebuilt the whole coupling matrix at each
 new time; the tests hold the band-written one to its bits.  ``rk4_states``
 is the oracle's earlier rotating-frame RK4 loop, ``lab_rk4_states`` its
@@ -34,12 +37,7 @@ import scipy.sparse as sp
 
 from jcdamp.doubled import TaylorPlan, expm_multiply, superoperators, taylor_plan
 from jcdamp.fock import TAIL_LEVELS, ModelParams, annihilation
-from jcdamp.model import (
-    _KINDS,
-    ComponentSet,
-    hamiltonian_full,
-    joint_annihilation,
-)
+from jcdamp.model import _KINDS, ComponentSet, hamiltonian_full
 
 RHS = Callable[..., np.ndarray]  # f(t, y, out=None) -> out
 
@@ -162,6 +160,11 @@ def acomm_partners(table: Mapping) -> tuple:
             2.0 * table["right_ad"] - table["comm_ad"])
 
 
+def joint_annihilation(n_trunc: int) -> np.ndarray:
+    """1 (x) a on the joint space of ``model``'s block layout."""
+    return np.kron(np.eye(2, dtype=complex), annihilation(n_trunc))
+
+
 def dense_damping(gamma: float, a: np.ndarray, mat: np.ndarray) -> np.ndarray:
     """D[mat] = (gamma/2) (2 a mat a+ - a+a mat - mat a+a), from dense products."""
     ad = a.conj().T
@@ -213,25 +216,21 @@ def _slices(mask: np.ndarray):
     return slice(idx[0], idx[-1] + 1) if idx[-1] - idx[0] + 1 == idx.size else idx
 
 
-def dense_coupled_rhs(coupling, front, sign, gamma: float, a: np.ndarray,
-                      atom_swap: bool = False) -> RHS:
+def dense_coupled_rhs(coupling, front, sign, gamma: float, a: np.ndarray) -> RHS:
     """f(t, y, out) = front (K y + sign y K) + D[y], written into ``out`` (a
     C-contiguous array of y's shape, allocated when None) and returned: sign -1
     gives the commutator, +1 the anticommutator, D is the damping of (gamma, a),
     ``a`` read by ``_ladder``.  Front and sign may be arrays that broadcast
-    over a stack y of matrices, the slices of the two kinds in any order.  K = coupling(t), built once per distinct t
-    (RK4 stages 2 and 3 share one time); with ``atom_swap``, K = sigma_x (x)
-    coupling(t) on the joint space of ``a``'s two atom blocks, a commutator only.
+    over a stack y of matrices, the slices of the two kinds in any order.
+    K = coupling(t), built once per distinct t (RK4 stages 2 and 3 share one
+    time).
 
     It is evaluated in effective-generator form, f(y) = G y + y G' + gamma a y a+,
     with G = front K - (gamma/2) a+a and G' = sign front K - (gamma/2) a+a.
-    With ``atom_swap``, the coupling part of G y is the N x N block front
-    coupling(t) on the atom-swapped row blocks of y, two (N x N)(N x 2N)
-    products, and the a+a parts of both sides are one table,
-    -(gamma/2)(d_i + d_j) y_ij.  The jump term gamma a y a+ is y[i+1, j+1] times
-    the table gamma s_i conj(s_j) (``_ladder``), taken as one shift of the flat
-    m x m entries: entry p + m + 1 of y against entry p of a table padded with
-    zeros in its last row and column.
+    The jump term gamma a y a+ is y[i+1, j+1] times the table gamma s_i conj(s_j)
+    (``_ladder``), taken as one shift of the flat m x m entries: entry
+    p + m + 1 of y against entry p of a table padded with zeros in its last
+    row and column.
 
     The kind of each slice sets its products: an anticommutator slice (G' = G)
     takes G y + y G; a commutator slice (G' = G+) takes G y + (G y)+, exactly
@@ -248,8 +247,6 @@ def dense_coupled_rhs(coupling, front, sign, gamma: float, a: np.ndarray,
     diag = np.diag_indices(m)
     commutator = np.asarray(sign).reshape(-1) < 0
     comm, acomm = _slices(commutator), _slices(~commutator)
-    n = m // 2
-    decay = -(half_n[:, None] + half_n[None, :]).astype(complex)
 
     last_t = g = work = None
 
@@ -262,35 +259,18 @@ def dense_coupled_rhs(coupling, front, sign, gamma: float, a: np.ndarray,
         if t != last_t:
             last_t = t
             g = front * coupling(t)
-            if not atom_swap:
-                g[..., diag[0], diag[1]] -= half_n
-        if atom_swap:
-            np.matmul(g, y[..., n:, :], out=out[..., :n, :])
-            np.matmul(g, y[..., :n, :], out=out[..., n:, :])
-        else:
-            np.matmul(g, y, out=out)
+            g[..., diag[0], diag[1]] -= half_n
+        np.matmul(g, y, out=out)
         if comm is not None:
             out[comm] += np.conjugate(out[comm], out=work[comm]).swapaxes(-1, -2)
         if acomm is not None:
             out[acomm] += np.matmul(y[acomm], g[acomm], out=work[acomm])
-        if atom_swap:  # the a+a terms of G y + y G+: -(gamma/2)(d_i + d_j) y_ij
-            out += np.multiply(decay, y, out=work)
         flat = out.reshape(-1, m * m)[:, :-shift]
         flat += np.multiply(jump, np.reshape(y, (-1, m * m))[:, shift:],
                             out=work.reshape(-1, m * m)[:, :-shift])
         return out
 
     return rhs
-
-
-
-def dense_rotating_frame_rhs(params: ModelParams) -> RHS:
-    """``model.rotating_frame_rhs`` on ``dense_coupled_rhs``: the N x N block
-    c X(t) built whole at each new t."""
-    a = annihilation(params.n_trunc)
-    coupling_at = _rotating(params.coupling * a.conj().T, params.coupling * a, params.omega)
-    return dense_coupled_rhs(coupling_at, -1j, -1.0, params.gamma,
-                             joint_annihilation(params.n_trunc), atom_swap=True)
 
 
 def dense_decoupled_rhs(kinds, params: ModelParams) -> RHS:
@@ -365,15 +345,6 @@ def weighted_lab_rk4_states(rhs: RHS, y0: np.ndarray, h: float, n_steps: int,
                                           (k1, y, k2, k3, k4)), phases)
         states.append(y)
     return states
-
-
-def combine_components(cs: ComponentSet) -> np.ndarray:
-    """Exact inverse of ``split_components``."""
-    r11 = 0.5 * (cs.rho0 + cs.rho3)
-    r22 = 0.5 * (cs.rho0 - cs.rho3)
-    r12 = 0.5 * (cs.rho1 - 1j * cs.rho2)
-    r21 = 0.5 * (cs.rho1 + 1j * cs.rho2)
-    return np.block([[r11, r12], [r21, r22]])
 
 
 def component_rhs(cs: ComponentSet, t: float, params: ModelParams) -> ComponentSet:

@@ -10,16 +10,23 @@ from jcdamp.model import (
     check_joint_density,
     _coupled_rhs,
     _lab_phases,
+    combine_components,
     decoupled_rhs,
     field_from_rotational,
     from_rotational_picture,
     hamiltonian_full,
-    joint_annihilation,
-    rotating_frame_rhs,
     split_components,
     to_rotational_picture,
 )
-from reference import combine_components, component_rhs, dense_damping, lab_frame_rhs
+from jcdamp.oracle import _embed
+from reference import (
+    component_rhs,
+    dense_damping,
+    joint_annihilation,
+    lab_frame_rhs,
+)
+
+KINDS = ["plus", "minus", "cross"]
 
 
 def random_joint_density(n, seed):
@@ -126,16 +133,20 @@ def test_frame_changes_multiply_state_by_phase_at_any_size():
 
 
 def test_rotational_rhs_consistent_with_lab_frame():
-    # d(rot)/dt = i w [n, rot] + U+ (lab rhs) U
+    # d(rot)/dt = i w [n, rot] + U+ (lab rhs) U: the component stack's
+    # right-hand side on the split of rot is the split of that derivative
     p = ModelParams(omega=1.1, coupling=0.17, gamma=0.23, n_trunc=8)
-    rho_rot = random_joint_density(8, 8)
+    rho_rot = exactly_hermitian_density(8, 8)
     t = 0.9
     rho_lab = from_rotational_picture(rho_rot, t, p)
     lab_deriv = to_rotational_picture(lab_frame_rhs(p)(0.0, rho_lab), t, p)
     n_joint = np.kron(np.eye(2), number_operator(8))
-    expected = 1j * p.omega * (n_joint @ rho_rot - rho_rot @ n_joint) + lab_deriv
-    got = rotating_frame_rhs(p)(t, rho_rot)
-    assert np.max(np.abs(got - expected)) < 1e-12
+    expected = split_components(1j * p.omega * (n_joint @ rho_rot - rho_rot @ n_joint)
+                                + lab_deriv)
+    cs = split_components(rho_rot)
+    got = decoupled_rhs(KINDS, p)(t, np.stack([getattr(cs, kind) for kind in KINDS]))
+    for kind, slice_ in zip(KINDS, got):
+        assert np.max(np.abs(slice_ - getattr(expected, kind))) < 1e-12
 
 
 def test_split_coherent_up_initial_state():
@@ -216,7 +227,7 @@ def test_component_rhs_matches_joint_rotating_frame():
     t = 0.6
     cs = split_components(rho)
     drs = component_rhs(cs, t, p)
-    direct = split_components(rotating_frame_rhs(p)(t, rho))
+    direct = split_components(_dense_rotating_joint_rhs(p, t, rho))
     for name in ("rho0", "rho1", "rho2", "rho3"):
         assert np.max(np.abs(getattr(drs, name) - getattr(direct, name))) < 1e-10
 
@@ -288,6 +299,13 @@ def test_check_joint_density_accepts_valid_rejects_invalid():
         check_joint_density(bad)
 
 
+def _dense_rotating_joint_rhs(p, t, rho):
+    """-i c [sigma_x (x) X(t), rho] + D[rho], the joint equation in the rotating
+    frame, from dense products."""
+    k = p.coupling * np.kron(SIGMA_X, _field_coupling(t, p))
+    return -1j * (k @ rho - rho @ k) + dense_damping(p.gamma, joint_annihilation(p.n_trunc), rho)
+
+
 def test_joint_annihilation_acts_on_field_only():
     n = 5
     aj = joint_annihilation(n)
@@ -303,8 +321,7 @@ def test_damping_matches_dense_products(ops):
     # diag(a, 1)) against the dense formula: on random non-Hermitian matrices
     # as anticommutator slices, and on their Hermitian parts as commutator
     # slices, one at a time and as a stack written into a caller's buffer; on
-    # the joint space also with the coupling as a zero field block on the
-    # atom-swapped rows
+    # the joint space too, whose ladder has a zero between the atom blocks
     a = ops(9)
     dim = a.shape[0]
     s = np.diagonal(a, 1)
@@ -314,10 +331,6 @@ def test_damping_matches_dense_products(ops):
     hermitian = 0.5 * (stack + stack.conj().swapaxes(1, 2))
     cases = [(_coupled_rhs(zero, 1.3, -1j, 1.0, 0.37, s), stack),
              (_coupled_rhs(zero, 1.3, -1j, -1.0, 0.37, s), hermitian)]
-    if ops is joint_annihilation:
-        block = np.zeros(8, dtype=complex)
-        cases.append((_coupled_rhs(block, 1.3, -1j, -1.0, 0.37, s, atom_swap=True),
-                      hermitian))
     for damp, mats in cases:
         out = np.full_like(mats, np.nan)
         stacked = damp(0.0, mats, out)
@@ -344,20 +357,22 @@ def _field_coupling(t, p):
 
 def test_joint_rhs_matches_dense_equation_of_motion():
     # both pictures against -i[K, rho] + D[rho] from dense products: the
-    # rotating frame in the package's one-product form, exactly Hermitian for
+    # rotating frame as the component stack's one-product form on the split
+    # of rho, embedded as the oracle embeds its states, exactly Hermitian for
     # Hermitian input; the lab frame is the tests' dense reference, Hermitian
     # to rounding
     n, t = 9, 0.7
     p = ModelParams(omega=1.1, coupling=0.17, gamma=0.23, n_trunc=n)
     rho = exactly_hermitian_density(n, 43)
     a = joint_annihilation(n)
-    couplings = {lab_frame_rhs: hamiltonian_full(p),
-                 rotating_frame_rhs: p.coupling * np.kron(SIGMA_X, _field_coupling(t, p))}
-    for build, k in couplings.items():
+    cs = split_components(rho)
+    stack = decoupled_rhs(KINDS, p)(t, np.stack([getattr(cs, kind) for kind in KINDS]))
+    frames = {"lab": (hamiltonian_full(p), lab_frame_rhs(p)(t, rho)),
+              "rotating": (p.coupling * np.kron(SIGMA_X, _field_coupling(t, p)), _embed(stack))}
+    for frame, (k, got) in frames.items():
         want = -1j * (k @ rho - rho @ k) + dense_damping(p.gamma, a, rho)
-        got = build(p)(t, rho)
         assert np.max(np.abs(got - want)) <= 1e-13
-        if build is rotating_frame_rhs:
+        if frame == "rotating":
             assert np.array_equal(got, got.conj().T)
         else:
             assert np.max(np.abs(got - got.conj().T)) <= 1e-16
@@ -396,17 +411,12 @@ def _random_hermitian(dim, rng):
 
 @pytest.mark.parametrize("n", [2, 3, 6])
 def test_fast_right_hand_sides_match_dense_references(n):
-    # the joint product (the field block on the atom-swapped rows, a stack of
-    # one as the oracle runs it, and a single matrix) and a mixed component
-    # stack with two cross slices against dense products, 1e-14 relative, at
-    # several t != 0: random Hermitian joint states with weight in both
-    # off-diagonal atom blocks, and random non-Hermitian cross slices; every
-    # joint output is exactly Hermitian.  A stack out of plus, minus, cross
-    # order is rejected
+    # a mixed component stack with two cross slices against dense products,
+    # 1e-14 relative, at several t != 0, with random non-Hermitian cross
+    # slices.  A stack out of plus, minus, cross order is rejected
     p = ModelParams(omega=0.9, coupling=0.23, gamma=0.31, n_trunc=n)
     rng = np.random.default_rng(53 + n)
-    a, aj, c = annihilation(n), joint_annihilation(n), p.coupling
-    joint = rotating_frame_rhs(p)
+    a, c = annihilation(n), p.coupling
     with pytest.raises(ValueError, match="not in the order"):
         decoupled_rhs(["plus", "cross", "minus", "cross"], p)
     kinds = ["plus", "minus", "cross", "cross"]
@@ -414,15 +424,6 @@ def test_fast_right_hand_sides_match_dense_references(n):
     front = {"plus": -1j, "minus": 1j, "cross": -1j}
     for t in (0.3, 1.7, 4.1):
         x = _field_coupling(t, p)
-        k = c * np.kron(SIGMA_X, x)
-        for _ in range(2):
-            rho = _random_hermitian(2 * n, rng)
-            assert min(np.min(np.abs(rho[:n, n:])), np.min(np.abs(rho[n:, :n]))) > 0.0
-            want = -1j * (k @ rho - rho @ k) + dense_damping(p.gamma, aj, rho)
-            for got in (joint(t, rho[None], np.empty((1, 2 * n, 2 * n), dtype=complex))[0],
-                        joint(t, rho)):
-                assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
-                assert np.array_equal(got, got.conj().T)
         stack = np.stack([_random_hermitian(n, rng) if kind != "cross" else
                           rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
                           for kind in kinds])

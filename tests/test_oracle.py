@@ -24,7 +24,7 @@ from jcdamp.oracle import (
 )
 from reference import (
     dense_decoupled_rhs,
-    dense_rotating_frame_rhs,
+    lab_frame_rhs,
     lab_rk4_states,
     rk4_states,
     weighted_lab_rk4_states,
@@ -43,13 +43,13 @@ def test_time_grid_validation():
         TimeGrid(0.0, 1.0, 0)
     g = TimeGrid(0.0, 2.0, 8)
     assert g.step == pytest.approx(0.25)
-    assert np.allclose(g.times(), np.linspace(0.0, 2.0, 9))
+    assert [g.step_index(t) for t in np.linspace(0.0, 2.0, 9)] == list(range(9))
 
 
 @pytest.mark.parametrize("t_start, t_end", [(0.0, math.inf), (-math.inf, 1.0),
                                              (-math.inf, math.inf), (0.0, math.nan)])
 def test_time_grid_rejects_non_finite_endpoints(t_start, t_end):
-    # an infinite t_end would make times() start with nan, and the doubled
+    # an infinite t_end would make the grid times start with nan, and the doubled
     # route's Taylor plan would reach math.ceil(nan)
     with pytest.raises(ValueError, match="t_start and t_end must be finite"):
         TimeGrid(t_start, t_end, 10)
@@ -57,14 +57,14 @@ def test_time_grid_rejects_non_finite_endpoints(t_start, t_end):
 
 @pytest.mark.parametrize("bad", [2.5, 20.5, 20.0, True, np.float64(8.0), "8"])
 def test_time_grid_rejects_a_non_integer_step_count(bad):
-    # 2.5 steps would run times() past t_end, and 20.5 would reach range()
+    # 2.5 steps would run the grid times past t_end, and 20.5 would reach range()
     with pytest.raises(ValueError, match="n_steps must be an integer"):
         TimeGrid(0.0, 1.0, bad)
 
 
 def test_time_grid_takes_numpy_integers():
     g = TimeGrid(0.0, 1.0, np.int64(8))
-    assert np.array_equal(g.times(), TimeGrid(0.0, 1.0, 8).times())
+    assert (g.n_steps, g.step) == (8, TimeGrid(0.0, 1.0, 8).step) and g.step_index(1.0) == 8
     assert g.check_steps(np.arange(3, 9, 5)) == {3, 8}
 
 
@@ -230,6 +230,73 @@ def test_component_consistency_with_joint():
         assert np.max(np.abs(comps[kind].final - target)) < 1e-7
 
 
+def test_joint_run_is_the_embedded_component_stack(monkeypatch):
+    # the joint run steps the plus/minus/cross stack split from rho0, under
+    # the one component right-hand side (three (3, N, N) generators), and
+    # embeds each kept stack: its states are those of the component run on
+    # the split, embedded, bit for bit, each exactly Hermitian, and its
+    # tail_max is the largest joint_tail_weight of its states, bit for bit
+    built = _counted_generators(monkeypatch)
+    n, steps = 12, 200
+    p = ModelParams(omega=1.3, coupling=0.15, gamma=0.2, n_trunc=n)
+    grid = TimeGrid(0.4, 1.4, steps)
+    rho0 = _entangled_joint(n)
+    rho0 = 0.5 * (rho0 + rho0.conj().T)
+    keep = range(steps + 1)
+    joint = integrate_joint(rho0, p, grid, store_steps=keep)
+    assert [g.shape for _, g in built] == [(3, n, n)] * 3
+    cs = split_components(rho0)
+    trajs = integrate_component({"plus": cs.plus, "minus": cs.minus, "cross": cs.cross}, p,
+                                grid, store_steps=keep)
+    for k in keep:
+        want = oracle._embed(np.stack([trajs[kind].states[k] for kind in model._KINDS]))
+        assert np.array_equal(joint.states[k], want)
+        assert np.array_equal(want, want.conj().T)
+    assert joint.tail_max == max(joint_tail_weight(state) for state in joint.states.values())
+    assert np.max(np.abs(joint.states[0] - rho0)) <= 1e-16
+
+
+def _equation_one_deviation(rho0):
+    """Largest entry of the joint run's kept states minus RK4 of the dense
+    lab-frame equation (1), -i[H, rho] + D[rho] from ``hamiltonian_full``, at
+    h/4 (``reference.lab_frame_rhs``), over every 20th of 200 steps."""
+    n, steps = 12, 200
+    p = ModelParams(omega=1.0, coupling=0.2, gamma=0.3, n_trunc=n)
+    grid = TimeGrid(0.0, 2.0, steps)
+    keep = range(0, steps + 1, 20)
+    got = integrate_joint(rho0, p, grid, store_steps=keep)
+    lab = rk4_states(lab_frame_rhs(p), rho0, grid.step / 4, 4 * steps)
+    return max(np.max(np.abs(got.states[k] - lab[4 * k])) for k in keep)
+
+
+# The two runs differ by their RK4 errors: the lab-frame reference carries
+# omega a+a in its generator, so it runs at h/4 (1e-9 off at h), and the
+# deviation left is the joint run's own, 6.3e-12 (coherent) and 4.1e-12
+# (entangled) here.  The bound is 8x the larger; a wrong sign in
+# model._KINDS moves the states by 1.7e-2 or more, 9 orders above it.
+EQUATION_ONE_BOUND = 5e-11
+
+
+def _equation_one_initials(n=12):
+    return {"coherent": coherent_joint(0.5, n, ATOM_UP), "entangled": _entangled_joint(n)}
+
+
+@pytest.mark.parametrize("initial", ["coherent", "entangled"])
+def test_joint_run_integrates_equation_one(initial):
+    # the stack, split from rho0 and embedded back, integrates the paper's
+    # joint Lindblad equation, held against its dense lab-frame form
+    rho0 = _equation_one_initials()[initial]
+    assert _equation_one_deviation(0.5 * (rho0 + rho0.conj().T)) <= EQUATION_ONE_BOUND
+
+
+@pytest.mark.parametrize("initial", ["coherent", "entangled"])
+def test_equation_one_check_fails_on_a_wrong_component_sign(monkeypatch, initial):
+    # minus evolving under plus's front factor: the check above fails
+    monkeypatch.setitem(model._KINDS, "minus", (-1j, -1.0))
+    rho0 = _equation_one_initials()[initial]
+    assert _equation_one_deviation(0.5 * (rho0 + rho0.conj().T)) > EQUATION_ONE_BOUND
+
+
 def test_component_trace_conserved_when_uncoupled():
     n = 16
     p = ModelParams(omega=1.0, coupling=0.0, gamma=0.3, n_trunc=n)
@@ -348,8 +415,8 @@ def test_initial_state_is_checked_when_not_kept():
 
 
 def _counted_generators(monkeypatch):
-    """The G of every ``generator`` call of the oracle's right-hand sides, in
-    call order, through wrapped builders."""
+    """The G of every ``generator`` call of the oracle's right-hand side, in
+    call order, through a wrapped builder."""
     built = []
 
     def counted(build):
@@ -363,8 +430,7 @@ def _counted_generators(monkeypatch):
             return model.CoupledRHS(generator, rhs.bind)
         return wrapped
 
-    for name in ("rotating_frame_rhs", "decoupled_rhs"):
-        monkeypatch.setattr(oracle, name, counted(getattr(oracle, name)))
+    monkeypatch.setattr(oracle, "decoupled_rhs", counted(oracle.decoupled_rhs))
     return built
 
 
@@ -419,22 +485,11 @@ def test_in_place_stages_match_the_allocating_rk4_loop():
         assert all(np.array_equal(trajs[kind].states[k], want[k][i]) for k in range(steps + 1))
 
 
-def test_joint_run_builds_the_coupling_as_its_field_block(monkeypatch):
-    # the joint coupling c sigma_x (x) X(t) is only ever written into an
-    # N x N buffer, the block c X(t), so no (2N) x (2N) product with the
-    # coupling is made
-    built = _counted_generators(monkeypatch)
-    n = 10
-    p = ModelParams(omega=1.3, coupling=0.1, gamma=0.2, n_trunc=n)
-    integrate_joint(coherent_joint(0.5, n, ATOM_UP), p, TimeGrid(0.0, 1.0, 20))
-    assert len(built) == 3 and {g.shape for _, g in built} == {(n, n)}
-
-
 def test_band_written_coupling_matches_the_dense_build_bit_for_bit():
     # the coupling written as its two bands into one buffer gives the bits of
     # the dense build front (a+ e^{iwt} + a e^{-iwt}) with its diagonal
-    # patched, at a new time, a repeated one and t = 0; and so whole runs
-    # equal the lab-frame RK4 step, with the oracle's weighted sums, on the
+    # patched, at a new time, a repeated one and t = 0; and so a whole run
+    # equals the lab-frame RK4 step, with the oracle's weighted sums, on the
     # dense build
     n, steps = 10, 50
     p = ModelParams(omega=1.3, coupling=0.23, gamma=0.31, n_trunc=n)
@@ -444,24 +499,16 @@ def test_band_written_coupling_matches_the_dense_build_bit_for_bit():
         m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         return 0.5 * (m + m.conj().T)
 
-    cases = [(model.rotating_frame_rhs(p), dense_rotating_frame_rhs(p), [hermitian(2 * n)])]
     for kinds in (["plus", "minus", "cross", "cross"], ["cross"]):
-        stack = [rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) if kind == "cross"
-                 else hermitian(n) for kind in kinds]
-        cases.append((model.decoupled_rhs(kinds, p), dense_decoupled_rhs(kinds, p), stack))
-    for fast, dense, stack in cases:
-        y = np.stack(stack)
+        y = np.stack([rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) if kind == "cross"
+                      else hermitian(n) for kind in kinds])
+        fast, dense = model.decoupled_rhs(kinds, p), dense_decoupled_rhs(kinds, p)
         for t in (0.0, 0.3, 0.3, 4.1):
             assert np.array_equal(fast(t, y, np.empty_like(y)), dense(t, y, np.empty_like(y)))
 
     grid = TimeGrid(0.2, 1.2, steps)
     rho0 = coherent_joint(0.35 + 0.1j, n, (ATOM_UP + ATOM_DOWN) / np.sqrt(2.0))
-    rho0 = 0.5 * (rho0 + rho0.conj().T)
-    got = integrate_joint(rho0, p, grid, store_steps=range(steps + 1))
-    want = _twin_states(dense_rotating_frame_rhs(p), rho0[None], grid.step, steps,
-                        model._lab_phases(grid.step, p, 2))
-    assert all(np.array_equal(got.states[k], want[k][0]) for k in range(steps + 1))
-    cs = split_components(rho0)
+    cs = split_components(0.5 * (rho0 + rho0.conj().T))
     initial = {"plus": 0.5 * (cs.plus + cs.plus.conj().T), "cross": cs.cross,
                "minus": 0.5 * (cs.minus + cs.minus.conj().T)}
     trajs = integrate_component(initial, p, grid, store_steps=range(steps + 1))
@@ -475,28 +522,24 @@ def test_band_written_coupling_matches_the_dense_build_bit_for_bit():
 
 def test_lab_frame_step_is_the_rotating_frame_method():
     # z <- P(h) Phi_0(z) is the rotating-frame RK4 step at every frame time,
-    # taken to the lab frame (model's frame identity): a joint run and a
-    # plus/minus/cross stack both equal the earlier method, rotating-frame
-    # states times their step's lab phases, to rounding (at most 6e-15 of
-    # the stack's largest entry here, and 5.4e-15 at N = 28 over 1,000 steps)
+    # taken to the lab frame (model's frame identity): a plus/minus/cross
+    # stack equals the earlier method, rotating-frame states times their
+    # step's lab phases, to rounding (at most 6e-15 of the stack's largest
+    # entry here, and 5.4e-15 at N = 28 over 1,000 steps); the joint run is
+    # this stack, embedded
     n, steps = 12, 400
     p = ModelParams(omega=1.3, coupling=0.15, gamma=0.2, n_trunc=n)
     grid = TimeGrid(0.4, 1.4, steps)
-    rho0 = _entangled_joint(n)
-    rho0 = 0.5 * (rho0 + rho0.conj().T)
     initial = {kind: 0.5 * (op + op.conj().T) if kind != "cross" else op
                for kind, op in _component_initials(n).items()}
-    runs = [({"joint": integrate_joint(rho0, p, grid, store_steps=range(steps + 1))},
-             model.rotating_frame_rhs(p), rho0[None], 2),
-            (integrate_component(initial, p, grid, store_steps=range(steps + 1)),
-             model.decoupled_rhs(list(initial), p), np.stack(list(initial.values())), 1)]
-    for trajs, rhs, y0, blocks in runs:
-        rotating = rk4_states(rhs, y0, grid.step, steps)
-        for k in range(steps + 1):
-            # the whole stack at step k, relative to its largest entry
-            want = np.multiply(rotating[k], model._lab_phases(k * grid.step, p, blocks))
-            got = np.stack([traj.states[k] for traj in trajs.values()])
-            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    trajs = integrate_component(initial, p, grid, store_steps=range(steps + 1))
+    rotating = rk4_states(model.decoupled_rhs(list(initial), p),
+                          np.stack(list(initial.values())), grid.step, steps)
+    for k in range(steps + 1):
+        # the whole stack at step k, relative to its largest entry
+        want = np.multiply(rotating[k], model._lab_phases(k * grid.step, p, 1))
+        got = np.stack([traj.states[k] for traj in trajs.values()])
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_tail_overflow_names_the_first_slice_to_cross():
