@@ -21,11 +21,11 @@ equation splits exactly into three field equations (``split_components``,
 whose inverse is ``combine_components``): two commutator components, plus
 and minus, and one anticommutator component, cross.  The one right-hand
 side a run uses is that of a stack of these components in the rotating
-frame (``decoupled_rhs``), built by ``_coupled_rhs``, with the one fast D,
-as a generator G made at one frame time and a stage bound once to the
-arrays it reads and writes (``CoupledRHS``).  A plus or minus component
-must be Hermitian there (one product serves both sides; the oracle
-checks); a cross component may be any matrix.
+frame, built by ``decoupled_rhs`` with the one fast D, as a generator G
+made at one frame time and a stage bound once to the arrays it reads and
+writes (``CoupledRHS``).  A plus or minus component must be Hermitian
+there (one product serves both sides; the oracle checks); a cross
+component may be any matrix.
 
 Frame identity: X(t) = U X(0) U+ with U = exp(i omega t a+a), and D commutes
 with that conjugation, so with P(tau) = ``_lab_phases(tau)`` the right-hand
@@ -66,14 +66,15 @@ def hamiltonian_full(params: ModelParams) -> np.ndarray:
 
 
 class CoupledRHS:
-    """A right-hand side in its two pieces (``_coupled_rhs``).
+    """A right-hand side in its two pieces (``decoupled_rhs``).
 
     ``generator(t)`` builds the effective generator G at frame time t, a new
     buffer; ``bind(g, y, out, work)`` returns a zero-argument callable that
     writes f(y) under G = ``g`` into ``out`` and returns it, reading the
     current entries of ``y`` and using ``work`` as scratch.  Every view the
     products use is made once, at bind time, so ``y``, ``out`` and ``work``
-    must be C-contiguous complex arrays of one shape (ValueError otherwise).
+    must be C-contiguous complex arrays of the generator's shape (ValueError
+    otherwise).
     Called as f(t, y, out=None) it is ``bind(generator(t), y, out, work)()``,
     with ``out`` allocated when None.  A plain class: a dataclass would cost
     every ``import jcdamp`` about a millisecond.
@@ -93,116 +94,32 @@ class CoupledRHS:
         return self.bind(self.generator(t), y, out, np.empty_like(out))()
 
 
-def _coupled_rhs(band: np.ndarray, omega: float, front, sign, gamma: float,
-                 s: np.ndarray) -> CoupledRHS:
-    """f(t, y, out) = front (K y + sign y K) + D[y]: sign -1 gives the
-    commutator, +1 the anticommutator, D is the damping of (gamma, a) for the
-    a whose only non-zero entries are its superdiagonal ``s`` = diag(a, 1).
-    Front and sign may be arrays that broadcast over a stack y of matrices,
-    every commutator slice before every anticommutator one.  K is the
-    rotating-frame coupling whose superdiagonal is ``band`` e^{-i omega t} and
-    whose subdiagonal is conj(``band``) e^{i omega t}.
-
-    It is evaluated in effective-generator form, f(y) = G y + y G' + gamma a y a+,
-    with G = front K - (gamma/2) a+a and G' = sign front K - (gamma/2) a+a.  The
-    diagonal d = [0, |s_0|^2, |s_1|^2, ...] of a+a is taken from s, not from the
-    integers (fl(sqrt(3)^2) != 3), so it is the diagonal the dense product gives,
-    bit for bit.  ``generator(t)`` makes G as a zero buffer, writes its
-    -(gamma/2) a+a diagonal, and writes its two bands once, each entry the
-    product, in the same order, that the dense front (a+ e^{i omega t} +
-    a e^{-i omega t}) gives it, so it has the same bits.  The jump term
-    gamma a y a+ is y[i+1, j+1] times the table gamma s_i conj(s_j), taken as
-    one shift of the flat m x m entries: entry p + m + 1 of y against entry p
-    of a table padded with zeros in its last row and column.
-
-    The kind of each slice sets its products: an anticommutator slice (G' = G)
-    takes G y + y G; a commutator slice (G' = G+) takes G y + (G y)+, exactly
-    Hermitian, and must be Hermitian itself, or the result is wrong.  ``bind``
-    takes the commutator slices as one leading basic-slice view of the stack
-    and the anticommutator slices as one trailing one, so no product reads or
-    writes a copy.
-    """
-    d = np.concatenate([[0.0], (s.conj() * s).real])
-    m = len(d)
-    # complex even when real: numpy would cast a real table on every call
-    jump = np.zeros((m, m), dtype=complex)
-    jump[:-1, :-1] = gamma * np.outer(s, s.conj())
-    shift = m + 1
-    jump = jump.reshape(-1)[:m * m - shift].copy()
-    half_n = 0.5 * gamma * d
-    # the commutator slices lead the stack; slices of one kind are all of it
-    lead, total = np.count_nonzero(np.asarray(sign) < 0), np.size(sign)
-    comm = [] if not lead else [Ellipsis] if lead == total else [slice(lead)]
-    acomm = [] if lead == total else [Ellipsis] if not lead else [slice(lead, None)]
-
-    shape = np.broadcast_shapes(np.shape(front), (m, m))
-    diag = np.diag_indices(m)
-    front_rows = np.reshape(front, (-1, 1))  # one front per m x m matrix of G
-    conj_band = band.conj()
-
-    def generator(t: float) -> np.ndarray:
-        g = np.zeros(shape, dtype=complex)
-        g[..., diag[0], diag[1]] -= half_n
-        flat_g = g.reshape(-1, m * m)  # its two bands are strided views
-        np.multiply(front_rows, band * np.exp(-1j * omega * t), out=flat_g[:, 1::m + 1])
-        np.multiply(front_rows, conj_band * np.exp(1j * omega * t), out=flat_g[:, m::m + 1])
-        return g
-
-    def bind(g: np.ndarray, y: np.ndarray, out: np.ndarray, work: np.ndarray):
-        for arr in (y, out, work):
-            if arr.shape != y.shape or arr.dtype != complex or not arr.flags.c_contiguous:
-                raise ValueError("y, out and work must be C-contiguous complex arrays"
-                                 " of one shape")
-        # G y + (G y)+: out's slices, their conjugates in work, read transposed
-        comm_views = [(out[i], work[i], work[i].swapaxes(-1, -2)) for i in comm]
-        # G y + y G: y G into work's slices, then added to out's; a 2-D G
-        # (one front for every slice) serves each slice whole
-        acomm_views = [(y[i], g[i] if g.ndim > 2 else g, work[i], out[i]) for i in acomm]
-        flat_out = out.reshape(-1, m * m)[:, :-shift]
-        flat_y = y.reshape(-1, m * m)[:, shift:]
-        flat_work = work.reshape(-1, m * m)[:, :-shift]
-
-        def stage() -> np.ndarray:
-            np.matmul(g, y, out=out)
-            for dest, scratch, scratch_t in comm_views:
-                np.conjugate(dest, out=scratch)
-                dest += scratch_t
-            for y_i, g_i, scratch, dest in acomm_views:
-                np.matmul(y_i, g_i, out=scratch)
-                dest += scratch
-            np.add(flat_out, np.multiply(jump, flat_y, out=flat_work), out=flat_out)
-            return out
-
-        return stage
-
-    return CoupledRHS(generator, bind)
-
-
-def _lab_phases(t: float, params: ModelParams, blocks: int) -> np.ndarray:
-    """exp(-i w t (m - n)) at entry (m, n), levels tiled over ``blocks`` atom blocks:
-    from level differences, so a Hermitian state stays exactly Hermitian.
+def _lab_phases(t: float, params: ModelParams) -> np.ndarray:
+    """exp(-i w t (m - n)) at entry (m, n) of an N x N field operator: from
+    level differences, so a Hermitian state stays exactly Hermitian.
 
     Callers write ``np.multiply(state, phases)``, never ``state * phases``:
     from 256 KiB up, numpy reuses the temporary phase array and computes
     ``phases * state``, and its complex multiply rounds the two operand
     orders differently, so the bits would depend on the array's size."""
-    levels = np.tile(np.arange(params.n_trunc), blocks)
+    levels = np.arange(params.n_trunc)
     return np.exp(-1j * params.omega * t * (levels[:, None] - levels[None, :]))
 
 
 def to_rotational_picture(rho: np.ndarray, t: float, params: ModelParams) -> np.ndarray:
-    """Lab frame -> rotating frame: U+ rho U with U = exp(-i w t a+a)."""
-    return np.multiply(rho, _lab_phases(t, params, 2).conj())
+    """Lab frame -> rotating frame: U+ rho U with U = exp(-i w t a+a), the
+    field phases tiled over the 2 x 2 atom blocks."""
+    return np.multiply(rho, np.tile(_lab_phases(t, params), (2, 2)).conj())
 
 
 def from_rotational_picture(rho: np.ndarray, t: float, params: ModelParams) -> np.ndarray:
     """Rotating frame -> lab frame, the inverse of ``to_rotational_picture``."""
-    return np.multiply(rho, _lab_phases(t, params, 2))
+    return np.multiply(rho, np.tile(_lab_phases(t, params), (2, 2)))
 
 
 def field_from_rotational(mat: np.ndarray, t: float, params: ModelParams) -> np.ndarray:
     """Rotating frame -> lab frame for a single-mode field operator."""
-    return np.multiply(mat, _lab_phases(t, params, 1))
+    return np.multiply(mat, _lab_phases(t, params))
 
 
 @dataclass(frozen=True)
@@ -259,7 +176,7 @@ def combine_components(cs: ComponentSet) -> np.ndarray:
     return np.block([[r11, r12], [r21, r22]])
 
 
-# kind -> (front factor over the coupling, sign of the y K term)
+# kind -> (front factor over the coupling, sign of the y X(t) term)
 _KINDS = {"plus": (-1j, -1.0), "minus": (1j, -1.0), "cross": (-1j, 1.0)}
 
 
@@ -272,8 +189,27 @@ def decoupled_rhs(kinds: Sequence[str], params: ModelParams) -> CoupledRHS:
 
     The kinds come in the order plus, minus, cross, each any number of times
     (ValueError otherwise).  Each slice of the stack evolves on its own.
-    Every plus and minus slice must be Hermitian, and takes one product; a
-    cross slice may be any matrix, and takes two (``_coupled_rhs``).
+
+    It is evaluated in effective-generator form, f(y) = G y + y G' + gamma a y a+,
+    with G = c f X(t) - (gamma/2) a+a and G' = sign c f X(t) - (gamma/2) a+a for
+    the kind's ``_KINDS`` entry (f, sign).  The diagonal d = [0, |s_0|^2,
+    |s_1|^2, ...] of a+a is taken from the ladder s = diag(a, 1), not from the
+    integers (fl(sqrt(3)^2) != 3), so it is the diagonal the dense product
+    gives, bit for bit.  ``generator(t)`` makes G as a zero (k, N, N) buffer,
+    writes its -(gamma/2) a+a diagonal, and writes its two bands once,
+    c f s e^{-i omega t} and c f conj(s) e^{i omega t}, each entry the product,
+    in the same order, that the dense c f (a+ e^{i omega t} + a e^{-i omega t})
+    gives it, so it has the same bits.  The jump term gamma a y a+ is
+    y[i+1, j+1] times the table gamma s_i conj(s_j), taken as one shift of the
+    flat N x N entries: entry p + N + 1 of y against entry p of a table padded
+    with zeros in its last row and column.
+
+    The kind of each slice sets its products: a cross slice (G' = G) takes
+    G y + y G and may be any matrix; a plus or minus slice (G' = G+) takes
+    G y + (G y)+, exactly Hermitian, and must be Hermitian itself, or the
+    result is wrong.  ``bind`` takes the plus and minus slices as one leading
+    basic-slice view of the stack and the cross slices as one trailing one,
+    so no product reads or writes a copy.
     """
     for kind in kinds:
         if kind not in _KINDS:
@@ -281,9 +217,58 @@ def decoupled_rhs(kinds: Sequence[str], params: ModelParams) -> CoupledRHS:
     if list(kinds) != sorted(kinds, key=list(_KINDS).index):
         raise ValueError(f"component kinds {list(kinds)} are not in the order {list(_KINDS)}")
     s = np.diagonal(annihilation(params.n_trunc), 1)
-    front = np.array([_KINDS[kind][0] * params.coupling for kind in kinds])[:, None, None]
-    sign = np.array([_KINDS[kind][1] for kind in kinds])[:, None, None]
-    return _coupled_rhs(s, params.omega, front, sign, params.gamma, s)
+    d = np.concatenate([[0.0], (s.conj() * s).real])
+    m = params.n_trunc
+    # complex even when real: numpy would cast a real table on every call
+    jump = np.zeros((m, m), dtype=complex)
+    jump[:-1, :-1] = params.gamma * np.outer(s, s.conj())
+    shift = m + 1
+    jump = jump.reshape(-1)[:m * m - shift].copy()
+    half_n = 0.5 * params.gamma * d
+    # the plus and minus slices lead the stack, the cross slices trail it
+    lead = sum(_KINDS[kind][1] < 0 for kind in kinds)
+    comm = [slice(lead)] if lead else []
+    acomm = [slice(lead, None)] if lead < len(kinds) else []
+
+    shape = (len(kinds), m, m)
+    diag = np.diag_indices(m)
+    fronts = np.array([_KINDS[kind][0] * params.coupling for kind in kinds])[:, None]
+
+    def generator(t: float) -> np.ndarray:
+        g = np.zeros(shape, dtype=complex)
+        g[..., diag[0], diag[1]] -= half_n
+        flat_g = g.reshape(-1, m * m)  # its two bands are strided views
+        np.multiply(fronts, s * np.exp(-1j * params.omega * t), out=flat_g[:, 1::m + 1])
+        np.multiply(fronts, s.conj() * np.exp(1j * params.omega * t), out=flat_g[:, m::m + 1])
+        return g
+
+    def bind(g: np.ndarray, y: np.ndarray, out: np.ndarray, work: np.ndarray):
+        for arr in (y, out, work):
+            if arr.shape != g.shape or arr.dtype != complex or not arr.flags.c_contiguous:
+                raise ValueError("y, out and work must be C-contiguous complex arrays"
+                                 f" of the generator's shape {g.shape}")
+        # G y + (G y)+: out's slices, their conjugates in work, read transposed
+        comm_views = [(out[i], work[i], work[i].swapaxes(-1, -2)) for i in comm]
+        # G y + y G: y G into work's slices, then added to out's
+        acomm_views = [(y[i], g[i], work[i], out[i]) for i in acomm]
+        flat_out = out.reshape(-1, m * m)[:, :-shift]
+        flat_y = y.reshape(-1, m * m)[:, shift:]
+        flat_work = work.reshape(-1, m * m)[:, :-shift]
+
+        def stage() -> np.ndarray:
+            np.matmul(g, y, out=out)
+            for dest, scratch, scratch_t in comm_views:
+                np.conjugate(dest, out=scratch)
+                dest += scratch_t
+            for y_i, g_i, scratch, dest in acomm_views:
+                np.matmul(y_i, g_i, out=scratch)
+                dest += scratch
+            np.add(flat_out, np.multiply(jump, flat_y, out=flat_work), out=flat_out)
+            return out
+
+        return stage
+
+    return CoupledRHS(generator, bind)
 
 
 def joint_tail_weight(rho: np.ndarray) -> float:

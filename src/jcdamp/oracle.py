@@ -17,7 +17,7 @@ weighted product of rows, the state takes one step's lab phases, the tail
 entries are read with one ``np.take`` into a block that is checked at
 every kept step and at least every ``TAIL_BLOCK`` steps, and a kept state
 is copied.  The right-hand side is evaluated in effective-generator form
-(``model._coupled_rhs``: a run makes three generators, each with the
+(``model.decoupled_rhs``: a run makes three generators, each with the
 coupling written as its two bands), whose Hermitian contract is held here
 at entry: a joint, plus or minus initial state must be Hermitian within
 ``model.HERM_TOL`` (ValueError naming it otherwise), and its Hermitian
@@ -212,7 +212,7 @@ def _rk4(rhs: CoupledRHS, y0: np.ndarray, params: ModelParams, grid: TimeGrid,
             (np.array([1.0, h]), parts[1::2]),
             (np.array([h / 6.0, 1.0, h / 3.0, h / 3.0, h / 6.0]), parts)]
     into = stage.reshape(-1).view(np.float64)
-    phases = _lab_phases(h, params, 1)
+    phases = _lab_phases(h, params)
     tail_at = _tail_entries(y)
     entries = y.reshape(-1).view(np.float64)  # y's parts, real at even places; a view
     block = np.empty((TAIL_BLOCK,) + tail_at.shape)

@@ -1,7 +1,7 @@
 """Reference helpers that only the tests use, kept out of the package.
 
 The right-hand sides here are dense matrix products, written apart from
-``model._coupled_rhs`` so that the tests can hold the package's fast
+``model.decoupled_rhs`` so that the tests can hold the package's fast
 right-hand sides against them.  ``lab_frame_rhs`` is the paper's joint
 equation (1) in the lab frame, built from ``hamiltonian_full`` and
 ``joint_annihilation``, which the tests hold the oracle's joint run, the
@@ -199,7 +199,7 @@ def _rotating(raising: np.ndarray, lowering: np.ndarray,
 def _ladder(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(s, d): the superdiagonal s = diag(a, 1) of an ``a`` with no other
     non-zero entry, and the diagonal d = [0, |s_0|^2, |s_1|^2, ...] of a+a,
-    taken from s as ``model._coupled_rhs`` takes it (fl(sqrt(3)^2) != 3)."""
+    taken from s as ``model.decoupled_rhs`` takes it (fl(sqrt(3)^2) != 3)."""
     s = np.diagonal(a, 1)
     assert np.count_nonzero(a) == np.count_nonzero(s), "a has entries off its superdiagonal"
     return s, np.concatenate([[0.0], (s.conj() * s).real])
@@ -360,7 +360,7 @@ def component_rhs(cs: ComponentSet, t: float, params: ModelParams) -> ComponentS
     x = _rotating(ad, a, params.omega)(t)
     n_op = ad @ a
 
-    def damp(r):  # dense products, a reference apart from ``_coupled_rhs``
+    def damp(r):  # dense products, a reference apart from ``decoupled_rhs``
         return 0.5 * params.gamma * (2.0 * a @ r @ ad - n_op @ r - r @ n_op)
     c = params.coupling
     return ComponentSet(

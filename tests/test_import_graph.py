@@ -14,15 +14,20 @@ An importtime check cannot show this: importing any submodule runs
 
 The same parse finds orphans: a module-level private name (``_name``) that
 no module of the package reads, such as a helper a simplification left
-behind.
+behind.  The converse is a stale name: a ``module._name`` written in the
+README, a module's text or ``tests/reference.py`` that is no longer an
+attribute of ``jcdamp.module``, such as a helper a simplification removed.
 """
 
 import ast
+import importlib
 import pathlib
+import re
 
 import jcdamp
 
 PACKAGE_DIR = pathlib.Path(jcdamp.__file__).parent
+TESTS_DIR = pathlib.Path(__file__).resolve().parent
 
 # module -> the sibling modules it imports
 GRAPH = {
@@ -155,3 +160,37 @@ def test_planted_orphan_is_caught():
     sources["model"] += "\n\ndef _left_behind(x):\n    return _left_behind_table[x]\n"
     sources["model"] += "\n_left_behind_table: dict = {}\n_unread = _left_behind_table\n"
     assert orphans(sources) == ["model._left_behind", "model._unread"]
+
+
+def written_names(texts: dict, modules) -> set:
+    """Every ``module._name`` written in ``texts`` (file name -> text), code
+    or prose, whose module is one of ``modules``."""
+    found = re.findall(r"\b(\w+)\.(_(?!_)\w+)", "\n".join(texts.values()))
+    return {(module, name) for module, name in found if module in modules}
+
+
+def stale_names(texts: dict) -> list:
+    modules = set(package_sources()) - {"__init__"}
+    return sorted(f"{module}.{name}" for module, name in written_names(texts, modules)
+                  if not hasattr(importlib.import_module(f"jcdamp.{module}"), name))
+
+
+def documented_texts() -> dict:
+    """The README, every module of the package and the tests' reference helpers."""
+    texts = {f"jcdamp/{module}.py": source for module, source in package_sources().items()}
+    for path in (TESTS_DIR.parent / "README.md", TESTS_DIR / "reference.py"):
+        texts[path.name] = path.read_text()
+    return texts
+
+
+def test_every_written_private_name_is_live():
+    texts = documented_texts()
+    assert written_names(texts, {"model", "oracle"})
+    assert stale_names(texts) == []
+
+
+def test_planted_stale_name_is_caught():
+    texts = documented_texts()
+    texts["README.md"] += "\nThe damping is coded once, in `model._coupled_rhs`.\n"
+    texts["reference.py"] += "\n# as oracle._ladder took it; cli.__doc__ and model.__dict__ are live\n"
+    assert stale_names(texts) == ["model._coupled_rhs", "oracle._ladder"]

@@ -8,8 +8,6 @@ from jcdamp.model import (
     SIGMA_X,
     ComponentSet,
     check_joint_density,
-    _coupled_rhs,
-    _lab_phases,
     combine_components,
     decoupled_rhs,
     field_from_rotational,
@@ -120,7 +118,8 @@ def test_frame_changes_multiply_state_by_phase_at_any_size():
     p = ModelParams(omega=1.0, coupling=0.3, gamma=0.2, n_trunc=72)
     rho = random_joint_density(72, 11)
     assert rho.nbytes > 256 * 1024
-    phases = _lab_phases(t, p, 2)
+    levels = np.arange(2 * 72) % 72  # the field level of each joint row and column
+    phases = np.exp(-1j * p.omega * t * (levels[:, None] - levels[None, :]))
     for convert, ph in ((from_rotational_picture, phases),
                         (to_rotational_picture, phases.conj())):
         want = np.array([row * ph_row for row, ph_row in zip(rho, ph)])
@@ -128,7 +127,9 @@ def test_frame_changes_multiply_state_by_phase_at_any_size():
     p = ModelParams(omega=1.0, coupling=0.3, gamma=0.2, n_trunc=136)
     mat = random_joint_density(68, 12)
     assert mat.nbytes > 256 * 1024
-    want = np.array([row * ph_row for row, ph_row in zip(mat, _lab_phases(t, p, 1))])
+    levels = np.arange(136)
+    phases = np.exp(-1j * p.omega * t * (levels[:, None] - levels[None, :]))
+    want = np.array([row * ph_row for row, ph_row in zip(mat, phases)])
     assert np.array_equal(field_from_rotational(mat, t, p), want)
 
 
@@ -315,31 +316,26 @@ def test_joint_annihilation_acts_on_field_only():
     assert np.max(np.abs(aj[:n, n:])) == 0.0
 
 
-@pytest.mark.parametrize("ops", [annihilation, joint_annihilation])
-def test_damping_matches_dense_products(ops):
-    # the one fast D (``_coupled_rhs`` with no coupling, given the ladder
-    # diag(a, 1)) against the dense formula: on random non-Hermitian matrices
-    # as anticommutator slices, and on their Hermitian parts as commutator
-    # slices, one at a time and as a stack written into a caller's buffer; on
-    # the joint space too, whose ladder has a zero between the atom blocks
-    a = ops(9)
-    dim = a.shape[0]
-    s = np.diagonal(a, 1)
+def test_damping_matches_dense_products():
+    # the one fast D (``decoupled_rhs`` with no coupling) against the dense
+    # formula: on random non-Hermitian matrices as a cross stack, and on their
+    # Hermitian parts as a plus stack, each written into a caller's buffer,
+    # and one slice at a time
+    n = 9
+    p = ModelParams(omega=1.3, coupling=0.0, gamma=0.37, n_trunc=n)
+    a = annihilation(n)
     rng = np.random.default_rng(41)
-    stack = rng.normal(size=(3, dim, dim)) + 1j * rng.normal(size=(3, dim, dim))
-    zero = np.zeros(dim - 1, dtype=complex)
+    stack = rng.normal(size=(3, n, n)) + 1j * rng.normal(size=(3, n, n))
     hermitian = 0.5 * (stack + stack.conj().swapaxes(1, 2))
-    cases = [(_coupled_rhs(zero, 1.3, -1j, 1.0, 0.37, s), stack),
-             (_coupled_rhs(zero, 1.3, -1j, -1.0, 0.37, s), hermitian)]
-    for damp, mats in cases:
+    for kind, mats in (("cross", stack), ("plus", hermitian)):
+        damp, single = decoupled_rhs([kind] * 3, p), decoupled_rhs([kind], p)
         out = np.full_like(mats, np.nan)
         stacked = damp(0.0, mats, out)
         assert stacked is out
-        assert stacked.shape == mats.shape
         for mat, got in zip(mats, stacked):
-            want = dense_damping(0.37, a, mat)
+            want = dense_damping(p.gamma, a, mat)
             scale = np.max(np.abs(want))
-            assert np.max(np.abs(damp(0.0, mat) - want)) <= 1e-15 * scale
+            assert np.max(np.abs(single(0.0, mat[None])[0] - want)) <= 1e-15 * scale
             assert np.max(np.abs(got - want)) <= 1e-15 * scale
 
 
@@ -457,3 +453,16 @@ def test_bound_stage_reads_and_writes_through_its_views():
                 np.empty((3, n, n)), np.empty((2, n, n), dtype=complex)):
         with pytest.raises(ValueError, match="C-contiguous complex"):
             rhs.bind(rhs.generator(0.4), y, bad, work)
+
+
+@pytest.mark.parametrize("shape", [(2, 7, 7), (3, 8, 8)])
+def test_bind_rejects_arrays_not_of_the_generators_shape(shape):
+    # y, out and work of one shape, but not the generator's: rejected at bind
+    # time, before a stage's first product could fail or broadcast
+    p = ModelParams(omega=0.9, coupling=0.21, gamma=0.31, n_trunc=7)
+    rhs = decoupled_rhs(["plus", "minus", "cross"], p)
+    y = np.zeros(shape, dtype=complex)
+    with pytest.raises(ValueError, match="C-contiguous complex"):
+        rhs.bind(rhs.generator(0.4), y, np.empty_like(y), np.empty_like(y))
+    with pytest.raises(ValueError, match="C-contiguous complex"):
+        rhs(0.4, y)

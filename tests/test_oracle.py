@@ -480,7 +480,7 @@ def test_in_place_stages_match_the_allocating_rk4_loop():
     kinds = list(model._KINDS)  # the order the oracle stacks them in
     want = _twin_states(model.decoupled_rhs(kinds, p),
                         np.stack([initial[kind] for kind in kinds]), grid.step, steps,
-                        model._lab_phases(grid.step, p, 1))
+                        model._lab_phases(grid.step, p))
     for i, kind in enumerate(kinds):
         assert all(np.array_equal(trajs[kind].states[k], want[k][i]) for k in range(steps + 1))
 
@@ -515,7 +515,7 @@ def test_band_written_coupling_matches_the_dense_build_bit_for_bit():
     kinds = list(model._KINDS)  # the order the oracle stacks them in
     want = _twin_states(dense_decoupled_rhs(kinds, p),
                         np.stack([initial[kind] for kind in kinds]), grid.step, steps,
-                        model._lab_phases(grid.step, p, 1))
+                        model._lab_phases(grid.step, p))
     for i, kind in enumerate(kinds):
         assert all(np.array_equal(trajs[kind].states[k], want[k][i]) for k in range(steps + 1))
 
@@ -537,7 +537,7 @@ def test_lab_frame_step_is_the_rotating_frame_method():
                           np.stack(list(initial.values())), grid.step, steps)
     for k in range(steps + 1):
         # the whole stack at step k, relative to its largest entry
-        want = np.multiply(rotating[k], model._lab_phases(k * grid.step, p, 1))
+        want = np.multiply(rotating[k], model._lab_phases(k * grid.step, p))
         got = np.stack([traj.states[k] for traj in trajs.values()])
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
@@ -553,7 +553,7 @@ def test_tail_overflow_names_the_first_slice_to_cross():
     grid = TimeGrid(0.0, 4.0, steps)
     states = _twin_states(model.decoupled_rhs(["plus", "minus"], p),
                           np.stack([vacuum, excited]), grid.step, steps,
-                          model._lab_phases(grid.step, p, 1))
+                          model._lab_phases(grid.step, p))
     weights = np.array([np.abs(tail_weight(state)) for state in states])
     crossed = [int(np.argmax(weights[:, i] > TAIL_LIMIT)) for i in range(2)]
     assert 0 < crossed[1] < crossed[0]  # both cross, minus first
@@ -579,7 +579,7 @@ def test_tail_overflow_is_raised_at_its_first_step_across_check_blocks(store_ste
     vacuum[0, 0] = 1.0
     grid = TimeGrid(0.0, 4.0, steps)
     states = _twin_states(model.decoupled_rhs(["plus"], p), vacuum[None], grid.step, steps,
-                          model._lab_phases(grid.step, p, 1))
+                          model._lab_phases(grid.step, p))
     weights = np.array([abs(tail_weight(state[0])) for state in states])
     k = int(np.argmax(weights > TAIL_LIMIT))
     assert k == 146 and 2 * oracle.TAIL_BLOCK < k
