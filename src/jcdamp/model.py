@@ -21,11 +21,12 @@ equation splits exactly into three field equations (``split_components``,
 whose inverse is ``combine_components``): two commutator components, plus
 and minus, and one anticommutator component, cross.  The one right-hand
 side a run uses is that of a stack of these components in the rotating
-frame, built by ``decoupled_rhs`` with the one fast D, as a generator G
-made at one frame time and a stage bound once to the arrays it reads and
-writes (``CoupledRHS``).  A plus or minus component must be Hermitian
-there (one product serves both sides; the oracle checks); a cross
-component may be any matrix.
+frame, built by ``decoupled_rhs`` with the one fast D, as the band tables
+of a generator G made at one frame time and a stage bound once to the
+arrays it reads and writes (``CoupledRHS``).  A stage is one six-point
+stencil on the stack's flat entries, with no matrix product; it is
+correct for any slice, and keeps an exactly Hermitian plus or minus slice
+exactly Hermitian.
 
 Frame identity: X(t) = U X(0) U+ with U = exp(i omega t a+a), and D commutes
 with that conjugation, so with P(tau) = ``_lab_phases(tau)`` the right-hand
@@ -35,6 +36,7 @@ oracle's RK4 step rests on it.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -68,13 +70,15 @@ def hamiltonian_full(params: ModelParams) -> np.ndarray:
 class CoupledRHS:
     """A right-hand side in its two pieces (``decoupled_rhs``).
 
-    ``generator(t)`` builds the effective generator G at frame time t, a new
-    buffer; ``bind(g, y, out, work)`` returns a zero-argument callable that
-    writes f(y) under G = ``g`` into ``out`` and returns it, reading the
-    current entries of ``y`` and using ``work`` as scratch.  Every view the
-    products use is made once, at bind time, so ``y``, ``out`` and ``work``
-    must be C-contiguous complex arrays of the generator's shape (ValueError
-    otherwise).
+    ``generator(t)`` builds the band tables of the effective generator G at
+    frame time t, a new (4, k, N, N) buffer for a (k, N, N) stack;
+    ``bind(g, y, out, work)`` returns a zero-argument callable that writes
+    f(y) under ``g`` into ``out`` and returns it, reading the current entries
+    of ``y`` and using ``work`` as scratch.  Every view the stencil uses is
+    made once, at bind time, so ``y``, ``out`` and ``work`` must be
+    C-contiguous complex arrays of the stack's shape ``g.shape[1:]``, and no
+    two of them may share memory, since the stencil reads ``y`` after it
+    starts writing ``out`` (ValueError otherwise).
     Called as f(t, y, out=None) it is ``bind(generator(t), y, out, work)()``,
     with ``out`` allocated when None.  A plain class: a dataclass would cost
     every ``import jcdamp`` about a millisecond.
@@ -188,28 +192,38 @@ def decoupled_rhs(kinds: Sequence[str], params: ModelParams) -> CoupledRHS:
     kind "cross":           -i c {X(t), op} + D[op]
 
     The kinds come in the order plus, minus, cross, each any number of times
-    (ValueError otherwise).  Each slice of the stack evolves on its own.
+    (ValueError otherwise).  Each slice of the stack may be any matrix, and
+    evolves on its own: a shift that leaves a slice meets a zero coefficient
+    (so only a non-finite entry, as 0 * inf, reaches the next slice's edge).
 
-    It is evaluated in effective-generator form, f(y) = G y + y G' + gamma a y a+,
-    with G = c f X(t) - (gamma/2) a+a and G' = sign c f X(t) - (gamma/2) a+a for
-    the kind's ``_KINDS`` entry (f, sign).  The diagonal d = [0, |s_0|^2,
-    |s_1|^2, ...] of a+a is taken from the ladder s = diag(a, 1), not from the
-    integers (fl(sqrt(3)^2) != 3), so it is the diagonal the dense product
-    gives, bit for bit.  ``generator(t)`` makes G as a zero (k, N, N) buffer,
-    writes its -(gamma/2) a+a diagonal, and writes its two bands once,
-    c f s e^{-i omega t} and c f conj(s) e^{i omega t}, each entry the product,
-    in the same order, that the dense c f (a+ e^{i omega t} + a e^{-i omega t})
-    gives it, so it has the same bits.  The jump term gamma a y a+ is
-    y[i+1, j+1] times the table gamma s_i conj(s_j), taken as one shift of the
-    flat N x N entries: entry p + N + 1 of y against entry p of a table padded
-    with zeros in its last row and column.
+    It is evaluated in effective-generator form, f(y) = G y + y H + gamma a y a+,
+    with G = c f X(t) - (gamma/2) a+a for the kind's ``_KINDS`` entry (f, sign),
+    and H = sign c f X(t) - (gamma/2) a+a: H = G+ for plus and minus, H = G for
+    cross.  G and H have a diagonal g and two bands, so entry (i, j) of f is
+    one six-point stencil,
 
-    The kind of each slice sets its products: a cross slice (G' = G) takes
-    G y + y G and may be any matrix; a plus or minus slice (G' = G+) takes
-    G y + (G y)+, exactly Hermitian, and must be Hermitian itself, or the
-    result is wrong.  ``bind`` takes the plus and minus slices as one leading
-    basic-slice view of the stack and the cross slices as one trailing one,
-    so no product reads or writes a copy.
+        f_ij = (g_i + g_j) y_ij + J_ij y_{i+1,j+1}
+               + [G_{i,i+1} y_{i+1,j} + H_{j+1,j} y_{i,j+1}]
+               + [G_{i,i-1} y_{i-1,j} + H_{j-1,j} y_{i,j-1}],
+
+    evaluated left to right on the stack's k N N entries, flat, each
+    neighbour a shift of them: N + 1, N, 1, -N and -1.  Each bracket is
+    summed before it is added, so the terms that mirror each other across
+    the diagonal are added in the same order on both sides, and an exactly
+    Hermitian plus or minus slice gives an exactly Hermitian result.
+
+    The diagonal g = -(gamma/2) [0, |s_0|^2, |s_1|^2, ...] of G is taken from
+    the ladder s = diag(a, 1), not from the integers (fl(sqrt(3)^2) != 3), and
+    the jump table J_ij = gamma s_i conj(s_j) is padded with zeros in its last
+    row and column; both are made once.  ``generator(t)`` makes the four band
+    tables as a zero (4, k, N, N) buffer: entry (i, j) of table 0, 1, 2, 3
+    holds the coefficient of y_{i+1,j}, y_{i,j+1}, y_{i-1,j}, y_{i,j-1}
+    above, zero where that neighbour is outside the matrix.  G's bands are
+    c f s e^{-i omega t} above the diagonal and c f conj(s) e^{i omega t}
+    below it, each entry the product, in the same order, that the dense
+    c f (a+ e^{i omega t} + a e^{-i omega t}) gives it, so it has the same
+    bits; H's bands are G's conjugates, swapped (plus, minus), or G's own
+    (cross).
     """
     for kind in kinds:
         if kind not in _KINDS:
@@ -217,54 +231,62 @@ def decoupled_rhs(kinds: Sequence[str], params: ModelParams) -> CoupledRHS:
     if list(kinds) != sorted(kinds, key=list(_KINDS).index):
         raise ValueError(f"component kinds {list(kinds)} are not in the order {list(_KINDS)}")
     s = np.diagonal(annihilation(params.n_trunc), 1)
-    d = np.concatenate([[0.0], (s.conj() * s).real])
+    g_diag = -0.5 * params.gamma * np.concatenate([[0.0], (s.conj() * s).real])
     m = params.n_trunc
-    # complex even when real: numpy would cast a real table on every call
-    jump = np.zeros((m, m), dtype=complex)
-    jump[:-1, :-1] = params.gamma * np.outer(s, s.conj())
-    shift = m + 1
-    jump = jump.reshape(-1)[:m * m - shift].copy()
-    half_n = 0.5 * params.gamma * d
-    # the plus and minus slices lead the stack, the cross slices trail it
-    lead = sum(_KINDS[kind][1] < 0 for kind in kinds)
-    comm = [slice(lead)] if lead else []
-    acomm = [slice(lead, None)] if lead < len(kinds) else []
-
     shape = (len(kinds), m, m)
-    diag = np.diag_indices(m)
+    # the constant tables over the flat stack, complex even when real: numpy
+    # would cast a real table on every call
+    diagonal = np.tile(np.add.outer(g_diag, g_diag).astype(complex).reshape(-1), len(kinds))
+    jump = np.zeros(shape, dtype=complex)
+    jump[:, :-1, :-1] = params.gamma * np.outer(s, s.conj())
+    jump = jump.reshape(-1)[:-m - 1].copy()
     fronts = np.array([_KINDS[kind][0] * params.coupling for kind in kinds])[:, None]
+    adjoint = np.array([_KINDS[kind][1] < 0 for kind in kinds])[:, None]
 
     def generator(t: float) -> np.ndarray:
-        g = np.zeros(shape, dtype=complex)
-        g[..., diag[0], diag[1]] -= half_n
-        flat_g = g.reshape(-1, m * m)  # its two bands are strided views
-        np.multiply(fronts, s * np.exp(-1j * params.omega * t), out=flat_g[:, 1::m + 1])
-        np.multiply(fronts, s.conj() * np.exp(1j * params.omega * t), out=flat_g[:, m::m + 1])
+        upper = fronts * (s * np.exp(-1j * params.omega * t))  # G_{i,i+1}
+        lower = fronts * (s.conj() * np.exp(1j * params.omega * t))  # G_{i+1,i}
+        g = np.zeros((4,) + shape, dtype=complex)
+        g[0, :, :-1, :] = upper[:, :, None]
+        g[1, :, :, :-1] = np.where(adjoint, upper.conj(), lower)[:, None, :]
+        g[2, :, 1:, :] = lower[:, :, None]
+        g[3, :, :, 1:] = np.where(adjoint, lower.conj(), upper)[:, None, :]
         return g
 
     def bind(g: np.ndarray, y: np.ndarray, out: np.ndarray, work: np.ndarray):
         for arr in (y, out, work):
-            if arr.shape != g.shape or arr.dtype != complex or not arr.flags.c_contiguous:
+            if arr.shape != g.shape[1:] or arr.dtype != complex or not arr.flags.c_contiguous:
                 raise ValueError("y, out and work must be C-contiguous complex arrays"
-                                 f" of the generator's shape {g.shape}")
-        # G y + (G y)+: out's slices, their conjugates in work, read transposed
-        comm_views = [(out[i], work[i], work[i].swapaxes(-1, -2)) for i in comm]
-        # G y + y G: y G into work's slices, then added to out's
-        acomm_views = [(y[i], g[i], work[i], out[i]) for i in acomm]
-        flat_out = out.reshape(-1, m * m)[:, :-shift]
-        flat_y = y.reshape(-1, m * m)[:, shift:]
-        flat_work = work.reshape(-1, m * m)[:, :-shift]
+                                 f" of the stack's shape {g.shape[1:]}")
+        for (name, arr), (other_name, other) in itertools.combinations(
+                {"y": y, "out": out, "work": work}.items(), 2):
+            if np.shares_memory(arr, other):
+                raise ValueError(f"{name} and {other_name} share memory")
+        result = out
+        up, right, down, left = g.reshape(4, -1)
+        y, out, work = y.reshape(-1), out.reshape(-1), work.reshape(-1)
+        pair = np.empty_like(work)  # each bracket's first term, summed into work
+        # every view made once; each write covers the range the next read takes
+        y_jump, out_jump, work_jump = y[m + 1:], out[:-m - 1], work[:-m - 1]
+        up, y_up, pair_up, work_up = up[:-m], y[m:], pair[:-m], work[:-m]
+        right, y_right, work_right, out_right = right[:-1], y[1:], work[:-1], out[:-1]
+        down, y_down, pair_down, work_down = down[m:], y[:-m], pair[m:], work[m:]
+        left, y_left, work_left, out_left = left[1:], y[:-1], work[1:], out[1:]
+        mul, add = np.multiply, np.add
 
         def stage() -> np.ndarray:
-            np.matmul(g, y, out=out)
-            for dest, scratch, scratch_t in comm_views:
-                np.conjugate(dest, out=scratch)
-                dest += scratch_t
-            for y_i, g_i, scratch, dest in acomm_views:
-                np.matmul(y_i, g_i, out=scratch)
-                dest += scratch
-            np.add(flat_out, np.multiply(jump, flat_y, out=flat_work), out=flat_out)
-            return out
+            mul(diagonal, y, out=out)  # (g_i + g_j) y_ij
+            mul(jump, y_jump, out=work_jump)  # + J_ij y_{i+1,j+1}
+            add(out_jump, work_jump, out=out_jump)
+            mul(up, y_up, out=pair_up)  # + [G_{i,i+1} y_{i+1,j}
+            mul(right, y_right, out=work_right)  # + H_{j+1,j} y_{i,j+1}]
+            add(pair_up, work_up, out=work_up)
+            add(out_right, work_right, out=out_right)
+            mul(down, y_down, out=pair_down)  # + [G_{i,i-1} y_{i-1,j}
+            mul(left, y_left, out=work_left)  # + H_{j-1,j} y_{i,j-1}]
+            add(pair_down, work_down, out=work_down)
+            add(out_left, work_left, out=out_left)
+            return result
 
         return stage
 

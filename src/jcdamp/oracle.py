@@ -5,8 +5,8 @@ state.
 
 Fixed-step RK4 is used (rather than an adaptive solver) so runs are
 deterministic and reproducible as regression baselines.  The joint
-equation splits exactly into its plus, minus and cross components, so
-the oracle has one right-hand side, a component stack's
+equation splits exactly into its plus, minus and cross components, so the
+oracle has one right-hand side, a component stack's
 (``model.decoupled_rhs``), and one loop, ``_rk4``: components asked for
 together run as one (k, N, N) stack in the order plus, minus, cross, and
 a joint run is split, stacked, stepped and each kept stack embedded
@@ -16,26 +16,27 @@ once per run, writes its row, each stage input and the step sum is one
 weighted product of rows, the state takes one step's lab phases, the tail
 entries are read with one ``np.take`` into a block that is checked at
 every kept step and at least every ``TAIL_BLOCK`` steps, and a kept state
-is copied.  The right-hand side is evaluated in effective-generator form
-(``model.decoupled_rhs``: a run makes three generators, each with the
-coupling written as its two bands), whose Hermitian contract is held here
-at entry: a joint, plus or minus initial state must be Hermitian within
-``model.HERM_TOL`` (ValueError naming it otherwise), and its Hermitian
-part is integrated.  A run keeps exactly the steps ``store_steps`` (by
-default the last) and takes no step after the last of them;
-``TimeGrid.check_steps`` holds this rule here and in the doubled route,
-and ``TimeGrid.step_index`` maps a time to its step.  ``TimeGrid`` and
-``StepTooLarge`` live in ``fock``, the base the routes share, and are
+is copied.  The right-hand side is evaluated in effective-generator form,
+each stage one six-point stencil on the stack's entries with no matrix
+product (``model.decoupled_rhs``: a run makes three generators, each the
+band tables of the coupling at one frame time).  A joint, plus or minus
+initial state must be Hermitian within ``model.HERM_TOL`` (ValueError
+naming it otherwise), and its Hermitian part is integrated; the stencil
+keeps it exactly Hermitian.  A run keeps exactly the steps
+``store_steps`` (by default the last) and takes no step after the last of
+them; ``TimeGrid.check_steps`` holds this rule here and in the doubled
+route, and ``TimeGrid.step_index`` maps a time to its step.  ``TimeGrid``
+and ``StepTooLarge`` live in ``fock``, the base the routes share, and are
 re-exported here; this module imports only ``fock`` and ``model``.  A
 step must pass the heuristic bound of ``require_step`` and the stability
 bound of ``require_stable``: h times a norm bound of the rotating-frame
-generator, 2||c (a + a+)||_2 + 2 gamma (N-1), at most ``STABILITY_LIMIT``,
-inside RK4's imaginary-axis limit 2 sqrt(2).  The initial state and every
-kept state must be finite, and a joint one must keep its purity at most
-1 + ``PURITY_SLACK``; every step taken must keep the tail weight of each
-state at most ``TAIL_LIMIT``.  Each failure raises ``StepTooLarge`` or
-``TailOverflow`` naming its cause and its state ("joint", or the
-component kind).
+generator, 2||c (a + a+)||_2 + 2 gamma (N-1), at most
+``STABILITY_LIMIT``, inside RK4's imaginary-axis limit 2 sqrt(2).  The
+initial state and every kept state must be finite, and a joint one must
+keep its purity at most 1 + ``PURITY_SLACK``; every step taken must keep
+the tail weight of each state at most ``TAIL_LIMIT``.  Each failure
+raises ``StepTooLarge`` or ``TailOverflow`` naming its cause and its
+state ("joint", or the component kind).
 
 Frame clock: the rotating frame coincides with the lab frame at
 ``grid.t_start``, so the initial state is the same in both frames.  The
@@ -193,7 +194,8 @@ def _rk4(rhs: CoupledRHS, y0: np.ndarray, params: ModelParams, grid: TimeGrid,
     is full, so an overflow is raised at its first step, before any later
     kept state is checked.  The run holds seven arrays the size of the
     stack (the five rows, the stage input and the stages' work array) and
-    plain copies of the kept states."""
+    plain copies of the kept states; its right-hand side adds four band
+    tables per generator and one scratch array per bound stage."""
     keep = grid.check_steps(store_steps)
     h = grid.step
     rows = np.zeros((5,) + np.shape(y0), dtype=complex)
@@ -267,7 +269,7 @@ def integrate_joint(rho0: np.ndarray, params: ModelParams, grid: TimeGrid,
     cs = split_components(_hermitian_part(rho0, "joint"))
     require_step(params, grid.step)
     require_stable(params, grid.step)
-    rhs = decoupled_rhs(list(_KINDS), params)  # cs.plus, cs.minus are exactly Hermitian
+    rhs = decoupled_rhs(list(_KINDS), params)
     traj = _rk4(rhs, np.stack([cs.plus, cs.minus, cs.cross]), params, grid, store_steps,
                 ["joint"], joint=True)["joint"]
     for k, stack in traj.states.items():  # one at a time, each stack freed as it goes
@@ -295,7 +297,7 @@ def integrate_component(initial: Mapping[str, np.ndarray], params: ModelParams,
                              f" expected {(n, n)}")
     # in the order decoupled_rhs takes, an unknown kind first for it to name
     kinds = sorted(initial, key=lambda kind: list(_KINDS).index(kind) if kind in _KINDS else -1)
-    rhs = decoupled_rhs(kinds, params)  # which needs plus and minus Hermitian, as made next
+    rhs = decoupled_rhs(kinds, params)
     y0 = [initial[kind] if kind == "cross" else _hermitian_part(initial[kind], kind)
           for kind in kinds]
     require_step(params, grid.step)

@@ -187,13 +187,18 @@ def kernel_double_integral(t: float, params: ModelParams) -> float:
 
 def _loss_kraus_sum(mat: np.ndarray, weight: float) -> np.ndarray:
     """sum_n (weight^n / n!) a^n mat a+^n, which ends by n = N - 1 (a is nilpotent),
-    or once a term's trace contribution and max entry fall below KRAUS_TRACE_TOL."""
-    a = annihilation(mat.shape[0])
-    ad = a.conj().T
+    or once a term's trace contribution and max entry fall below KRAUS_TRACE_TOL.
+
+    a X a+ is taken as an index shift, s_i X[i+1, j+1] s_j with s = diag(a, 1),
+    in an array zero in its last row and column: each entry is the one product
+    the dense a @ X @ a+ sums with exact zeros, so it has the same bits."""
+    s = np.diagonal(annihilation(mat.shape[0]), 1)
+    shifted = np.zeros_like(mat, dtype=complex)
     term = mat
     total = term.copy()
     for n in range(1, mat.shape[0]):
-        term = (weight / n) * (a @ term @ ad)
+        np.multiply(s[:, None] * term[1:, 1:], s, out=shifted[:-1, :-1])
+        term = (weight / n) * shifted
         total += term
         if abs(np.trace(term)) < KRAUS_TRACE_TOL and np.max(np.abs(term)) < KRAUS_TRACE_TOL:
             break

@@ -6,25 +6,28 @@ right-hand sides against them.  ``lab_frame_rhs`` is the paper's joint
 equation (1) in the lab frame, built from ``hamiltonian_full`` and
 ``joint_annihilation``, which the tests hold the oracle's joint run, the
 embedded component stack, against.  ``dense_coupled_rhs`` is the package's
-earlier right-hand side, which rebuilt the whole coupling matrix at each
-new time; the tests hold the band-written one to its bits.  ``rk4_states``
-is the oracle's earlier rotating-frame RK4 loop, ``lab_rk4_states`` its
-earlier lab-frame step, summed left to right, and
+earlier right-hand side, dense products with the whole coupling matrix
+rebuilt at each new time; the tests hold the stencil's band tables to the
+bits of its coupling, and the stencil's runs to its runs within rounding.
+``rk4_states`` is the oracle's earlier rotating-frame RK4 loop,
+``lab_rk4_states`` its earlier lab-frame step, summed left to right, and
 ``weighted_lab_rk4_states`` the lab-frame step the oracle takes now, its
-sums weighted row products, each with every stage made anew.  The envelope
-commutator kernel is the integrand of ``solution.kernel_double_integral``,
-and the exact-rational Wigner series certifies ``wigner.wigner_operator``.
-``early_terminated_expm_multiply`` is the package's earlier Taylor loop,
-which stopped a sweep once two terms fell below unit roundoff; the tests
-hold the full-degree ``doubled.expm_multiply`` to it, and to
-``operator_expm_multiply``, the same loop on scipy's ``@``, bit for bit.
-``rotating_generator`` views a doubled-space lab-frame generator in its
-rotating frame, and ``frame_midpoint_states`` is the doubled route's
-earlier rotating-frame loop, which the tests hold
-``doubled.evolve_vectorized`` to bit for bit.  ``interior_indices`` lists
-the doubled-space entries on which the truncated superoperator identities
-hold exactly, and ``acomm_partners`` gives two of the operators they
-relate.
+sums weighted row products, each with every stage made anew.
+``dense_loss_kraus_sum`` is the closed forms' earlier photon-loss Kraus
+sum, from dense products, which the tests hold the index-shift one to, bit
+for bit.  The envelope commutator kernel is the integrand of
+``solution.kernel_double_integral``, and the exact-rational Wigner series
+certifies ``wigner.wigner_operator``.  ``early_terminated_expm_multiply``
+is the package's earlier Taylor loop, which stopped a sweep once two terms
+fell below unit roundoff; the tests hold the full-degree
+``doubled.expm_multiply`` to it, and to ``operator_expm_multiply``, the
+same loop on scipy's ``@``, bit for bit.  ``rotating_generator`` views a
+doubled-space lab-frame generator in its rotating frame, and
+``frame_midpoint_states`` is the doubled route's earlier rotating-frame
+loop, which the tests hold ``doubled.evolve_vectorized`` to bit for bit.
+``interior_indices`` lists the doubled-space entries on which the
+truncated superoperator identities hold exactly, and ``acomm_partners``
+gives two of the operators they relate.
 """
 
 import math
@@ -38,6 +41,7 @@ import scipy.sparse as sp
 from jcdamp.doubled import TaylorPlan, expm_multiply, superoperators, taylor_plan
 from jcdamp.fock import TAIL_LEVELS, ModelParams, annihilation
 from jcdamp.model import _KINDS, ComponentSet, hamiltonian_full
+from jcdamp.solution import KRAUS_TRACE_TOL
 
 RHS = Callable[..., np.ndarray]  # f(t, y, out=None) -> out
 
@@ -170,6 +174,21 @@ def dense_damping(gamma: float, a: np.ndarray, mat: np.ndarray) -> np.ndarray:
     ad = a.conj().T
     n_op = ad @ a
     return 0.5 * gamma * (2.0 * a @ mat @ ad - n_op @ mat - mat @ n_op)
+
+
+def dense_loss_kraus_sum(mat: np.ndarray, weight: float) -> np.ndarray:
+    """``solution._loss_kraus_sum`` from dense products, a X a+ as a @ X @ a+,
+    with its early stop at ``solution.KRAUS_TRACE_TOL``."""
+    a = annihilation(mat.shape[0])
+    ad = a.conj().T
+    term = mat
+    total = term.copy()
+    for n in range(1, mat.shape[0]):
+        term = (weight / n) * (a @ term @ ad)
+        total += term
+        if abs(np.trace(term)) < KRAUS_TRACE_TOL and np.max(np.abs(term)) < KRAUS_TRACE_TOL:
+            break
+    return total
 
 
 def lab_frame_rhs(params: ModelParams) -> RHS:

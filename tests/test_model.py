@@ -431,34 +431,96 @@ def test_fast_right_hand_sides_match_dense_references(n):
             assert np.max(np.abs(g - want)) <= 1e-14 * np.max(np.abs(want))
 
 
+def _random_stack(kinds, n, rng):
+    """Random plus and minus slices, exactly Hermitian, and non-Hermitian cross
+    slices, every entry non-zero, the first and last rows and columns too."""
+    return np.stack([_random_hermitian(n, rng) if kind != "cross" else
+                     rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) for kind in kinds])
+
+
 def test_bound_stage_reads_and_writes_through_its_views():
     # a stage bound once reads y's current entries at each call and writes
-    # out in place; the commutator slices are one leading basic-slice view and
-    # the cross slices one trailing view, so no product works on a copy;
-    # arrays it cannot view are rejected
-    n = 7
-    p = ModelParams(omega=0.9, coupling=0.21, gamma=0.31, n_trunc=n)
+    # out in place, through views made once, into NaN-filled buffers; each
+    # call equals a fresh evaluation bit for bit, so no write leaves stale
+    # entries for a later call to read; arrays it cannot view are rejected
     rng = np.random.default_rng(61)
     kinds = ["plus", "minus", "cross"]
-    rhs = decoupled_rhs(kinds, p)
-    y = np.empty((3, n, n), dtype=complex)
-    out, work = np.empty_like(y), np.empty_like(y)
-    stage = rhs.bind(rhs.generator(0.4), y, out, work)
-    for _ in range(2):
-        y[...] = [_random_hermitian(n, rng) if kind != "cross" else
-                  rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) for kind in kinds]
-        assert stage() is out
-        assert np.array_equal(out, rhs(0.4, y))
+    for n in (2, 7, 28):
+        p = ModelParams(omega=0.9, coupling=0.21, gamma=0.31, n_trunc=n)
+        rhs = decoupled_rhs(kinds, p)
+        y = np.empty((3, n, n), dtype=complex)
+        out, work = np.full_like(y, np.nan), np.full_like(y, np.nan)
+        stage = rhs.bind(rhs.generator(0.4), y, out, work)
+        for _ in range(3):
+            y[...] = _random_stack(kinds, n, rng)
+            assert np.all(y[:, [0, -1], :] != 0) and np.all(y[:, :, [0, -1]] != 0)
+            assert stage() is out
+            assert np.array_equal(out, rhs(0.4, y))
     for bad in (np.empty((3, n, 2 * n), dtype=complex)[..., ::2],
                 np.empty((3, n, n)), np.empty((2, n, n), dtype=complex)):
         with pytest.raises(ValueError, match="C-contiguous complex"):
             rhs.bind(rhs.generator(0.4), y, bad, work)
 
 
+def test_bind_rejects_arrays_that_share_memory():
+    # the stencil reads y after it starts writing out, so arrays that overlap
+    # would give a wrong result silently; bind names the pair instead
+    n = 6
+    p = ModelParams(omega=0.9, coupling=0.21, gamma=0.31, n_trunc=n)
+    rhs = decoupled_rhs(["plus", "cross"], p)
+    g = rhs.generator(0.4)
+    y, out = np.zeros((2, n, n), dtype=complex), np.zeros((2, n, n), dtype=complex)
+    with pytest.raises(ValueError, match="y and out share memory"):
+        rhs.bind(g, y, y, out)
+    with pytest.raises(ValueError, match="out and work share memory"):
+        rhs.bind(g, y, out, out)
+    y, out, work = np.zeros((3, 2, n, n), dtype=complex)  # distinct rows of one buffer
+    y[...] = _random_stack(["plus", "cross"], n, np.random.default_rng(79))
+    assert rhs.bind(g, y, out, work)() is out
+    assert np.array_equal(out, rhs(0.4, y))
+
+
+def test_bound_stage_calls_no_matmul(monkeypatch):
+    # one right-hand-side path at every N: the stage is a stencil of elementwise
+    # products, with no matrix product, counted around the stage calls alone
+    calls = []
+    real = np.matmul
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", counted)
+    rng = np.random.default_rng(71)
+    for n in (2, 28, 64):
+        p = ModelParams(omega=0.9, coupling=0.21, gamma=0.31, n_trunc=n)
+        rhs = decoupled_rhs(KINDS, p)
+        y = _random_stack(KINDS, n, rng)
+        stage = rhs.bind(rhs.generator(0.4), y, np.empty_like(y), np.empty_like(y))
+        calls.clear()
+        stage()
+        assert calls == []
+
+
+@pytest.mark.parametrize("n", [2, 3, 28, 64])
+def test_commutator_slices_come_out_exactly_hermitian(n):
+    # the mirrored terms of the stencil are summed in one order on both sides
+    # of the diagonal, so an exactly Hermitian plus or minus slice gives an
+    # exactly Hermitian result, with no conjugate-transpose pass
+    p = ModelParams(omega=0.9, coupling=0.21, gamma=0.31, n_trunc=n)
+    rng = np.random.default_rng(73 + n)
+    rhs = decoupled_rhs(KINDS, p)
+    for t in (0.0, 0.4, 2.9):
+        got = rhs(t, _random_stack(KINDS, n, rng))
+        for slice_ in got[:2]:
+            assert np.array_equal(slice_, slice_.conj().T)
+
+
 @pytest.mark.parametrize("shape", [(2, 7, 7), (3, 8, 8)])
 def test_bind_rejects_arrays_not_of_the_generators_shape(shape):
-    # y, out and work of one shape, but not the generator's: rejected at bind
-    # time, before a stage's first product could fail or broadcast
+    # y, out and work of one shape, but not that of the stack the generator
+    # was made for: rejected at bind time, before a stage's first product
+    # could fail or read past a slice
     p = ModelParams(omega=0.9, coupling=0.21, gamma=0.31, n_trunc=7)
     rhs = decoupled_rhs(["plus", "minus", "cross"], p)
     y = np.zeros(shape, dtype=complex)

@@ -5,7 +5,7 @@ import pytest
 
 from jcdamp import model, oracle
 from jcdamp.doubled import commutator_generator_factory, evolve_vectorized, vectorize
-from jcdamp.fock import ModelParams, coherent_state, tail_weight
+from jcdamp.fock import ModelParams, annihilation, coherent_state, tail_weight
 from jcdamp.model import (
     ATOM_DOWN,
     ATOM_UP,
@@ -232,7 +232,8 @@ def test_component_consistency_with_joint():
 
 def test_joint_run_is_the_embedded_component_stack(monkeypatch):
     # the joint run steps the plus/minus/cross stack split from rho0, under
-    # the one component right-hand side (three (3, N, N) generators), and
+    # the one component right-hand side (three generators, each the four
+    # (3, N, N) band tables of the stack), and
     # embeds each kept stack: its states are those of the component run on
     # the split, embedded, bit for bit, each exactly Hermitian, and its
     # tail_max is the largest joint_tail_weight of its states, bit for bit
@@ -244,7 +245,7 @@ def test_joint_run_is_the_embedded_component_stack(monkeypatch):
     rho0 = 0.5 * (rho0 + rho0.conj().T)
     keep = range(steps + 1)
     joint = integrate_joint(rho0, p, grid, store_steps=keep)
-    assert [g.shape for _, g in built] == [(3, n, n)] * 3
+    assert [g.shape for _, g in built] == [(4, 3, n, n)] * 3
     cs = split_components(rho0)
     trajs = integrate_component({"plus": cs.plus, "minus": cs.minus, "cross": cs.cross}, p,
                                 grid, store_steps=keep)
@@ -485,26 +486,36 @@ def test_in_place_stages_match_the_allocating_rk4_loop():
         assert all(np.array_equal(trajs[kind].states[k], want[k][i]) for k in range(steps + 1))
 
 
+def _band_tables(g, h):
+    """The stencil's four band tables from dense (k, N, N) G and H: the
+    coefficients of y_{i+1,j}, y_{i,j+1}, y_{i-1,j} and y_{i,j-1} in entry
+    (i, j) of G y + y H, G_{i,i+1}, H_{j+1,j}, G_{i,i-1} and H_{j-1,j}."""
+    tables = np.zeros((4,) + g.shape, dtype=complex)
+    tables[0, :, :-1, :] = np.diagonal(g, 1, axis1=1, axis2=2)[:, :, None]
+    tables[1, :, :, :-1] = np.diagonal(h, -1, axis1=1, axis2=2)[:, None, :]
+    tables[2, :, 1:, :] = np.diagonal(g, -1, axis1=1, axis2=2)[:, :, None]
+    tables[3, :, :, 1:] = np.diagonal(h, 1, axis1=1, axis2=2)[:, None, :]
+    return tables
+
+
 def test_band_written_coupling_matches_the_dense_build_bit_for_bit():
-    # the coupling written as its two bands into one buffer gives the bits of
-    # the dense build front (a+ e^{iwt} + a e^{-iwt}) with its diagonal
-    # patched, at a new time, a repeated one and t = 0; and so a whole run
-    # equals the lab-frame RK4 step, with the oracle's weighted sums, on the
-    # dense build
+    # the coupling's bands, written into the stencil's tables, hold the bits
+    # of the dense build front (a+ e^{iwt} + a e^{-iwt}), G, and of H = G+
+    # (plus, minus) or G (cross), at a new time, a repeated one and t = 0;
+    # whole runs equal the lab-frame RK4 step, with the oracle's weighted
+    # sums, on the dense right-hand side within 1e-14 of the stack's largest
+    # entry at every step (the stencil sums the terms in another order)
     n, steps = 10, 50
     p = ModelParams(omega=1.3, coupling=0.23, gamma=0.31, n_trunc=n)
-    rng = np.random.default_rng(59)
-
-    def hermitian(dim):
-        m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        return 0.5 * (m + m.conj().T)
-
+    a = annihilation(n)
     for kinds in (["plus", "minus", "cross", "cross"], ["cross"]):
-        y = np.stack([rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) if kind == "cross"
-                      else hermitian(n) for kind in kinds])
-        fast, dense = model.decoupled_rhs(kinds, p), dense_decoupled_rhs(kinds, p)
+        fast = model.decoupled_rhs(kinds, p)
+        fronts = np.array([model._KINDS[kind][0] * p.coupling for kind in kinds])
         for t in (0.0, 0.3, 0.3, 4.1):
-            assert np.array_equal(fast(t, y, np.empty_like(y)), dense(t, y, np.empty_like(y)))
+            x = a.conj().T * np.exp(1j * p.omega * t) + a * np.exp(-1j * p.omega * t)
+            g = fronts[:, None, None] * x
+            h = np.stack([gk if kind == "cross" else gk.conj().T for kind, gk in zip(kinds, g)])
+            assert np.array_equal(fast.generator(t), _band_tables(g, h))
 
     grid = TimeGrid(0.2, 1.2, steps)
     rho0 = coherent_joint(0.35 + 0.1j, n, (ATOM_UP + ATOM_DOWN) / np.sqrt(2.0))
@@ -516,8 +527,9 @@ def test_band_written_coupling_matches_the_dense_build_bit_for_bit():
     want = _twin_states(dense_decoupled_rhs(kinds, p),
                         np.stack([initial[kind] for kind in kinds]), grid.step, steps,
                         model._lab_phases(grid.step, p))
-    for i, kind in enumerate(kinds):
-        assert all(np.array_equal(trajs[kind].states[k], want[k][i]) for k in range(steps + 1))
+    for k in range(steps + 1):
+        got = np.stack([trajs[kind].states[k] for kind in kinds])
+        assert np.max(np.abs(got - want[k])) <= 1e-14 * np.max(np.abs(want[k]))
 
 
 def test_lab_frame_step_is_the_rotating_frame_method():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from jcdamp import solution
 from jcdamp.doubled import vectorize, devectorize
 from jcdamp.fock import ModelParams, coherent_state, displacement
 from jcdamp.oracle import TimeGrid, integrate_component
@@ -22,7 +23,12 @@ from jcdamp.solution import (
     evolve_plus_minus,
     kernel_double_integral,
 )
-from reference import acomm_partners, drive_commutator_kernel, interior_indices
+from reference import (
+    acomm_partners,
+    dense_loss_kraus_sum,
+    drive_commutator_kernel,
+    interior_indices,
+)
 
 STD = ModelParams(omega=1.0, coupling=0.1, gamma=0.2, n_trunc=40)
 
@@ -83,6 +89,27 @@ def test_damping_weight_forced_by_trace_preservation():
 
     assert abs(channel_trace(damping_weight(t, gamma)) - 1.0) < 1e-10
     assert abs(channel_trace(gamma * t) - 1.0) > 1e-3
+
+
+@pytest.mark.parametrize("n", [2, 3, 28, 40, 64])
+def test_kraus_sum_shift_is_the_dense_product_bit_for_bit(monkeypatch, n):
+    # a X a+ as an index shift gives the bits of a @ X @ a+, on random complex
+    # matrices and on the non-Hermitian seed evolve_cross hands the sum
+    rng = np.random.default_rng(67 + n)
+    mats = [(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)), w) for w in (0.05, 0.9)]
+    seeds = []
+
+    def spy(mat, weight):
+        seeds.append((mat, weight))
+        return _loss_kraus_sum(mat, weight)
+
+    monkeypatch.setattr(solution, "_loss_kraus_sum", spy)
+    p = ModelParams(omega=1.0, coupling=0.3, gamma=0.2, n_trunc=n)
+    evolve_cross(coherent_projector(0.4 + 0.2j, n), 1.3, p)
+    (seed, weight), = seeds
+    assert np.max(np.abs(seed - seed.conj().T)) > 1e-3
+    for mat, w in mats + [(seed, weight)]:
+        assert np.array_equal(_loss_kraus_sum(mat, w), dense_loss_kraus_sum(mat, w))
 
 
 # ------------------------------------------------------------ orbit center
