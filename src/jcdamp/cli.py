@@ -35,6 +35,12 @@ oracle's tail limit or the float range too), 4 tight comparison failure.  A
 verb creates ``--out`` only after its last check that can fail, so an exit 2
 or 3 leaves no ``--out`` behind.  Outputs are byte-deterministic for a
 given config (17-significant-digit formatting, sorted JSON keys).
+
+Each verb is ``cmd_X(cfg, out_dir) -> (exit code, progress lines)``: it
+computes, checks and writes its files, and prints nothing.  Only ``main``
+prints: the progress lines to stdout once the verb has returned, so after
+every file is written, and the one-line reason of an exit 2 or 3 to stderr.
+A closed stdout does not change the exit code.
 """
 
 from __future__ import annotations
@@ -317,13 +323,14 @@ def _closed_form(kind: str, op0: np.ndarray, dt: float, params: ModelParams) -> 
     return state
 
 
-def cmd_simulate(cfg: RunConfig, out_dir: str, quiet: bool = False) -> int:
+def cmd_simulate(cfg: RunConfig, out_dir: str) -> tuple[int, list[str]]:
     n = cfg.params.n_trunc
     rho0 = cfg.initial_joint()
     # one run, its kept states in the lab frame, writes every output
     traj = integrate_joint(rho0, cfg.params, cfg.grid,
                            store_steps=cfg.grid.stored_steps(cfg.store_every))
     os.makedirs(out_dir, exist_ok=True)  # after the last check that can fail
+    lines = []
 
     if "trajectory" in cfg.outputs:
         rows = []
@@ -338,8 +345,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: str, quiet: bool = False) -> int:
             step = cfg.grid.step_index(t_snap)
             t = cfg.grid.t_start + step * cfg.grid.step
             _write_snapshot(os.path.join(out_dir, f"snapshot_{k:03d}.json"), t, traj.states[step])
-        if not quiet:
-            print(f"wrote observables.csv ({len(rows)} rows)")
+        lines.append(f"wrote observables.csv ({len(rows)} rows)")
 
     if "components" in cfg.outputs:
         rows = {"plus": [], "minus": [], "cross": []}
@@ -354,12 +360,11 @@ def cmd_simulate(cfg: RunConfig, out_dir: str, quiet: bool = False) -> int:
             _write_csv(os.path.join(out_dir, f"component_{kind}.csv"),
                        ["t", "trace_re", "trace_im", "number_re", "number_im", "tail"],
                        kind_rows)
-            if not quiet:
-                print(f"wrote component_{kind}.csv")
-    return 0
+            lines.append(f"wrote component_{kind}.csv")
+    return 0, lines
 
 
-def cmd_solve(cfg: RunConfig, out_dir: str, quiet: bool = False) -> int:
+def cmd_solve(cfg: RunConfig, out_dir: str) -> tuple[int, list[str]]:
     n = cfg.params.n_trunc
     comps = _components(cfg.initial_joint())
     alpha0 = _phase_center(comps)
@@ -395,12 +400,10 @@ def cmd_solve(cfg: RunConfig, out_dir: str, quiet: bool = False) -> int:
         rows.append(row)
     os.makedirs(out_dir, exist_ok=True)  # after the last check that can fail
     _write_csv(os.path.join(out_dir, "solve.csv"), header, rows)
-    if not quiet:
-        print(f"wrote solve.csv ({len(rows)} rows)")
-    return 0
+    return 0, [f"wrote solve.csv ({len(rows)} rows)"]
 
 
-def cmd_wigner(cfg: RunConfig, out_dir: str, quiet: bool = False) -> int:
+def cmd_wigner(cfg: RunConfig, out_dir: str) -> tuple[int, list[str]]:
     _require(cfg.wigner is not None, "config.wigner section is required for wigner runs")
     w = cfg.wigner
     comps = _components(cfg.initial_joint())
@@ -433,9 +436,7 @@ def cmd_wigner(cfg: RunConfig, out_dir: str, quiet: bool = False) -> int:
         grid.to_csv(path + ".csv")
         if s % 4 < 2:  # the cross parts have no JSON
             grid.to_json(path + ".json")
-    if not quiet:
-        print(f"wrote wigner grids for {len(steps)} grid times")
-    return 0
+    return 0, [f"wrote wigner grids for {len(steps)} grid times"]
 
 
 def build_comparison_report(cfg: RunConfig) -> dict:
@@ -505,7 +506,7 @@ def build_comparison_report(cfg: RunConfig) -> dict:
     return report
 
 
-def cmd_compare(cfg: RunConfig, out_dir: str, quiet: bool = False) -> int:
+def cmd_compare(cfg: RunConfig, out_dir: str) -> tuple[int, list[str]]:
     valid, message = _DOUBLED_N_TRUNC
     _require(valid(cfg.doubled_n_trunc, cfg), f"config.compare.doubled_n_trunc {message}"
              f" (default min(30, params.n_trunc) = {cfg.doubled_n_trunc})")
@@ -514,13 +515,12 @@ def cmd_compare(cfg: RunConfig, out_dir: str, quiet: bool = False) -> int:
     with open(os.path.join(out_dir, "compare_report.json"), "w") as fh:
         json.dump(report, fh, sort_keys=True, indent=1)
         fh.write("\n")
-    if not quiet:
-        for kind, entry in report["components"].items():
-            print(f"{kind}: analytic {entry['analytic_max_dev']:.3e}"
-                  f" (tight={entry['analytic_tight']}),"
-                  f" doubled-space {entry['doubled_max_dev']:.3e},"
-                  f" passed={entry['passed']}")
-    return 0 if report["overall_pass"] else 4
+    lines = [f"{kind}: analytic {entry['analytic_max_dev']:.3e}"
+             f" (tight={entry['analytic_tight']}),"
+             f" doubled-space {entry['doubled_max_dev']:.3e},"
+             f" passed={entry['passed']}"
+             for kind, entry in report["components"].items()]
+    return (0 if report["overall_pass"] else 4), lines
 
 
 _CSV_DOC = """\
@@ -554,13 +554,23 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         if not set(_WRITES.get(args.verb, cfg.outputs)).intersection(cfg.outputs):
             return 0  # nothing to write: no --out either
-        return handler(cfg, args.out, quiet=args.quiet)
+        code, lines = handler(cfg, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (StepTooLarge, TailOverflow, ClosedFormOverflow) as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    if not args.quiet:
+        try:
+            print(*lines, sep="\n")
+            sys.stdout.flush()  # a closed reader fails here, not at the exit flush
+        except BrokenPipeError:
+            # what is left goes to devnull, so the exit flush cannot fail (exit 120)
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+    return code
 
 
 if __name__ == "__main__":

@@ -262,7 +262,7 @@ def test_criterion_7_cross_branch_audit(tmp_path):
         "compare": {"doubled_n_trunc": 30},
     }
     cfg = RunConfig(doc)
-    exit_code = cmd_compare(cfg, str(tmp_path), quiet=True)
+    exit_code, _ = cmd_compare(cfg, str(tmp_path))
     rep = json.loads((tmp_path / "compare_report.json").read_text())
     cross = rep["components"]["cross"]
     # the closed-form deviation is always present, as data

@@ -520,6 +520,18 @@ def test_every_route_returns_lab_frame_states():
     assert np.max(np.abs(closed - component["plus"].states[k])) <= cli.PM_TOLERANCE
 
 
+def _corrupt_plus_minus_closed_form(monkeypatch):
+    # an error of 1e-3 in every plus/minus closed-form state fails compare's tight check
+    real = cli.evolve_plus_minus
+
+    def corrupted(rho0, t, params, sign):
+        out = real(rho0, t, params, sign).copy()
+        out[0, 0] += 1e-3
+        return out
+
+    monkeypatch.setattr(cli, "evolve_plus_minus", corrupted)
+
+
 def test_compare_exit_code_when_tight_comparison_fails(tmp_path, monkeypatch):
     doc = {
         "params": {"omega": 1.0, "coupling": 0.1, "gamma": 0.2, "n_trunc": 20},
@@ -529,16 +541,7 @@ def test_compare_exit_code_when_tight_comparison_fails(tmp_path, monkeypatch):
         "compare": {"doubled_n_trunc": 16},
     }
     path = write_config(tmp_path, doc)
-
-    real = cli.evolve_plus_minus
-
-    def corrupted(rho0, t, params, sign):
-        out = real(rho0, t, params, sign)
-        out = out.copy()
-        out[0, 0] += 1e-3
-        return out
-
-    monkeypatch.setattr(cli, "evolve_plus_minus", corrupted)
+    _corrupt_plus_minus_closed_form(monkeypatch)
     code = main(["compare", "--config", path, "--out", str(tmp_path / "bad"), "--quiet"])
     assert code == 4
 
@@ -986,6 +989,12 @@ def test_compare_keeps_only_its_sample_steps(tmp_path, monkeypatch):
     assert counts == {"taylor_plan": 1, "expm_multiply": 50}
 
 
+def _files(out) -> dict:
+    # relative path -> bytes of every file under out
+    return {str(path.relative_to(out)): path.read_bytes()
+            for path in sorted(Path(out).rglob("*")) if path.is_file()}
+
+
 # argv: package parent, config path; runs simulate and compare into ./simulate, ./compare
 _VERBS_SCRIPT = """\
 import sys
@@ -1013,7 +1022,107 @@ def test_outputs_are_the_same_bytes_with_one_and_two_blas_threads(tmp_path):
         proc = subprocess.run([sys.executable, "-c", _VERBS_SCRIPT, package_parent, config],
                               cwd=run_dir, env=env, capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
-        written.append({str(path.relative_to(run_dir)): path.read_bytes()
-                        for path in sorted(run_dir.rglob("*")) if path.is_file()})
+        written.append(_files(run_dir))
     assert len(written[0]) == 6  # observables, three components, a snapshot, the report
     assert written[0] == written[1]
+
+
+# argv: package parent, then main's argv; waits for stdin to close before it runs
+_CLOSED_STDOUT_SCRIPT = """\
+import sys
+sys.path.insert(0, sys.argv[1])
+from jcdamp.cli import main
+sys.stdin.read()
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.parametrize("verb", ["simulate", "solve", "wigner", "compare"])
+def test_a_closed_stdout_changes_neither_exit_code_nor_files(tmp_path, verb):
+    # as `jcdamp VERB ... | true`: the reader is gone before the first progress
+    # line, and the verb still exits 0, writes every file and leaves stderr empty
+    package_parent = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    config = write_config(tmp_path, dict(_SMALL_DOC, outputs=["trajectory", "components"],
+                                         snapshot_times=[0.5]))
+    # stdout block-buffered, as into any pipe: a line the verb leaves in the
+    # buffer would fail the exit flush, which exits 120
+    env = {key: val for key, val in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen([sys.executable, "-c", _CLOSED_STDOUT_SCRIPT, package_parent,
+                             verb, "--config", config, "--out", "piped"],
+                            cwd=tmp_path, env=env, stdin=subprocess.PIPE,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    _, err = proc.communicate(b"", timeout=300)  # closing stdin lets the child run
+    assert proc.returncode == 0, err.decode()
+    assert err == b""
+    assert main([verb, "--config", config, "--out", str(tmp_path / "quiet"), "--quiet"]) == 0
+    written = _files(tmp_path / "quiet")
+    assert written and _files(tmp_path / "piped") == written
+
+
+@pytest.mark.parametrize("verb, code", [
+    ("simulate", 0), ("solve", 0), ("wigner", 0), ("compare", 0), ("compare", 4),
+], ids=["simulate", "solve", "wigner", "compare", "compare_exit_4"])
+def test_quiet_prints_nothing_to_stdout(tmp_path, capsys, monkeypatch, verb, code):
+    if code == 4:
+        _corrupt_plus_minus_closed_form(monkeypatch)
+    config = write_config(tmp_path, dict(_SMALL_DOC, outputs=["trajectory", "components"]))
+    assert main([verb, "--config", config, "--out", str(tmp_path / "out"), "--quiet"]) == code
+    assert capsys.readouterr() == ("", "")
+    assert (tmp_path / "out").is_dir()
+
+
+@pytest.mark.parametrize("quiet", [[], ["--quiet"]], ids=["loud", "quiet"])
+@pytest.mark.parametrize("change, code, reason", [
+    ({"params": dict(_SMALL_DOC["params"], detuning=0.0)}, 2,
+     "config error: unknown key config.params.detuning"),
+    ({"grid": {"t_start": 0.0, "t_end": 0.5, "n_steps": 1}}, 3,
+     "numerical failure: StepTooLarge: step 5.000e-01 violates"),
+], ids=["exit_2", "exit_3"])
+def test_exits_2_and_3_give_one_line_on_stderr_only(tmp_path, capsys, quiet, change, code,
+                                                    reason):
+    config = write_config(tmp_path, dict(_SMALL_DOC, **change))
+    assert main(["simulate", "--config", config, "--out", str(tmp_path / "out")] + quiet) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(reason) and err.count("\n") == 1 and err.endswith("\n")
+
+
+class _Stdout:
+    """Stands in for sys.stdout and records, with each write, the files under ``out``."""
+
+    def __init__(self, out):
+        self.out = out
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append((text, sorted(_files(self.out)) if self.out.exists() else []))
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("verb", ["simulate", "solve", "wigner", "compare"])
+def test_progress_lines_come_after_every_file(tmp_path, monkeypatch, verb):
+    config = write_config(tmp_path, dict(_SMALL_DOC, outputs=["trajectory", "components"]))
+    out = tmp_path / "out"
+    stdout = _Stdout(out)
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main([verb, "--config", config, "--out", str(out)]) == 0
+    monkeypatch.undo()
+    files = sorted(_files(out))
+    assert files and all(seen == files for _, seen in stdout.writes)
+    text = "".join(written for written, _ in stdout.writes)
+    if verb == "compare":  # one line per component in stack order, the report's figures
+        report = json.loads((out / "compare_report.json").read_text())["components"]
+        lines = [f"{kind}: analytic {report[kind]['analytic_max_dev']:.3e}"
+                 f" (tight={report[kind]['analytic_tight']}),"
+                 f" doubled-space {report[kind]['doubled_max_dev']:.3e},"
+                 f" passed={report[kind]['passed']}" for kind in ("plus", "minus", "cross")]
+    else:
+        lines = {"simulate": ["wrote observables.csv (51 rows)", "wrote component_plus.csv",
+                              "wrote component_minus.csv", "wrote component_cross.csv"],
+                 "solve": ["wrote solve.csv (51 rows)"],
+                 "wigner": ["wrote wigner grids for 2 grid times"]}[verb]
+    assert text == "".join(line + "\n" for line in lines)
