@@ -30,10 +30,11 @@ stack split from the initial state, so ``components`` alone costs what
 the joint tail, reports its own.
 
 Exit codes: 0 success, 2 config parse failure (a coherent amplitude with no
-weight below n_trunc too), 3 numerical failure (a closed-form state over the
-oracle's tail limit or the float range too), 4 tight comparison failure.  A
-verb creates ``--out`` only after its last check that can fail, so an exit 2
-or 3 leaves no ``--out`` behind.  Outputs are byte-deterministic for a
+weight below n_trunc too) or an ``--out`` that cannot be created, 3 numerical
+failure (a closed-form state over the oracle's tail limit or the float range
+too), 4 tight comparison failure.  A verb creates ``--out`` (``_make_out``)
+only after its last check that can fail, so an exit 2 or 3 leaves no
+``--out`` behind.  Outputs are byte-deterministic for a
 given config (17-significant-digit formatting, sorted JSON keys).
 
 Each verb is ``cmd_X(cfg, out_dir) -> (exit code, progress lines)``: it
@@ -273,6 +274,15 @@ def load_config(path: str) -> RunConfig:
     return RunConfig(doc, base_dir=os.path.dirname(os.path.abspath(path)))
 
 
+def _make_out(out_dir: str) -> None:
+    """Create ``--out`` and its parents, a ConfigError naming it (exit 2) when
+    that fails: a regular file there, or a parent that cannot hold it."""
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create --out {out_dir!r}: {exc.strerror or exc}") from None
+
+
 def _write_csv(path: str, header: list, rows: list) -> None:
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
@@ -329,7 +339,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: str) -> tuple[int, list[str]]:
     # one run, its kept states in the lab frame, writes every output
     traj = integrate_joint(rho0, cfg.params, cfg.grid,
                            store_steps=cfg.grid.stored_steps(cfg.store_every))
-    os.makedirs(out_dir, exist_ok=True)  # after the last check that can fail
+    _make_out(out_dir)  # after the last check that can fail
     lines = []
 
     if "trajectory" in cfg.outputs:
@@ -398,7 +408,7 @@ def cmd_solve(cfg: RunConfig, out_dir: str) -> tuple[int, list[str]]:
                 abs(field_tail_weight(state)),
             ]
         rows.append(row)
-    os.makedirs(out_dir, exist_ok=True)  # after the last check that can fail
+    _make_out(out_dir)  # after the last check that can fail
     _write_csv(os.path.join(out_dir, "solve.csv"), header, rows)
     return 0, [f"wrote solve.csv ({len(rows)} rows)"]
 
@@ -426,7 +436,7 @@ def cmd_wigner(cfg: RunConfig, out_dir: str) -> tuple[int, list[str]]:
                                                                        alpha0, *box)
         cross = traj.states[k] if k else comps["cross"]
         states += [0.5 * (cross + cross.conj().T), (cross - cross.conj().T) / 2j]
-    os.makedirs(out_dir, exist_ok=True)  # after the last check that can fail
+    _make_out(out_dir)  # after the last check that can fail
     for stem, grid in closed.items():
         grid.to_csv(os.path.join(out_dir, stem + ".csv"))
         grid.to_json(os.path.join(out_dir, stem + ".json"))
@@ -511,7 +521,7 @@ def cmd_compare(cfg: RunConfig, out_dir: str) -> tuple[int, list[str]]:
     _require(valid(cfg.doubled_n_trunc, cfg), f"config.compare.doubled_n_trunc {message}"
              f" (default min(30, params.n_trunc) = {cfg.doubled_n_trunc})")
     report = build_comparison_report(cfg)
-    os.makedirs(out_dir, exist_ok=True)
+    _make_out(out_dir)  # after the last check that can fail
     with open(os.path.join(out_dir, "compare_report.json"), "w") as fh:
         json.dump(report, fh, sort_keys=True, indent=1)
         fh.write("\n")

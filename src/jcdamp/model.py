@@ -191,10 +191,11 @@ def decoupled_rhs(kinds: Sequence[str], params: ModelParams) -> CoupledRHS:
     kind "plus"/"minus": -/+ i c [X(t), op] + D[op]
     kind "cross":           -i c {X(t), op} + D[op]
 
-    The kinds come in the order plus, minus, cross, each any number of times
-    (ValueError otherwise).  Each slice of the stack may be any matrix, and
-    evolves on its own: a shift that leaves a slice meets a zero coefficient
-    (so only a non-finite entry, as 0 * inf, reaches the next slice's edge).
+    The kinds come in any order, each any number of times (ValueError on an
+    unknown kind).  Each slice of the stack may be any matrix, and evolves on
+    its own: a shift that leaves a slice meets a zero coefficient, so a
+    slice's values do not depend on its place in the stack (only a
+    non-finite entry, as 0 * inf, reaches the next slice's edge).
 
     It is evaluated in effective-generator form, f(y) = G y + y H + gamma a y a+,
     with G = c f X(t) - (gamma/2) a+a for the kind's ``_KINDS`` entry (f, sign),
@@ -228,8 +229,6 @@ def decoupled_rhs(kinds: Sequence[str], params: ModelParams) -> CoupledRHS:
     for kind in kinds:
         if kind not in _KINDS:
             raise ValueError(f"unknown component kind {kind!r}")
-    if list(kinds) != sorted(kinds, key=list(_KINDS).index):
-        raise ValueError(f"component kinds {list(kinds)} are not in the order {list(_KINDS)}")
     s = np.diagonal(annihilation(params.n_trunc), 1)
     g_diag = -0.5 * params.gamma * np.concatenate([[0.0], (s.conj() * s).real])
     m = params.n_trunc

@@ -7,19 +7,20 @@ Fixed-step RK4 is used (rather than an adaptive solver) so runs are
 deterministic and reproducible as regression baselines.  The joint
 equation splits exactly into its plus, minus and cross components, so the
 oracle has one right-hand side, a component stack's
-(``model.decoupled_rhs``), and one loop, ``_rk4``: components asked for
-together run as one (k, N, N) stack in the order plus, minus, cross, and
-a joint run is split, stacked, stepped and each kept stack embedded
-(``_embed``).  Each step works in place: the state and the four RK4
-stages are the rows of one buffer made once per run, each stage, bound
-once per run, writes its row, each stage input and the step sum is one
-weighted product of rows, the state takes one step's lab phases, the tail
-entries are read with one ``np.take`` into a block that is checked at
-every kept step and at least every ``TAIL_BLOCK`` steps, and a kept state
-is copied.  The right-hand side is evaluated in effective-generator form,
-each stage one six-point stencil on the stack's entries with no matrix
-product (``model.decoupled_rhs``: a run makes three generators, each the
-band tables of the coupling at one frame time).  A joint, plus or minus
+(``model.decoupled_rhs``), one guarded start, ``_start``, and one loop,
+``_rk4``: components asked for together run as one (k, N, N) stack in the
+order asked, and a joint run is split into its plus, minus, cross stack,
+stepped, and each kept stack embedded (``_embed``).  Each step works in
+place: the state and the four RK4 stages are the rows of one buffer made
+once per run, each stage, bound once per run, writes its row, each stage
+input and the step sum is one weighted product of rows, the state takes
+one step's lab phases, the tail entries are read with one ``np.take`` into
+a block that is checked at every kept step and at least every
+``TAIL_BLOCK`` steps, and a kept state is copied, or embedded.  The
+right-hand side is evaluated in effective-generator form, each stage one
+six-point stencil on the stack's entries with no matrix product
+(``model.decoupled_rhs``: a run makes three generators, each the band
+tables of the coupling at one frame time).  A joint, plus or minus
 initial state must be Hermitian within ``model.HERM_TOL`` (ValueError
 naming it otherwise), and its Hermitian part is integrated; the stencil
 keeps it exactly Hermitian.  A run keeps exactly the steps
@@ -58,7 +59,6 @@ import numpy as np
 
 from .fock import TAIL_LEVELS, ModelParams, StepTooLarge, TimeGrid, annihilation
 from .model import (
-    _KINDS,
     ComponentSet,
     CoupledRHS,
     _lab_phases,
@@ -171,8 +171,9 @@ def _rk4(rhs: CoupledRHS, y0: np.ndarray, params: ModelParams, grid: TimeGrid,
     """Integrate the stack ``y0`` and return name -> Trajectory.  Without
     ``joint`` it holds one field operator per name (tail |``fock.tail_weight``|);
     with it, the plus, minus, cross split of the one named joint state, kept
-    whole (purity checked; tail the ``joint_tail_weight`` of ``_embed``, bit
-    for bit).  Both tails are read as top diagonal entries (``_tail_entries``).
+    embedded (``_embed``; purity checked; tail the ``joint_tail_weight`` of the
+    embedding, bit for bit).  Both tails are read as top diagonal entries
+    (``_tail_entries``).
 
     The state is the lab-frame one, stepped in place as z <- P(h) Phi_0(z):
     Phi_0 is the rotating-frame RK4 step at frame time 0 and P(h) the lab
@@ -194,8 +195,10 @@ def _rk4(rhs: CoupledRHS, y0: np.ndarray, params: ModelParams, grid: TimeGrid,
     is full, so an overflow is raised at its first step, before any later
     kept state is checked.  The run holds seven arrays the size of the
     stack (the five rows, the stage input and the stages' work array) and
-    plain copies of the kept states; its right-hand side adds four band
-    tables per generator and one scratch array per bound stage."""
+    the kept states: plain copies of the slices, or a joint run's
+    embeddings, each 4/3 the size of its stack, made as the step is kept;
+    its right-hand side adds four band tables per generator and one scratch
+    array per bound stage."""
     keep = grid.check_steps(store_steps)
     h = grid.step
     rows = np.zeros((5,) + np.shape(y0), dtype=complex)
@@ -247,10 +250,24 @@ def _rk4(rhs: CoupledRHS, y0: np.ndarray, params: ModelParams, grid: TimeGrid,
         if stored:
             _check_stored(y, grid.t_start + k * h, names, joint)
         if k in keep:
-            kept[k] = [y.copy()] if joint else [state.copy() for state in y]
+            kept[k] = [_embed(y)] if joint else [state.copy() for state in y]
     return {name: Trajectory(grid=grid, states={k: states[i] for k, states in kept.items()},
                              tail_max=float(tail_max[i]))
             for i, name in enumerate(names)}
+
+
+def _start(initial: Mapping[str, np.ndarray], params: ModelParams, grid: TimeGrid,
+           store_steps: Iterable[int], joint: bool) -> dict[str, Trajectory]:
+    """The guarded start of both entry points: the right-hand side of
+    ``initial``'s kinds, in its order, the Hermitian parts of its plus and
+    minus operators, the step and stability bounds, then ``_rk4`` on the
+    stack, its one state named "joint" when ``joint``."""
+    rhs = decoupled_rhs(list(initial), params)
+    y0 = np.stack([op0 if kind == "cross" else _hermitian_part(op0, kind)
+                   for kind, op0 in initial.items()])
+    require_step(params, grid.step)
+    require_stable(params, grid.step)
+    return _rk4(rhs, y0, params, grid, store_steps, ["joint"] if joint else list(initial), joint)
 
 
 def integrate_joint(rho0: np.ndarray, params: ModelParams, grid: TimeGrid,
@@ -267,14 +284,8 @@ def integrate_joint(rho0: np.ndarray, params: ModelParams, grid: TimeGrid,
     if np.shape(rho0) != (2 * n, 2 * n):
         raise ValueError(f"initial state has shape {np.shape(rho0)}, expected {(2 * n, 2 * n)}")
     cs = split_components(_hermitian_part(rho0, "joint"))
-    require_step(params, grid.step)
-    require_stable(params, grid.step)
-    rhs = decoupled_rhs(list(_KINDS), params)
-    traj = _rk4(rhs, np.stack([cs.plus, cs.minus, cs.cross]), params, grid, store_steps,
-                ["joint"], joint=True)["joint"]
-    for k, stack in traj.states.items():  # one at a time, each stack freed as it goes
-        traj.states[k] = _embed(stack)
-    return traj
+    return _start({"plus": cs.plus, "minus": cs.minus, "cross": cs.cross}, params, grid,
+                  store_steps, joint=True)["joint"]
 
 
 def integrate_component(initial: Mapping[str, np.ndarray], params: ModelParams,
@@ -283,10 +294,10 @@ def integrate_component(initial: Mapping[str, np.ndarray], params: ModelParams,
     all in one (k, N, N) stack; each kept state is returned in the lab frame.
 
     ``initial`` maps each kind ("plus", "minus" or "cross") to its N x N
-    initial operator; the result maps each kind, in ``initial``'s order, to
-    its Trajectory.  The stack holds the kinds in the order ``decoupled_rhs``
-    takes.  A plus or minus operator must be Hermitian within
-    ``model.HERM_TOL``; its Hermitian part is integrated.
+    initial operator; the stack holds the kinds in ``initial``'s order, and
+    the result maps each kind, in that order, to its Trajectory.  A plus or
+    minus operator must be Hermitian within ``model.HERM_TOL``; its Hermitian
+    part is integrated.
     """
     n = params.n_trunc
     if not initial:
@@ -295,12 +306,4 @@ def integrate_component(initial: Mapping[str, np.ndarray], params: ModelParams,
         if np.shape(op0) != (n, n):
             raise ValueError(f"initial {kind} operator has shape {np.shape(op0)},"
                              f" expected {(n, n)}")
-    # in the order decoupled_rhs takes, an unknown kind first for it to name
-    kinds = sorted(initial, key=lambda kind: list(_KINDS).index(kind) if kind in _KINDS else -1)
-    rhs = decoupled_rhs(kinds, params)
-    y0 = [initial[kind] if kind == "cross" else _hermitian_part(initial[kind], kind)
-          for kind in kinds]
-    require_step(params, grid.step)
-    require_stable(params, grid.step)
-    trajs = _rk4(rhs, np.stack(y0), params, grid, store_steps, kinds, joint=False)
-    return {kind: trajs[kind] for kind in initial}
+    return _start(initial, params, grid, store_steps, joint=False)

@@ -1088,6 +1088,25 @@ def test_exits_2_and_3_give_one_line_on_stderr_only(tmp_path, capsys, quiet, cha
     assert err.startswith(reason) and err.count("\n") == 1 and err.endswith("\n")
 
 
+@pytest.mark.parametrize("out", ["afile", "afile/sub"], ids=["file", "under_a_file"])
+@pytest.mark.parametrize("verb", ["simulate", "solve", "wigner", "compare"])
+def test_an_out_that_cannot_be_created_exits_2(tmp_path, capsys, verb, out):
+    # a regular file at --out, or on its path: found only after the whole
+    # computation, yet the verb exits 2 with one stderr line naming --out,
+    # prints nothing to stdout and creates nothing
+    config = write_config(tmp_path, dict(_SMALL_DOC, outputs=["trajectory", "components"]))
+    (tmp_path / "afile").write_text("kept\n")
+    before = sorted(tmp_path.rglob("*"))
+    out = str(tmp_path / out)
+    assert main([verb, "--config", config, "--out", out]) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert err.startswith(f"config error: cannot create --out {out!r}: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert sorted(tmp_path.rglob("*")) == before
+    assert (tmp_path / "afile").read_text() == "kept\n"
+
+
 class _Stdout:
     """Stands in for sys.stdout and records, with each write, the files under ``out``."""
 

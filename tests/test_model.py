@@ -377,14 +377,10 @@ def test_joint_rhs_matches_dense_equation_of_motion():
 @pytest.mark.parametrize("kinds", [("plus", "minus", "cross"), ("cross", "plus", "minus"),
                                    ("plus", "cross", "minus")])
 def test_component_stack_rhs_matches_dense_equation_of_motion(kinds):
-    # a mixed stack in plus, minus, cross order, the Hermitian plus and minus
-    # slices in the one-product form; a stack in any other order is rejected
+    # a mixed stack in any order, cross first, in the middle or last, the
+    # Hermitian plus and minus slices in the one-product form
     n, t = 9, 1.3
     p = ModelParams(omega=0.9, coupling=0.21, gamma=0.31, n_trunc=n)
-    if kinds != ("plus", "minus", "cross"):
-        with pytest.raises(ValueError, match="not in the order"):
-            decoupled_rhs(kinds, p)
-        return
     cs = split_components(exactly_hermitian_density(n, 47))
     x = _field_coupling(t, p)
     a = annihilation(n)
@@ -407,28 +403,27 @@ def _random_hermitian(dim, rng):
 
 @pytest.mark.parametrize("n", [2, 3, 6])
 def test_fast_right_hand_sides_match_dense_references(n):
-    # a mixed component stack with two cross slices against dense products,
-    # 1e-14 relative, at several t != 0, with random non-Hermitian cross
-    # slices.  A stack out of plus, minus, cross order is rejected
+    # mixed component stacks with two cross slices, in order and interleaved,
+    # against dense products, 1e-14 relative, at several t != 0, with random
+    # non-Hermitian cross slices
     p = ModelParams(omega=0.9, coupling=0.23, gamma=0.31, n_trunc=n)
     rng = np.random.default_rng(53 + n)
     a, c = annihilation(n), p.coupling
-    with pytest.raises(ValueError, match="not in the order"):
-        decoupled_rhs(["plus", "cross", "minus", "cross"], p)
-    kinds = ["plus", "minus", "cross", "cross"]
-    components = decoupled_rhs(kinds, p)
     front = {"plus": -1j, "minus": 1j, "cross": -1j}
-    for t in (0.3, 1.7, 4.1):
-        x = _field_coupling(t, p)
-        stack = np.stack([_random_hermitian(n, rng) if kind != "cross" else
-                          rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-                          for kind in kinds])
-        assert np.max(np.abs(stack[2] - stack[2].conj().T)) > 0.1
-        got = components(t, stack, np.empty_like(stack))
-        for kind, y, g in zip(kinds, stack, got):
-            sign = 1.0 if kind == "cross" else -1.0
-            want = front[kind] * c * (x @ y + sign * y @ x) + dense_damping(p.gamma, a, y)
-            assert np.max(np.abs(g - want)) <= 1e-14 * np.max(np.abs(want))
+    for kinds in (["plus", "minus", "cross", "cross"], ["plus", "cross", "minus", "cross"]):
+        components = decoupled_rhs(kinds, p)
+        for t in (0.3, 1.7, 4.1):
+            x = _field_coupling(t, p)
+            stack = np.stack([_random_hermitian(n, rng) if kind != "cross" else
+                              rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+                              for kind in kinds])
+            assert all(np.max(np.abs(y - y.conj().T)) > 0.1
+                       for kind, y in zip(kinds, stack) if kind == "cross")
+            got = components(t, stack, np.empty_like(stack))
+            for kind, y, g in zip(kinds, stack, got):
+                sign = 1.0 if kind == "cross" else -1.0
+                want = front[kind] * c * (x @ y + sign * y @ x) + dense_damping(p.gamma, a, y)
+                assert np.max(np.abs(g - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def _random_stack(kinds, n, rng):
@@ -436,6 +431,22 @@ def _random_stack(kinds, n, rng):
     slices, every entry non-zero, the first and last rows and columns too."""
     return np.stack([_random_hermitian(n, rng) if kind != "cross" else
                      rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) for kind in kinds])
+
+
+@pytest.mark.parametrize("n", [2, 9, 28])
+def test_a_slice_gives_the_same_values_in_any_place(n):
+    # a shift that leaves a slice meets a zero coefficient, so a slice's
+    # result does not depend on its place: each slice of a cross, plus, minus
+    # stack equals the same slice of the plus, minus, cross stack, exactly
+    p = ModelParams(omega=0.9, coupling=0.21, gamma=0.31, n_trunc=n)
+    rng = np.random.default_rng(89 + n)
+    moved = ["cross", "plus", "minus"]
+    for t in (0.0, 0.4, 2.9):
+        y = dict(zip(KINDS, _random_stack(KINDS, n, rng)))
+        want = dict(zip(KINDS, decoupled_rhs(KINDS, p)(t, np.stack(list(y.values())))))
+        got = decoupled_rhs(moved, p)(t, np.stack([y[kind] for kind in moved]))
+        for kind, slice_ in zip(moved, got):
+            assert np.array_equal(slice_, want[kind])
 
 
 def test_bound_stage_reads_and_writes_through_its_views():

@@ -470,7 +470,9 @@ def test_in_place_stages_match_the_allocating_rk4_loop():
     # the stages bound once to the rows of the loop's one buffer, with every
     # sum a weighted row product, give the states of the loop that makes
     # every stage and sum anew, bit for bit: both take the lab-frame step
-    # z <- P(h) Phi_0(z)
+    # z <- P(h) Phi_0(z).  The oracle stacks the kinds as asked (plus,
+    # cross, minus), the twin plus, minus, cross: a slice's place in the
+    # stack does not change its values
     n, steps = 14, 30
     p = ModelParams(omega=1.1, coupling=0.2, gamma=0.3, n_trunc=n)
     cs = split_components(coherent_joint(0.6 + 0.2j, n, ATOM_UP))
@@ -478,7 +480,7 @@ def test_in_place_stages_match_the_allocating_rk4_loop():
                "minus": 0.5 * (cs.minus + cs.minus.conj().T)}  # as the oracle integrates them
     grid = TimeGrid(0.3, 0.9, steps)
     trajs = integrate_component(initial, p, grid, store_steps=range(steps + 1))
-    kinds = list(model._KINDS)  # the order the oracle stacks them in
+    kinds = list(model._KINDS)
     want = _twin_states(model.decoupled_rhs(kinds, p),
                         np.stack([initial[kind] for kind in kinds]), grid.step, steps,
                         model._lab_phases(grid.step, p))
@@ -523,7 +525,7 @@ def test_band_written_coupling_matches_the_dense_build_bit_for_bit():
     initial = {"plus": 0.5 * (cs.plus + cs.plus.conj().T), "cross": cs.cross,
                "minus": 0.5 * (cs.minus + cs.minus.conj().T)}
     trajs = integrate_component(initial, p, grid, store_steps=range(steps + 1))
-    kinds = list(model._KINDS)  # the order the oracle stacks them in
+    kinds = list(model._KINDS)  # the oracle stacks initial's order, plus, cross, minus
     want = _twin_states(dense_decoupled_rhs(kinds, p),
                         np.stack([initial[kind] for kind in kinds]), grid.step, steps,
                         model._lab_phases(grid.step, p))
@@ -670,9 +672,10 @@ def test_component_stack_matches_one_kind_runs():
 
 
 def test_component_run_returns_the_callers_kind_order():
-    # the oracle stacks the kinds plus, minus, cross, whatever the mapping's
-    # order, and returns the mapping's order: a cross, plus, minus mapping
-    # gives the ordered run's states and tail records bit for bit
+    # the oracle stacks the kinds in the mapping's order and returns them in
+    # it: a cross, plus, minus stack gives the plus, minus, cross run's
+    # states and tail records bit for bit, as a slice's place in the stack
+    # does not change its values
     n = 12
     p = ModelParams(omega=1.0, coupling=0.15, gamma=0.2, n_trunc=n)
     ordered = _component_initials(n)
