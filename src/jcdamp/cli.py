@@ -24,18 +24,22 @@ exactly the steps a verb reads and stop at the last of them.  A snapshot
 or Wigner time is read as the grid time within 1e-9 (``TimeGrid.step_index``).
 ``compare`` makes one run per route for all three components over the
 run's grid and compares the lab-frame states every route returns at the
-same sample steps.  ``simulate``'s joint run steps the plus/minus/cross
-stack split from the initial state, so ``components`` alone costs what
-``trajectory`` does, under the joint tail guard; each component's ``tail`` column, at most twice
-the joint tail, reports its own.
+same sample steps; the oracle and the doubled route each step plus and
+minus packed into one slice or block.  ``simulate``'s joint run steps the
+plus/minus/cross stack split from the initial state, so ``components``
+alone costs what ``trajectory`` does, under the joint tail guard; each
+component's ``tail`` column, at most twice the joint tail, reports its own.
 
 Exit codes: 0 success, 2 config parse failure (a coherent amplitude with no
-weight below n_trunc too) or an ``--out`` that cannot be created, 3 numerical
-failure (a closed-form state over the oracle's tail limit or the float range
-too), 4 tight comparison failure.  A verb creates ``--out`` (``_make_out``)
-only after its last check that can fail, so an exit 2 or 3 leaves no
-``--out`` behind.  Outputs are byte-deterministic for a
-given config (17-significant-digit formatting, sorted JSON keys).
+weight below n_trunc too), an ``--out`` that cannot be created, or a file in
+it that cannot be written (a name the verb writes held by a directory, say),
+3 numerical failure (a closed-form state over the oracle's tail limit or the
+float range too), 4 tight comparison failure.  A verb creates ``--out``
+(``_make_out``) only after its last check that can fail, so an exit 2 or 3
+leaves no ``--out`` behind, except that a file that cannot be written exits
+2 naming it after the files written before it.  Outputs are
+byte-deterministic for a given config (17-significant-digit formatting,
+sorted JSON keys).
 
 Each verb is ``cmd_X(cfg, out_dir) -> (exit code, progress lines)``: it
 computes, checks and writes its files, and prints nothing.  Only ``main``
@@ -58,7 +62,6 @@ import numpy as np
 from .doubled import (
     anticommutator_generator_factory,
     commutator_generator_factory,
-    devectorize,
     evolve_vectorized,
     stacked,
     vectorize,
@@ -458,10 +461,15 @@ def build_comparison_report(cfg: RunConfig) -> dict:
     from grid.t_start and return lab-frame states; the oracle and the
     doubled route each make one run for all three components over the
     run's grid, keep the sample steps and stop at the last.  Each doubled
-    branch has one constant lab-frame generator L; the doubled run evolves
-    the components' vectors as one, under the block diagonal of the three
-    (``stacked``), by the Strang split of L into its free diagonal and the
-    rest, and each component's block is sliced back out.
+    branch has one constant lab-frame generator L.  Conjugation by the
+    parity P = (-1)^(a+a), which flips the sign of a, maps the minus
+    generator onto the plus one, and both keep Hermitian operators
+    Hermitian, so plus and minus ride in one block, Z = plus + i P minus P,
+    under the plus generator.  The doubled run evolves the vectors of Z and
+    cross as one, under the block diagonal of the two (``stacked``), by the
+    Strang split of L into its free diagonal and the rest; at each sample
+    plus is (Z + Z+) / 2, minus P (-i/2) (Z - Z+) P, and cross its own block.
+    The packing is this route's own, apart from the oracle's.
     """
     params = cfg.params
     comps = _components(cfg.initial_joint())
@@ -478,14 +486,22 @@ def build_comparison_report(cfg: RunConfig) -> dict:
     # the oracle runs first and holds the step, before any doubled generator is built
     trajs = integrate_component(comps, params, cfg.grid, store_steps=sample_ks)
     doubled_params = dataclasses.replace(params, n_trunc=n_doubled)
-    factories = {kind: commutator_generator_factory(doubled_params, sign=sign)
-                 for kind, sign in _SIGNS.items()}
-    factories["cross"] = anticommutator_generator_factory(doubled_params)
+    levels = np.arange(n_doubled)
+    # P y P is y times this table, entrywise, for the parity P = (-1)^(a+a)
+    parity = np.where(np.add.outer(levels, levels) % 2, -1.0, 1.0)
+    truncated = {kind: op0[:n_doubled, :n_doubled] for kind, op0 in comps.items()}
+    packed = truncated["plus"] + 1j * np.multiply(truncated["minus"], parity)
     doubled = evolve_vectorized(
-        stacked(factories[kind] for kind in comps),
-        np.concatenate([vectorize(op0[:n_doubled, :n_doubled]) for op0 in comps.values()]),
+        stacked([commutator_generator_factory(doubled_params, sign=1),
+                 anticommutator_generator_factory(doubled_params)]),
+        np.concatenate([vectorize(packed), vectorize(truncated["cross"])]),
         cfg.grid, store_steps=sample_ks)
-    for block, (kind, op0) in enumerate(comps.items()):
+    owns = {}  # sample step -> kind -> the doubled route's state
+    for k, v in doubled.items():
+        z, cross = v.reshape(2, n_doubled, n_doubled)
+        owns[k] = {"plus": 0.5 * (z + z.conj().T),
+                   "minus": np.multiply(-0.5j * (z - z.conj().T), parity), "cross": cross}
+    for kind, op0 in comps.items():
         traj = trajs[kind]
         ana_max = ana_mean = doubled_max = trace_drift = 0.0
         for k in sample_ks:
@@ -495,8 +511,7 @@ def build_comparison_report(cfg: RunConfig) -> dict:
             dev = np.abs(ana - oracle)
             ana_max = max(ana_max, dev.max())
             ana_mean = max(ana_mean, dev.mean())
-            own = devectorize(doubled[k].reshape(len(comps), -1)[block])
-            inner = own[:interior, :interior] - oracle[:interior, :interior]
+            inner = owns[k][kind][:interior, :interior] - oracle[:interior, :interior]
             doubled_max = max(doubled_max, np.abs(inner).max())
             if kind in _SIGNS:
                 trace_drift = max(trace_drift,
@@ -571,6 +586,12 @@ def main(argv=None) -> int:
     except (StepTooLarge, TailOverflow, ClosedFormOverflow) as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:  # a file the verb writes: its reads raise ConfigError
+        if exc.filename is None:
+            raise
+        print(f"config error: cannot write {exc.filename!r}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return 2
     if not args.quiet:
         try:
             print(*lines, sep="\n")

@@ -8,22 +8,32 @@ deterministic and reproducible as regression baselines.  The joint
 equation splits exactly into its plus, minus and cross components, so the
 oracle has one right-hand side, a component stack's
 (``model.decoupled_rhs``), one guarded start, ``_start``, and one loop,
-``_rk4``: components asked for together run as one (k, N, N) stack in the
-order asked, and a joint run is split into its plus, minus, cross stack,
-stepped, and each kept stack embedded (``_embed``).  Each step works in
+``_rk4``: components asked for together run as one stack in the order
+asked, and a joint run is split into its plus, minus, cross stack,
+stepped, and each kept stack embedded (``_embed``).  A plus and a minus
+state share one slice of the stack: the parity P = (-1)^(a+a) flips the
+sign of a, so P conjugation maps the minus equation onto the plus one, and
+that equation is linear and keeps Hermitian operators Hermitian, so the
+complex slice Z = plus + i P minus P (``_pack``), stepped under plus's
+band tables, carries both, as one complex transform carries two real ones
+(Press et al., Numerical Recipes 3rd ed., 12.3).  A joint run, or a
+component run of all three kinds, so steps two N x N slices, Z and cross,
+not three; the states are unpacked at each checked or kept step
+(``_unpack``), and step 0 is the initial states themselves.  Each step works in
 place: the state and the four RK4 stages are the rows of one buffer made
 once per run, each stage, bound once per run, writes its row, each stage
 input and the step sum is one weighted product of rows, the state takes
 one step's lab phases, the tail entries are read with one ``np.take`` into
 a block that is checked at every kept step and at least every
-``TAIL_BLOCK`` steps, and a kept state is copied, or embedded.  The
+``TAIL_BLOCK`` steps, and a kept state is unpacked or copied, or embedded.  The
 right-hand side is evaluated in effective-generator form, each stage one
 six-point stencil on the stack's entries with no matrix product
 (``model.decoupled_rhs``: a run makes three generators, each the band
 tables of the coupling at one frame time).  A joint, plus or minus
 initial state must be Hermitian within ``model.HERM_TOL`` (ValueError
 naming it otherwise), and its Hermitian part is integrated; the stencil
-keeps it exactly Hermitian.  A run keeps exactly the steps
+keeps a Hermitian slice exactly Hermitian, and the unpacked plus and minus
+states are exactly Hermitian by their form.  A run keeps exactly the steps
 ``store_steps`` (by default the last) and takes no step after the last of
 them; ``TimeGrid.check_steps`` holds this rule here and in the doubled
 route, and ``TimeGrid.step_index`` maps a time to its step.  ``TimeGrid``
@@ -124,14 +134,14 @@ def require_stable(params: ModelParams, h: float) -> None:
         )
 
 
-def _check_stored(y: np.ndarray, t: float, names: list[str], joint: bool) -> None:
-    for name, state in zip(names, [y] if joint else y):  # a joint stack is one state
+def _check_stored(states: list, t: float, names: list[str], joint: bool) -> None:
+    for name, state in zip(names, [states] if joint else states):  # a joint stack is one state
         if not np.all(np.isfinite(state)):
             raise StepTooLarge(f"unstable: {name} state is not finite at t={t:.6g}")
     if joint:
         # Tr(rho^2) = (|plus|^2 + |minus|^2) / 4 + |cross|^2 / 2, squared
         # Frobenius norms of the split of a Hermitian rho
-        plus, minus, cross = y
+        plus, minus, cross = states
         purity = (0.25 * (np.vdot(plus, plus).real + np.vdot(minus, minus).real)
                   + 0.5 * np.vdot(cross, cross).real)
         if purity > 1.0 + PURITY_SLACK:
@@ -146,13 +156,69 @@ def _hermitian_part(y: np.ndarray, name: str) -> np.ndarray:
     return 0.5 * (y + y.conj().T)
 
 
-def _tail_entries(y: np.ndarray) -> np.ndarray:
-    """Indices into ``y.reshape(-1).view(float)`` of the real parts of the top
-    ``fock.TAIL_LEVELS`` diagonal entries, one row per slice of the stack."""
-    m = y.shape[-1]
+def _parity(n: int) -> np.ndarray:
+    """(-1)^(i + j) at entry (i, j) of an N x N field operator: P y P is
+    ``np.multiply(y, _parity(N))``, with P = (-1)^(a+a) the parity, P a P = -a."""
+    levels = np.arange(n)
+    return np.where(np.add.outer(levels, levels) % 2, -1.0, 1.0)
+
+
+def _pack(plus: np.ndarray, minus: np.ndarray) -> np.ndarray:
+    """Z = plus + i P minus P, the one slice that carries a plus and a minus
+    state under plus's equation.  P conjugation maps a solution of the minus
+    equation to one of the plus equation (P X(t) P = -X(t), and D commutes
+    with it), the equation is linear and keeps a Hermitian operator
+    Hermitian, so Z steps both parts at once (``_unpack``)."""
+    return plus + 1j * np.multiply(minus, _parity(len(minus)))
+
+
+def _unpack(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(plus, minus) of a packed slice Z (``_pack``): (Z + Z+) / 2 and
+    P (-i/2) (Z - Z+) P, each exactly Hermitian (the scale by -i/2 is exact).
+    On the diagonal they are Z's real and imaginary parts, bit for bit."""
+    adjoint = z.conj().T
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite Z is named by the caller
+        return 0.5 * (z + adjoint), np.multiply(-0.5j * (z - adjoint), _parity(len(z)))
+
+
+def _carried(kinds: list[str]) -> list[str]:
+    """The kinds of the slices a run of ``kinds`` steps, in their order:
+    minus rides in plus's slice (``_pack``) when both are there."""
+    return [kind for kind in kinds if kind != "minus" or "plus" not in kinds]
+
+
+def _pack_stack(start: np.ndarray, kinds: list[str]) -> np.ndarray:
+    """The stack a run steps, one slice per ``_carried`` kind, from the
+    initial states ``start`` of ``kinds``."""
+    states = dict(zip(kinds, start))
+    return np.stack([_pack(states["plus"], states["minus"]) if kind == "plus" and "minus" in kinds
+                     else states[kind] for kind in _carried(kinds)])
+
+
+def _unpack_stack(y: np.ndarray, kinds: list[str]) -> list[np.ndarray]:
+    """The states of ``kinds``, in their order and each a new array, from the
+    stack ``y`` that ``_pack_stack`` made and the run stepped."""
+    states = {}
+    for kind, state in zip(_carried(kinds), y):
+        if kind == "plus" and "minus" in kinds:
+            states["plus"], states["minus"] = _unpack(state)
+        else:
+            states[kind] = state.copy()
+    return [states[kind] for kind in kinds]
+
+
+def _tail_entries(y: np.ndarray, kinds: list[str]) -> np.ndarray:
+    """Indices into ``y.reshape(-1).view(float)`` of the top ``fock.TAIL_LEVELS``
+    diagonal entries of each of ``kinds``, one row per kind in their order:
+    the real parts of its slice of the stack ``y``, or, for minus packed into
+    plus's slice, that slice's imaginary parts, each the place after its
+    real part (``_unpack``)."""
+    carried, m = _carried(kinds), y.shape[-1]
     levels = np.arange(m)[-TAIL_LEVELS:]
-    # flat index of (l, l) in slice i of the stack
-    return 2 * (np.arange(len(y))[:, None] * m * m + levels * (m + 1))
+    slices = np.array([carried.index(kind if kind in carried else "plus") for kind in kinds])
+    parts = np.array([kind not in carried for kind in kinds])
+    # flat index of (l, l) in each row's slice, then its real or imaginary part
+    return 2 * (slices[:, None] * m * m + levels * (m + 1)) + parts[:, None]
 
 
 def _embed(stack: np.ndarray) -> np.ndarray:
@@ -166,14 +232,23 @@ def _embed(stack: np.ndarray) -> np.ndarray:
         rho2=-1j * skew, rho3=0.5 * (cross + cross.conj().T)))
 
 
-def _rk4(rhs: CoupledRHS, y0: np.ndarray, params: ModelParams, grid: TimeGrid,
-         store_steps: Iterable[int], names: list[str], joint: bool) -> dict[str, Trajectory]:
-    """Integrate the stack ``y0`` and return name -> Trajectory.  Without
-    ``joint`` it holds one field operator per name (tail |``fock.tail_weight``|);
-    with it, the plus, minus, cross split of the one named joint state, kept
-    embedded (``_embed``; purity checked; tail the ``joint_tail_weight`` of the
-    embedding, bit for bit).  Both tails are read as top diagonal entries
-    (``_tail_entries``).
+def _rk4(rhs: CoupledRHS, start: np.ndarray, params: ModelParams, grid: TimeGrid,
+         store_steps: Iterable[int], kinds: list[str], joint: bool) -> dict[str, Trajectory]:
+    """Integrate the initial states ``start`` of ``kinds`` and return name ->
+    Trajectory.  Without ``joint`` the names are ``kinds``, one field operator
+    each (tail |``fock.tail_weight``|); with it, ``kinds`` are the plus, minus,
+    cross split of the one state named "joint", kept embedded (``_embed``;
+    purity checked; tail the ``joint_tail_weight`` of the embedding, bit for
+    bit).
+
+    The run steps the stack of ``_pack_stack``, a plus and a minus state in
+    one packed slice Z (``_pack``), under ``rhs``, the right-hand side of the
+    ``_carried`` kinds.  At step 0 the states checked and kept are ``start``'s
+    own; at every later checked or kept step they are unpacked from the stack
+    (``_unpack_stack``).  The tails are read as top diagonal entries, the
+    real parts of a slice or, for minus, the imaginary parts of Z
+    (``_tail_entries``), one row per kind in ``kinds``' order, with no
+    unpacking.
 
     The state is the lab-frame one, stepped in place as z <- P(h) Phi_0(z):
     Phi_0 is the rotating-frame RK4 step at frame time 0 and P(h) the lab
@@ -193,15 +268,18 @@ def _rk4(rhs: CoupledRHS, y0: np.ndarray, params: ModelParams, grid: TimeGrid,
     entries are read with one ``np.take`` per step into a block of at most
     ``TAIL_BLOCK`` steps, checked at every kept step and whenever the block
     is full, so an overflow is raised at its first step, before any later
-    kept state is checked.  The run holds seven arrays the size of the
-    stack (the five rows, the stage input and the stages' work array) and
-    the kept states: plain copies of the slices, or a joint run's
-    embeddings, each 4/3 the size of its stack, made as the step is kept;
-    its right-hand side adds four band tables per generator and one scratch
-    array per bound stage."""
+    kept state is checked.  The run holds ``start`` and seven arrays the
+    size of the stepped stack (the five rows, the stage input and the
+    stages' work array), which packing makes two slices where three kinds
+    are run, and the kept states: the unpacked states, or a joint run's
+    embeddings, each 4/3 the size of the three states, made as the step is
+    kept; its right-hand side adds four band tables per generator and one
+    scratch array per bound stage."""
+    names = ["joint"] if joint else kinds
     keep = grid.check_steps(store_steps)
     h = grid.step
-    rows = np.zeros((5,) + np.shape(y0), dtype=complex)
+    y0 = _pack_stack(start, kinds)
+    rows = np.zeros((5,) + y0.shape, dtype=complex)
     rows[1] = y0
     k1, y, k2, k3, k4 = rows
     # zeroed: a gemv may scale its output by beta = 0 rather than set it, and
@@ -218,7 +296,7 @@ def _rk4(rhs: CoupledRHS, y0: np.ndarray, params: ModelParams, grid: TimeGrid,
             (np.array([h / 6.0, 1.0, h / 3.0, h / 3.0, h / 6.0]), parts)]
     into = stage.reshape(-1).view(np.float64)
     phases = _lab_phases(h, params)
-    tail_at = _tail_entries(y)
+    tail_at = _tail_entries(y, kinds)
     entries = y.reshape(-1).view(np.float64)  # y's parts, real at even places; a view
     block = np.empty((TAIL_BLOCK,) + tail_at.shape)
     read = 0  # steps in ``block`` not yet checked
@@ -248,9 +326,10 @@ def _rk4(rhs: CoupledRHS, y0: np.ndarray, params: ModelParams, grid: TimeGrid,
             np.maximum(tail_max, w.max(axis=0), out=tail_max)
             read = 0
         if stored:
-            _check_stored(y, grid.t_start + k * h, names, joint)
+            states = _unpack_stack(y, kinds) if k else list(start)
+            _check_stored(states, grid.t_start + k * h, names, joint)
         if k in keep:
-            kept[k] = [_embed(y)] if joint else [state.copy() for state in y]
+            kept[k] = [_embed(states)] if joint else states
     return {name: Trajectory(grid=grid, states={k: states[i] for k, states in kept.items()},
                              tail_max=float(tail_max[i]))
             for i, name in enumerate(names)}
@@ -258,16 +337,18 @@ def _rk4(rhs: CoupledRHS, y0: np.ndarray, params: ModelParams, grid: TimeGrid,
 
 def _start(initial: Mapping[str, np.ndarray], params: ModelParams, grid: TimeGrid,
            store_steps: Iterable[int], joint: bool) -> dict[str, Trajectory]:
-    """The guarded start of both entry points: the right-hand side of
-    ``initial``'s kinds, in its order, the Hermitian parts of its plus and
-    minus operators, the step and stability bounds, then ``_rk4`` on the
-    stack, its one state named "joint" when ``joint``."""
-    rhs = decoupled_rhs(list(initial), params)
-    y0 = np.stack([op0 if kind == "cross" else _hermitian_part(op0, kind)
-                   for kind, op0 in initial.items()])
+    """The guarded start of both entry points: the right-hand side of the
+    kinds ``initial``'s stack carries (``_carried``: one slice for plus and
+    minus together, under plus's band tables), the Hermitian parts of its
+    plus and minus operators, the step and stability bounds, then ``_rk4``
+    on its states in its order, its one state named "joint" when ``joint``."""
+    kinds = list(initial)
+    rhs = decoupled_rhs(_carried(kinds), params)
+    start = np.stack([op0 if kind == "cross" else _hermitian_part(op0, kind)
+                      for kind, op0 in initial.items()]).astype(complex, copy=False)
     require_step(params, grid.step)
     require_stable(params, grid.step)
-    return _rk4(rhs, y0, params, grid, store_steps, ["joint"] if joint else list(initial), joint)
+    return _rk4(rhs, start, params, grid, store_steps, kinds, joint)
 
 
 def integrate_joint(rho0: np.ndarray, params: ModelParams, grid: TimeGrid,

@@ -1107,6 +1107,25 @@ def test_an_out_that_cannot_be_created_exits_2(tmp_path, capsys, verb, out):
     assert (tmp_path / "afile").read_text() == "kept\n"
 
 
+@pytest.mark.parametrize("verb, name", [
+    ("simulate", "component_minus.csv"), ("solve", "solve.csv"),
+    ("wigner", "wigner_cross_anti_01.csv"), ("compare", "compare_report.json"),
+], ids=["simulate", "solve", "wigner", "compare"])
+def test_a_file_name_held_by_a_directory_exits_2(tmp_path, capsys, verb, name):
+    # --out exists and one of the names the verb writes is a directory: the
+    # verb exits 2 with one stderr line naming that file, prints nothing to
+    # stdout, and leaves the directory as it was
+    config = write_config(tmp_path, dict(_SMALL_DOC, outputs=["trajectory", "components"]))
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    assert main([verb, "--config", config, "--out", str(out)]) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert err.startswith(f"config error: cannot write {str(out / name)!r}: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert (out / name).is_dir() and not any((out / name).iterdir())
+
+
 class _Stdout:
     """Stands in for sys.stdout and records, with each write, the files under ``out``."""
 

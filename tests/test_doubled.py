@@ -488,6 +488,44 @@ def test_stacked_blocks_do_not_couple():
         assert np.any(got[block * size:(block + 1) * size])
 
 
+def _doubled_parity(n):
+    # P y P for P = (-1)^(a+a), as the diagonal matrix on vec(y): (-1)^(m+n) at (m, n)
+    levels = np.arange(n)
+    return sp.diags(vectorize(np.where(np.add.outer(levels, levels) % 2, -1.0, 1.0)))
+
+
+@pytest.mark.parametrize("n", [6, 16, 30])
+def test_parity_maps_the_plus_generator_onto_the_minus_one(n):
+    # P a P = -a, so conjugating the plus generator by the parity gives the
+    # minus generator with no entry off: compare steps minus in plus's block
+    p = ModelParams(omega=1.3, coupling=0.17, gamma=0.23, n_trunc=n)
+    parity = _doubled_parity(n)
+    plus, minus = commutator_generator_factory(p, 1), commutator_generator_factory(p, -1)
+    assert (parity @ plus @ parity - minus).count_nonzero() == 0
+
+
+def test_one_packed_block_carries_plus_and_minus():
+    # Z = plus + i P minus P under the plus generator: the generator is linear
+    # and keeps Hermitian operators Hermitian, so (Z + Z+) / 2 and
+    # P (-i/2) (Z - Z+) P are the plus and minus runs, within 1e-14 of their
+    # largest entry, and exactly Hermitian
+    n = 10
+    p = ModelParams(omega=1.3, coupling=0.2, gamma=0.25, n_trunc=n)
+    grid = TimeGrid(0.0, 1.0, 50)
+    plus0, minus0 = (0.5 * (m + m.conj().T) for m in (random_matrix(n, 31), random_matrix(n, 32)))
+    parity = _doubled_parity(n)
+    z = evolve_vectorized(commutator_generator_factory(p, 1),
+                          vectorize(plus0) + 1j * (parity @ vectorize(minus0)), grid)[50]
+    z = devectorize(z)
+    got = {"plus": 0.5 * (z + z.conj().T),
+           "minus": devectorize(parity @ vectorize(-0.5j * (z - z.conj().T)))}
+    for sign, kind, op0 in ((1, "plus", plus0), (-1, "minus", minus0)):
+        want = devectorize(evolve_vectorized(commutator_generator_factory(p, sign),
+                                             vectorize(op0), grid)[50])
+        assert np.max(np.abs(got[kind] - want)) <= 1e-14 * np.max(np.abs(want))
+        assert np.array_equal(got[kind], got[kind].conj().T)
+
+
 @pytest.mark.parametrize("generator", [
     sp.csr_matrix((4, 5)),
     np.zeros((5, 4), dtype=complex),

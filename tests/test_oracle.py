@@ -231,12 +231,13 @@ def test_component_consistency_with_joint():
 
 
 def test_joint_run_is_the_embedded_component_stack(monkeypatch):
-    # the joint run steps the plus/minus/cross stack split from rho0, under
-    # the one component right-hand side (three generators, each the four
-    # (3, N, N) band tables of the stack), and
-    # embeds each kept stack: its states are those of the component run on
-    # the split, embedded, bit for bit, each exactly Hermitian, and its
-    # tail_max is the largest joint_tail_weight of its states, bit for bit
+    # the joint run steps the plus/minus/cross stack split from rho0, plus and
+    # minus packed into one slice, under the one component right-hand side
+    # (three generators, each the four (2, N, N) band tables of the packed
+    # stack), and embeds each kept stack: its states are those of the
+    # component run on the split, embedded, bit for bit, each exactly
+    # Hermitian, and its tail_max is the largest joint_tail_weight of its
+    # states, bit for bit
     built = _counted_generators(monkeypatch)
     n, steps = 12, 200
     p = ModelParams(omega=1.3, coupling=0.15, gamma=0.2, n_trunc=n)
@@ -245,7 +246,7 @@ def test_joint_run_is_the_embedded_component_stack(monkeypatch):
     rho0 = 0.5 * (rho0 + rho0.conj().T)
     keep = range(steps + 1)
     joint = integrate_joint(rho0, p, grid, store_steps=keep)
-    assert [g.shape for _, g in built] == [(4, 3, n, n)] * 3
+    assert [g.shape for _, g in built] == [(4, 2, n, n)] * 3
     cs = split_components(rho0)
     trajs = integrate_component({"plus": cs.plus, "minus": cs.minus, "cross": cs.cross}, p,
                                 grid, store_steps=keep)
@@ -257,16 +258,23 @@ def test_joint_run_is_the_embedded_component_stack(monkeypatch):
     assert np.max(np.abs(joint.states[0] - rho0)) <= 1e-16
 
 
-def _equation_one_deviation(rho0):
+def _equation_one_deviation(rho0, minus_only=False):
     """Largest entry of the joint run's kept states minus RK4 of the dense
     lab-frame equation (1), -i[H, rho] + D[rho] from ``hamiltonian_full``, at
-    h/4 (``reference.lab_frame_rhs``), over every 20th of 200 steps."""
+    h/4 (``reference.lab_frame_rhs``), over every 20th of 200 steps; with
+    ``minus_only``, of a run of rho0's minus component alone minus the minus
+    component of the reference."""
     n, steps = 12, 200
     p = ModelParams(omega=1.0, coupling=0.2, gamma=0.3, n_trunc=n)
     grid = TimeGrid(0.0, 2.0, steps)
     keep = range(0, steps + 1, 20)
-    got = integrate_joint(rho0, p, grid, store_steps=keep)
     lab = rk4_states(lab_frame_rhs(p), rho0, grid.step / 4, 4 * steps)
+    if minus_only:
+        got = integrate_component({"minus": split_components(rho0).minus}, p, grid,
+                                  store_steps=keep)["minus"]
+        return max(np.max(np.abs(got.states[k] - split_components(lab[4 * k]).minus))
+                   for k in keep)
+    got = integrate_joint(rho0, p, grid, store_steps=keep)
     return max(np.max(np.abs(got.states[k] - lab[4 * k])) for k in keep)
 
 
@@ -290,12 +298,26 @@ def test_joint_run_integrates_equation_one(initial):
     assert _equation_one_deviation(0.5 * (rho0 + rho0.conj().T)) <= EQUATION_ONE_BOUND
 
 
-@pytest.mark.parametrize("initial", ["coherent", "entangled"])
+def test_minus_only_run_integrates_equation_one():
+    # a minus-only run, under minus's own band tables, holds the same check
+    rho0 = _equation_one_initials()["entangled"]
+    rho0 = 0.5 * (rho0 + rho0.conj().T)
+    assert _equation_one_deviation(rho0, minus_only=True) <= EQUATION_ONE_BOUND
+
+
+@pytest.mark.parametrize("initial", ["coherent", "entangled", "entangled_minus_only"])
 def test_equation_one_check_fails_on_a_wrong_component_sign(monkeypatch, initial):
-    # minus evolving under plus's front factor: the check above fails
-    monkeypatch.setitem(model._KINDS, "minus", (-1j, -1.0))
-    rho0 = _equation_one_initials()[initial]
-    assert _equation_one_deviation(0.5 * (rho0 + rho0.conj().T)) > EQUATION_ONE_BOUND
+    # minus evolving under plus's front factor: the check above fails.  A
+    # joint run steps minus packed into plus's slice, as P minus P, under
+    # plus's band tables, so an all-ones parity table plants the fault there;
+    # a minus-only run reads model._KINDS["minus"], where it is planted
+    minus_only = initial.endswith("_minus_only")
+    if minus_only:
+        monkeypatch.setitem(model._KINDS, "minus", (-1j, -1.0))
+    else:
+        monkeypatch.setattr(oracle, "_parity", lambda n: np.ones((n, n)))
+    rho0 = _equation_one_initials()[initial.removesuffix("_minus_only")]
+    assert _equation_one_deviation(0.5 * (rho0 + rho0.conj().T), minus_only) > EQUATION_ONE_BOUND
 
 
 def test_component_trace_conserved_when_uncoupled():
@@ -470,9 +492,11 @@ def test_in_place_stages_match_the_allocating_rk4_loop():
     # the stages bound once to the rows of the loop's one buffer, with every
     # sum a weighted row product, give the states of the loop that makes
     # every stage and sum anew, bit for bit: both take the lab-frame step
-    # z <- P(h) Phi_0(z).  The oracle stacks the kinds as asked (plus,
-    # cross, minus), the twin plus, minus, cross: a slice's place in the
-    # stack does not change its values
+    # z <- P(h) Phi_0(z) of the packed slice Z = plus + i P minus P under
+    # plus's tables, and cross, and unpack Z the same way.  The oracle
+    # stacks the kinds as asked (Z, cross), the twin cross, Z: a slice's
+    # place in the stack does not change its values.  Step 0 is the initial
+    # states themselves
     n, steps = 14, 30
     p = ModelParams(omega=1.1, coupling=0.2, gamma=0.3, n_trunc=n)
     cs = split_components(coherent_joint(0.6 + 0.2j, n, ATOM_UP))
@@ -480,12 +504,16 @@ def test_in_place_stages_match_the_allocating_rk4_loop():
                "minus": 0.5 * (cs.minus + cs.minus.conj().T)}  # as the oracle integrates them
     grid = TimeGrid(0.3, 0.9, steps)
     trajs = integrate_component(initial, p, grid, store_steps=range(steps + 1))
-    kinds = list(model._KINDS)
-    want = _twin_states(model.decoupled_rhs(kinds, p),
-                        np.stack([initial[kind] for kind in kinds]), grid.step, steps,
+    packed = oracle._pack(initial["plus"], initial["minus"])
+    want = _twin_states(model.decoupled_rhs(["cross", "plus"], p),
+                        np.stack([initial["cross"], packed]), grid.step, steps,
                         model._lab_phases(grid.step, p))
-    for i, kind in enumerate(kinds):
-        assert all(np.array_equal(trajs[kind].states[k], want[k][i]) for k in range(steps + 1))
+    for kind in initial:
+        assert np.array_equal(trajs[kind].states[0], initial[kind])
+    for k in range(1, steps + 1):
+        plus, minus = oracle._unpack(want[k][1])
+        for kind, state in (("plus", plus), ("minus", minus), ("cross", want[k][0])):
+            assert np.array_equal(trajs[kind].states[k], state)
 
 
 def _band_tables(g, h):
@@ -557,18 +585,19 @@ def test_lab_frame_step_is_the_rotating_frame_method():
 
 
 def test_tail_overflow_names_the_first_slice_to_cross():
-    # plus starts in the vacuum and minus in |1>: both slices cross the tail
-    # limit, minus first; the error names minus at its step, and before it a
-    # component's tail_max is the largest |tail_weight| over every step
+    # plus starts in the vacuum and minus in |1>: both cross the tail limit,
+    # minus first; the error names minus at its step, and before it a
+    # component's tail_max is the largest |tail_weight| over every step of
+    # the twin's packed slice, unpacked
     n, steps = 8, 400
     p = ModelParams(omega=1.0, coupling=0.5, gamma=0.0, n_trunc=n)
     vacuum, excited = np.zeros((n, n), dtype=complex), np.zeros((n, n), dtype=complex)
     vacuum[0, 0] = excited[1, 1] = 1.0
     grid = TimeGrid(0.0, 4.0, steps)
-    states = _twin_states(model.decoupled_rhs(["plus", "minus"], p),
-                          np.stack([vacuum, excited]), grid.step, steps,
-                          model._lab_phases(grid.step, p))
-    weights = np.array([np.abs(tail_weight(state)) for state in states])
+    packed = _twin_states(model.decoupled_rhs(["plus"], p), oracle._pack(vacuum, excited)[None],
+                          grid.step, steps, model._lab_phases(grid.step, p))
+    weights = np.array([[np.abs(tail_weight(state)) for state in oracle._unpack(z[0])]
+                        for z in packed])
     crossed = [int(np.argmax(weights[:, i] > TAIL_LIMIT)) for i in range(2)]
     assert 0 < crossed[1] < crossed[0]  # both cross, minus first
     k = crossed[1]
@@ -652,8 +681,11 @@ def _component_initials(n):
 
 
 def test_component_stack_matches_one_kind_runs():
-    # each slice of the batched run evolves on its own: a run of all three
-    # kinds gives each kind's one-kind run, states and tail records alike
+    # each kind of the batched run evolves on its own: a run of all three
+    # kinds gives each kind's one-kind run, states within 1e-14 and tail
+    # records within rounding (plus and minus share a packed slice, and the
+    # tails of its unpacked states differ from the one-kind runs' by at most
+    # 6.5e-15 of themselves here)
     n = 12
     p = ModelParams(omega=1.0, coupling=0.15, gamma=0.2, n_trunc=n)
     initial = _component_initials(n)
@@ -666,29 +698,71 @@ def test_component_stack_matches_one_kind_runs():
         assert list(traj.states) == list(alone.states) == [50, 120]
         for got, want in zip(traj.states.values(), alone.states.values()):
             assert np.max(np.abs(got - want)) <= 1e-14
-        assert np.array_equal([tail_weight(s) for s in traj.states.values()],
-                              [tail_weight(s) for s in alone.states.values()])
-        assert traj.tail_max == alone.tail_max
+        assert ([tail_weight(s) for s in traj.states.values()]
+                == pytest.approx([tail_weight(s) for s in alone.states.values()], rel=1e-12))
+        assert traj.tail_max == pytest.approx(alone.tail_max, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [12, 28])
+def test_packed_stack_matches_one_kind_runs_at_every_step(n):
+    # plus and minus stepped as one packed slice agree with their one-kind
+    # runs within 1e-14 of the largest entry at every kept step (7e-15 here),
+    # and cross, a slice of its own, bit for bit
+    p = ModelParams(omega=1.0, coupling=0.15, gamma=0.2, n_trunc=n)
+    initial = _component_initials(n)
+    grid = TimeGrid(0.0, 1.0, 200)
+    keep = range(201)
+    batch = integrate_component(initial, p, grid, store_steps=keep)
+    for kind, op0 in initial.items():
+        alone = integrate_component({kind: op0}, p, grid, store_steps=keep)[kind]
+        for k in keep:
+            want = alone.states[k]
+            assert np.max(np.abs(batch[kind].states[k] - want)) <= 1e-14 * np.max(np.abs(want))
+        assert kind != "cross" or all(np.array_equal(batch[kind].states[k], alone.states[k])
+                                      for k in keep)
+
+
+@pytest.mark.parametrize("n", [12, 20, 28])
+def test_minus_run_is_the_parity_conjugated_plus_run(n):
+    # with P = (-1)^(a+a), P a P = -a, so P X(t) P = -X(t) and D commutes with
+    # P conjugation: the minus run of P y P is P (plus run of y) P, states and
+    # tail records bit for bit (the minus tables are the plus tables negated,
+    # and P only flips signs); the oracle's packing of plus and minus rests on it
+    p = ModelParams(omega=1.3, coupling=0.2, gamma=0.25, n_trunc=n)
+    levels = np.arange(n)
+    parity = np.where(np.add.outer(levels, levels) % 2, -1.0, 1.0)
+    y = _component_initials(n)["minus"]
+    y = 0.5 * (y + y.conj().T)
+    grid = TimeGrid(0.0, 1.0, 150)
+    keep = range(0, 151, 10)
+    plus = integrate_component({"plus": y}, p, grid, store_steps=keep)["plus"]
+    minus = integrate_component({"minus": np.multiply(y, parity)}, p, grid,
+                                store_steps=keep)["minus"]
+    for k in keep:
+        assert np.array_equal(minus.states[k], np.multiply(plus.states[k], parity))
+    assert minus.tail_max == plus.tail_max
 
 
 def test_component_run_returns_the_callers_kind_order():
     # the oracle stacks the kinds in the mapping's order and returns them in
-    # it: a cross, plus, minus stack gives the plus, minus, cross run's
-    # states and tail records bit for bit, as a slice's place in the stack
-    # does not change its values
+    # it: a cross, plus, minus or a minus, cross, plus stack gives the plus,
+    # minus, cross run's states and tail records bit for bit, as a slice's
+    # place in the stack does not change its values, and minus, first or
+    # last, rides in plus's slice
     n = 12
     p = ModelParams(omega=1.0, coupling=0.15, gamma=0.2, n_trunc=n)
     ordered = _component_initials(n)
     grid = TimeGrid(0.0, 1.0, 200)
     want = integrate_component(ordered, p, grid, store_steps=[0, 50, 200])
-    got = integrate_component({kind: ordered[kind] for kind in ("cross", "plus", "minus")},
-                              p, grid, store_steps=[0, 50, 200])
-    assert list(got) == ["cross", "plus", "minus"]
-    for kind, traj in got.items():
-        assert list(traj.states) == list(want[kind].states)
-        for k, state in traj.states.items():
-            assert np.array_equal(state, want[kind].states[k])
-        assert traj.tail_max == want[kind].tail_max
+    for order in (["cross", "plus", "minus"], ["minus", "cross", "plus"]):
+        got = integrate_component({kind: ordered[kind] for kind in order},
+                                  p, grid, store_steps=[0, 50, 200])
+        assert list(got) == order
+        for kind, traj in got.items():
+            assert list(traj.states) == list(want[kind].states)
+            for k, state in traj.states.items():
+                assert np.array_equal(state, want[kind].states[k])
+            assert traj.tail_max == want[kind].tail_max
 
 
 def test_component_stack_overflow_names_its_kind():
